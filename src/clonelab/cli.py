@@ -56,6 +56,7 @@ from .structures import (
     orbits,
     parse_structure,
 )
+from .syntax import natural, records
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ def parse_operations(text: str) -> list[Operation]:
     outputs: list[int] | None = None
     body: Operation | None = None
 
-    def finish(line: int) -> None:
+    def finish() -> None:
         nonlocal current, outputs, body
         if current is None:
             return
@@ -116,7 +117,7 @@ def parse_operations(text: str) -> list[Operation]:
             raise ParseError(f"operation {name!r} has no body", opened)
         if body is None:
             size = _infer_size(len(outputs), arity, name, opened)
-            bad = next((v for v in outputs if not 0 <= v < size), None)
+            bad = next((v for v in outputs if v >= size), None)
             if bad is not None:
                 raise ParseError(
                     f"table for {name!r} maps into 0..{size - 1}, got {bad}", opened
@@ -130,17 +131,13 @@ def parse_operations(text: str) -> list[Operation]:
             ops.append(body)
         current, outputs, body = None, None, None
 
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
+    for number, (head, *rest) in records(text):
         if head == "op":
-            finish(number)
-            parts = rest.split()
-            if len(parts) != 2 or not parts[1].isdigit() or int(parts[1]) < 1:
+            finish()
+            if len(rest) != 2:
                 raise ParseError("expected `op <name> <arity>`", number)
-            name, arity = parts[0], int(parts[1])
+            name = rest[0]
+            arity = natural(rest[1], number, "`op <name> <arity>` with arity >= 1", 1)
             if name in seen:
                 raise ParseError(f"duplicate operation name {name!r}", number)
             seen.add(name)
@@ -148,7 +145,7 @@ def parse_operations(text: str) -> list[Operation]:
         elif head == "term":
             if current is None or body is not None or outputs is not None:
                 raise ParseError("`term` needs a fresh `op` block", number)
-            term = parse_order_term(rest, None, number)
+            term = parse_order_term(" ".join(rest), None, number)
             try:
                 body = Operation(current[0], current[1], term)
             except InconsistentData as exc:
@@ -156,25 +153,15 @@ def parse_operations(text: str) -> list[Operation]:
         elif head == "table":
             if current is None or body is not None or outputs is not None:
                 raise ParseError("`table` needs a fresh `op` block", number)
-            outputs = _ints(rest, number)
+            outputs = [natural(t, number, "an integer >= 0") for t in rest]
         elif current is not None and outputs is not None:
-            outputs.extend(_ints(line, number))
+            outputs.extend(natural(t, number, "an integer >= 0") for t in (head, *rest))
         else:
             raise ParseError(f"unknown directive {head!r}", number)
-    finish(0)
+    finish()
     if not ops:
         raise ParseError("no operations in file", None)
     return ops
-
-
-def _ints(text: str, line: int) -> list[int]:
-    values = []
-    for token in text.split():
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ParseError(f"expected an integer, got {token!r}", line) from None
-    return values
 
 
 def _infer_size(count: int, arity: int, name: str, line: int) -> int:

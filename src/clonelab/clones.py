@@ -165,17 +165,6 @@ def eval_term_table(
     return assignment[term.symbol].compose(inner)  # type: ignore[union-attr]
 
 
-def dump(clone: FiniteClone) -> str:
-    """Catalog listing: one `arity <n> table <outputs> term <witness>` line
-    per entry, in catalog order."""
-    lines = []
-    for arity in sorted(clone.catalogs):
-        for entry in clone.catalogs[arity]:
-            outputs = " ".join(str(v) for v in entry.table.outputs)
-            lines.append(f"arity {arity} table {outputs} term {entry.term}")
-    return "\n".join(lines) + "\n"
-
-
 def _generate_arity(generators, base_size, arity, caps):
     # selectors seed the catalog; on degenerate bases some coincide as
     # tables, and those identifications are collisions like any other

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .clones import CatalogEntry, FiniteClone, Table, eval_term_table
 from .config import guard
 from .errors import InconsistentData, ParseError
+from .syntax import natural, records
 from .terms import App, Term, Var, collapse, max_variable, parse_term
 
 Sigma = tuple[tuple[str, int], ...]
@@ -108,37 +109,30 @@ def _check_term(term: Term, signature: Mapping[str, int]) -> None:
 
 def parse_equation_system(text: str) -> EquationSystem:
     """Read `sig f 2` declarations followed by `eq <term> = <term>` lines."""
-    signature: list[tuple[str, int]] = []
+    signature: dict[str, int] = {}
     equations: list[Equation] = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        head, _, rest = line.partition(" ")
+    for number, (head, *rest) in records(text):
         if head == "sig":
-            parts = rest.split()
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(rest) != 2:
                 raise ParseError("expected `sig <name> <arity>`", number)
-            name, arity = parts[0], int(parts[1])
-            if arity < 1:
-                raise ParseError("symbol arity must be at least 1", number)
-            if any(n == name for n, _ in signature):
+            name = rest[0]
+            arity = natural(rest[1], number, "a symbol arity of at least 1", 1)
+            if name in signature:
                 raise ParseError(f"symbol {name!r} declared twice", number)
-            signature.append((name, arity))
+            signature[name] = arity
         elif head == "eq":
-            sides = rest.split("=")
+            sides = " ".join(rest).split("=")
             if len(sides) != 2:
                 raise ParseError("expected `eq <term> = <term>`", number)
-            sig = dict(signature)
             equations.append(
                 Equation(
-                    parse_term(sides[0], sig, number),
-                    parse_term(sides[1], sig, number),
+                    parse_term(sides[0], signature, number),
+                    parse_term(sides[1], signature, number),
                 )
             )
         else:
             raise ParseError(f"unknown directive {head!r}", number)
-    return EquationSystem(tuple(signature), tuple(equations))
+    return EquationSystem(tuple(signature.items()), tuple(equations))
 
 
 # -- projections --------------------------------------------------------------

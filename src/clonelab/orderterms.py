@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError, UnsupportedTerm
 from .plmap import PLMap
+from .syntax import parse_prefix
 
 # -- values --------------------------------------------------------------
 
@@ -227,72 +228,21 @@ def parse_order_term(text: str, maps: dict[str, PLMap] | None = None,
 
     `maps` supplies named increasing maps usable as unary symbols.
     """
-    tokens = _tokenize(text, line)
-    term, pos = _parse(tokens, 0, maps or {}, line)
-    if pos != len(tokens):
-        raise ParseError(f"trailing input after term: {text!r}", line)
-    return term
+    maps = maps or {}
 
+    def node(symbol: str, args: Sequence[OrderTerm]) -> OrderTerm:
+        if symbol in ("min", "max"):
+            if len(args) < 2:
+                raise ParseError(f"{symbol} needs at least 2 arguments", line)
+            return (Min if symbol == "min" else Max)(tuple(args))
+        if symbol == "lex":
+            if len(args) != 2:
+                raise ParseError("lex takes exactly 2 arguments", line)
+            return Lex(args[0], args[1])
+        if symbol in maps:
+            if len(args) != 1:
+                raise ParseError(f"map {symbol!r} takes exactly 1 argument", line)
+            return MapApply(symbol, maps[symbol], args[0])
+        raise ParseError(f"unknown symbol {symbol!r} in term", line)
 
-def _tokenize(text: str, line: int | None) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in term", line)
-    return tokens
-
-
-def _parse(tokens, pos, maps, line):
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of term", line)
-    tok = tokens[pos]
-    if tok.startswith("x") and tok[1:].isdigit():
-        index = int(tok[1:])
-        if index < 1:
-            raise ParseError("coordinates are numbered from x1", line)
-        return Coord(index), pos + 1
-    args, pos = _parse_args(tokens, pos + 1, maps, line, tok)
-    if tok in ("min", "max"):
-        if len(args) < 2:
-            raise ParseError(f"{tok} needs at least 2 arguments", line)
-        return (Min if tok == "min" else Max)(tuple(args)), pos
-    if tok == "lex":
-        if len(args) != 2:
-            raise ParseError("lex takes exactly 2 arguments", line)
-        return Lex(args[0], args[1]), pos
-    if tok in maps:
-        if len(args) != 1:
-            raise ParseError(f"map {tok!r} takes exactly 1 argument", line)
-        return MapApply(tok, maps[tok], args[0]), pos
-    raise ParseError(f"unknown symbol {tok!r} in term", line)
-
-
-def _parse_args(tokens, pos, maps, line, symbol):
-    if pos >= len(tokens) or tokens[pos] != "(":
-        raise ParseError(f"expected '(' after {symbol!r}", line)
-    pos += 1
-    args = []
-    while True:
-        term, pos = _parse(tokens, pos, maps, line)
-        args.append(term)
-        if pos >= len(tokens):
-            raise ParseError("unterminated argument list", line)
-        if tokens[pos] == ",":
-            pos += 1
-            continue
-        if tokens[pos] == ")":
-            return args, pos + 1
-        raise ParseError(f"expected ',' or ')', got {tokens[pos]!r}", line)
+    return parse_prefix(text, line, Coord, node)

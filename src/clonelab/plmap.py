@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InconsistentData, ParseError
+from .syntax import records
 
 Mat = tuple[Fraction, Fraction, Fraction, Fraction]
 
@@ -277,10 +278,14 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
 
 
 def parse_fraction(text: str, line: int | None = None) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational literal {text!r}", line)
+    """A rational literal such as `-3/4` or `2.5`, in ASCII digits and
+    without the underscores `Fraction` would accept."""
+    if text.isascii() and "_" not in text:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad rational literal {text!r}", line)
 
 
 def _parse_endpoint(text: str, line: int | None) -> Fraction | None:
@@ -316,17 +321,17 @@ def parse_piece_line(parts: Sequence[str], line: int | None = None) -> Piece:
 def parse_plmap(text: str) -> PLMap:
     """Parse a whole map from `piece ...` lines ('#' comments allowed)."""
     pieces = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
-        if parts[0] != "piece":
-            raise ParseError(f"expected 'piece', got {parts[0]!r}", lineno)
-        pieces.append(parse_piece_line(parts[1:], lineno))
-    if not pieces:
-        raise ParseError("no pieces found")
+    for lineno, (head, *rest) in records(text):
+        if head != "piece":
+            raise ParseError(f"expected 'piece', got {head!r}", lineno)
+        pieces.append(parse_piece_line(rest, lineno))
+    return assemble_plmap(pieces)
+
+
+def assemble_plmap(pieces: Sequence[Piece], line: int | None = None) -> PLMap:
+    """The map made of parsed pieces; no pieces, a gap, an overlap or a
+    jump between them is a ParseError at `line`."""
     try:
         return PLMap(tuple(pieces))
     except InconsistentData as exc:
-        raise ParseError(str(exc))
+        raise ParseError(str(exc), line) from exc

@@ -30,7 +30,16 @@ from typing import Mapping, Sequence
 
 from .config import Caps, DEFAULT_CAPS, guard
 from .errors import InconsistentData, ParseError
-from .plmap import Piece, PLMap, identity, parse_plmap, translation
+from .plmap import (
+    Piece,
+    PLMap,
+    assemble_plmap,
+    identity,
+    parse_fraction,
+    parse_piece_line,
+    translation,
+)
+from .syntax import natural, records
 
 
 def _squash(x: Fraction) -> Fraction:
@@ -508,60 +517,54 @@ def serialize_member(f: QFunction) -> str:
     return "\n".join(lines) + "\n"
 
 
+_MEMBER_FIELDS = {"arity": 1, "eventual": 2, "alpha": 1, "map": 1}
+
+
 def parse_member(text: str) -> QFunction:
     """Inverse of :func:`serialize_member`; '#' starts a comment."""
     arity: int | None = None
     coordinate: int | None = None
     threshold: Fraction | None = None
     alpha_name: str | None = None
-    maps: dict[str, list[str]] = {}
-    current: list[str] | None = None
+    maps: dict[str, tuple[int, list[Piece]]] = {}
+    current: list[Piece] | None = None
     rows: list[tuple[int, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        head, *rest = stripped.split()
-        try:
-            if head == "arity":
-                (field,) = rest
-                arity = int(field)
-            elif head == "eventual":
-                coord_field, threshold_field = rest
-                coordinate = int(coord_field)
-                threshold = Fraction(threshold_field)
-            elif head == "alpha":
-                (alpha_name,) = rest
-            elif head == "map":
-                (name,) = rest
-                if name in maps:
-                    raise ParseError(f"map {name!r} defined twice", lineno)
-                current = maps.setdefault(name, [])
-            elif head == "piece":
-                if current is None:
-                    raise ParseError("piece line outside a map block", lineno)
-                current.append(stripped)
-            elif head == "data":
-                rows.append((lineno, rest))
-            else:
-                raise ParseError(f"unknown directive {head!r}", lineno)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(str(exc), lineno) from exc
+    for lineno, (head, *rest) in records(text):
+        if head in _MEMBER_FIELDS and len(rest) != _MEMBER_FIELDS[head]:
+            raise ParseError(f"`{head}` takes {_MEMBER_FIELDS[head]} field(s)", lineno)
+        if head == "arity":
+            arity = natural(rest[0], lineno, "a member arity of at least 1", 1)
+        elif head == "eventual":
+            coordinate = natural(rest[0], lineno, "an eventual coordinate of at least 1", 1)
+            threshold = parse_fraction(rest[1], lineno)
+        elif head == "alpha":
+            alpha_name = rest[0]
+        elif head == "map":
+            if rest[0] in maps:
+                raise ParseError(f"map {rest[0]!r} defined twice", lineno)
+            current = []
+            maps[rest[0]] = (lineno, current)
+        elif head == "piece":
+            if current is None:
+                raise ParseError("piece line outside a map block", lineno)
+            current.append(parse_piece_line(rest, lineno))
+        elif head == "data":
+            rows.append((lineno, rest))
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno)
     if arity is None or coordinate is None or threshold is None:
         raise ParseError("missing arity or eventual line")
     if alpha_name is None or alpha_name not in maps:
         raise ParseError("no alpha map named")
-    alpha = parse_plmap("\n".join(maps[alpha_name]))
+    map_line, pieces = maps[alpha_name]
+    alpha = assemble_plmap(pieces, map_line)
     if not alpha.is_automorphism:
         raise InconsistentData("the eventual map must be a bijection of Q")
     data: dict[tuple[Fraction, ...], Fraction] = {}
     for lineno, fields in rows:
         if len(fields) != arity + 1:
             raise ParseError(f"data row needs {arity + 1} rationals", lineno)
-        try:
-            numbers = [Fraction(field) for field in fields]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(str(exc), lineno) from exc
+        numbers = [parse_fraction(field, lineno) for field in fields]
         point = tuple(numbers[:arity])
         if point in data:
             raise ParseError(f"data point {point} repeated", lineno)

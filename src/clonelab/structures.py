@@ -21,6 +21,7 @@ from typing import Iterable, Sequence
 from .config import Caps, DEFAULT_CAPS, guard, ordered_set_partition_count
 from .errors import InconsistentData, ParseError
 from .plmap import PLMap, from_point_pairs
+from .syntax import natural, records
 
 
 # -- finite structures -------------------------------------------------
@@ -65,50 +66,46 @@ def parse_structure(text: str) -> FiniteStructure:
     blocks with one tuple per line.  '#' comments and blank lines are
     ignored; errors carry line numbers."""
     domain_size: int | None = None
-    relations: list[tuple[str, int, set[tuple[int, ...]], int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        parts = stripped.split()
+    relations: list[tuple[str, int, set[tuple[int, ...]]]] = []
+    for lineno, parts in records(text):
         if parts[0] == "domain":
             if domain_size is not None:
                 raise ParseError("domain declared twice", lineno)
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2:
                 raise ParseError("expected `domain <n>`", lineno)
-            domain_size = int(parts[1])
+            domain_size = natural(parts[1], lineno, "a domain size of at least 1", 1)
             continue
         if domain_size is None:
             raise ParseError("`domain <n>` must come first", lineno)
         if parts[0] == "relation":
-            if len(parts) != 3 or not parts[2].isdigit():
+            if len(parts) != 3:
                 raise ParseError("expected `relation <name> <arity>`", lineno)
-            relations.append((parts[1], int(parts[2]), set(), lineno))
+            name = parts[1]
+            if any(name == other for other, _, _ in relations):
+                raise ParseError(f"relation {name!r} declared twice", lineno)
+            arity = natural(parts[2], lineno, "a relation arity of at least 1", 1)
+            relations.append((name, arity, set()))
             continue
         if not relations:
-            raise ParseError(f"unexpected line {stripped!r} before any relation", lineno)
-        name, arity, tuples, _ = relations[-1]
-        try:
-            values = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"expected {arity} integers", lineno)
-        if len(values) != arity:
             raise ParseError(
-                f"tuple has {len(values)} entries, relation {name!r} has arity {arity}",
+                f"unexpected line {' '.join(parts)!r} before any relation", lineno
+            )
+        name, arity, tuples = relations[-1]
+        if len(parts) != arity:
+            raise ParseError(
+                f"tuple has {len(parts)} entries, relation {name!r} has arity {arity}",
                 lineno,
             )
-        if any(not 0 <= v < domain_size for v in values):
+        values = tuple(natural(p, lineno, "a vertex number") for p in parts)
+        if any(v >= domain_size for v in values):
             raise ParseError(f"vertex out of range in {values}", lineno)
         tuples.add(values)
     if domain_size is None:
         raise ParseError("missing `domain <n>` line")
-    try:
-        return FiniteStructure(
-            domain_size,
-            tuple(Relation(n, a, frozenset(ts)) for n, a, ts, _ in relations),
-        )
-    except InconsistentData as exc:
-        raise ParseError(str(exc))
+    return FiniteStructure(
+        domain_size,
+        tuple(Relation(n, a, frozenset(ts)) for n, a, ts in relations),
+    )
 
 
 @dataclass(frozen=True)

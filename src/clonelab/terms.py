@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError
+from .syntax import parse_prefix
 
 
 class Term:
@@ -42,15 +43,6 @@ def term_depth(term: Term) -> int:
     return 1 + max(term_depth(a) for a in term.args)  # type: ignore[union-attr]
 
 
-def symbols_used(term: Term) -> set[str]:
-    if isinstance(term, Var):
-        return set()
-    out = {term.symbol}
-    for a in term.args:
-        out |= symbols_used(a)
-    return out
-
-
 def collapse(term: Term, sigma: Mapping[str, int]) -> int:
     """Variable index the term collapses to when every symbol f is read
     as the selector of its sigma(f)-th argument."""
@@ -70,65 +62,16 @@ def parse_term(
     text: str, signature: Mapping[str, int], line: int | None = None
 ) -> Term:
     """Parse `f(x1,g(x2,x1))` checking symbol arities against `signature`."""
-    tokens = _tokenize(text, line)
-    term, pos = _parse(tokens, 0, signature, line)
-    if pos != len(tokens):
-        raise ParseError(f"trailing input after term: {text!r}", line)
-    return term
 
+    def app(symbol: str, args: Sequence[Term]) -> Term:
+        if symbol not in signature:
+            raise ParseError(f"undeclared symbol {symbol!r}", line)
+        if len(args) != signature[symbol]:
+            raise ParseError(
+                f"symbol {symbol!r} has arity {signature[symbol]}, "
+                f"got {len(args)} arguments",
+                line,
+            )
+        return App(symbol, tuple(args))
 
-def _tokenize(text: str, line: int | None) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "(),":
-            tokens.append(ch)
-            i += 1
-        elif ch.isalnum() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-        else:
-            raise ParseError(f"unexpected character {ch!r} in term", line)
-    return tokens
-
-
-def _parse(tokens, pos, signature, line):
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of term", line)
-    tok = tokens[pos]
-    if tok.startswith("x") and tok[1:].isdigit():
-        index = int(tok[1:])
-        if index < 1:
-            raise ParseError("variables are numbered from x1", line)
-        return Var(index), pos + 1
-    if tok not in signature:
-        raise ParseError(f"undeclared symbol {tok!r}", line)
-    pos += 1
-    if pos >= len(tokens) or tokens[pos] != "(":
-        raise ParseError(f"expected '(' after {tok!r}", line)
-    pos += 1
-    args = []
-    while True:
-        arg, pos = _parse(tokens, pos, signature, line)
-        args.append(arg)
-        if pos >= len(tokens):
-            raise ParseError("unterminated argument list", line)
-        if tokens[pos] == ",":
-            pos += 1
-            continue
-        if tokens[pos] == ")":
-            pos += 1
-            break
-        raise ParseError(f"expected ',' or ')', got {tokens[pos]!r}", line)
-    if len(args) != signature[tok]:
-        raise ParseError(
-            f"symbol {tok!r} has arity {signature[tok]}, got {len(args)} arguments",
-            line,
-        )
-    return App(tok, tuple(args)), pos
+    return parse_prefix(text, line, Var, app)

@@ -322,6 +322,9 @@ def test_usage_errors_exit_two(files, capsys):
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "sat1", "/nowhere/missing.eqs")[0] == 2
     assert run(capsys, "orbits", "dlo", "--arity-cap", "-3")[0] == 2
+    assert run(capsys, "orbits", files("sup.struct", "domain ²\n"))[0] == 2
+    assert run(capsys, "sat1", files("sup.eqs", "sig f ²\n"))[0] == 2
+    assert run(capsys, "sat1", files("var.eqs", "sig f 2\neq f(x1,x²) = x1\n"))[0] == 2
 
 
 def test_help_exits_zero(capsys):
@@ -373,6 +376,10 @@ def test_parse_operations_comments_and_blanks():
         ("table 0 1\n", "needs a fresh `op` block"),
         ("frob 0 1\n", "unknown directive"),
         ("op f 0\nterm x1\n", "op <name> <arity>"),
+        ("op f ²\nterm x1\n", "line 1: expected `op <name> <arity>`"),
+        ("op f 2\ntable 0 1_0 0 1\n", "line 2: expected an integer"),
+        ("op f 2\ntable 0 0\n0 ١\n", "line 3: expected an integer"),
+        ("op f 1\nterm x١\n", "line 2: expected a variable index"),
         ("", "no operations"),
     ],
 )

@@ -8,7 +8,6 @@ from clonelab.errors import CapExceeded, InconsistentData
 from clonelab.clones import (
     CatalogEntry,
     Table,
-    dump,
     eval_term_table,
     generate,
     selector,
@@ -132,9 +131,3 @@ def test_one_element_base_identifies_selectors():
     assert (Var(1), Var(2)) in clone.collisions[2]
     assert (Var(1), Var(3)) in clone.collisions[3]
 
-
-def test_dump_format():
-    clone = generate([("min", MIN2)], 2, Caps(arity_cap=1, depth_cap=2))
-    text = dump(clone)
-    assert text.splitlines()[0] == "arity 1 table 0 1 term x1"
-    assert all(line.startswith("arity ") for line in text.splitlines())

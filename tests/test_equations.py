@@ -71,6 +71,9 @@ def test_parse_and_print_roundtrip():
         ("eq f(x1) = x1\n", 1),
         ("sig f 2\neq f(x1) = x1\n", 2),
         ("sig f 0\n", 1),
+        ("sig f ²\n", 1),
+        ("sig f 2\neq f(x1,x²) = x1\n", 2),
+        ("sig f 2\neq f(x1,x١) = x1\n", 2),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):

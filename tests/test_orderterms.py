@@ -163,6 +163,7 @@ def test_parse_round_trips():
 
 
 def test_parse_errors():
-    for bad in ("", "x0", "lex(x1)", "min(x1)", "wat(x1)", "min(x1, x2) x3", "min(x1"):
+    for bad in ("", "x0", "lex(x1)", "min(x1)", "wat(x1)", "min(x1, x2) x3", "min(x1",
+                "min(x1, x²)", "min(x1, x١)"):
         with pytest.raises(ParseError):
             parse_order_term(bad)

@@ -327,6 +327,13 @@ def test_only_parameterized_members_serialize():
         serialize_member(comp)
 
 
+# the second piece of the alpha map, on file line 6, has slope 0
+BAD_ALPHA_PIECE = (
+    "arity 2\neventual 1 0\nalpha m\nmap m\n"
+    "piece -inf 0 affine 1 0\npiece 0 inf affine 0 0\n"
+)
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -336,11 +343,22 @@ def test_only_parameterized_members_serialize():
         "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\ndata 1 2\n",
         "arity two\n",
         "arity 2\nwhatever\n",
+        "arity ٢\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+        "arity 2\neventual ١ 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+        BAD_ALPHA_PIECE,
+        # garbage in a map that alpha does not name
+        "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n"
+        "map g\npiece wat\n",
     ],
 )
 def test_member_parse_errors(text):
     with pytest.raises(ParseError):
         parse_member(text)
+
+
+def test_member_piece_errors_name_their_file_line():
+    with pytest.raises(ParseError, match="line 6:"):
+        parse_member(BAD_ALPHA_PIECE)
 
 
 def test_parsed_members_are_validated():

@@ -169,6 +169,18 @@ def test_parse_structure_errors_carry_line_numbers():
         parse_structure("domain 2\nrelation E 2\n0 1 2\n")
     with pytest.raises(ParseError, match="line 3"):
         parse_structure("domain 2\nrelation E 2\n0 5\n")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_structure("domain 0\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_structure("domain 2\nrelation R 0\n")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_structure("domain ²\n")
+    with pytest.raises(ParseError, match="line 1"):
+        parse_structure("domain ٣\n")
+    with pytest.raises(ParseError, match="line 3"):
+        parse_structure("domain 2\nrelation E 2\n0 ١\n")
+    with pytest.raises(ParseError, match="line 3"):
+        parse_structure("domain 2\nrelation E 1\nrelation E 1\n")
     with pytest.raises(ParseError):
         parse_structure("")
 

@@ -9,10 +9,15 @@ critical level m (2 for the dense order, 1 for the pure set, the largest
 relation arity for finite structures) the action determines the whole
 family.
 
-Deciding canonicity is exhaustive, never sampled.  Over a finite
-structure all argument tuples are grouped by their orbit lists.  Over a
-symbolic structure all joint order patterns of the n*k argument entries
-are enumerated; this is exact precisely because the order-term basis is
+Deciding canonicity is exhaustive, never sampled, and one loop decides
+it for both kinds of structure: for each k it runs through argument
+lists (one k-tuple per argument), groups them by their per-argument
+types, and reports the first two lists of one group whose column images
+differ in type.  The kinds differ only in what is enumerated.  Over a
+finite structure it is every argument list over the domain, typed by
+orbits.  Over a symbolic structure it is every joint order pattern of
+the n*k argument entries, realized by its ranks and typed by patterns;
+this is exact precisely because the order-term basis is
 pattern-determined, so inner applications of named maps are rejected
 (see `orderterms.require_pattern_determined`).
 """
@@ -22,7 +27,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .clones import Table, selector
 from .config import Caps, DEFAULT_CAPS, guard
@@ -30,9 +36,7 @@ from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
     Coord,
     OrderTerm,
-    Value,
     eval_rational,
-    rank_codes,
     require_pattern_determined,
     substitute,
     term_arity,
@@ -40,19 +44,16 @@ from .orderterms import (
 from .structures import (
     ConcreteTypeSpace,
     FiniteStructure,
-    Pattern,
     PatternTypeSpace,
     Permutation,
-    StructureKind,
+    Structure,
     SymbolicStructure,
     automorphisms,
-    enumerate_patterns,
     joint_order_patterns,
     orbits,
     pattern_of,
+    type_space,
 )
-
-Structure = FiniteStructure | SymbolicStructure
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,42 @@ def default_k_max(structure: Structure) -> int:
     return max(structure.max_relation_arity, 3)
 
 
-# -- finite case ----------------------------------------------------------
+def _require_matching(body: Table | OrderTerm, structure: Structure) -> None:
+    if isinstance(body, Table):
+        if not isinstance(structure, FiniteStructure):
+            raise InconsistentData("table operations need a finite structure")
+        if body.size != structure.domain_size:
+            raise InconsistentData("table base size differs from structure domain")
+    elif not isinstance(structure, SymbolicStructure):
+        raise InconsistentData("order terms need a symbolic structure")
+
+
+def _column_images(
+    body: Table | OrderTerm, k: int
+) -> Callable[[Sequence[tuple]], tuple]:
+    """The map from an argument list (one k-tuple per argument) to the
+    k-tuple of images of its columns."""
+    apply = body.apply if isinstance(body, Table) else partial(eval_rational, body)
+    columns = range(k)
+    return lambda args: tuple(apply(tuple(a[j] for a in args)) for j in columns)
+
+
+def _first_split(
+    arg_lists: Iterable[tuple[tuple, ...]],
+    classify: Callable[[Sequence], Hashable],
+    image: Callable[[Sequence[tuple]], tuple],
+) -> tuple[tuple, tuple] | None:
+    """The first two argument lists with equal per-argument types whose
+    images differ in type, or None when the images' type is a function
+    of the argument types."""
+    groups: dict[tuple, tuple[tuple, Hashable]] = {}
+    for args in arg_lists:
+        key = tuple(map(classify, args))
+        image_type = classify(image(args))
+        first_args, first_type = groups.setdefault(key, (args, image_type))
+        if image_type != first_type:
+            return first_args, args
+    return None
 
 
 def is_canonical_finite(
@@ -111,54 +147,28 @@ def is_canonical_finite(
     k_max: int | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> CanonicalVerdict:
-    """Exhaustive canonicity check over a finite structure."""
-    if table.size != structure.domain_size:
-        raise InconsistentData("table base size differs from structure domain")
+    """Exhaustive canonicity check over a finite structure: every list of
+    argument tuples over the domain, typed by orbits."""
+    _require_matching(table, structure)
     k_max = default_k_max(structure) if k_max is None else k_max
     n = table.arity
     auts = automorphisms(structure)
     for k in range(1, k_max + 1):
         guard(structure.domain_size ** (k * n), caps.tuple_cap, "argument space size")
         space = orbits(structure, k, caps)
-        groups: dict[tuple[int, ...], tuple[tuple, int]] = {}
-        for args in itertools.product(
-            itertools.product(range(structure.domain_size), repeat=k), repeat=n
-        ):
-            key = tuple(space.classify(a) for a in args)
-            image = tuple(table.apply(tuple(a[j] for a in args)) for j in range(k))
-            image_type = space.classify(image)
-            if key not in groups:
-                groups[key] = (args, image_type)
-                continue
-            first_args, first_type = groups[key]
-            if image_type != first_type:
-                witnesses = tuple(
-                    next(p for p in auts if p.apply(a) == b)
-                    for a, b in zip(first_args, args)
-                )
-                return CanonicalVerdict(
-                    False,
-                    k,
-                    CanonicalCounterexample(k, first_args, args, witnesses),
-                )
+        tuples = itertools.product(range(structure.domain_size), repeat=k)
+        arg_lists = itertools.product(tuples, repeat=n)
+        split = _first_split(arg_lists, space.classify, _column_images(table, k))
+        if split is not None:
+            first_args, args = split
+            witnesses = tuple(
+                next(p for p in auts if p.apply(a) == b)
+                for a, b in zip(first_args, args)
+            )
+            return CanonicalVerdict(
+                False, k, CanonicalCounterexample(k, first_args, args, witnesses)
+            )
     return CanonicalVerdict(True, k_max)
-
-
-# -- symbolic case --------------------------------------------------------
-
-
-def _output_codes(kind: StructureKind, outputs: Sequence[Value]) -> tuple[int, ...]:
-    codes = rank_codes(outputs)
-    if kind is StructureKind.DLO:
-        return codes
-    # pure set: only equality matters
-    seen: dict[int, int] = {}
-    out = []
-    for c in codes:
-        if c not in seen:
-            seen[c] = len(seen)
-        out.append(seen[c])
-    return tuple(out)
 
 
 def is_canonical_symbolic(
@@ -170,32 +180,23 @@ def is_canonical_symbolic(
     """Exact canonicity decision for a pattern-determined order term.
 
     For each k the joint order patterns of all n*k argument entries are
-    enumerated (each realized by its rank tuple), grouped by the list of
-    individual argument patterns; the output pattern must be constant on
-    each group.  Outer increasing-map chains are peeled off first since
-    they preserve output patterns; inner map applications are rejected.
+    enumerated, each realized by its rank tuple and typed by patterns.
+    Outer increasing-map chains are peeled off first since they preserve
+    output patterns; inner map applications are rejected.
     """
+    _require_matching(term, structure)
     core = require_pattern_determined(term)
     k_max = default_k_max(structure) if k_max is None else k_max
     n = max(term_arity(core), 1)
+    classify = partial(pattern_of, structure)
     for k in range(1, k_max + 1):
-        groups: dict[tuple, tuple[tuple, tuple[int, ...]]] = {}
-        for codes in joint_order_patterns(n * k, caps):
-            realization = tuple(Fraction(c) for c in codes)
-            args = tuple(realization[i * k : (i + 1) * k] for i in range(n))
-            key = tuple(pattern_of(structure, a) for a in args)
-            outputs = [
-                eval_rational(core, tuple(a[j] for a in args)) for j in range(k)
-            ]
-            out_codes = _output_codes(structure.kind, outputs)
-            if key not in groups:
-                groups[key] = (args, out_codes)
-                continue
-            first_args, first_codes = groups[key]
-            if out_codes != first_codes:
-                return CanonicalVerdict(
-                    False, k, CanonicalCounterexample(k, first_args, args)
-                )
+        arg_lists = (
+            tuple(tuple(map(Fraction, codes[i * k : (i + 1) * k])) for i in range(n))
+            for codes in joint_order_patterns(n * k, caps)
+        )
+        split = _first_split(arg_lists, classify, _column_images(core, k))
+        if split is not None:
+            return CanonicalVerdict(False, k, CanonicalCounterexample(k, *split))
     return CanonicalVerdict(True, k_max)
 
 
@@ -206,11 +207,7 @@ def is_canonical(
     caps: Caps = DEFAULT_CAPS,
 ) -> CanonicalVerdict:
     if isinstance(operation.body, Table):
-        if not isinstance(structure, FiniteStructure):
-            raise InconsistentData("table operations need a finite structure")
         return is_canonical_finite(operation.body, structure, k_max, caps)
-    if not isinstance(structure, SymbolicStructure):
-        raise InconsistentData("order terms need a symbolic structure")
     return is_canonical_symbolic(operation.body, structure, k_max, caps)
 
 
@@ -245,6 +242,7 @@ def type_image(
     Raises NonCanonicalOperation (carrying the counterexample) when the
     canonicity check up to k fails; representatives are then meaningless.
     """
+    _require_matching(operation.body, structure)
     if check:
         verdict = is_canonical(operation, structure, k_max=k, caps=caps)
         if not verdict.canonical:
@@ -254,33 +252,14 @@ def type_image(
                 verdict.counterexample,
             )
     n = operation.arity
-    if isinstance(operation.body, Table):
-        assert isinstance(structure, FiniteStructure)
-        space = orbits(structure, k, caps)
-        guard(space.size**n, caps.tuple_cap, "type table size")
-        outputs = []
-        for type_args in itertools.product(range(space.size), repeat=n):
-            reps = [space.representative(t) for t in type_args]
-            image = tuple(
-                operation.body.apply(tuple(r[j] for r in reps)) for j in range(k)
-            )
-            outputs.append(space.classify(image))
-        return TypeOperation(space, Table(space.size, n, tuple(outputs)))
-    assert isinstance(structure, SymbolicStructure)
-    space = enumerate_patterns(structure, k, caps)
+    space = type_space(structure, k, caps)
     guard(space.size**n, caps.tuple_cap, "type table size")
-    outputs = []
-    for type_args in itertools.product(range(space.size), repeat=n):
-        reps = [space.representative(t) for t in type_args]
-        column_values = [
-            eval_rational(operation.body, tuple(r[j] for r in reps))
-            for j in range(k)
-        ]
-        out_pattern = Pattern(
-            structure.kind, _output_codes(structure.kind, column_values)
-        )
-        outputs.append(space.classify_pattern(out_pattern))
-    return TypeOperation(space, Table(space.size, n, tuple(outputs)))
+    image = _column_images(operation.body, k)
+    outputs = tuple(
+        space.classify(image([space.representative(t) for t in type_args]))
+        for type_args in itertools.product(range(space.size), repeat=n)
+    )
+    return TypeOperation(space, Table(space.size, n, outputs))
 
 
 @dataclass(frozen=True)
@@ -306,11 +285,7 @@ def xi_infty(
     images = tuple(
         (op.name, type_image(op, structure, m, caps, check)) for op in generators
     )
-    if isinstance(structure, FiniteStructure):
-        space = orbits(structure, m, caps)
-    else:
-        space = enumerate_patterns(structure, m, caps)
-    return XiImage(space, images)
+    return XiImage(type_space(structure, m, caps), images)
 
 
 # -- factor consistency ------------------------------------------------------
@@ -387,13 +362,11 @@ def check_factor_isomorphism(
                     seen.add(candidate)
                     fresh.append(candidate)
         layers.append(fresh)
-    pairs = []
-    for term in sorted(seen, key=str):
-        op = Operation("t", max(term_arity(term), 1), term)
-        high = type_image(op, structure, k_prime, caps, check=False).table
-        low = type_image(op, structure, k, caps, check=False).table
-        pairs.append((term, high, low))
-    return check_table_correspondence(pairs, k, k_prime)
+    labelled = (
+        (term, Operation("t", max(term_arity(term), 1), term))
+        for term in sorted(seen, key=str)
+    )
+    return _type_correspondence(labelled, structure, k, k_prime, caps)
 
 
 def _check_factor_tables(generators, structure, k, k_prime, depth_cap, caps):
@@ -412,9 +385,15 @@ def _check_factor_tables(generators, structure, k, k_prime, depth_cap, caps):
                 if t not in current:
                     names = ",".join(str(current[c]) for c in children)
                     current[t] = f"{g.name}({names})"
+    labelled = (
+        (label, Operation("t", table.arity, table)) for table, label in current.items()
+    )
+    return _type_correspondence(labelled, structure, k, k_prime, caps)
+
+
+def _type_correspondence(labelled, structure, k, k_prime, caps):
     pairs = []
-    for table, label in current.items():
-        op = Operation("t", table.arity, table)
+    for label, op in labelled:
         high = type_image(op, structure, k_prime, caps, check=False).table
         low = type_image(op, structure, k, caps, check=False).table
         pairs.append((label, high, low))

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -52,29 +51,10 @@ from .structures import (
     DLO,
     PURE_SET,
     FiniteStructure,
-    enumerate_patterns,
-    orbits,
     parse_structure,
+    type_space,
 )
 from .syntax import natural, records
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, decoded from argv."""
-
-    subcommand: str
-    inputs: tuple[str, ...]
-    caps: Caps
-    seed: int = 0
-    out: str | None = None
-    k: int | None = None
-    k_max: int | None = None
-    depth: int | None = None
-    samples: int | None = None
-    n: int | None = None
-    assign: tuple[tuple[str, str], ...] = ()
-    family: str | None = None
 
 
 # -- input files -----------------------------------------------------------
@@ -199,33 +179,37 @@ def _clone(path: str, caps: Caps) -> FiniteClone:
 # -- report pieces ---------------------------------------------------------
 
 
-def _header(config: RunConfig) -> list[str]:
-    lines = [f"command: {config.subcommand}"]
-    if config.inputs:
-        lines.append("inputs: " + " ".join(config.inputs))
-    caps = config.caps
+def _header(ns: argparse.Namespace, caps: Caps) -> list[str]:
+    lines = [f"command: {ns.subcommand}"]
+    given = vars(ns)
+    inputs = [
+        given[name]
+        for name in ("operations", "equations", "tables", "structure")
+        if given.get(name) is not None
+    ]
+    if inputs:
+        lines.append("inputs: " + " ".join(inputs))
     lines.append(
         f"caps: arity<={caps.arity_cap} depth<={caps.depth_cap} "
         f"catalog<={caps.catalog_cap}"
     )
-    options = []
-    if config.k is not None:
-        options.append(f"k={config.k}")
-    if config.k_max is not None:
-        options.append(f"kmax={config.k_max}")
-    if config.depth is not None:
-        options.append(f"depth={config.depth}")
-    if config.n is not None:
-        options.append(f"n={config.n}")
-    if config.samples is not None:
-        options.append(f"samples={config.samples}")
-    for symbol, generator in config.assign:
-        options.append(f"assign:{symbol}={generator}")
-    if config.family is not None:
-        options.append(f"family={config.family}")
+    options = [
+        f"{label}={given[name]}"
+        for name, label in (
+            ("k", "k"),
+            ("k_max", "kmax"),
+            ("depth", "depth"),
+            ("n", "n"),
+            ("samples", "samples"),
+        )
+        if given.get(name) is not None
+    ]
+    options.extend(f"assign:{sym}={gen}" for sym, gen in given.get("assign", ()))
+    if given.get("family") is not None:
+        options.append(f"family={given['family']}")
     if options:
         lines.append("options: " + " ".join(options))
-    lines.append(f"seed: {config.seed}")
+    lines.append(f"seed: {ns.seed}")
     return lines
 
 
@@ -240,31 +224,29 @@ def _signature(system: EquationSystem) -> str:
 # -- subcommands -----------------------------------------------------------
 
 
-def _cmd_orbits(config: RunConfig) -> tuple[list[str], int]:
-    structure = _load_structure(config.inputs[0])
-    k = config.k if config.k is not None else structure.max_relation_arity
+def _cmd_orbits(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    structure = _load_structure(ns.structure)
+    k = ns.k if ns.k is not None else structure.max_relation_arity
+    space = type_space(structure, k, caps)
     if isinstance(structure, FiniteStructure):
-        space = orbits(structure, k, config.caps)
         lines = [f"{space.size} orbit classes at level k={k}"]
-        for i in range(space.size):
-            lines.append(
-                f"type {i}: rep {space.describe(i)} size {space.orbit_sizes[i]}"
-            )
+        lines.extend(
+            f"type {i}: rep {space.describe(i)} size {space.orbit_sizes[i]}"
+            for i in range(space.size)
+        )
     else:
-        space = enumerate_patterns(structure, k, config.caps)
         lines = [f"{space.size} patterns at level k={k} over {structure.name}"]
-        for i in range(space.size):
-            lines.append(f"type {i}: {space.describe(i)}")
+        lines.extend(f"type {i}: {space.describe(i)}" for i in range(space.size))
     return lines, 0
 
 
-def _cmd_canonical(config: RunConfig) -> tuple[list[str], int]:
-    ops = parse_operations(_read(config.inputs[0]))
-    structure = _load_structure(config.inputs[1])
+def _cmd_canonical(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    ops = parse_operations(_read(ns.operations))
+    structure = _load_structure(ns.structure)
     lines = []
     failed = False
     for op in ops:
-        verdict = is_canonical(op, structure, config.k_max, config.caps)
+        verdict = is_canonical(op, structure, ns.k_max, caps)
         if verdict.canonical:
             lines.append(
                 f"{op.name}: canonical at every level up to k={verdict.checked_up_to}"
@@ -282,14 +264,14 @@ def _tuples(args) -> str:
     return " ".join("(" + ",".join(str(v) for v in t) + ")" for t in args)
 
 
-def _cmd_type_image(config: RunConfig) -> tuple[list[str], int]:
-    ops = parse_operations(_read(config.inputs[0]))
-    structure = _load_structure(config.inputs[1])
-    k = config.k if config.k is not None else structure.max_relation_arity
+def _cmd_type_image(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    ops = parse_operations(_read(ns.operations))
+    structure = _load_structure(ns.structure)
+    k = ns.k if ns.k is not None else structure.max_relation_arity
     lines = []
     for op in ops:
         try:
-            image = type_image(op, structure, k, config.caps)
+            image = type_image(op, structure, k, caps)
         except NonCanonicalOperation as exc:
             lines.append(f"{op.name}: not canonical — {exc}")
             return lines, 1
@@ -298,9 +280,9 @@ def _cmd_type_image(config: RunConfig) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_sat(config: RunConfig) -> tuple[list[str], int]:
-    system = parse_equation_system(_read(config.inputs[0]))
-    clone = _clone(config.inputs[1], config.caps)
+def _cmd_sat(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    system = parse_equation_system(_read(ns.equations))
+    clone = _clone(ns.tables, caps)
     report = satisfiable_in_clone(system, clone)
     lines = [
         f"system: {len(system.equations)} equation(s) over {_signature(system)}",
@@ -324,8 +306,8 @@ def _cmd_sat(config: RunConfig) -> tuple[list[str], int]:
     return lines, 3
 
 
-def _cmd_sat1(config: RunConfig) -> tuple[list[str], int]:
-    system = parse_equation_system(_read(config.inputs[0]))
+def _cmd_sat1(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    system = parse_equation_system(_read(ns.equations))
     report = satisfiable_in_projections(system)
     lines = [f"system: {len(system.equations)} equation(s) over {_signature(system)}"]
     if report.satisfiable:
@@ -338,13 +320,13 @@ def _cmd_sat1(config: RunConfig) -> tuple[list[str], int]:
     return lines, 1
 
 
-def _cmd_sat_mod(config: RunConfig) -> tuple[list[str], int]:
-    system = parse_equation_system(_read(config.inputs[0]))
-    clone = _clone(config.inputs[1], config.caps)
+def _cmd_sat_mod(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    system = parse_equation_system(_read(ns.equations))
+    clone = _clone(ns.tables, caps)
     outside = [("id", Table(clone.base_size, 1, tuple(range(clone.base_size))))]
-    if config.family is not None:
+    if ns.family is not None:
         extra, base = _named_tables(
-            parse_operations(_read(config.family)), config.family
+            parse_operations(_read(ns.family)), ns.family
         )
         if base != clone.base_size:
             raise InconsistentData(
@@ -379,8 +361,8 @@ def _cmd_sat_mod(config: RunConfig) -> tuple[list[str], int]:
     return lines, 3
 
 
-def _cmd_proj_hom(config: RunConfig) -> tuple[list[str], int]:
-    clone = _clone(config.inputs[0], config.caps)
+def _cmd_proj_hom(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    clone = _clone(ns.tables, caps)
     report = has_projective_homomorphism(clone)
     lines = [
         "generators: " + " ".join(f"{n}/{t.arity}" for n, t in clone.generators),
@@ -408,17 +390,17 @@ def _cmd_proj_hom(config: RunConfig) -> tuple[list[str], int]:
     return lines, 3
 
 
-def _cmd_lift(config: RunConfig) -> tuple[list[str], int]:
-    ops = parse_operations(_read(config.inputs[0]))
-    system = parse_equation_system(_read(config.inputs[1]))
-    structure = _load_structure(config.inputs[2])
+def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    ops = parse_operations(_read(ns.operations))
+    system = parse_equation_system(_read(ns.equations))
+    structure = _load_structure(ns.structure)
     if isinstance(structure, FiniteStructure):
         raise InconsistentData("lift works over the symbolic structures dlo/pureset")
-    stages = config.depth if config.depth is not None else 3
-    assign = dict(config.assign) or None
+    stages = ns.depth if ns.depth is not None else 3
+    assign = dict(ns.assign) or None
     try:
         instance = build_instance(
-            structure, ops, system, config.caps, assign=assign
+            structure, ops, system, caps, assign=assign
         )
     except UnsatisfiableSystem as exc:
         return [f"no assignment to lift: {exc}"], 1
@@ -426,7 +408,7 @@ def _cmd_lift(config: RunConfig) -> tuple[list[str], int]:
     for name, _ in system.signature:
         lines.append(f"order term for {name}: {instance.order_term_of(name)}")
     try:
-        witnesses = lift(instance, stages, config.caps)
+        witnesses = lift(instance, stages, caps)
     except EqualizerFailure as exc:
         lines.append(f"obstruction at stage {exc.j}: {exc}")
         return lines, 1
@@ -441,26 +423,26 @@ def _cmd_lift(config: RunConfig) -> tuple[list[str], int]:
     return lines, 0
 
 
-def _cmd_analyze(config: RunConfig) -> tuple[list[str], int]:
-    ops = parse_operations(_read(config.inputs[0]))
-    structure = _load_structure(config.inputs[1])
+def _cmd_analyze(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    ops = parse_operations(_read(ns.operations))
+    structure = _load_structure(ns.structure)
     if isinstance(structure, FiniteStructure):
         raise InconsistentData("analyze works over the symbolic structures dlo/pureset")
-    stages = config.depth if config.depth is not None else 3
-    report = analyze_transfer(structure, ops, config.caps, stages=stages)
+    stages = ns.depth if ns.depth is not None else 3
+    report = analyze_transfer(structure, ops, caps, stages=stages)
     lines = report.describe().splitlines()
     code = {"found": 0, "refuted": 1}.get(report.homomorphism.status, 3)
     return lines, code
 
 
-def _cmd_qdemo(config: RunConfig) -> tuple[list[str], int]:
-    n = config.n if config.n is not None else 2
-    samples = config.samples if config.samples is not None else 5
-    report = noncontinuity_demo(n, samples, config.seed)
+def _cmd_qdemo(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
+    n = ns.n if ns.n is not None else 2
+    samples = ns.samples if ns.samples is not None else 5
+    report = noncontinuity_demo(n, samples, ns.seed)
     return report.describe().splitlines(), 0
 
 
-_COMMANDS: dict[str, Callable[[RunConfig], tuple[list[str], int]]] = {
+_COMMANDS: dict[str, Callable[[argparse.Namespace, Caps], tuple[list[str], int]]] = {
     "orbits": _cmd_orbits,
     "canonical": _cmd_canonical,
     "type-image": _cmd_type_image,
@@ -477,24 +459,22 @@ _COMMANDS: dict[str, Callable[[RunConfig], tuple[list[str], int]]] = {
 # -- argument parsing ------------------------------------------------------
 
 
-def _positive(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse type for integer flags: ASCII decimal digits, as in files."""
+
+    def read(text: str) -> int:
+        try:
+            return natural(text, None, f"an integer of at least {minimum}", minimum)
+        except ParseError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
 
 
-def _nonnegative(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError("must not be negative")
-    return value
+def _seed(text: str) -> int:
+    if text.startswith("-"):
+        return -_at_least(0)(text[1:])
+    return _at_least(0)(text)
 
 
 def _assign_pair(text: str) -> tuple[str, str]:
@@ -506,12 +486,13 @@ def _assign_pair(text: str) -> tuple[str, str]:
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--arity-cap", type=_positive, default=DEFAULT_CAPS.arity_cap)
-    common.add_argument("--depth-cap", type=_positive, default=DEFAULT_CAPS.depth_cap)
-    common.add_argument(
-        "--catalog-cap", type=_positive, default=DEFAULT_CAPS.catalog_cap
-    )
-    common.add_argument("--seed", type=int, default=0)
+    for flag, default in (
+        ("--arity-cap", DEFAULT_CAPS.arity_cap),
+        ("--depth-cap", DEFAULT_CAPS.depth_cap),
+        ("--catalog-cap", DEFAULT_CAPS.catalog_cap),
+    ):
+        common.add_argument(flag, type=_at_least(1), default=default)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--out", help="also write the report to this file")
 
     parser = argparse.ArgumentParser(
@@ -522,17 +503,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("orbits", parents=[common], help="type space of a structure")
     p.add_argument("structure", help="structure file, or dlo/pureset")
-    p.add_argument("--k", type=_positive, help="tuple length (default: critical level)")
+    p.add_argument(
+        "--k", type=_at_least(1), help="tuple length (default: critical level)"
+    )
 
     p = sub.add_parser("canonical", parents=[common], help="canonicity check")
     p.add_argument("operations", help="operation file")
     p.add_argument("structure")
-    p.add_argument("--kmax", type=_positive, dest="k_max")
+    p.add_argument("--kmax", type=_at_least(1), dest="k_max")
 
     p = sub.add_parser("type-image", parents=[common], help="action on types")
     p.add_argument("operations")
     p.add_argument("structure")
-    p.add_argument("--k", type=_positive)
+    p.add_argument("--k", type=_at_least(1))
 
     p = sub.add_parser("sat", parents=[common], help="satisfiability in a clone")
     p.add_argument("equations", help="equation file")
@@ -557,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operations")
     p.add_argument("equations")
     p.add_argument("structure", help="dlo or pureset")
-    p.add_argument("--depth", type=_positive, help="last stage index (default 3)")
+    p.add_argument("--depth", type=_at_least(1), help="last stage index (default 3)")
     p.add_argument(
         "--assign",
         type=_assign_pair,
@@ -572,42 +555,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("operations")
     p.add_argument("structure", help="dlo or pureset")
-    p.add_argument("--depth", type=_positive, help="lift stages on refutation")
+    p.add_argument("--depth", type=_at_least(1), help="lift stages on refutation")
 
     p = sub.add_parser("qdemo", parents=[common], help="finite data never pins a member")
-    p.add_argument("--n", type=_positive, help="arity (default 2)")
+    p.add_argument("--n", type=_at_least(1), help="arity (default 2)")
     p.add_argument(
-        "--samples", type=_nonnegative, help="restriction size (default 5)"
+        "--samples", type=_at_least(0), help="restriction size (default 5)"
     )
 
     return parser
-
-
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    caps = Caps(
-        arity_cap=ns.arity_cap,
-        depth_cap=ns.depth_cap,
-        catalog_cap=ns.catalog_cap,
-    )
-    inputs = tuple(
-        getattr(ns, field_name)
-        for field_name in ("operations", "equations", "tables", "structure")
-        if getattr(ns, field_name, None) is not None
-    )
-    return RunConfig(
-        subcommand=ns.subcommand,
-        inputs=inputs,
-        caps=caps,
-        seed=ns.seed,
-        out=ns.out,
-        k=getattr(ns, "k", None),
-        k_max=getattr(ns, "k_max", None),
-        depth=getattr(ns, "depth", None),
-        samples=getattr(ns, "samples", None),
-        n=getattr(ns, "n", None),
-        assign=tuple(getattr(ns, "assign", ())),
-        family=getattr(ns, "family", None),
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -616,19 +572,21 @@ def main(argv: Sequence[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    config = _config_from(ns)
+    caps = Caps(
+        arity_cap=ns.arity_cap, depth_cap=ns.depth_cap, catalog_cap=ns.catalog_cap
+    )
     try:
-        body, code = _COMMANDS[config.subcommand](config)
+        body, code = _COMMANDS[ns.subcommand](ns, caps)
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3
     except (ClonelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = "\n".join(_header(config) + [""] + body) + "\n"
+    report = "\n".join(_header(ns, caps) + [""] + body) + "\n"
     sys.stdout.write(report)
-    if config.out is not None:
-        Path(config.out).write_text(report)
+    if ns.out is not None:
+        Path(ns.out).write_text(report)
     return code
 
 

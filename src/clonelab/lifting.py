@@ -155,16 +155,13 @@ def find_equalizers(
 
 
 def _mismatched_columns(
-    left: Sequence[Fraction], right: Sequence[Fraction], kind: StructureKind
+    left: Sequence[Fraction], right: Sequence[Fraction], structure: SymbolicStructure
 ) -> tuple[int, int]:
     # a pattern disagreement always shows up on a pair of columns
     for c1, c2 in itertools.combinations(range(len(left)), 2):
-        if kind is StructureKind.DLO:
-            cl = (left[c1] > left[c2]) - (left[c1] < left[c2])
-            cr = (right[c1] > right[c2]) - (right[c1] < right[c2])
-            if cl != cr:
-                return c1, c2
-        elif (left[c1] == left[c2]) != (right[c1] == right[c2]):
+        if pattern_of(structure, (left[c1], left[c2])) != pattern_of(
+            structure, (right[c1], right[c2])
+        ):
             return c1, c2
     raise InconsistentData("no mismatching column pair found")
 
@@ -207,6 +204,21 @@ class LiftInstance:
         raise InconsistentData(f"no interpretation for symbol {name!r}")
 
 
+def _type_clone(
+    structure: SymbolicStructure, gen_ops: tuple[Operation, ...], caps: Caps
+) -> tuple[XiImage, FiniteClone]:
+    """Refuse a non-canonical generator, then take the generators' action
+    on the critical-level types and generate the type clone."""
+    for op in gen_ops:
+        verdict = is_canonical(op, structure, caps=caps)
+        if not verdict.canonical:
+            raise NonCanonicalOperation(
+                f"generator {op.name!r} is not canonical", verdict.counterexample
+            )
+    xi = xi_infty(gen_ops, structure, caps, check=False)
+    return xi, generate(xi.named_tables(), xi.space.size, caps)
+
+
 def build_instance(
     structure: SymbolicStructure,
     generators: Sequence[Operation],
@@ -228,19 +240,7 @@ def build_instance(
     obstruction can be observed downstream.
     """
     gen_ops = tuple(generators)
-    names = [op.name for op in gen_ops]
-    if len(set(names)) != len(names):
-        raise InconsistentData("duplicate generator name")
-    for op in gen_ops:
-        if not isinstance(op.body, OrderTerm):
-            raise InconsistentData(f"generator {op.name!r} is not an order term")
-        verdict = is_canonical(op, structure, caps=caps)
-        if not verdict.canonical:
-            raise NonCanonicalOperation(
-                f"generator {op.name!r} is not canonical", verdict.counterexample
-            )
-    xi = xi_infty(gen_ops, structure, caps, check=False)
-    clone = generate(xi.named_tables(), xi.space.size, caps)
+    xi, clone = _type_clone(structure, gen_ops, caps)
     padded = pad_to_common_arity(system)
     fixed = None
     if assign is not None:
@@ -303,11 +303,7 @@ def _finish_instance(
     critical = structure.max_relation_arity
     order_terms = []
     for sym, entry in assignment:
-        interp = fold(
-            entry.term,
-            lambda i: Coord(i),
-            lambda name, parts: substitute(bodies[name], parts),
-        )
+        interp = _as_order_term(entry.term, bodies)
         arity = padded.arity_of(sym)
         image = type_image(Operation(sym, arity, interp), structure, critical, caps, check=False)
         if image.table != entry.table:
@@ -383,7 +379,7 @@ def lift(
             right = [ranks[v] for v in rv]
             found = find_equalizers(left, right, instance.structure)
             if found is None:
-                c1, c2 = _mismatched_columns(left, right, instance.structure.kind)
+                c1, c2 = _mismatched_columns(left, right, instance.structure)
                 raise EqualizerFailure(
                     f"stage {j}: sides of {eq} order columns {c1} and {c2} "
                     "differently; no increasing maps can equalize them",
@@ -535,14 +531,7 @@ def analyze_transfer(
     maps — or fails honestly at some stage, which is itself a finding.
     """
     gen_ops = tuple(generators)
-    for op in gen_ops:
-        verdict = is_canonical(op, structure, caps=caps)
-        if not verdict.canonical:
-            raise NonCanonicalOperation(
-                f"generator {op.name!r} is not canonical", verdict.counterexample
-            )
-    xi = xi_infty(gen_ops, structure, caps, check=False)
-    clone = generate(xi.named_tables(), xi.space.size, caps)
+    xi, clone = _type_clone(structure, gen_ops, caps)
     hom = has_projective_homomorphism(clone)
     if hom.status != "refuted":
         return TransferReport(

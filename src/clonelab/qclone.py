@@ -537,6 +537,7 @@ def parse_member(text: str) -> QFunction:
         elif head == "eventual":
             coordinate = natural(rest[0], lineno, "an eventual coordinate of at least 1", 1)
             threshold = parse_fraction(rest[1], lineno)
+            eventual_line = lineno
         elif head == "alpha":
             alpha_name = rest[0]
         elif head == "map":
@@ -554,12 +555,17 @@ def parse_member(text: str) -> QFunction:
             raise ParseError(f"unknown directive {head!r}", lineno)
     if arity is None or coordinate is None or threshold is None:
         raise ParseError("missing arity or eventual line")
+    if coordinate > arity:
+        raise ParseError(
+            f"eventual coordinate {coordinate} above arity {arity}", eventual_line
+        )
     if alpha_name is None or alpha_name not in maps:
         raise ParseError("no alpha map named")
     map_line, pieces = maps[alpha_name]
     alpha = assemble_plmap(pieces, map_line)
     if not alpha.is_automorphism:
         raise InconsistentData("the eventual map must be a bijection of Q")
+    ceiling = alpha.apply(threshold)
     data: dict[tuple[Fraction, ...], Fraction] = {}
     for lineno, fields in rows:
         if len(fields) != arity + 1:
@@ -568,17 +574,17 @@ def parse_member(text: str) -> QFunction:
         point = tuple(numbers[:arity])
         if point in data:
             raise ParseError(f"data point {point} repeated", lineno)
-        data[point] = numbers[arity]
-    for point in data:
         if all(x > threshold for x in point):
-            raise InconsistentData(
-                f"data point {point} lies entirely above the threshold {threshold}"
+            raise ParseError(
+                f"data point {point} lies entirely above the threshold {threshold}",
+                lineno,
             )
+        if numbers[arity] >= ceiling:
+            raise ParseError(
+                f"data value {numbers[arity]} at or above alpha(threshold) = {ceiling}",
+                lineno,
+            )
+        data[point] = numbers[arity]
     _check_consistency(data, strict_only=True)
-    return QFunction(
-        arity,
-        coordinate,
-        threshold,
-        alpha,
-        _build_hull(data, arity, alpha.apply(threshold)),
-    )
+    hull = _build_hull(data, arity, ceiling)
+    return QFunction(arity, coordinate, threshold, alpha, hull)

@@ -206,20 +206,11 @@ class Pattern:
     codes: tuple[int, ...]
 
     def describe(self) -> str:
-        k = len(self.codes)
-        if self.kind is StructureKind.DLO:
-            by_rank: dict[int, list[int]] = {}
-            for i, r in enumerate(self.codes):
-                by_rank.setdefault(r, []).append(i)
-            groups = [
-                "=".join(f"x{i + 1}" for i in by_rank[r]) for r in sorted(by_rank)
-            ]
-            return " < ".join(groups)
-        by_block: dict[int, list[int]] = {}
+        blocks: dict[int, list[str]] = {}
         for i, c in enumerate(self.codes):
-            by_block.setdefault(c, []).append(i)
-        groups = ["=".join(f"x{i + 1}" for i in by_block[c]) for c in sorted(by_block)]
-        return " | ".join(groups)
+            blocks.setdefault(c, []).append(f"x{i + 1}")
+        separator = " < " if self.kind is StructureKind.DLO else " | "
+        return separator.join("=".join(blocks[c]) for c in sorted(blocks))
 
     def __str__(self) -> str:
         return "(" + ",".join(str(c) for c in self.codes) + ")"
@@ -329,6 +320,7 @@ class PatternTypeSpace:
 
 
 TypeSpace = ConcreteTypeSpace | PatternTypeSpace
+Structure = FiniteStructure | SymbolicStructure
 
 
 def orbits(
@@ -367,6 +359,14 @@ def enumerate_patterns(
     patterns = tuple(Pattern(structure.kind, c) for c in codes)
     index = {p: i for i, p in enumerate(patterns)}
     return PatternTypeSpace(structure, k, patterns, index)
+
+
+def type_space(structure: Structure, k: int, caps: Caps = DEFAULT_CAPS) -> TypeSpace:
+    """The level-k type space of either kind of structure: orbits for a
+    finite structure, patterns for a symbolic one."""
+    if isinstance(structure, FiniteStructure):
+        return orbits(structure, k, caps)
+    return enumerate_patterns(structure, k, caps)
 
 
 def joint_order_patterns(

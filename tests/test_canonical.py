@@ -210,17 +210,18 @@ def test_lex_level2_table_prefers_the_first_argument():
         assert image.table.apply((ta, tb)) == expected
 
 
+@pytest.mark.parametrize("structure", [DLO, PURE_SET], ids=["dlo", "pureset"])
 @settings(max_examples=150, deadline=None)
 @given(st.tuples(*[st.integers(-30, 30) for _ in range(4)]))
-def test_lex_table_predicts_random_evaluations(raw):
+def test_lex_table_predicts_random_evaluations(structure, raw):
     a = (F(raw[0]), F(raw[1]))
     b = (F(raw[2]), F(raw[3]))
-    image = type_image(lex_op(), DLO, 2, check=False)
+    image = type_image(lex_op(), structure, 2, check=False)
     term = Lex(Coord(1), Coord(2))
     outs = [eval_rational(term, (a[j], b[j])) for j in range(2)]
     predicted = image.table.apply((image.space.classify(a), image.space.classify(b)))
     actual = image.space.classify_pattern(
-        pattern_of(DLO, [F(c) for c in rank_codes(outs)])
+        pattern_of(structure, [F(c) for c in rank_codes(outs)])
     )
     assert predicted == actual
 

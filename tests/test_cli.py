@@ -325,6 +325,9 @@ def test_usage_errors_exit_two(files, capsys):
     assert run(capsys, "orbits", files("sup.struct", "domain ²\n"))[0] == 2
     assert run(capsys, "sat1", files("sup.eqs", "sig f ²\n"))[0] == 2
     assert run(capsys, "sat1", files("var.eqs", "sig f 2\neq f(x1,x²) = x1\n"))[0] == 2
+    assert run(capsys, "orbits", "dlo", "--k", "١")[0] == 2
+    assert run(capsys, "qdemo", "--samples", "٣")[0] == 2
+    assert run(capsys, "orbits", "dlo", "--seed", "1_0")[0] == 2
 
 
 def test_help_exits_zero(capsys):

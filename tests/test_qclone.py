@@ -333,6 +333,18 @@ BAD_ALPHA_PIECE = (
     "piece -inf 0 affine 1 0\npiece 0 inf affine 0 0\n"
 )
 
+# inputs whose error is reported at a known file line
+MEMBER_ERROR_LINES = {
+    # coordinate above the arity, reported at the `eventual` line
+    "arity 2\neventual 3 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n": 2,
+    # data value at or above alpha(threshold) = 0
+    "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n"
+    "data -2 -2 -3\ndata -1 -1 5\n": 7,
+    # data row entirely above the threshold, before the map it needs
+    "arity 2\neventual 1 0\ndata 1 1 -5\n"
+    "alpha m\nmap m\npiece -inf inf affine 1 0\n": 3,
+}
+
 
 @pytest.mark.parametrize(
     "text",
@@ -349,11 +361,14 @@ BAD_ALPHA_PIECE = (
         # garbage in a map that alpha does not name
         "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n"
         "map g\npiece wat\n",
+        *MEMBER_ERROR_LINES,
     ],
 )
 def test_member_parse_errors(text):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_member(text)
+    if text in MEMBER_ERROR_LINES:
+        assert err.value.line == MEMBER_ERROR_LINES[text]
 
 
 def test_member_piece_errors_name_their_file_line():

@@ -341,12 +341,15 @@ def check_factor_isomorphism(
 ) -> FactorReport:
     """Desk-scale check that restriction from level k' to level k is a
     bijection between the type actions of all composed operations up to
-    the depth cap (k <= k')."""
+    the depth cap (k <= k').  A composition round that would substitute
+    more than `caps.catalog_cap` times raises CapExceeded first."""
     if k > k_prime:
         raise InconsistentData("restriction goes from the higher level down")
     if not generators:
         raise InconsistentData("need at least one generator")
-    if not all(isinstance(g.body, OrderTerm) for g in generators):
+    for g in generators:
+        _require_matching(g.body, structure)
+    if isinstance(structure, FiniteStructure):
         # finite tables compose directly
         return _check_factor_tables(generators, structure, k, k_prime, depth_cap, caps)
     n = max(g.arity for g in generators)
@@ -354,6 +357,8 @@ def check_factor_isomorphism(
     seen: set[OrderTerm] = set(layers[0])
     for _ in range(depth_cap):
         previous = [t for layer in layers for t in layer]
+        substitutions = sum(len(previous) ** g.arity for g in generators)
+        guard(substitutions, caps.catalog_cap, "order-term closure round")
         fresh = []
         for g in generators:
             for children in itertools.product(previous, repeat=g.arity):
@@ -371,7 +376,6 @@ def check_factor_isomorphism(
 
 def _check_factor_tables(generators, structure, k, k_prime, depth_cap, caps):
     n = max(g.arity for g in generators)
-    assert isinstance(structure, FiniteStructure)
     size = structure.domain_size
     current: dict[Table, object] = {}
     for i in range(1, n + 1):
@@ -379,7 +383,6 @@ def _check_factor_tables(generators, structure, k, k_prime, depth_cap, caps):
     for _ in range(depth_cap):
         snapshot = list(current)
         for g in generators:
-            assert isinstance(g.body, Table)
             for children in itertools.product(snapshot, repeat=g.arity):
                 t = g.body.compose(list(children))
                 if t not in current:

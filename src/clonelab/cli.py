@@ -28,6 +28,7 @@ from .canonical import Operation, Structure, is_canonical, type_image
 from .clones import FiniteClone, Table, generate
 from .config import DEFAULT_CAPS, Caps
 from .equations import (
+    CloneSearchReport,
     EquationSystem,
     has_projective_homomorphism,
     parse_equation_system,
@@ -288,21 +289,30 @@ def _cmd_sat(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
         f"system: {len(system.equations)} equation(s) over {_signature(system)}",
         f"catalogs: {clone.saturation_summary()}",
     ]
+    return _search_tail(
+        lines, report, "satisfiable: yes ({} assignments examined)",
+        "satisfiable: no", "assignments",
+    )
+
+
+def _search_tail(
+    lines: list[str], report: CloneSearchReport, found: str, refuted: str, unit: str
+) -> tuple[list[str], int]:
+    """The found / exhaustive / undecided end of `sat` and `sat-mod`."""
+    n = report.checked
     if report.found:
-        lines.append(f"satisfiable: yes ({report.checked} assignments examined)")
+        lines.append(found.format(n))
         for name, entry in report.assignment:
             lines.append(f"  {name} := {entry.term}")
+        for i, (left, right) in enumerate(report.modifiers or ()):
+            lines.append(
+                f"  equation {i}: left side under {left}, right side under {right}"
+            )
         return lines, 0
     if report.exhaustive:
-        lines.append(
-            f"satisfiable: no — all {report.checked} assignments fail "
-            "(catalogs saturated)"
-        )
+        lines.append(f"{refuted} — all {n} {unit} fail (catalogs saturated)")
         return lines, 1
-    lines.append(
-        f"undecided: {report.checked} assignments fail, but the catalogs "
-        "are not saturated"
-    )
+    lines.append(f"undecided: {n} {unit} fail, but the catalogs are not saturated")
     return lines, 3
 
 
@@ -339,26 +349,10 @@ def _cmd_sat_mod(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
         "outside family: " + " ".join(name for name, _ in outside),
         f"catalogs: {clone.saturation_summary()}",
     ]
-    if report.found:
-        lines.append(f"satisfiable modulo the family ({report.checked} combinations)")
-        for name, entry in report.assignment:
-            lines.append(f"  {name} := {entry.term}")
-        for i, (left, right) in enumerate(report.modifiers):
-            lines.append(
-                f"  equation {i}: left side under {left}, right side under {right}"
-            )
-        return lines, 0
-    if report.exhaustive:
-        lines.append(
-            f"not satisfiable modulo the family — all {report.checked} "
-            "combinations fail (catalogs saturated)"
-        )
-        return lines, 1
-    lines.append(
-        f"undecided: {report.checked} combinations fail, but the catalogs "
-        "are not saturated"
+    return _search_tail(
+        lines, report, "satisfiable modulo the family ({} combinations)",
+        "not satisfiable modulo the family", "combinations",
     )
-    return lines, 3
 
 
 def _cmd_proj_hom(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
@@ -394,8 +388,6 @@ def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     ops = parse_operations(_read(ns.operations))
     system = parse_equation_system(_read(ns.equations))
     structure = _load_structure(ns.structure)
-    if isinstance(structure, FiniteStructure):
-        raise InconsistentData("lift works over the symbolic structures dlo/pureset")
     stages = ns.depth if ns.depth is not None else 3
     assign = dict(ns.assign) or None
     try:
@@ -426,8 +418,6 @@ def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
 def _cmd_analyze(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     ops = parse_operations(_read(ns.operations))
     structure = _load_structure(ns.structure)
-    if isinstance(structure, FiniteStructure):
-        raise InconsistentData("analyze works over the symbolic structures dlo/pureset")
     stages = ns.depth if ns.depth is not None else 3
     report = analyze_transfer(structure, ops, caps, stages=stages)
     lines = report.describe().splitlines()

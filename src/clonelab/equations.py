@@ -11,10 +11,16 @@ Three satisfaction notions over a common signature of operation symbols:
   post-composed with a unary function from a supplied family before the
   comparison, which makes equations "up to outside noise" satisfiable.
 
+Plain clone search is modulo search without modifiers: one loop runs
+through the catalog assignments for both, and the plain search compares
+each equation's side tables directly.  Every hit, modulo hits included,
+is re-verified pointwise before it is returned.
+
 The projective-homomorphism search runs the first notion against the
 equations a clone generation discovered (its collisions): an assignment
 of selectors consistent with every collision, or a small set of
-collisions that together rule out all assignments.
+collisions that together rule out all assignments.  One selector scan
+serves it and `satisfiable_in_projections`.
 """
 
 from __future__ import annotations
@@ -155,27 +161,69 @@ class ProjectionReport:
     failures: tuple[tuple[Sigma, int], ...]
 
 
+def _selector_scan(
+    signature: Sequence[tuple[str, int]], pairs: Sequence[tuple[Term, Term]]
+) -> tuple[Sigma | None, list[tuple[Sigma, int]]]:
+    """Selector assignments in order until one collapses both sides of
+    every pair alike: that assignment (None if none does), and each
+    assignment before it with the index of the first pair it breaks."""
+    failures = []
+    for sigma in projection_assignments(signature):
+        mapping = dict(sigma)
+        for i, (s, t) in enumerate(pairs):
+            if collapse(s, mapping) != collapse(t, mapping):
+                failures.append((sigma, i))
+                break
+        else:
+            return sigma, failures
+    return None, failures
+
+
 def satisfiable_in_projections(system: EquationSystem) -> ProjectionReport:
     """First selector assignment satisfying every equation, or a failure
     table covering all assignments."""
-    failures = []
-    for sigma in projection_assignments(system.signature):
-        mapping = dict(sigma)
-        bad = next(
-            (
-                i
-                for i, eq in enumerate(system.equations)
-                if collapse(eq.lhs, mapping) != collapse(eq.rhs, mapping)
-            ),
-            None,
-        )
-        if bad is None:
-            return ProjectionReport(True, sigma, ())
-        failures.append((sigma, bad))
+    sigma, failures = _selector_scan(
+        system.signature, [(eq.lhs, eq.rhs) for eq in system.equations]
+    )
+    if sigma is not None:
+        return ProjectionReport(True, sigma, ())
     return ProjectionReport(False, None, tuple(failures))
 
 
 # -- generated clones ----------------------------------------------------------
+
+# an outside unary with its name; None stands for no post-composition
+Modifier = tuple[str, Table] | None
+
+
+def first_broken(
+    system: EquationSystem,
+    tables: Mapping[str, Table],
+    base_size: int,
+    outside: Sequence[Modifier] = (None,),
+) -> tuple[int | None, list[tuple[Modifier, Modifier]]]:
+    """Whether the system holds on tables: the index of the first equation
+    whose side tables do not agree (None when all agree), and for each
+    equation before it the first pair of `outside` members, in family
+    order, whose post-composition makes its sides equal.  The default
+    family compares the sides themselves, one table equality each."""
+    n = system.ambient_arity
+    agreements = []
+    for i, eq in enumerate(system.equations):
+        lhs = eval_term_table(eq.lhs, tables, n, base_size)
+        rhs = eval_term_table(eq.rhs, tables, n, base_size)
+        pick = next(
+            ((a, b) for a in outside for b in outside if _post(a, lhs) == _post(b, rhs)),
+            None,
+        )
+        if pick is None:
+            return i, agreements
+        agreements.append(pick)
+    return None, agreements
+
+
+def _post(modifier: Modifier, table: Table) -> Table:
+    return table if modifier is None else modifier[1].compose([table])
 
 
 def _eval_pointwise(
@@ -188,13 +236,24 @@ def _eval_pointwise(
     return tables[term.symbol].apply(inner)
 
 
-def _holds_pointwise(
-    eq: Equation, tables: Mapping[str, Table], arity: int, base_size: int
-) -> bool:
-    return all(
-        _eval_pointwise(eq.lhs, tables, point) == _eval_pointwise(eq.rhs, tables, point)
-        for point in itertools.product(range(base_size), repeat=arity)
-    )
+def _verify_pointwise(
+    system: EquationSystem,
+    tables: Mapping[str, Table],
+    base_size: int,
+    agreements: Sequence[tuple[Modifier, Modifier]],
+) -> None:
+    """Replay a hit point by point, without composing tables."""
+    n = system.ambient_arity
+    for eq, (left, right) in zip(system.equations, agreements):
+        for point in itertools.product(range(base_size), repeat=n):
+            lhs = _eval_pointwise(eq.lhs, tables, point)
+            rhs = _eval_pointwise(eq.rhs, tables, point)
+            if (left[1].apply((lhs,)) if left else lhs) != (
+                right[1].apply((rhs,)) if right else rhs
+            ):
+                raise InconsistentData(
+                    "table evaluation and pointwise evaluation disagree"
+                )
 
 
 @dataclass(frozen=True)
@@ -205,6 +264,36 @@ class CloneSearchReport:
     # whether a negative answer is definitive: every catalog the symbols
     # draw from is saturated
     exhaustive: bool
+    # modulo search hits: (left, right) outside unary names per equation
+    modifiers: tuple[tuple[str, str], ...] | None = None
+
+
+def _search(
+    system: EquationSystem, clone: FiniteClone, outside: Sequence[Modifier]
+) -> CloneSearchReport:
+    """The one catalog-assignment loop behind both clone searches."""
+    catalogs = [clone.catalog(arity) for _, arity in system.signature]
+    guard(
+        math.prod(len(c) for c in catalogs) * len(outside) ** 2,
+        clone.caps.tuple_cap,
+        "assignment search space",
+    )
+    names = [name for name, _ in system.signature]
+    exhaustive = all(clone.saturated[arity] for _, arity in system.signature)
+    checked = 0
+    for entries in itertools.product(*catalogs):
+        checked += 1
+        tables = {name: entry.table for name, entry in zip(names, entries)}
+        bad, agreements = first_broken(system, tables, clone.base_size, outside)
+        if bad is None:
+            _verify_pointwise(system, tables, clone.base_size, agreements)
+            modifiers = None
+            if None not in outside:
+                modifiers = tuple((a[0], b[0]) for a, b in agreements)
+            return CloneSearchReport(
+                True, tuple(zip(names, entries)), checked, exhaustive, modifiers
+            )
+    return CloneSearchReport(False, None, checked, exhaustive)
 
 
 def satisfiable_in_clone(
@@ -215,54 +304,14 @@ def satisfiable_in_clone(
     A hit is re-verified pointwise before it is returned.  A miss is
     definitive only if every involved catalog is saturated.
     """
-    catalogs = [clone.catalog(arity) for _, arity in system.signature]
-    guard(
-        math.prod(len(c) for c in catalogs),
-        clone.caps.tuple_cap,
-        "assignment search space",
-    )
-    names = [name for name, _ in system.signature]
-    n = system.ambient_arity
-    exhaustive = all(
-        clone.saturated[arity] for _, arity in system.signature
-    )
-    checked = 0
-    for entries in itertools.product(*catalogs):
-        checked += 1
-        tables = {name: entry.table for name, entry in zip(names, entries)}
-        if all(
-            eval_term_table(eq.lhs, tables, n, clone.base_size)
-            == eval_term_table(eq.rhs, tables, n, clone.base_size)
-            for eq in system.equations
-        ):
-            if not all(
-                _holds_pointwise(eq, tables, n, clone.base_size)
-                for eq in system.equations
-            ):
-                raise InconsistentData(
-                    "table evaluation and pointwise evaluation disagree"
-                )
-            return CloneSearchReport(
-                True, tuple(zip(names, entries)), checked, exhaustive
-            )
-    return CloneSearchReport(False, None, checked, exhaustive)
-
-
-@dataclass(frozen=True)
-class ModuloReport:
-    found: bool
-    assignment: tuple[tuple[str, CatalogEntry], ...] | None
-    # one (left unary name, right unary name) per equation
-    modifiers: tuple[tuple[str, str], ...] | None
-    checked: int
-    exhaustive: bool
+    return _search(system, clone, (None,))
 
 
 def satisfiable_modulo_outside(
     system: EquationSystem,
     clone: FiniteClone,
     outside: Sequence[tuple[str, Table]],
-) -> ModuloReport:
+) -> CloneSearchReport:
     """Like `satisfiable_in_clone`, but each side of an equation may be
     post-composed with a unary function from `outside` (supplied as
     (name, table) pairs; include the identity to allow plain equality).
@@ -274,40 +323,7 @@ def satisfiable_modulo_outside(
             raise InconsistentData(
                 f"outside function {name!r} must be unary on the clone's base"
             )
-    catalogs = [clone.catalog(arity) for _, arity in system.signature]
-    guard(
-        math.prod(len(c) for c in catalogs) * len(outside) ** 2,
-        clone.caps.tuple_cap,
-        "assignment search space",
-    )
-    names = [name for name, _ in system.signature]
-    n = system.ambient_arity
-    exhaustive = all(clone.saturated[arity] for _, arity in system.signature)
-    checked = 0
-    for entries in itertools.product(*catalogs):
-        checked += 1
-        tables = {name: entry.table for name, entry in zip(names, entries)}
-        modifiers: list[tuple[str, str]] = []
-        for eq in system.equations:
-            lhs = eval_term_table(eq.lhs, tables, n, clone.base_size)
-            rhs = eval_term_table(eq.rhs, tables, n, clone.base_size)
-            pick = next(
-                (
-                    (bl_name, br_name)
-                    for bl_name, bl in outside
-                    for br_name, br in outside
-                    if bl.compose([lhs]) == br.compose([rhs])
-                ),
-                None,
-            )
-            if pick is None:
-                break
-            modifiers.append(pick)
-        else:
-            return ModuloReport(
-                True, tuple(zip(names, entries)), tuple(modifiers), checked, exhaustive
-            )
-    return ModuloReport(False, None, None, checked, exhaustive)
+    return _search(system, clone, tuple(outside))
 
 
 # -- homomorphisms onto the projections -----------------------------------------
@@ -350,43 +366,28 @@ def has_projective_homomorphism(clone: FiniteClone) -> ProjHomReport:
         pair for arity in sorted(clone.collisions) for pair in clone.collisions[arity]
     ]
     exhaustive = all(clone.saturated[a] for a in clone.saturated)
-    sigmas = list(projection_assignments(signature))
-    killed: dict[int, list[int]] = {}  # collision index -> assignments it breaks
-    surviving: Sigma | None = None
-    for si, sigma in enumerate(sigmas):
-        mapping = dict(sigma)
-        broke = None
-        for ci, (s, t) in enumerate(collisions):
-            if collapse(s, mapping) != collapse(t, mapping):
-                broke = ci
-                break
-        if broke is None:
-            surviving = sigma
-            break
-        killed.setdefault(broke, []).append(si)
+    surviving, failures = _selector_scan(signature, collisions)
     if surviving is not None:
         return ProjHomReport(
             "found", surviving, tuple(signature), (), (), exhaustive, len(collisions)
         )
     # greedy cover: prefer collisions that break many assignments at once
-    remaining = set(range(len(sigmas)))
-    chosen: list[int] = []
-    full_kill: dict[int, set[int]] = {
-        ci: {
-            si
-            for si, sigma in enumerate(sigmas)
-            if collapse(collisions[ci][0], dict(sigma))
-            != collapse(collisions[ci][1], dict(sigma))
+    mappings = [dict(sigma) for sigma, _ in failures]
+    full_kill: dict[int, set[int]] = {}
+    for ci in sorted({bad for _, bad in failures}):
+        s, t = collisions[ci]
+        full_kill[ci] = {
+            si for si, m in enumerate(mappings) if collapse(s, m) != collapse(t, m)
         }
-        for ci in killed
-    }
+    remaining = set(range(len(failures)))
+    chosen: list[int] = []
     while remaining:
         best = max(full_kill, key=lambda ci: (len(full_kill[ci] & remaining), -ci))
         chosen.append(best)
         remaining -= full_kill[best]
     chosen.sort()
     coverage = []
-    for si, sigma in enumerate(sigmas):
+    for si, (sigma, _) in enumerate(failures):
         wi = next(i for i, ci in enumerate(chosen) if si in full_kill[ci])
         coverage.append((sigma, wi))
     return ProjHomReport(

@@ -32,11 +32,12 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .canonical import Operation, XiImage, is_canonical, type_image, xi_infty
-from .clones import CatalogEntry, FiniteClone, eval_term_table, generate
+from .clones import CatalogEntry, FiniteClone, generate
 from .config import Caps, DEFAULT_CAPS, guard
 from .equations import (
     EquationSystem,
     ProjHomReport,
+    first_broken,
     has_projective_homomorphism,
     pad_to_common_arity,
     satisfiable_in_clone,
@@ -207,8 +208,11 @@ class LiftInstance:
 def _type_clone(
     structure: SymbolicStructure, gen_ops: tuple[Operation, ...], caps: Caps
 ) -> tuple[XiImage, FiniteClone]:
-    """Refuse a non-canonical generator, then take the generators' action
-    on the critical-level types and generate the type clone."""
+    """Refuse a finite structure or a non-canonical generator, then take
+    the generators' action on the critical-level types and generate the
+    type clone."""
+    if not isinstance(structure, SymbolicStructure):
+        raise InconsistentData("lifts work over the symbolic structures dlo/pureset")
     for op in gen_ops:
         verdict = is_canonical(op, structure, caps=caps)
         if not verdict.canonical:
@@ -281,12 +285,10 @@ def _check_satisfaction(
     clone: FiniteClone,
 ) -> None:
     tables = {sym: entry.table for sym, entry in assignment}
-    n = system.ambient_arity
-    for eq in system.equations:
-        lhs = eval_term_table(eq.lhs, tables, n, clone.base_size)
-        rhs = eval_term_table(eq.rhs, tables, n, clone.base_size)
-        if lhs != rhs:
-            raise UnsatisfiableSystem(f"assignment breaks {eq} on the type tables")
+    bad, _ = first_broken(system, tables, clone.base_size)
+    if bad is not None:
+        eq = system.equations[bad]
+        raise UnsatisfiableSystem(f"assignment breaks {eq} on the type tables")
 
 
 def _finish_instance(

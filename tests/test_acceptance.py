@@ -359,6 +359,8 @@ def test_criterion_08_modulo_identity_matches_plain_search():
             outside = [("id", Table(clone.base_size, 1, tuple(range(clone.base_size))))]
             modulo = satisfiable_modulo_outside(system, clone, outside)
             assert modulo.found == plain.found
+            assert modulo.assignment == plain.assignment
+            assert modulo.checked == plain.checked
             if plain.found:
                 assert all(left == "id" == right for left, right in modulo.modifiers)
 

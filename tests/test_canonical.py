@@ -10,6 +10,7 @@ its orbit, with orbit membership decided by filtering all permutations.
 from __future__ import annotations
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -26,11 +27,17 @@ from clonelab.canonical import (
     xi_infty,
 )
 from clonelab.clones import Table
-from clonelab.errors import InconsistentData, NonCanonicalOperation, UnsupportedTerm
+from clonelab.errors import (
+    CapExceeded,
+    InconsistentData,
+    NonCanonicalOperation,
+    UnsupportedTerm,
+)
 from clonelab.orderterms import (
     Coord,
     Lex,
     MapApply,
+    Max,
     Min,
     eval_rational,
     rank_codes,
@@ -265,6 +272,22 @@ def test_level_collapse_for_lex_terms():
     assert report.consistent
     assert report.checked == 38  # 2 projections, then 4, then 32 new terms
     assert report.violations == ()
+
+
+def test_factor_closure_refuses_an_oversized_round():
+    # round 3 of [lex, min, max] would substitute 3 * 590**2 times
+    x = (Coord(1), Coord(2))
+    ops = [lex_op(), Operation("min", 2, Min(x)), Operation("max", 2, Max(x))]
+    start = time.monotonic()
+    with pytest.raises(CapExceeded):
+        check_factor_isomorphism(ops, DLO, 2, 3)
+    assert time.monotonic() - start < 1
+
+
+def test_factor_check_refuses_a_table_over_a_symbolic_structure():
+    table = Operation("min", 2, Table(2, 2, (0, 0, 0, 1)))
+    with pytest.raises(InconsistentData):
+        check_factor_isomorphism([table], DLO, 1, 2)
 
 
 def test_correspondence_detects_planted_defects():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from clonelab.canonical import Operation
+from clonelab.clones import Table
 from clonelab.config import Caps
 from clonelab.equations import EquationSystem, parse_equation_system as parse_system
 from clonelab.errors import (
@@ -37,7 +38,7 @@ from clonelab.lifting import (
 )
 from clonelab.orderterms import Coord, Lex, Min, eval_rational, materialize, substitute
 from clonelab.plmap import PLMap, from_point_pairs, identity, translation
-from clonelab.structures import DLO, PURE_SET
+from clonelab.structures import DLO, PURE_SET, parse_structure
 from clonelab.terms import fold
 
 SMALL = Caps(arity_cap=3, depth_cap=2)
@@ -260,6 +261,17 @@ def test_build_instance_rejects_bad_generators():
         build_instance(DLO, [lex_op()], associativity(), caps=SMALL, assign={})
     with pytest.raises(InconsistentData):
         build_instance(DLO, [lex_op(), lex_op()], associativity(), caps=SMALL)
+
+
+def test_finite_structures_are_refused_before_the_canonicity_check():
+    # min is not canonical on a bare two-element set, but the structure
+    # kind is refused first
+    two = parse_structure("domain 2\n")
+    gens = [Operation("min", 2, Table(2, 2, (0, 0, 0, 1)))]
+    with pytest.raises(InconsistentData):
+        build_instance(two, gens, commutativity(), caps=SMALL)
+    with pytest.raises(InconsistentData):
+        analyze_transfer(two, gens, caps=SMALL)
 
 
 # -- accumulation --------------------------------------------------------------

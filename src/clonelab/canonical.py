@@ -20,6 +20,24 @@ the n*k argument entries, realized by its ranks and typed by patterns;
 this is exact precisely because the order-term basis is
 pattern-determined, so inner applications of named maps are rejected
 (see `orderterms.require_pattern_determined`).
+
+Over the symbolic structures the pipeline decides at the pair level
+`PAIR_LEVEL` = 2.  `dlo` and `pureset` are homogeneous in a binary
+language (`<` for the order, `=` for both), so the type of a k-tuple is
+fixed by the types of its pairs.  If argument lists with equal
+per-argument 2-types always have images of equal type, then any two
+argument lists with equal per-argument k-types agree on every pair of
+columns, so their images agree on every pair and hence in type: an
+operation canonical at k <= 2 is canonical at every k (Bodirsky and
+Pinsker, *Canonical functions: a proof via topological dynamics*;
+Bodirsky, *Complexity of Infinite-Domain Constraint Satisfaction*,
+2021).  `lifting._type_clone` (behind `analyze_transfer`,
+`build_instance` and the CLI `analyze`/`lift`) decides at that level,
+and so does the check inside `type_image` at min(k, 2).  Finite
+structures are not homogeneous in general and keep the exhaustive
+check, and so does `is_canonical` itself: its default `k_max`
+(`default_k_max`) and any explicit one mean every k up to that bound,
+which makes it the oracle for the lemma.
 """
 
 from __future__ import annotations
@@ -99,7 +117,12 @@ class CanonicalVerdict:
     counterexample: CanonicalCounterexample | None = None
 
 
+PAIR_LEVEL = 2
+
+
 def default_k_max(structure: Structure) -> int:
+    """The exhaustive default of `is_canonical`: every k up to
+    max(m, 3), with m the structure's largest relation arity."""
     return max(structure.max_relation_arity, 3)
 
 
@@ -240,11 +263,15 @@ def type_image(
     """Type table of a canonical operation at level k.
 
     Raises NonCanonicalOperation (carrying the counterexample) when the
-    canonicity check up to k fails; representatives are then meaningless.
+    canonicity check fails; representatives are then meaningless.  The
+    check runs up to k over a finite structure and up to min(k,
+    PAIR_LEVEL) over a symbolic one, which decides the same by the pair
+    lemma.
     """
     _require_matching(operation.body, structure)
     if check:
-        verdict = is_canonical(operation, structure, k_max=k, caps=caps)
+        level = min(k, PAIR_LEVEL) if isinstance(structure, SymbolicStructure) else k
+        verdict = is_canonical(operation, structure, k_max=level, caps=caps)
         if not verdict.canonical:
             raise NonCanonicalOperation(
                 f"operation {operation.name!r} is not canonical at level "

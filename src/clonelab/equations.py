@@ -315,10 +315,15 @@ def satisfiable_modulo_outside(
     """Like `satisfiable_in_clone`, but each side of an equation may be
     post-composed with a unary function from `outside` (supplied as
     (name, table) pairs; include the identity to allow plain equality).
+    Names must be distinct, since a hit reports its modifiers by name.
     """
     if not outside:
         raise InconsistentData("the outside family must not be empty")
+    seen: set[str] = set()
     for name, table in outside:
+        if name in seen:
+            raise InconsistentData(f"outside family names {name!r} twice")
+        seen.add(name)
         if table.arity != 1 or table.size != clone.base_size:
             raise InconsistentData(
                 f"outside function {name!r} must be unary on the clone's base"

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .canonical import Operation, XiImage, is_canonical, type_image, xi_infty
+from .canonical import (
+    PAIR_LEVEL,
+    Operation,
+    XiImage,
+    is_canonical,
+    type_image,
+    xi_infty,
+)
 from .clones import CatalogEntry, FiniteClone, generate
 from .config import Caps, DEFAULT_CAPS, guard
 from .equations import (
@@ -210,11 +217,12 @@ def _type_clone(
 ) -> tuple[XiImage, FiniteClone]:
     """Refuse a finite structure or a non-canonical generator, then take
     the generators' action on the critical-level types and generate the
-    type clone."""
+    type clone.  Canonicity is decided on pairs (`PAIR_LEVEL`), which
+    settles every k over `dlo` and `pureset`."""
     if not isinstance(structure, SymbolicStructure):
         raise InconsistentData("lifts work over the symbolic structures dlo/pureset")
     for op in gen_ops:
-        verdict = is_canonical(op, structure, caps=caps)
+        verdict = is_canonical(op, structure, PAIR_LEVEL, caps)
         if not verdict.canonical:
             raise NonCanonicalOperation(
                 f"generator {op.name!r} is not canonical", verdict.counterexample

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import corpus
 from clonelab.canonical import (
+    PAIR_LEVEL,
     Operation,
     check_factor_isomorphism,
     check_table_correspondence,
@@ -184,6 +185,30 @@ def test_coordinate_projections_are_canonical():
     assert is_canonical_symbolic(Coord(1), PURE_SET).canonical
 
 
+_LEAVES = st.sampled_from([Coord(1), Coord(2)])
+
+
+def _binary_nodes(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(pairs.map(Min), pairs.map(Max), pairs.map(lambda p: Lex(*p)))
+
+
+_DEPTH_ONE = _LEAVES | _binary_nodes(_LEAVES)
+_DEPTH_TWO = _DEPTH_ONE | _binary_nodes(_DEPTH_ONE)
+
+
+@pytest.mark.parametrize("structure", [DLO, PURE_SET], ids=["dlo", "pureset"])
+@settings(max_examples=20, deadline=None)
+@given(_DEPTH_TWO)
+def test_pair_level_agrees_with_the_exhaustive_check(structure, term):
+    # both structures are homogeneous in a binary language, so a split
+    # at k = 3 implies one at k <= 2, found first in the same order
+    pairs = is_canonical_symbolic(term, structure, PAIR_LEVEL)
+    exhaustive = is_canonical_symbolic(term, structure, 3)
+    assert pairs.canonical == exhaustive.canonical
+    assert pairs.counterexample == exhaustive.counterexample
+
+
 def test_outer_map_chains_do_not_change_the_verdict():
     shift = translation(F(7, 2))
     wrapped = MapApply("shift", shift, Lex(Coord(1), Coord(2)))
@@ -231,6 +256,14 @@ def test_lex_table_predicts_random_evaluations(structure, raw):
         pattern_of(structure, [F(c) for c in rank_codes(outs)])
     )
     assert predicted == actual
+
+
+def test_ternary_type_image_checks_on_pairs():
+    # k <= 3 would enumerate 7,087,261 joint patterns, over pattern_cap
+    op = Operation("f", 3, Lex(Coord(1), Lex(Coord(2), Coord(3))))
+    image = type_image(op, DLO, 3)
+    assert image.space.size == 13
+    assert image == type_image(op, DLO, 3, check=False)
 
 
 def test_type_image_refuses_non_canonical_operations():

@@ -328,6 +328,9 @@ def test_usage_errors_exit_two(files, capsys):
     assert run(capsys, "orbits", "dlo", "--k", "١")[0] == 2
     assert run(capsys, "qdemo", "--samples", "٣")[0] == 2
     assert run(capsys, "orbits", "dlo", "--seed", "1_0")[0] == 2
+    named_id = files("id.ops", "op id 1\ntable 1 0\n")
+    comm, mins = files("comm.eqs", COMM), files("min.ops", MIN_OPS)
+    assert run(capsys, "sat-mod", comm, mins, "--family", named_id)[0] == 2
 
 
 def test_help_exits_zero(capsys):

@@ -242,6 +242,13 @@ def test_outside_family_must_be_unary():
         )
 
 
+def test_outside_family_names_are_distinct():
+    clone = min_clone(arity_cap=2, depth_cap=2)
+    family = [("id", IDENTITY1), ("id", Table(2, 1, (1, 0)))]
+    with pytest.raises(InconsistentData, match="names 'id' twice"):
+        satisfiable_modulo_outside(EquationSystem((), ()), clone, family)
+
+
 # -- homomorphisms onto projections ---------------------------------------------------
 
 

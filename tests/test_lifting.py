@@ -348,6 +348,15 @@ def test_analyze_lex_over_the_order_finds_a_projection_reading():
     assert "projection reading: found" in report.describe()
 
 
+def test_analyze_accepts_a_ternary_generator():
+    # decided on pairs: k <= 3 would enumerate 7,087,261 joint patterns
+    lex3 = Operation("f", 3, Lex(Coord(1), Lex(Coord(2), Coord(3))))
+    report = analyze_transfer(DLO, [lex3], caps=SMALL)
+    assert report.homomorphism.status == "found"
+    assert report.xi.space.size == 3
+    assert dict(report.homomorphism.sigma)["f"] == 1
+
+
 def test_analyze_without_generators_is_trivial():
     report = analyze_transfer(DLO, [], caps=SMALL)
     assert report.homomorphism.status == "found"

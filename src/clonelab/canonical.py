@@ -48,15 +48,13 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .clones import Table, selector
+from .clones import Table
 from .config import Caps, DEFAULT_CAPS, guard
 from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
-    Coord,
     OrderTerm,
     eval_rational,
     require_pattern_determined,
-    substitute,
     term_arity,
 )
 from .structures import (
@@ -313,118 +311,3 @@ def xi_infty(
         (op.name, type_image(op, structure, m, caps, check)) for op in generators
     )
     return XiImage(type_space(structure, m, caps), images)
-
-
-# -- factor consistency ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FactorViolation:
-    term_a: object
-    term_b: object
-    direction: str  # "well-defined" or "injective"
-
-
-@dataclass(frozen=True)
-class FactorReport:
-    consistent: bool
-    k: int
-    k_prime: int
-    checked: int
-    violations: tuple[FactorViolation, ...]
-
-
-def check_table_correspondence(
-    pairs: Sequence[tuple[object, Table, Table]], k: int, k_prime: int
-) -> FactorReport:
-    """Verify the map (level-k' table) -> (level-k table) is a bijection
-    on the given (term, high table, low table) triples."""
-    violations = []
-    by_high: dict[Table, tuple[object, Table]] = {}
-    by_low: dict[Table, tuple[object, Table]] = {}
-    for term, high, low in pairs:
-        if high in by_high:
-            other_term, other_low = by_high[high]
-            if other_low != low:
-                violations.append(FactorViolation(other_term, term, "well-defined"))
-        else:
-            by_high[high] = (term, low)
-        if low in by_low:
-            other_term, other_high = by_low[low]
-            if other_high != high:
-                violations.append(FactorViolation(other_term, term, "injective"))
-        else:
-            by_low[low] = (term, high)
-    return FactorReport(not violations, k, k_prime, len(pairs), tuple(violations))
-
-
-def check_factor_isomorphism(
-    generators: Sequence[Operation],
-    structure: Structure,
-    k: int,
-    k_prime: int,
-    depth_cap: int = 3,
-    caps: Caps = DEFAULT_CAPS,
-) -> FactorReport:
-    """Desk-scale check that restriction from level k' to level k is a
-    bijection between the type actions of all composed operations up to
-    the depth cap (k <= k').  A composition round that would substitute
-    more than `caps.catalog_cap` times raises CapExceeded first."""
-    if k > k_prime:
-        raise InconsistentData("restriction goes from the higher level down")
-    if not generators:
-        raise InconsistentData("need at least one generator")
-    for g in generators:
-        _require_matching(g.body, structure)
-    if isinstance(structure, FiniteStructure):
-        # finite tables compose directly
-        return _check_factor_tables(generators, structure, k, k_prime, depth_cap, caps)
-    n = max(g.arity for g in generators)
-    layers: list[list[OrderTerm]] = [[Coord(i) for i in range(1, n + 1)]]
-    seen: set[OrderTerm] = set(layers[0])
-    for _ in range(depth_cap):
-        previous = [t for layer in layers for t in layer]
-        substitutions = sum(len(previous) ** g.arity for g in generators)
-        guard(substitutions, caps.catalog_cap, "order-term closure round")
-        fresh = []
-        for g in generators:
-            for children in itertools.product(previous, repeat=g.arity):
-                candidate = substitute(g.body, children)
-                if candidate not in seen:
-                    seen.add(candidate)
-                    fresh.append(candidate)
-        layers.append(fresh)
-    labelled = (
-        (term, Operation("t", max(term_arity(term), 1), term))
-        for term in sorted(seen, key=str)
-    )
-    return _type_correspondence(labelled, structure, k, k_prime, caps)
-
-
-def _check_factor_tables(generators, structure, k, k_prime, depth_cap, caps):
-    n = max(g.arity for g in generators)
-    size = structure.domain_size
-    current: dict[Table, object] = {}
-    for i in range(1, n + 1):
-        current[selector(size, n, i)] = f"x{i}"
-    for _ in range(depth_cap):
-        snapshot = list(current)
-        for g in generators:
-            for children in itertools.product(snapshot, repeat=g.arity):
-                t = g.body.compose(list(children))
-                if t not in current:
-                    names = ",".join(str(current[c]) for c in children)
-                    current[t] = f"{g.name}({names})"
-    labelled = (
-        (label, Operation("t", table.arity, table)) for table, label in current.items()
-    )
-    return _type_correspondence(labelled, structure, k, k_prime, caps)
-
-
-def _type_correspondence(labelled, structure, k, k_prime, caps):
-    pairs = []
-    for label, op in labelled:
-        high = type_image(op, structure, k_prime, caps, check=False).table
-        low = type_image(op, structure, k, caps, check=False).table
-        pairs.append((label, high, low))
-    return check_table_correspondence(pairs, k, k_prime)

@@ -411,7 +411,11 @@ def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
             f"{len(witness.pairs)} equation(s) equalized exactly"
         )
     if len(witnesses) >= 2:
-        lines.append(f"accumulation: {approximate_accumulation(witnesses, 2).describe()}")
+        accumulation = approximate_accumulation(witnesses, 2)
+        if accumulation is None:
+            lines.append("accumulation: not defined for point injections")
+        else:
+            lines.append(f"accumulation: {accumulation.describe()}")
     return lines, 0
 
 
@@ -572,6 +576,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 3
     except (ClonelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: term nested too deeply", file=sys.stderr)
         return 2
     report = "\n".join(_header(ns, caps) + [""] + body) + "\n"
     sys.stdout.write(report)

@@ -435,7 +435,7 @@ def approximate_accumulation(
     witnesses: Sequence[WitnessTuple],
     depth: int,
     points: Sequence[Fraction] | None = None,
-) -> AccumulationReport:
+) -> AccumulationReport | None:
     """Classify witness stages by the joint order pattern of their maps.
 
     Every map of every pair is applied to the first ``depth`` sample
@@ -445,6 +445,10 @@ def approximate_accumulation(
     maps applied on the outside of all witnesses leave the classes
     unchanged, so the classification only sees the mutual order of the
     witness maps, not their absolute values.
+
+    Returns None when a witness is a `PointInjection`, as over the pure
+    set: such a map is defined only on its own stage's points, so there
+    are no common sample points to apply every map to.
     """
     if len(witnesses) < 2:
         raise InconsistentData("need at least two stages to compare")
@@ -456,6 +460,9 @@ def approximate_accumulation(
         if len(points) < depth:
             raise InconsistentData(f"need {depth} sample points, got {len(points)}")
         pts = tuple(Fraction(p) for p in points[:depth])
+    maps = [w for witness in witnesses for pair in witness.pairs for w in pair]
+    if any(isinstance(w, PointInjection) for w in maps):
+        return None
     classes: dict[tuple[int, ...], list[int]] = {}
     for index, witness in enumerate(witnesses):
         images = []

@@ -79,13 +79,6 @@ def map_value(m: PLMap, v: Value) -> Value:
     return Pair(map_value(m, v.head), v.tail)
 
 
-def rank_codes(values: Sequence[Value]) -> tuple[int, ...]:
-    """Rank vector of a value list (the order pattern it realizes)."""
-    distinct = sorted(set(values))
-    rank = {v: i for i, v in enumerate(distinct)}
-    return tuple(rank[v] for v in values)
-
-
 def materialize(values: Iterable[Value]) -> dict[Value, Fraction]:
     """Rank materialization of a whole finite evaluation set: the i-th
     distinct value in value order becomes the rational i."""

@@ -115,17 +115,14 @@ class PLMap:
 
     # -- evaluation ----------------------------------------------------
 
-    def _breaks(self) -> list[Fraction]:
+    def breakpoints(self) -> list[Fraction]:
         return [p.hi for p in self.pieces[:-1]]  # type: ignore[misc]
 
     def piece_at(self, x: Fraction) -> Piece:
-        return self.pieces[bisect_right(self._breaks(), x)]
+        return self.pieces[bisect_right(self.breakpoints(), x)]
 
     def apply(self, x: Fraction) -> Fraction:
         return self.piece_at(x).value(x)
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.apply(x)
 
     def invert_value(self, y: Fraction) -> Fraction | None:
         """Preimage of y, or None when y is outside the range."""
@@ -156,10 +153,10 @@ class PLMap:
 
     def compose(self, inner: "PLMap") -> "PLMap":
         """self after inner, as a PLMap."""
-        cuts: set[Fraction] = set(inner._breaks())
+        cuts: set[Fraction] = set(inner.breakpoints())
         for piece in inner.pieces:
             low, high = piece.limit_low(), piece.limit_high()
-            for b in self._breaks():
+            for b in self.breakpoints():
                 if (low is None or low < b) and (high is None or b < high):
                     x = piece.invert(b)
                     if x is None:
@@ -190,9 +187,6 @@ class PLMap:
             else:
                 lines.append(f"piece {lo} {hi} mobius {a} {b} {c} {d}")
         return "\n".join(lines) + "\n"
-
-    def breakpoints(self) -> list[Fraction]:
-        return self._breaks()
 
 
 def _interior_point(lo: Fraction | None, hi: Fraction | None) -> Fraction:

@@ -460,6 +460,11 @@ class NoncontinuityReport:
         return "\n".join(lines)
 
 
+# noncontinuity_demo draws each sample coordinate as a/b from these
+_NUMERATORS = range(-24, 25)
+_DENOMINATORS = range(1, 5)
+
+
 def noncontinuity_demo(n: int, sample_count: int, seed: int = 0) -> NoncontinuityReport:
     """Restrict a member to finitely many points, then rebuild it with
     every possible eventual coordinate.
@@ -467,17 +472,28 @@ def noncontinuity_demo(n: int, sample_count: int, seed: int = 0) -> Noncontinuit
     All extensions agree with the original on the sampled points
     exactly, yet their eventual coordinates exhaust 1..n — knowing a
     member on finitely many points says nothing about where it goes.
+    Asking for more samples than there are distinct sample points raises
+    InconsistentData.
     """
     if n < 2:
         raise InconsistentData("the demonstration needs arity at least 2")
     if sample_count < 0:
         raise InconsistentData("sample count must be nonnegative")
+    values = len({Fraction(a, b) for a in _NUMERATORS for b in _DENOMINATORS})
+    # values >= 2, so an arity past the count's bit length always has room
+    if sample_count > values ** min(n, sample_count.bit_length()):
+        raise InconsistentData(
+            f"{sample_count} samples asked for, only {values}**{n} distinct points exist"
+        )
     rng = random.Random(seed)
     base = make_member(n, 1, Fraction(0), identity(), {})
     points: set[tuple[Fraction, ...]] = set()
     while len(points) < sample_count:
         points.add(
-            tuple(Fraction(rng.randint(-24, 24), rng.randint(1, 4)) for _ in range(n))
+            tuple(
+                Fraction(rng.choice(_NUMERATORS), rng.choice(_DENOMINATORS))
+                for _ in range(n)
+            )
         )
     restriction = {p: evaluate(base, p) for p in sorted(points)}
     extensions = []

@@ -6,8 +6,7 @@ orbits of tuples.  The two symbolic structures, the dense linear order
 on Q and the pure set on Q, get type spaces whose types are order
 patterns (weak orders as rank vectors) respectively equality patterns
 (partitions as first-occurrence codes).  Both kinds of space classify
-tuples, produce canonical representatives, and restrict types along
-index maps.
+tuples and produce canonical representatives.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from typing import Iterable, Sequence
 
 from .config import Caps, DEFAULT_CAPS, guard, ordered_set_partition_count
 from .errors import InconsistentData, ParseError
-from .plmap import PLMap, from_point_pairs
 from .syntax import natural, records
 
 
@@ -118,20 +116,6 @@ class Permutation:
 
     def apply(self, t: Sequence[int]) -> tuple[int, ...]:
         return tuple(self.images[v] for v in t)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other."""
-        return Permutation(tuple(self.images[v] for v in other.images))
-
-    def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, v in enumerate(self.images):
-            inv[v] = i
-        return Permutation(tuple(inv))
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(n)))
 
 
 def automorphisms(structure: FiniteStructure) -> list[Permutation]:
@@ -384,41 +368,3 @@ def joint_order_patterns(
         "joint pattern family size",
     )
     return sorted(_weak_orders(length))
-
-
-def type_restriction(
-    space_k: TypeSpace, space_l: TypeSpace, t: int, u: Sequence[int]
-) -> int:
-    """Image of type t under the index map u: {1..l} -> {1..k}."""
-    if len(u) != space_l.k:
-        raise InconsistentData(f"index map has length {len(u)}, target level is {space_l.k}")
-    if space_k.structure != space_l.structure:
-        raise InconsistentData("type spaces belong to different structures")
-    if any(not 1 <= j <= space_k.k for j in u):
-        raise InconsistentData(f"index map {u} out of range for level {space_k.k}")
-    rep = space_k.representative(t)
-    return space_l.classify(tuple(rep[j - 1] for j in u))
-
-
-def witness_partial_automorphism(
-    structure: SymbolicStructure,
-    a: Sequence[Fraction],
-    b: Sequence[Fraction],
-) -> PLMap | None:
-    """An increasing piecewise map sending a_i to b_i, or None when the
-    tuples have different patterns.
-
-    Over the pure set the pairing must itself be increasing to be
-    representable as one of these maps; a non-monotone pairing raises.
-    """
-    if len(a) != len(b):
-        raise InconsistentData("tuples have different lengths")
-    if pattern_of(structure, a) != pattern_of(structure, b):
-        return None
-    pairs = sorted(set(zip(map(Fraction, a), map(Fraction, b))))
-    for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
-        if y1 >= y2:
-            raise InconsistentData(
-                "pairing is not increasing; no piecewise order witness exists"
-            )
-    return from_point_pairs(pairs)

@@ -37,12 +37,6 @@ def max_variable(term: Term) -> int:
     return max(max_variable(a) for a in term.args)  # type: ignore[union-attr]
 
 
-def term_depth(term: Term) -> int:
-    if isinstance(term, Var):
-        return 0
-    return 1 + max(term_depth(a) for a in term.args)  # type: ignore[union-attr]
-
-
 def collapse(term: Term, sigma: Mapping[str, int]) -> int:
     """Variable index the term collapses to when every symbol f is read
     as the selector of its sigma(f)-th argument."""

@@ -17,11 +17,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
+from factor_oracle import check_factor_isomorphism, check_table_correspondence
 from clonelab.canonical import (
     PAIR_LEVEL,
     Operation,
-    check_factor_isomorphism,
-    check_table_correspondence,
     is_canonical_finite,
     is_canonical_symbolic,
     type_image,
@@ -41,7 +40,6 @@ from clonelab.orderterms import (
     Max,
     Min,
     eval_rational,
-    rank_codes,
 )
 from clonelab.plmap import translation
 from clonelab.structures import DLO, PURE_SET, pattern_of
@@ -50,6 +48,12 @@ F = Fraction
 
 
 # -- oracle ----------------------------------------------------------------
+
+
+def ranks(values):
+    """Rank vector of a value list: the order pattern it realizes."""
+    order = sorted(set(values))
+    return tuple(order.index(v) for v in values)
 
 
 def brute_automorphisms(structure):
@@ -93,6 +97,7 @@ def binary_mod3(f):
 
 SUM_MOD3 = binary_mod3(lambda x, y: x + y)
 PROD_MOD3 = binary_mod3(lambda x, y: x * y)
+CONSTANT = Operation("c", 1, Table(3, 1, (0, 0, 0)))
 
 
 # -- finite structures -------------------------------------------------------
@@ -163,7 +168,7 @@ def test_min_is_not_canonical_and_the_witness_replays():
     term = Min((Coord(1), Coord(2)))
     out_a = [eval_rational(term, tuple(a[j] for a in ce.args_a)) for j in range(ce.k)]
     out_b = [eval_rational(term, tuple(b[j] for b in ce.args_b)) for j in range(ce.k)]
-    assert rank_codes(out_a) != rank_codes(out_b)
+    assert ranks(out_a) != ranks(out_b)
 
 
 def test_min_fails_over_the_pure_set_too():
@@ -253,7 +258,7 @@ def test_lex_table_predicts_random_evaluations(structure, raw):
     outs = [eval_rational(term, (a[j], b[j])) for j in range(2)]
     predicted = image.table.apply((image.space.classify(a), image.space.classify(b)))
     actual = image.space.classify_pattern(
-        pattern_of(structure, [F(c) for c in rank_codes(outs)])
+        pattern_of(structure, [F(c) for c in ranks(outs)])
     )
     assert predicted == actual
 
@@ -305,6 +310,31 @@ def test_level_collapse_for_lex_terms():
     assert report.consistent
     assert report.checked == 38  # 2 projections, then 4, then 32 new terms
     assert report.violations == ()
+
+
+@pytest.mark.parametrize(
+    "generator, structure, injective, checked",
+    [
+        (lex_op(), DLO, 19, 38),
+        (lex_op(), PURE_SET, 5, 38),
+        (CONSTANT, corpus.empty_structure(3), 1, 2),
+    ],
+    ids=["dlo", "pureset", "constant"],
+)
+def test_level_two_determines_level_three_and_level_one_does_not(
+    generator, structure, injective, checked
+):
+    low = check_factor_isomorphism([generator], structure, 1, 2, depth_cap=2)
+    assert not low.consistent
+    assert [v.direction for v in low.violations] == ["injective"] * injective
+    high = check_factor_isomorphism([generator], structure, 2, 3, depth_cap=2)
+    assert high.consistent
+    assert high.checked == checked
+
+
+def test_constant_shares_the_level_one_action_of_a_selector():
+    low = check_factor_isomorphism([CONSTANT], corpus.empty_structure(3), 1, 2)
+    assert [(v.term_a, v.term_b) for v in low.violations] == [("x1", "c(x1)")]
 
 
 def test_factor_closure_refuses_an_oversized_round():

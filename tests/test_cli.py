@@ -28,6 +28,7 @@ LEX_OPS = "op lex 2\nterm lex(x1, x2)\n"
 MIN_OPS = "op min 2\ntable 0 0 0 1\n"
 ASSOC = "sig f 2\neq f(f(x1,x2),x3) = f(x1,f(x2,x3))\n"
 COMM = "sig f 2\neq f(x1,x2) = f(x2,x1)\n"
+TRIVIAL = "sig f 2\neq f(x1,x2) = f(x1,x2)\n"
 
 SMALL = ["--arity-cap", "3", "--depth-cap", "2"]
 
@@ -234,6 +235,25 @@ def test_lift_associativity_over_the_order(files, capsys):
     assert "pattern (0, 1, 2, 3) on tail [1,2,3,4] across 5 stages" in out
 
 
+@pytest.mark.parametrize("system", [TRIVIAL, ASSOC], ids=["trivial", "assoc"])
+def test_lift_over_the_pure_set_reports_accumulation_as_undefined(
+    files, capsys, system
+):
+    code, out, _ = run(
+        capsys,
+        "lift",
+        files("lex.ops", LEX_OPS),
+        files("system.eqs", system),
+        "pureset",
+        "--assign",
+        "f=lex",
+        *SMALL,
+    )
+    assert code == 0
+    assert "stage 3: points {0,1,2,3}" in out
+    assert out.endswith("accumulation: not defined for point injections\n")
+
+
 def test_lift_unsatisfiable_assignment(files, capsys):
     code, out, _ = run(
         capsys,
@@ -331,6 +351,12 @@ def test_usage_errors_exit_two(files, capsys):
     named_id = files("id.ops", "op id 1\ntable 1 0\n")
     comm, mins = files("comm.eqs", COMM), files("min.ops", MIN_OPS)
     assert run(capsys, "sat-mod", comm, mins, "--family", named_id)[0] == 2
+    nested = "f(" * 1200 + "x1" + ")" * 1200
+    assert run(capsys, "sat1", files("deep.eqs", f"sig f 1\neq {nested} = x1\n"))[0] == 2
+    nested = "lex(x1, " * 400 + "x1" + ")" * 400
+    deep = files("deep.ops", f"op f 2\nterm {nested}\n")
+    assert run(capsys, "canonical", deep, "dlo")[0] == 2
+    assert run(capsys, "qdemo", "--n", "2", "--samples", "16642")[0] == 2
 
 
 def test_help_exits_zero(capsys):

@@ -12,7 +12,11 @@ from clonelab.clones import (
     generate,
     selector,
 )
-from clonelab.terms import App, Var, term_depth
+from clonelab.terms import App, Var
+
+
+def term_depth(term):
+    return 0 if isinstance(term, Var) else 1 + max(map(term_depth, term.args))
 
 
 def table_from(fn, size, arity):

@@ -1,15 +1,20 @@
 """The package stays stdlib-only: every import in `clonelab` is relative
-or names a standard-library module."""
+or names a standard-library module.  And it holds no dead code: every
+top-level definition is reachable from the public API, the command line
+or the benchmark.  Both checks read the sources with `ast`."""
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
 import clonelab
 
 PACKAGE = Path(clonelab.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def test_package_imports_only_the_standard_library():
@@ -26,3 +31,58 @@ def test_package_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
+
+
+def _code_names(node):
+    """The variable and attribute names a piece of code refers to."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _bench_names(node):
+    """Every name in benchmark code, including those spelled in strings:
+    the tracer names the functions it wraps as strings."""
+    yield from _code_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.alias):
+            yield from sub.name.split(".")
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            yield from re.findall(r"[A-Za-z_]\w*", sub.value)
+
+
+def test_every_top_level_definition_is_reachable():
+    # Roots: `__all__`, `cli.main`, module-level statements other than
+    # imports and docstrings, and every name in `bench/*.py`.  Names match
+    # by spelling across modules, which errs toward reachable.
+    definitions: dict[str, list[tuple[str, ast.AST]]] = {}
+    roots = {"main", *clonelab.__all__}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, DEFINITIONS):
+                definitions.setdefault(node.name, []).append((path.stem, node))
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)) and not (
+                isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            ):
+                roots.update(_code_names(node))
+    bench = sorted(BENCH.glob("*.py"))
+    assert bench
+    for path in bench:
+        roots.update(_bench_names(ast.parse(path.read_text(), str(path))))
+    reached: set[str] = set()
+    pending = list(roots)
+    while pending:
+        name = pending.pop()
+        if name not in reached:
+            reached.add(name)
+            for _, node in definitions.get(name, ()):
+                pending.extend(_code_names(node))
+    dead = sorted(
+        f"{module}.{name}"
+        for name, found in definitions.items()
+        if name not in reached
+        for module, _ in found
+    )
+    assert not dead, f"unreachable from the API, the CLI and bench/: {dead}"

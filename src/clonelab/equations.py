@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .clones import CatalogEntry, FiniteClone, Table, eval_term_table
@@ -50,11 +51,12 @@ class Equation:
 
 @dataclass(frozen=True)
 class EquationSystem:
+    """Equations over a signature.  Every term is read as an operation in
+    the variables x1..xn, n = `ambient_arity`.  A wider n would only add
+    dummy variables, which change no answer."""
+
     signature: tuple[tuple[str, int], ...]
     equations: tuple[Equation, ...]
-    # set by pad_to_common_arity: every term is read as an operation in
-    # the variables x1..xn for this shared n
-    common_arity: int | None = None
 
     def __post_init__(self):
         names = [name for name, _ in self.signature]
@@ -64,16 +66,6 @@ class EquationSystem:
         for eq in self.equations:
             _check_term(eq.lhs, sig)
             _check_term(eq.rhs, sig)
-        if self.common_arity is not None and self.common_arity < self._width():
-            raise InconsistentData(
-                f"declared common arity {self.common_arity} is below x{self._width()}"
-            )
-
-    def _width(self) -> int:
-        widths = [
-            max(max_variable(eq.lhs), max_variable(eq.rhs)) for eq in self.equations
-        ]
-        return max(widths, default=1)
 
     def arity_of(self, name: str) -> int:
         for n, a in self.signature:
@@ -81,21 +73,18 @@ class EquationSystem:
                 return a
         raise InconsistentData(f"undeclared symbol {name!r}")
 
-    @property
+    @cached_property
     def ambient_arity(self) -> int:
-        return self.common_arity if self.common_arity is not None else self._width()
+        """The largest variable index, or 1 for a system without variables."""
+        widths = [
+            max(max_variable(eq.lhs), max_variable(eq.rhs)) for eq in self.equations
+        ]
+        return max(widths, default=1)
 
 
-def pad_to_common_arity(system: EquationSystem, n: int | None = None) -> EquationSystem:
-    """Fix one variable space x1..xn for every term of the system.
-
-    Semantically each term is composed with selectors up to arity n; the
-    terms themselves are unchanged, only the declared width moves.
-    """
-    width = max(system.ambient_arity, n if n is not None else 1)
-    if system.common_arity == width:
-        return system
-    return EquationSystem(system.signature, system.equations, width)
+def pad_to_common_arity(system: EquationSystem) -> EquationSystem:
+    """The system itself: its variable space is always x1..`ambient_arity`."""
+    return system
 
 
 def _check_term(term: Term, signature: Mapping[str, int]) -> None:

@@ -11,12 +11,19 @@ increasing maps applied on the outside.
 This module makes those maps concrete.  ``build_instance`` fixes a
 satisfying assignment of the system into the type clone and substitutes
 the generator bodies into the assigned catalog terms, producing one
-order term per symbol.  ``lift`` then walks a chain of growing argument
-sets ``A_0 ⊂ A_1 ⊂ ...``, evaluates both sides of every equation on all
+order term per symbol.  ``lift`` then walks the chain of argument sets
+``A_j = {0, ..., j}``, evaluates both sides of every equation on all
 argument columns, and constructs a pair of order-preserving maps per
 equation whose composites agree exactly, column by column.  A stage at
 which no such pair exists is a genuine obstruction and is reported as
 an :class:`~clonelab.errors.EqualizerFailure` rather than papered over.
+
+No other choice of stage points could answer differently.  Both
+structures are homogeneous, so any j+1 distinct rationals are an
+automorphic image of ``{0, ..., j}`` (an increasing one over ``dlo``).
+The order terms are canonical, so they act on argument types alone:
+both sides of every equation realize the same patterns on the image
+points as on ``A_j``, and the same equalizers exist.
 
 The maps produced at different stages need not cohere, and nothing here
 claims they converge.  ``approximate_accumulation`` only classifies the
@@ -46,12 +53,10 @@ from .equations import (
     ProjHomReport,
     first_broken,
     has_projective_homomorphism,
-    pad_to_common_arity,
     satisfiable_in_clone,
     satisfiable_in_projections,
 )
 from .errors import (
-    CapExceeded,
     EqualizerFailure,
     InconsistentData,
     NonCanonicalOperation,
@@ -59,7 +64,7 @@ from .errors import (
 )
 from .orderterms import Coord, OrderTerm, eval_rational, materialize, substitute
 from .plmap import PLMap, from_point_pairs
-from .structures import StructureKind, SymbolicStructure, pattern_of
+from .structures import DLO, StructureKind, SymbolicStructure, pattern_of
 from .terms import Term, fold
 
 
@@ -191,18 +196,11 @@ class LiftInstance:
     type_clone: FiniteClone
     assignment: tuple[tuple[str, CatalogEntry], ...]
     order_terms: tuple[tuple[str, OrderTerm], ...]
-    points: tuple[Fraction, ...] | None = None
 
     def universe(self, j: int) -> tuple[Fraction, ...]:
-        """The j-th argument set: ``{0, ..., j}`` unless points were given."""
+        """The j-th argument set ``{0, ..., j}``."""
         if j < 0:
             raise InconsistentData("stage index must be nonnegative")
-        if self.points is not None:
-            if j + 1 > len(self.points):
-                raise CapExceeded(
-                    f"stage {j} needs {j + 1} points, only {len(self.points)} provided"
-                )
-            return self.points[: j + 1]
         return tuple(Fraction(i) for i in range(j + 1))
 
     def order_term_of(self, name: str) -> OrderTerm:
@@ -237,7 +235,6 @@ def build_instance(
     system: EquationSystem,
     caps: Caps = DEFAULT_CAPS,
     assign: Mapping[str, str] | None = None,
-    points: Sequence[Fraction] | None = None,
     recheck: bool = True,
 ) -> LiftInstance:
     """Prepare a lift: check canonicity, satisfy the system on the type
@@ -253,11 +250,10 @@ def build_instance(
     """
     gen_ops = tuple(generators)
     xi, clone = _type_clone(structure, gen_ops, caps)
-    padded = pad_to_common_arity(system)
     fixed = None
     if assign is not None:
         chosen = []
-        for sym, arity in padded.signature:
+        for sym, arity in system.signature:
             gname = assign.get(sym)
             if gname is None:
                 raise InconsistentData(f"forced assignment misses symbol {sym!r}")
@@ -275,16 +271,16 @@ def build_instance(
             chosen.append((sym, entry))
         fixed = tuple(chosen)
         if recheck:
-            _check_satisfaction(padded, fixed, clone)
+            _check_satisfaction(system, fixed, clone)
     else:
-        search = satisfiable_in_clone(padded, clone)
+        search = satisfiable_in_clone(system, clone)
         if not search.found:
             qualifier = "" if search.exhaustive else " within the explored catalogs"
             raise UnsatisfiableSystem(
                 f"no assignment into the type clone satisfies the system{qualifier}"
             )
         fixed = search.assignment
-    return _finish_instance(structure, gen_ops, padded, xi, clone, fixed, points, caps)
+    return _finish_instance(structure, gen_ops, system, xi, clone, fixed, caps)
 
 
 def _check_satisfaction(
@@ -302,39 +298,31 @@ def _check_satisfaction(
 def _finish_instance(
     structure: SymbolicStructure,
     gen_ops: tuple[Operation, ...],
-    padded: EquationSystem,
+    system: EquationSystem,
     xi: XiImage,
     clone: FiniteClone,
     assignment: tuple[tuple[str, CatalogEntry], ...],
-    points: Sequence[Fraction] | None,
     caps: Caps,
 ) -> LiftInstance:
     bodies = {op.name: op.body for op in gen_ops}
-    critical = structure.max_relation_arity
     order_terms = []
     for sym, entry in assignment:
         interp = _as_order_term(entry.term, bodies)
-        arity = padded.arity_of(sym)
-        image = type_image(Operation(sym, arity, interp), structure, critical, caps, check=False)
+        arity = system.arity_of(sym)
+        image = type_image(Operation(sym, arity, interp), structure, xi.space.k, caps, check=False)
         if image.table != entry.table:
             raise InconsistentData(
                 f"substituted term for {sym!r} does not act as its catalog table"
             )
         order_terms.append((sym, interp))
-    pts = None
-    if points is not None:
-        pts = tuple(Fraction(p) for p in points)
-        if sorted(set(pts)) != list(pts):
-            raise InconsistentData("stage points must be strictly increasing")
     return LiftInstance(
         structure=structure,
         generators=gen_ops,
-        system=padded,
+        system=system,
         xi=xi,
         type_clone=clone,
         assignment=assignment,
         order_terms=tuple(order_terms),
-        points=pts,
     )
 
 
@@ -375,13 +363,12 @@ def lift(
     out = []
     for j in range(stages + 1):
         pts = instance.universe(j)
-        rows = enumerate_argument_matrix(pts, n, caps)
-        columns = len(rows[0])
-        evaluations = []
-        for lt, rt in sides:
-            lv = [eval_rational(lt, [row[c] for row in rows]) for c in range(columns)]
-            rv = [eval_rational(rt, [row[c] for row in rows]) for c in range(columns)]
-            evaluations.append((lv, rv))
+        args = list(zip(*enumerate_argument_matrix(pts, n, caps)))
+        columns = len(args)
+        evaluations = [
+            ([eval_rational(lt, a) for a in args], [eval_rational(rt, a) for a in args])
+            for lt, rt in sides
+        ]
         ranks = materialize(v for lv, rv in evaluations for v in lv + rv)
         pairs = []
         for eq, (lv, rv) in zip(instance.system.equations, evaluations):
@@ -432,19 +419,17 @@ class AccumulationReport:
 
 
 def approximate_accumulation(
-    witnesses: Sequence[WitnessTuple],
-    depth: int,
-    points: Sequence[Fraction] | None = None,
+    witnesses: Sequence[WitnessTuple], depth: int
 ) -> AccumulationReport | None:
     """Classify witness stages by the joint order pattern of their maps.
 
-    Every map of every pair is applied to the first ``depth`` sample
-    points (``0, ..., depth-1`` unless given) and the rank pattern of
-    the concatenated images is the stage's class.  The report picks the
-    largest class, breaking ties toward the latest stage.  Increasing
-    maps applied on the outside of all witnesses leave the classes
-    unchanged, so the classification only sees the mutual order of the
-    witness maps, not their absolute values.
+    Every map of every pair is applied to the ``depth`` sample points
+    ``0, ..., depth-1`` and the rank pattern of the concatenated images
+    is the stage's class.  The report picks the largest class, breaking
+    ties toward the latest stage.  Increasing maps applied on the outside
+    of all witnesses leave the classes unchanged, so the classification
+    only sees the mutual order of the witness maps, not their absolute
+    values.
 
     Returns None when a witness is a `PointInjection`, as over the pure
     set: such a map is defined only on its own stage's points, so there
@@ -454,12 +439,7 @@ def approximate_accumulation(
         raise InconsistentData("need at least two stages to compare")
     if depth < 1:
         raise InconsistentData("need at least one sample point")
-    if points is None:
-        pts = tuple(Fraction(i) for i in range(depth))
-    else:
-        if len(points) < depth:
-            raise InconsistentData(f"need {depth} sample points, got {len(points)}")
-        pts = tuple(Fraction(p) for p in points[:depth])
+    pts = tuple(Fraction(i) for i in range(depth))
     maps = [w for witness in witnesses for pair in witness.pairs for w in pair]
     if any(isinstance(w, PointInjection) for w in maps):
         return None
@@ -469,10 +449,7 @@ def approximate_accumulation(
         for w_l, w_r in witness.pairs:
             images.extend(w_l.apply(p) for p in pts)
             images.extend(w_r.apply(p) for p in pts)
-        distinct = sorted(set(images))
-        rank = {v: i for i, v in enumerate(distinct)}
-        signature = tuple(rank[v] for v in images)
-        classes.setdefault(signature, []).append(index)
+        classes.setdefault(pattern_of(DLO, images).codes, []).append(index)
     pattern, indices = max(classes.items(), key=lambda kv: (len(kv[1]), kv[1][-1]))
     stable = indices == list(range(indices[0], len(witnesses)))
     return AccumulationReport(
@@ -563,7 +540,7 @@ def analyze_transfer(
             accumulation=None,
             failure=None,
         )
-    system = pad_to_common_arity(hom.witness_system())
+    system = hom.witness_system()
     in_clone = satisfiable_in_clone(system, clone)
     in_projections = satisfiable_in_projections(system)
     triangle = (in_clone.found, not in_projections.satisfiable)
@@ -573,7 +550,7 @@ def analyze_transfer(
     failure = None
     if in_clone.found:
         instance = _finish_instance(
-            structure, gen_ops, system, xi, clone, in_clone.assignment, None, caps
+            structure, gen_ops, system, xi, clone, in_clone.assignment, caps
         )
         try:
             witnesses = lift(instance, stages, caps)

@@ -6,7 +6,7 @@ increasing piecewise maps.  `lex` embeds Q^2, ordered lexicographically,
 into Q; it has no closed form, so evaluation works in a value algebra
 instead of in Q directly:
 
-  value ::= Rat(q)            a plain rational
+  value ::= q                 a plain rational, a `Fraction`
           | Pair(head, tail)  the image lex(head, tail)
 
 Values are linearly ordered by the rule "a pair sits immediately above
@@ -35,22 +35,9 @@ from .syntax import parse_prefix
 # -- values --------------------------------------------------------------
 
 
-class Value:
-    __slots__ = ()
-
-
 @total_ordering
 @dataclass(frozen=True)
-class Rat(Value):
-    q: Fraction
-
-    def __lt__(self, other):
-        return compare_values(self, other) < 0
-
-
-@total_ordering
-@dataclass(frozen=True)
-class Pair(Value):
+class Pair:
     head: Value
     tail: Value
 
@@ -58,25 +45,26 @@ class Pair(Value):
         return compare_values(self, other) < 0
 
 
+Value = Fraction | Pair
+
+
 def compare_values(u: Value, v: Value) -> int:
     """Total order on values; 0 only for structurally equal values."""
-    if isinstance(u, Rat) and isinstance(v, Rat):
-        return (u.q > v.q) - (u.q < v.q)
-    if isinstance(u, Pair) and isinstance(v, Pair):
-        c = compare_values(u.head, v.head)
-        return c if c else compare_values(u.tail, v.tail)
-    if isinstance(u, Rat):
-        c = compare_values(u, v.head)  # type: ignore[union-attr]
-        return c if c else -1
-    c = compare_values(u.head, v)
-    return c if c else 1
+    if isinstance(u, Pair):
+        if isinstance(v, Pair):
+            c = compare_values(u.head, v.head)
+            return c if c else compare_values(u.tail, v.tail)
+        return compare_values(u.head, v) or 1
+    if isinstance(v, Pair):
+        return compare_values(u, v.head) or -1
+    return (u > v) - (u < v)
 
 
 def map_value(m: PLMap, v: Value) -> Value:
     """Increasing maps move the head of a pair and leave the tail alone."""
-    if isinstance(v, Rat):
-        return Rat(m.apply(v.q))
-    return Pair(map_value(m, v.head), v.tail)
+    if isinstance(v, Pair):
+        return Pair(map_value(m, v.head), v.tail)
+    return m.apply(v)
 
 
 def materialize(values: Iterable[Value]) -> dict[Value, Fraction]:
@@ -159,7 +147,7 @@ def eval_term(term: OrderTerm, args: Sequence[Value]) -> Value:
 
 
 def eval_rational(term: OrderTerm, point: Sequence[Fraction]) -> Value:
-    return eval_term(term, tuple(Rat(Fraction(x)) for x in point))
+    return eval_term(term, tuple(Fraction(x) for x in point))
 
 
 def substitute(term: OrderTerm, children: Sequence[OrderTerm]) -> OrderTerm:

@@ -179,8 +179,8 @@ def _build_hull(
     head = max(values) if values else floor
     if head >= ceiling:
         raise InconsistentData(f"base value {head} at or above the bound {ceiling}")
-    gaps = {abs(a - b) for a in values for b in values if a != b}
-    min_gap = min(gaps) if gaps else Fraction(1)
+    distinct = sorted(set(values))
+    min_gap = min((b - a for a, b in zip(distinct, distinct[1:])), default=Fraction(1))
     epsilon = min(min_gap, Fraction(1), ceiling - head) / (4 * n)
     return DataHull(entries, floor, epsilon)
 

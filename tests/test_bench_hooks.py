@@ -5,14 +5,16 @@ observer it keys by span name belongs to a wrapped function.
 `WRAPPED` and `COUNTED` tuples and fails at start-up when one is gone.
 Its `OBSERVERS` and `FAILURES` dicts are looked up by `<layer>.<function>`
 span name; a key that names no wrapped function is never consulted, so
-the counters it feeds silently stay at zero.  The module is read here
-with `ast`, so the benchmark is not imported.
+the counters it feeds silently stay at zero.  And every call the
+benchmark makes into the package still binds to the callee's signature.
+The benchmark is read here with `ast`, so it is not imported.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -56,3 +58,52 @@ def test_observer_keys_name_wrapped_functions():
     for name, keys in keyed.items():
         for key in keys:
             assert key in spans, f"{name} key {key!r} names no wrapped function"
+
+
+def _package_callables(tree):
+    """Names a benchmark module binds to clonelab modules and to objects
+    imported from them."""
+    modules, objects = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "clonelab":
+                    modules[alias.asname or alias.name] = importlib.import_module(alias.name)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("clonelab"):
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                objects[alias.asname or alias.name] = getattr(module, alias.name)
+    return modules, objects
+
+
+def test_bench_calls_bind_to_package_signatures():
+    # A removed parameter or function fails here rather than mid-run.
+    bound = 0
+    for path in sorted(TRACING.parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules, objects = _package_callables(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id in objects:
+                target = objects[func.id]
+            elif (
+                isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id in modules
+            ):
+                target = getattr(modules[func.value.id], func.attr, None)
+                assert target is not None, f"{path.name}:{node.lineno}: {func.attr} is gone"
+            else:
+                continue
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(k.arg is not None for k in node.keywords)
+            try:
+                inspect.signature(target).bind(
+                    *node.args, **{k.arg: k.value for k in node.keywords}
+                )
+            except TypeError as exc:
+                raise AssertionError(f"{path.name}:{node.lineno}: {exc}") from None
+            bound += 1
+    assert bound

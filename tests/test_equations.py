@@ -84,12 +84,8 @@ def test_parse_errors_carry_line_numbers(text, line):
 
 def test_padding_fixes_one_variable_space():
     system = parse_system("sig f 1\nsig g 2\neq f(x1) = g(x1,x2)\n")
-    padded = pad_to_common_arity(system)
-    assert padded.common_arity == 2
-    assert pad_to_common_arity(padded) is padded
-    assert pad_to_common_arity(system, 4).ambient_arity == 4
-    with pytest.raises(InconsistentData):
-        EquationSystem(system.signature, system.equations, common_arity=1)
+    assert system.ambient_arity == 2
+    assert pad_to_common_arity(system) is system
 
 
 def test_system_validation_rejects_wrong_arities():

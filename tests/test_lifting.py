@@ -237,22 +237,6 @@ def test_empty_system_lifts_vacuously():
     assert [w.columns for w in witnesses] == [1, 2, 3]
 
 
-def test_custom_stage_points():
-    pts = (Fraction(-5), Fraction(0), Fraction(7))
-    instance = build_instance(
-        DLO, [lex_op()], associativity(), caps=SMALL, assign={"f": "lex"}, points=pts
-    )
-    assert instance.universe(1) == (Fraction(-5), Fraction(0))
-    with pytest.raises(CapExceeded):
-        instance.universe(3)
-    replay_exactly(instance, lift(instance, 2, caps=SMALL)[-1])
-    with pytest.raises(InconsistentData):
-        build_instance(
-            DLO, [lex_op()], associativity(), caps=SMALL, assign={"f": "lex"},
-            points=(Fraction(1), Fraction(1)),
-        )
-
-
 def test_build_instance_rejects_bad_generators():
     with pytest.raises(NonCanonicalOperation):
         build_instance(DLO, [Operation("min", 2, Min((Coord(1), Coord(2))))],
@@ -305,8 +289,6 @@ def test_accumulation_input_validation():
         approximate_accumulation([calm], 2)
     with pytest.raises(InconsistentData):
         approximate_accumulation([calm, calm], 0)
-    with pytest.raises(InconsistentData):
-        approximate_accumulation([calm, calm], 3, points=[Fraction(0)])
 
 
 @st.composite

@@ -11,7 +11,6 @@ from clonelab.orderterms import (
     Max,
     Min,
     Pair,
-    Rat,
     compare_values,
     eval_rational,
     eval_term,
@@ -28,8 +27,8 @@ from clonelab.plmap import affine, translation
 F = Fraction
 
 
-def rat(x) -> Rat:
-    return Rat(F(x))
+def rat(x) -> F:
+    return F(x)
 
 
 def ranks(values):
@@ -65,6 +64,9 @@ def test_value_order_antisymmetric(u, v):
     cu, cv = compare_values(u, v), compare_values(v, u)
     assert cu == -cv
     assert (cu == 0) == (u == v)
+    # Python's operators agree, also between a Fraction and a Pair
+    assert (u < v) == (cu < 0)
+    assert (u <= v) == (cu <= 0)
 
 
 @given(values_strategy, values_strategy, values_strategy)

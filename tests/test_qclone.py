@@ -7,6 +7,7 @@ dominated pairs; everything else is exact rational equality.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from clonelab.errors import InconsistentData, ParseError
 from clonelab.plmap import identity, translation
 from clonelab.qclone import (
     Composition,
+    _build_hull,
     QFunction,
     compose_members,
     evaluate,
@@ -218,6 +220,22 @@ def test_min_restrictions_extend_despite_repeated_values():
     # the stricter member constructor refuses
     with pytest.raises(InconsistentData):
         make_member(2, 1, F(4), translation(10), MIN_POINTS)
+
+
+def test_hull_epsilon_is_the_all_pairs_minimum_gap():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 3)
+        data = {
+            tuple(F(rng.randint(-4, 4)) for _ in range(n)): F(rng.randint(-20, 20), rng.randint(1, 4))
+            for _ in range(rng.randint(0, 9))
+        }
+        values = list(data.values())
+        ceiling = max(values, default=F(0)) + F(rng.randint(1, 9), rng.randint(1, 4))
+        head = max(values) if values else ceiling - 2
+        gaps = {abs(a - b) for a in values for b in values if a != b}
+        expected = min(min(gaps, default=F(1)), F(1), ceiling - head) / (4 * n)
+        assert _build_hull(data, n, ceiling).epsilon == expected
 
 
 def test_extension_rejects_strictly_dominated_decrease():

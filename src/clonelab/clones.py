@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .config import Caps, DEFAULT_CAPS
 from .errors import CapExceeded, InconsistentData
@@ -98,7 +98,10 @@ class FiniteClone:
 
     def catalog(self, arity: int) -> tuple[CatalogEntry, ...]:
         if arity not in self.catalogs:
-            raise CapExceeded(f"no catalog for arity {arity} (cap {self.caps.arity_cap})")
+            cap = self.caps.arity_cap
+            raise CapExceeded(
+                f"no catalog for arity {arity} (cap {cap})", "catalog arity", arity, cap
+            )
         return self.catalogs[arity]
 
     def lookup_by_table(self, table: Table) -> CatalogEntry | None:
@@ -149,20 +152,6 @@ def generate(
     return FiniteClone(
         base_size, tuple(generators), caps, catalogs, collisions, saturated
     )
-
-
-def eval_term_table(
-    term: Term,
-    assignment: Mapping[str, Table],
-    arity: int,
-    base_size: int,
-) -> Table:
-    """Table of a term under a symbol-to-table assignment, at the given
-    ambient arity (variables beyond those used act as dummies)."""
-    if isinstance(term, Var):
-        return selector(base_size, arity, term.index)
-    inner = [eval_term_table(a, assignment, arity, base_size) for a in term.args]
-    return assignment[term.symbol].compose(inner)  # type: ignore[union-attr]
 
 
 def _generate_arity(generators, base_size, arity, caps):

@@ -40,7 +40,7 @@ DEFAULT_CAPS = Caps()
 def guard(value: int, cap: int, what: str) -> None:
     """Raise CapExceeded when `value` is over `cap`, with a sized message."""
     if value > cap:
-        raise CapExceeded(f"{what} needs {value}, cap is {cap}")
+        raise CapExceeded(f"{what} needs {value}, cap is {cap}", what, value, cap)
 
 
 # Number of weak orders on an n-element set (used to size canonicity

@@ -13,8 +13,11 @@ Three satisfaction notions over a common signature of operation symbols:
 
 Plain clone search is modulo search without modifiers: one loop runs
 through the catalog assignments for both, and the plain search compares
-each equation's side tables directly.  Every hit, modulo hits included,
-is re-verified pointwise before it is returned.
+each equation's side tables directly.  Each side is compiled once per
+search into a gather plan over the rows of the variable space, so an
+assignment is checked on the symbols' output tuples without building a
+table.  Every hit, modulo hits included, is re-verified pointwise before
+it is returned.
 
 The projective-homomorphism search runs the first notion against the
 equations a clone generation discovered (its collisions): an assignment
@@ -29,13 +32,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .clones import CatalogEntry, FiniteClone, Table, eval_term_table
+from .clones import CatalogEntry, FiniteClone, Table
 from .config import guard
 from .errors import InconsistentData, ParseError
 from .syntax import natural, records
-from .terms import App, Term, Var, collapse, max_variable, parse_term
+from .terms import App, Term, Var, collapse, fold, max_variable, parse_term
 
 Sigma = tuple[tuple[str, int], ...]
 
@@ -183,6 +186,73 @@ def satisfiable_in_projections(system: EquationSystem) -> ProjectionReport:
 
 # an outside unary with its name; None stands for no post-composition
 Modifier = tuple[str, Table] | None
+# a side's values on every row, from each symbol's output tuple
+Side = Callable[[Mapping[str, tuple[int, ...]]], tuple[int, ...]]
+
+
+def _compile_side(term: Term, arity: int, base_size: int) -> Side:
+    """A term's values on the rows of {0..base_size-1}^arity, in row-major
+    order, as a gather plan: a variable is a fixed column, and a symbol
+    reads its outputs at the row-wise indices its arguments spell.  The
+    indices contributed by variable arguments are fixed once, so a
+    height-1 term is a single gather."""
+    points = list(itertools.product(range(base_size), repeat=arity))
+
+    def var(index: int) -> tuple[int, ...]:
+        return tuple(p[index - 1] for p in points)
+
+    def app(symbol: str, parts: list) -> Side:
+        fixed = [0] * len(points)
+        nested = []
+        for j, part in enumerate(parts):
+            weight = base_size ** (len(parts) - 1 - j)
+            if isinstance(part, tuple):
+                fixed = [i + weight * v for i, v in zip(fixed, part)]
+            else:
+                nested.append((weight, part))
+        fixed = tuple(fixed)
+
+        def gather(outputs):
+            index = fixed
+            for weight, child in nested:
+                index = [i + weight * v for i, v in zip(index, child(outputs))]
+            return tuple(map(outputs[symbol].__getitem__, index))
+
+        return gather
+
+    plan = fold(term, var, app)
+    return plan if callable(plan) else lambda outputs: plan
+
+
+def _compile(system: EquationSystem, base_size: int) -> list[tuple[Side, Side]]:
+    n = system.ambient_arity
+    return [
+        (_compile_side(eq.lhs, n, base_size), _compile_side(eq.rhs, n, base_size))
+        for eq in system.equations
+    ]
+
+
+def _post(modifier: Modifier, values: tuple[int, ...]) -> tuple[int, ...]:
+    if modifier is None:
+        return values
+    return tuple(map(modifier[1].outputs.__getitem__, values))
+
+
+def _first_broken(
+    sides: Sequence[tuple[Side, Side]],
+    outputs: Mapping[str, tuple[int, ...]],
+    outside: Sequence[Modifier],
+) -> tuple[int | None, list[tuple[Modifier, Modifier]]]:
+    agreements = []
+    for i, (left, right) in enumerate(sides):
+        lhs, rhs = left(outputs), right(outputs)
+        lefts = [(a, _post(a, lhs)) for a in outside]
+        rights = [(b, _post(b, rhs)) for b in outside]
+        pick = next(((a, b) for a, l in lefts for b, r in rights if l == r), None)
+        if pick is None:
+            return i, agreements
+        agreements.append(pick)
+    return None, agreements
 
 
 def first_broken(
@@ -195,24 +265,9 @@ def first_broken(
     whose side tables do not agree (None when all agree), and for each
     equation before it the first pair of `outside` members, in family
     order, whose post-composition makes its sides equal.  The default
-    family compares the sides themselves, one table equality each."""
-    n = system.ambient_arity
-    agreements = []
-    for i, eq in enumerate(system.equations):
-        lhs = eval_term_table(eq.lhs, tables, n, base_size)
-        rhs = eval_term_table(eq.rhs, tables, n, base_size)
-        pick = next(
-            ((a, b) for a in outside for b in outside if _post(a, lhs) == _post(b, rhs)),
-            None,
-        )
-        if pick is None:
-            return i, agreements
-        agreements.append(pick)
-    return None, agreements
-
-
-def _post(modifier: Modifier, table: Table) -> Table:
-    return table if modifier is None else modifier[1].compose([table])
+    family compares the sides themselves, one equality each."""
+    outputs = {name: table.outputs for name, table in tables.items()}
+    return _first_broken(_compile(system, base_size), outputs, outside)
 
 
 def _eval_pointwise(
@@ -267,14 +322,21 @@ def _search(
         clone.caps.tuple_cap,
         "assignment search space",
     )
+    guard(
+        clone.base_size**system.ambient_arity,
+        clone.caps.tuple_cap,
+        "equation row space",
+    )
+    sides = _compile(system, clone.base_size)
     names = [name for name, _ in system.signature]
     exhaustive = all(clone.saturated[arity] for _, arity in system.signature)
     checked = 0
     for entries in itertools.product(*catalogs):
         checked += 1
-        tables = {name: entry.table for name, entry in zip(names, entries)}
-        bad, agreements = first_broken(system, tables, clone.base_size, outside)
+        outputs = {name: entry.table.outputs for name, entry in zip(names, entries)}
+        bad, agreements = _first_broken(sides, outputs, outside)
         if bad is None:
+            tables = {name: entry.table for name, entry in zip(names, entries)}
             _verify_pointwise(system, tables, clone.base_size, agreements)
             modifiers = None
             if None not in outside:

@@ -23,7 +23,15 @@ class ParseError(ClonelabError):
 
 
 class CapExceeded(ClonelabError):
-    """A configured resource cap would be exceeded; raised before the work starts."""
+    """A configured resource cap would be exceeded; raised before the work
+    starts.  Carries the quantity's name (`what`), the size it `needed`
+    and the `cap` it exceeds."""
+
+    def __init__(self, message: str, what: str, needed: int, cap: int):
+        self.what = what
+        self.needed = needed
+        self.cap = cap
+        super().__init__(message)
 
 
 class InconsistentData(ClonelabError):

@@ -1,0 +1,78 @@
+"""Term tables by composition, the test oracle for equation search.
+
+`eval_term_table` builds a term's table the slow way: a selector table
+for every variable and a validated `Table.compose` for every symbol.
+`reference_search` is the clone search on top of it: catalog
+assignments in signature order, each side's table post-composed with
+every member of the outside family, the first agreeing pair kept per
+equation.  The library compiles each side into a gather plan instead;
+both must give the same report.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Mapping, Sequence
+
+from clonelab.clones import FiniteClone, Table, selector
+from clonelab.equations import CloneSearchReport, EquationSystem
+from clonelab.terms import Term, Var
+
+
+def eval_term_table(
+    term: Term,
+    assignment: Mapping[str, Table],
+    arity: int,
+    base_size: int,
+) -> Table:
+    """Table of a term under a symbol-to-table assignment, at the given
+    ambient arity (variables beyond those used act as dummies)."""
+    if isinstance(term, Var):
+        return selector(base_size, arity, term.index)
+    inner = [eval_term_table(a, assignment, arity, base_size) for a in term.args]
+    return assignment[term.symbol].compose(inner)  # type: ignore[union-attr]
+
+
+def _post(modifier, table: Table) -> Table:
+    return table if modifier is None else modifier[1].compose([table])
+
+
+def reference_search(
+    system: EquationSystem,
+    clone: FiniteClone,
+    outside: Sequence[tuple[str, Table] | None] = (None,),
+) -> CloneSearchReport:
+    """The report `satisfiable_in_clone` (family `(None,)`) or
+    `satisfiable_modulo_outside` should give, built from tables."""
+    names = [name for name, _ in system.signature]
+    catalogs = [clone.catalog(arity) for _, arity in system.signature]
+    exhaustive = all(clone.saturated[arity] for _, arity in system.signature)
+    n = system.ambient_arity
+    checked = 0
+    for entries in itertools.product(*catalogs):
+        checked += 1
+        tables = {name: entry.table for name, entry in zip(names, entries)}
+        picks = []
+        for eq in system.equations:
+            lhs = eval_term_table(eq.lhs, tables, n, clone.base_size)
+            rhs = eval_term_table(eq.rhs, tables, n, clone.base_size)
+            pick = next(
+                (
+                    (a, b)
+                    for a in outside
+                    for b in outside
+                    if _post(a, lhs) == _post(b, rhs)
+                ),
+                None,
+            )
+            if pick is None:
+                break
+            picks.append(pick)
+        else:
+            modifiers = None
+            if None not in outside:
+                modifiers = tuple((a[0], b[0]) for a, b in picks)
+            return CloneSearchReport(
+                True, tuple(zip(names, entries)), checked, exhaustive, modifiers
+            )
+    return CloneSearchReport(False, None, checked, exhaustive)

@@ -10,18 +10,21 @@ per criterion.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import clonelab
 from clonelab.canonical import (
     Operation,
     is_canonical_symbolic,
     type_image,
 )
-from clonelab.clones import Table, eval_term_table, generate
+from clonelab.clones import Table, generate
 from clonelab.config import Caps
 from clonelab.equations import (
     Equation,
@@ -62,6 +65,7 @@ from clonelab.structures import DLO, PURE_SET, enumerate_patterns, orbits, patte
 from clonelab.terms import App, Var, fold
 
 from corpus import corpus10
+from table_oracle import eval_term_table
 
 LEX = Lex(Coord(1), Coord(2))
 SMALL = Caps(arity_cap=3, depth_cap=2)
@@ -450,10 +454,14 @@ def test_criterion_09_rational_order_model():
 
 
 def cli_bytes(argv):
+    # the child runs the package this process imported, installed or not
+    source = str(Path(clonelab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "clonelab.cli", *argv],
         capture_output=True,
         check=False,
+        env={**os.environ, "PYTHONPATH": path},
     )
     return done.returncode, done.stdout
 

@@ -3,6 +3,8 @@ determinism, and the operation-file parser."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from clonelab.cli import main, parse_operations
@@ -155,6 +157,18 @@ def test_sat_undecided_when_catalogs_truncated(files, capsys):
     assert code == 3
     assert "undecided" in out
     assert "not saturated" in out
+
+
+def test_sat_refuses_an_oversized_row_space(files, capsys):
+    # 2**20 rows per side is over the default tuple cap of 1,000,000
+    wide = "sig f 2\neq f(x1,x20) = f(x20,x1)\n"
+    ors = "op g 2\ntable 0 1 1 1\n"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "sat", files("wide.eqs", wide), files("or.ops", ors))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "cap exceeded: equation row space needs 1048576, cap is 1000000" in err
 
 
 def test_sat1_rejects_the_six_ary_system(files, capsys):

@@ -8,11 +8,12 @@ from clonelab.errors import CapExceeded, InconsistentData
 from clonelab.clones import (
     CatalogEntry,
     Table,
-    eval_term_table,
     generate,
     selector,
 )
 from clonelab.terms import App, Var
+
+from table_oracle import eval_term_table
 
 
 def term_depth(term):
@@ -124,8 +125,10 @@ def test_lookup_by_table():
     entry = clone.lookup_by_table(MIN2)
     assert entry is not None and entry.term == App("min", (Var(1), Var(2)))
     assert clone.lookup_by_table(MAX2) is None
-    with pytest.raises(CapExceeded):
+    with pytest.raises(CapExceeded) as err:
         clone.catalog(5)
+    assert str(err.value) == "no catalog for arity 5 (cap 2)"
+    assert (err.value.what, err.value.needed, err.value.cap) == ("catalog arity", 5, 2)
 
 
 def test_one_element_base_identifies_selectors():

@@ -3,21 +3,25 @@ modulo outside unaries.
 
 The projection search is cross-checked against an independent reading:
 selectors form a clone, so collapsing symbols to argument indices must
-agree with an honest catalog search over a selector-only clone.
+agree with an honest catalog search over a selector-only clone.  The
+clone search is cross-checked against `table_oracle`, which builds
+every side's table by composition.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clonelab.clones import Table, eval_term_table, generate, selector
+from clonelab.clones import Table, generate, selector
 from clonelab.config import Caps
 from clonelab.equations import (
     Equation,
     EquationSystem,
+    _compile_side,
     has_projective_homomorphism,
     pad_to_common_arity,
     parse_equation_system as parse_system,
@@ -26,8 +30,10 @@ from clonelab.equations import (
     satisfiable_in_projections,
     satisfiable_modulo_outside,
 )
-from clonelab.errors import InconsistentData, ParseError
+from clonelab.errors import CapExceeded, InconsistentData, ParseError
 from clonelab.terms import App, Term, Var, collapse
+
+from table_oracle import eval_term_table, reference_search
 
 MIN2 = Table(2, 2, (0, 0, 0, 1))
 
@@ -198,6 +204,128 @@ def test_siggers_is_satisfiable_in_the_min_clone():
     # replay the identity pointwise on the witness
     for x, y, z in itertools.product(range(2), repeat=3):
         assert table.apply((x, y, x, z, y, z)) == table.apply((y, x, z, x, z, y))
+
+
+# -- compiled sides against the table oracle -------------------------------------------
+
+SIG3 = (("f", 1), ("g", 2), ("h", 3))
+
+
+def terms_to_depth(depth, arity):
+    leaf = st.integers(1, arity).map(Var)
+    if depth == 0:
+        return leaf
+    sub = terms_to_depth(depth - 1, arity)
+    return st.one_of(
+        leaf,
+        *(
+            st.tuples(*([sub] * k)).map(lambda args, name=name: App(name, args))
+            for name, k in SIG3
+        ),
+    )
+
+
+@st.composite
+def sides_with_tables(draw):
+    base = draw(st.integers(2, 3))
+    arity = draw(st.integers(1, 3))
+    term = draw(terms_to_depth(3, arity))
+    tables = {
+        name: Table(
+            base,
+            k,
+            tuple(draw(st.lists(st.integers(0, base - 1), min_size=base**k, max_size=base**k))),
+        )
+        for name, k in SIG3
+    }
+    return term, tables, arity, base
+
+
+@settings(max_examples=200, deadline=None)
+@given(sides_with_tables())
+def test_compiled_side_matches_the_composed_table(case):
+    # repeated, unused and nested variables, variables as whole sides
+    term, tables, arity, base = case
+    outputs = {name: table.outputs for name, table in tables.items()}
+    expected = eval_term_table(term, tables, arity, base).outputs
+    assert _compile_side(term, arity, base)(outputs) == expected
+
+
+CONDITIONS = {
+    "majority": "sig m 3\neq m(x1,x1,x2) = x1\neq m(x1,x2,x1) = x1\neq m(x2,x1,x1) = x1\n",
+    "maltsev": "sig p 3\neq p(x1,x2,x2) = x1\neq p(x2,x2,x1) = x1\n",
+    "symmetric": "sig f 2\neq f(x1,x2) = f(x2,x1)\n",
+    "weak-nu": (
+        "sig w 3\neq w(x1,x1,x1) = x1\n"
+        "eq w(x1,x1,x2) = w(x1,x2,x1)\neq w(x1,x2,x1) = w(x2,x1,x1)\n"
+    ),
+    "semilattice": (
+        "sig s 2\neq s(x1,x2) = s(x2,x1)\n"
+        "eq s(x1,s(x2,x3)) = s(s(x1,x2),x3)\neq s(x1,x1) = x1\n"
+    ),
+}
+
+
+def test_clone_search_matches_the_table_oracle():
+    rng = random.Random(20261018)
+    systems = [parse_system(text) for text in CONDITIONS.values()]
+    found = 0
+    for _ in range(40):
+        base = rng.choice([2, 3])
+        generators = [
+            (f"g{i}", Table(base, k, tuple(rng.randrange(base) for _ in range(base**k))))
+            for i, k in enumerate(rng.choice([(1,), (2,), (1, 2), (2, 2)]))
+        ]
+        clone = generate(generators, base, Caps(arity_cap=3, depth_cap=2))
+        perm = list(range(base))
+        while perm == list(range(base)):
+            rng.shuffle(perm)
+        identity = ("id", Table(base, 1, tuple(range(base))))
+        swap = ("swap", Table(base, 1, tuple(perm)))
+        squash = ("squash", Table(base, 1, tuple(rng.randrange(base) for _ in range(base))))
+        # the last family has no identity, so its hits need modifiers
+        families = [[identity, swap], [identity], [swap, squash]]
+        for system in systems:
+            report = satisfiable_in_clone(system, clone)
+            assert report == reference_search(system, clone)
+            found += report.found
+            for family in families:
+                modulo = satisfiable_modulo_outside(system, clone, family)
+                assert modulo == reference_search(system, clone, family)
+    assert 0 < found < 40 * len(systems)
+
+
+# -- caps on the search -------------------------------------------------------------
+
+
+def test_oversized_row_space_is_refused_up_front():
+    clone = generate([("g", Table(2, 2, (0, 1, 1, 1)))], 2, Caps(arity_cap=2, depth_cap=1))
+    system = parse_system("sig f 2\neq f(x1,x20) = f(x20,x1)\n")
+    family = [("id", IDENTITY1)]
+    for search in (
+        lambda: satisfiable_in_clone(system, clone),
+        lambda: satisfiable_modulo_outside(system, clone, family),
+    ):
+        with pytest.raises(CapExceeded) as err:
+            search()
+        assert str(err.value) == "equation row space needs 1048576, cap is 1000000"
+        assert (err.value.what, err.value.needed, err.value.cap) == (
+            "equation row space", 2**20, 1_000_000
+        )
+    # one variable fewer fits under the cap
+    narrow = parse_system("sig f 2\neq f(x1,x2) = f(x2,x1)\n")
+    assert satisfiable_in_clone(narrow, clone).found
+
+
+def test_oversized_assignment_space_carries_its_numbers():
+    clone = min_clone(arity_cap=2, depth_cap=2, tuple_cap=2)
+    system = parse_system("sig f 2\neq f(x1,x2) = f(x2,x1)\n")
+    with pytest.raises(CapExceeded) as err:
+        satisfiable_in_clone(system, clone)
+    assert str(err.value) == "assignment search space needs 3, cap is 2"
+    assert (err.value.what, err.value.needed, err.value.cap) == (
+        "assignment search space", 3, 2
+    )
 
 
 # -- modulo outside unaries ---------------------------------------------------------

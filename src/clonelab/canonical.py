@@ -10,18 +10,19 @@ relation arity for finite structures) the action determines the whole
 family.
 
 Deciding canonicity is exhaustive, never sampled, and one loop decides
-it for both kinds of structure: for each k it runs through argument
-lists (one k-tuple per argument), groups them by their per-argument
-types, and reports the first two lists of one group whose column images
-differ in type.  The kinds differ only in what is enumerated.  Over a
+it for both kinds of structure: it runs through argument lists (one
+k-tuple per argument), groups them by their per-argument types, and
+reports the first two lists of one group whose column images differ in
+type.  The kinds differ in what is enumerated and at which k.  Over a
 finite structure it is every argument list over the domain, typed by
-orbits.  Over a symbolic structure it is every joint order pattern of
-the n*k argument entries, realized by its ranks and typed by patterns;
-this is exact precisely because the order-term basis is
+orbits, for each k up to `k_max`: finite structures are not homogeneous
+in general.  Over a symbolic structure it is every joint order pattern
+of the n*k argument entries, realized by its integer ranks and typed by
+patterns; this is exact precisely because the order-term basis is
 pattern-determined, so inner applications of named maps are rejected
 (see `orderterms.require_pattern_determined`).
 
-Over the symbolic structures the pipeline decides at the pair level
+Over the symbolic structures one level decides every k: the pair level
 `PAIR_LEVEL` = 2.  `dlo` and `pureset` are homogeneous in a binary
 language (`<` for the order, `=` for both), so the type of a k-tuple is
 fixed by the types of its pairs.  If argument lists with equal
@@ -31,20 +32,16 @@ columns, so their images agree on every pair and hence in type: an
 operation canonical at k <= 2 is canonical at every k (Bodirsky and
 Pinsker, *Canonical functions: a proof via topological dynamics*;
 Bodirsky, *Complexity of Infinite-Domain Constraint Satisfaction*,
-2021).  `lifting._type_clone` (behind `analyze_transfer`,
-`build_instance` and the CLI `analyze`/`lift`) decides at that level,
-and so does the check inside `type_image` at min(k, 2).  Finite
-structures are not homogeneous in general and keep the exhaustive
-check, and so does `is_canonical` itself: its default `k_max`
-(`default_k_max`) and any explicit one mean every k up to that bound,
-which makes it the oracle for the lemma.
+2021).  A 1-tuple has a single type over either structure, so level 1
+never splits, and the first split at any k <= `k_max` is the first
+split at min(`k_max`, 2).  The every-k loop survives as the test oracle
+for this lemma (`tests/canonical_oracle.py`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
@@ -53,7 +50,7 @@ from .config import Caps, DEFAULT_CAPS, guard
 from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
     OrderTerm,
-    eval_rational,
+    eval_term,
     require_pattern_determined,
     term_arity,
 )
@@ -119,8 +116,10 @@ PAIR_LEVEL = 2
 
 
 def default_k_max(structure: Structure) -> int:
-    """The exhaustive default of `is_canonical`: every k up to
-    max(m, 3), with m the structure's largest relation arity."""
+    """The default bound of `is_canonical`: max(m, 3), with m the
+    structure's largest relation arity.  A finite structure is checked
+    at every k up to it; over a symbolic one the verdict is decided on
+    pairs and covers every k."""
     return max(structure.max_relation_arity, 3)
 
 
@@ -139,7 +138,7 @@ def _column_images(
 ) -> Callable[[Sequence[tuple]], tuple]:
     """The map from an argument list (one k-tuple per argument) to the
     k-tuple of images of its columns."""
-    apply = body.apply if isinstance(body, Table) else partial(eval_rational, body)
+    apply = body.apply if isinstance(body, Table) else partial(eval_term, body)
     columns = range(k)
     return lambda args: tuple(apply(tuple(a[j] for a in args)) for j in columns)
 
@@ -200,24 +199,27 @@ def is_canonical_symbolic(
 ) -> CanonicalVerdict:
     """Exact canonicity decision for a pattern-determined order term.
 
-    For each k the joint order patterns of all n*k argument entries are
-    enumerated, each realized by its rank tuple and typed by patterns.
-    Outer increasing-map chains are peeled off first since they preserve
-    output patterns; inner map applications are rejected.
+    The joint order patterns of all n*k argument entries are enumerated
+    at the single level k = min(`k_max`, `PAIR_LEVEL`), each realized by
+    its integer ranks and typed by patterns.  By the pair lemma the
+    verdict covers every k up to `k_max`, which a canonical verdict
+    reports as `checked_up_to`.  Outer increasing-map chains are peeled
+    off first since they preserve output patterns; inner map
+    applications are rejected.
     """
     _require_matching(term, structure)
     core = require_pattern_determined(term)
     k_max = default_k_max(structure) if k_max is None else k_max
     n = max(term_arity(core), 1)
+    k = min(k_max, PAIR_LEVEL)
+    arg_lists = (
+        tuple(codes[i * k : (i + 1) * k] for i in range(n))
+        for codes in joint_order_patterns(n * k, caps)
+    )
     classify = partial(pattern_of, structure)
-    for k in range(1, k_max + 1):
-        arg_lists = (
-            tuple(tuple(map(Fraction, codes[i * k : (i + 1) * k])) for i in range(n))
-            for codes in joint_order_patterns(n * k, caps)
-        )
-        split = _first_split(arg_lists, classify, _column_images(core, k))
-        if split is not None:
-            return CanonicalVerdict(False, k, CanonicalCounterexample(k, *split))
+    split = _first_split(arg_lists, classify, _column_images(core, k))
+    if split is not None:
+        return CanonicalVerdict(False, k, CanonicalCounterexample(k, *split))
     return CanonicalVerdict(True, k_max)
 
 
@@ -261,15 +263,13 @@ def type_image(
     """Type table of a canonical operation at level k.
 
     Raises NonCanonicalOperation (carrying the counterexample) when the
-    canonicity check fails; representatives are then meaningless.  The
-    check runs up to k over a finite structure and up to min(k,
-    PAIR_LEVEL) over a symbolic one, which decides the same by the pair
-    lemma.
+    canonicity check up to k fails; representatives are then
+    meaningless.  Over a symbolic structure that check is decided on
+    pairs and covers every k.
     """
     _require_matching(operation.body, structure)
     if check:
-        level = min(k, PAIR_LEVEL) if isinstance(structure, SymbolicStructure) else k
-        verdict = is_canonical(operation, structure, k_max=level, caps=caps)
+        verdict = is_canonical(operation, structure, k_max=k, caps=caps)
         if not verdict.canonical:
             raise NonCanonicalOperation(
                 f"operation {operation.name!r} is not canonical at level "

@@ -35,7 +35,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .clones import CatalogEntry, FiniteClone, Table
-from .config import guard
+from .config import Caps, guard
 from .errors import InconsistentData, ParseError
 from .syntax import natural, records
 from .terms import App, Term, Var, collapse, fold, max_variable, parse_term
@@ -224,8 +224,13 @@ def _compile_side(term: Term, arity: int, base_size: int) -> Side:
     return plan if callable(plan) else lambda outputs: plan
 
 
-def _compile(system: EquationSystem, base_size: int) -> list[tuple[Side, Side]]:
+def _compile(
+    system: EquationSystem, base_size: int, caps: Caps
+) -> list[tuple[Side, Side]]:
+    """Both sides of every equation compiled, after refusing a row space
+    over `tuple_cap`."""
     n = system.ambient_arity
+    guard(base_size**n, caps.tuple_cap, "equation row space")
     return [
         (_compile_side(eq.lhs, n, base_size), _compile_side(eq.rhs, n, base_size))
         for eq in system.equations
@@ -259,15 +264,17 @@ def first_broken(
     system: EquationSystem,
     tables: Mapping[str, Table],
     base_size: int,
+    caps: Caps,
     outside: Sequence[Modifier] = (None,),
 ) -> tuple[int | None, list[tuple[Modifier, Modifier]]]:
     """Whether the system holds on tables: the index of the first equation
     whose side tables do not agree (None when all agree), and for each
     equation before it the first pair of `outside` members, in family
     order, whose post-composition makes its sides equal.  The default
-    family compares the sides themselves, one equality each."""
+    family compares the sides themselves, one equality each.  A row
+    space over `caps.tuple_cap` is refused before any table is read."""
     outputs = {name: table.outputs for name, table in tables.items()}
-    return _first_broken(_compile(system, base_size), outputs, outside)
+    return _first_broken(_compile(system, base_size, caps), outputs, outside)
 
 
 def _eval_pointwise(
@@ -322,12 +329,7 @@ def _search(
         clone.caps.tuple_cap,
         "assignment search space",
     )
-    guard(
-        clone.base_size**system.ambient_arity,
-        clone.caps.tuple_cap,
-        "equation row space",
-    )
-    sides = _compile(system, clone.base_size)
+    sides = _compile(system, clone.base_size, clone.caps)
     names = [name for name, _ in system.signature]
     exhaustive = all(clone.saturated[arity] for _, arity in system.signature)
     checked = 0

@@ -38,14 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .canonical import (
-    PAIR_LEVEL,
-    Operation,
-    XiImage,
-    is_canonical,
-    type_image,
-    xi_infty,
-)
+from .canonical import Operation, XiImage, is_canonical, type_image, xi_infty
 from .clones import CatalogEntry, FiniteClone, generate
 from .config import Caps, DEFAULT_CAPS, guard
 from .equations import (
@@ -215,12 +208,12 @@ def _type_clone(
 ) -> tuple[XiImage, FiniteClone]:
     """Refuse a finite structure or a non-canonical generator, then take
     the generators' action on the critical-level types and generate the
-    type clone.  Canonicity is decided on pairs (`PAIR_LEVEL`), which
-    settles every k over `dlo` and `pureset`."""
+    type clone.  `is_canonical` decides on pairs over `dlo` and
+    `pureset`, and its verdict covers every k."""
     if not isinstance(structure, SymbolicStructure):
         raise InconsistentData("lifts work over the symbolic structures dlo/pureset")
     for op in gen_ops:
-        verdict = is_canonical(op, structure, PAIR_LEVEL, caps)
+        verdict = is_canonical(op, structure, caps=caps)
         if not verdict.canonical:
             raise NonCanonicalOperation(
                 f"generator {op.name!r} is not canonical", verdict.counterexample
@@ -289,7 +282,7 @@ def _check_satisfaction(
     clone: FiniteClone,
 ) -> None:
     tables = {sym: entry.table for sym, entry in assignment}
-    bad, _ = first_broken(system, tables, clone.base_size)
+    bad, _ = first_broken(system, tables, clone.base_size, clone.caps)
     if bad is not None:
         eq = system.equations[bad]
         raise UnsatisfiableSystem(f"assignment breaks {eq} on the type tables")
@@ -469,14 +462,14 @@ class TransferReport:
     xi: XiImage
     type_clone: FiniteClone
     homomorphism: ProjHomReport
-    system: EquationSystem | None
+    system: EquationSystem | None = None
     # (witness system satisfiable in the type clone,
     #  witness system unsatisfiable in the projections)
-    triangle: tuple[bool, bool] | None
-    instance: LiftInstance | None
-    witnesses: tuple[WitnessTuple, ...] | None
-    accumulation: AccumulationReport | None
-    failure: str | None
+    triangle: tuple[bool, bool] | None = None
+    instance: LiftInstance | None = None
+    witnesses: tuple[WitnessTuple, ...] | None = None
+    accumulation: AccumulationReport | None = None
+    failure: str | None = None
 
     def describe(self) -> str:
         lines = [f"structure: {self.structure.name}"]
@@ -528,18 +521,7 @@ def analyze_transfer(
     xi, clone = _type_clone(structure, gen_ops, caps)
     hom = has_projective_homomorphism(clone)
     if hom.status != "refuted":
-        return TransferReport(
-            structure=structure,
-            xi=xi,
-            type_clone=clone,
-            homomorphism=hom,
-            system=None,
-            triangle=None,
-            instance=None,
-            witnesses=None,
-            accumulation=None,
-            failure=None,
-        )
+        return TransferReport(structure, xi, clone, hom)
     system = hom.witness_system()
     in_clone = satisfiable_in_clone(system, clone)
     in_projections = satisfiable_in_projections(system)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -496,9 +496,12 @@ def noncontinuity_demo(n: int, sample_count: int, seed: int = 0) -> Noncontinuit
             )
         )
     restriction = {p: evaluate(base, p) for p in sorted(points)}
-    extensions = []
-    for target in range(1, n + 1):
-        member = extend_restriction(restriction, target, n)
+    # threshold, eventual map and hull do not depend on the target, and
+    # extend_restriction has verified the first extension on every point
+    first = extend_restriction(restriction, 1, n)
+    extensions = [first]
+    for target in range(2, n + 1):
+        member = replace(first, coordinate=target)
         for point, value in restriction.items():
             if evaluate(member, point) != value:
                 raise InconsistentData(f"extension {target} broke the restriction at {point}")

@@ -293,11 +293,9 @@ class PatternTypeSpace:
     def classify(self, t: Sequence[Fraction]) -> int:
         return self.index[pattern_of(self.structure, t)]
 
-    def classify_pattern(self, p: Pattern) -> int:
-        return self.index[p]
-
-    def representative(self, i: int) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c) for c in self.patterns[i].codes)
+    def representative(self, i: int) -> tuple[int, ...]:
+        """The pattern realized by its own codes, which are integer ranks."""
+        return self.patterns[i].codes
 
     def describe(self, i: int) -> str:
         return self.patterns[i].describe()

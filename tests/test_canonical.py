@@ -17,9 +17,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
+from canonical_oracle import is_canonical_every_k
 from factor_oracle import check_factor_isomorphism, check_table_correspondence
 from clonelab.canonical import (
-    PAIR_LEVEL,
     Operation,
     is_canonical_finite,
     is_canonical_symbolic,
@@ -204,14 +204,17 @@ _DEPTH_TWO = _DEPTH_ONE | _binary_nodes(_DEPTH_ONE)
 
 @pytest.mark.parametrize("structure", [DLO, PURE_SET], ids=["dlo", "pureset"])
 @settings(max_examples=20, deadline=None)
-@given(_DEPTH_TWO)
-def test_pair_level_agrees_with_the_exhaustive_check(structure, term):
+@given(_DEPTH_TWO, st.booleans())
+def test_pair_level_agrees_with_the_exhaustive_check(structure, term, wrap):
     # both structures are homogeneous in a binary language, so a split
     # at k = 3 implies one at k <= 2, found first in the same order
-    pairs = is_canonical_symbolic(term, structure, PAIR_LEVEL)
-    exhaustive = is_canonical_symbolic(term, structure, 3)
-    assert pairs.canonical == exhaustive.canonical
-    assert pairs.counterexample == exhaustive.counterexample
+    if wrap:
+        term = MapApply("shift", translation(F(7, 2)), term)
+    verdict = is_canonical_symbolic(term, structure)
+    oracle = is_canonical_every_k(term, structure, 3)
+    assert verdict.canonical == oracle.canonical
+    assert verdict.checked_up_to == oracle.checked_up_to
+    assert verdict.counterexample == oracle.counterexample
 
 
 def test_outer_map_chains_do_not_change_the_verdict():
@@ -257,9 +260,7 @@ def test_lex_table_predicts_random_evaluations(structure, raw):
     term = Lex(Coord(1), Coord(2))
     outs = [eval_rational(term, (a[j], b[j])) for j in range(2)]
     predicted = image.table.apply((image.space.classify(a), image.space.classify(b)))
-    actual = image.space.classify_pattern(
-        pattern_of(structure, [F(c) for c in ranks(outs)])
-    )
+    actual = image.space.classify(ranks(outs))
     assert predicted == actual
 
 

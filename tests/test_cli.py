@@ -104,6 +104,43 @@ def test_canonical_all_good_exits_zero(files, capsys):
     assert "canonical at every level" in out
 
 
+@pytest.mark.parametrize("structure", ["dlo", "pureset"])
+def test_canonical_answers_ternary_terms(files, capsys, structure):
+    # every k up to 3 would enumerate 7,087,261 joint patterns, over
+    # pattern_cap; pairs decide every level
+    start = time.perf_counter()
+    path = files("t.ops", "op t 3\nterm lex(x1, lex(x2, x3))\n")
+    code, out, _ = run(capsys, "canonical", path, structure)
+    assert code == 0
+    assert "t: canonical at every level up to k=3" in out
+    path = files("m3.ops", "op m3 3\nterm min(x1, x2, x3)\n")
+    code, out, _ = run(capsys, "canonical", path, structure)
+    assert code == 1
+    assert "m3: not canonical at k=2" in out
+    assert time.perf_counter() - start < 2
+
+
+def test_canonical_kmax_four_is_decided_on_pairs(files, capsys):
+    # the same text the every-k check printed after a minute
+    path = files("mixed.ops", LEX_OPS + "op mn 2\nterm min(x1, x2)\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "canonical", path, "dlo", "--kmax", "4")
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert out == (
+        "command: canonical\n"
+        f"inputs: {path} dlo\n"
+        "caps: arity<=6 depth<=4 catalog<=100000\n"
+        "options: kmax=4\n"
+        "seed: 0\n"
+        "\n"
+        "lex: canonical at every level up to k=4\n"
+        "mn: not canonical at k=2\n"
+        "  args (0,1) (0,0) and (0,1) (1,1)\n"
+        "  agree in type argument by argument; the images differ\n"
+    )
+
+
 def test_type_image_rows(files, capsys):
     path = files("lex.ops", LEX_OPS)
     code, out, _ = run(capsys, "type-image", path, "dlo", "--k", "2")
@@ -281,6 +318,26 @@ def test_lift_unsatisfiable_assignment(files, capsys):
     )
     assert code == 1
     assert "no assignment to lift" in out
+
+
+def test_lift_refuses_an_oversized_row_space_for_a_forced_assignment(files, capsys):
+    # 3**13 rows per side over the three level-2 types of dlo
+    wide = "sig f 2\neq f(x1,x13) = f(x13,x1)\n"
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys,
+        "lift",
+        files("lex.ops", LEX_OPS),
+        files("wide.eqs", wide),
+        "dlo",
+        "--assign",
+        "f=lex",
+        *SMALL,
+    )
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "cap exceeded: equation row space needs 1594323, cap is 1000000" in err
 
 
 def test_lift_needs_a_symbolic_structure(files, capsys):

@@ -1,7 +1,8 @@
 """The package stays stdlib-only: every import in `clonelab` is relative
 or names a standard-library module.  And it holds no dead code: every
 top-level definition is reachable from the public API, the command line
-or the benchmark.  Both checks read the sources with `ast`."""
+or the benchmark, and every top-level import is used.  The checks read
+the sources with `ast`."""
 
 from __future__ import annotations
 
@@ -86,3 +87,26 @@ def test_every_top_level_definition_is_reachable():
         for module, _ in found
     )
     assert not dead, f"unreachable from the API, the CLI and bench/: {dead}"
+
+
+def test_every_top_level_import_is_used():
+    # A name counts as used when the module refers to it as a variable or
+    # lists it in `__all__`; `from __future__` imports bind no name.
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                used.update(ast.literal_eval(node.value))
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                bound = [a.asname or a.name.split(".")[0] for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [a.asname or a.name for a in node.names]
+            else:
+                continue
+            unused.extend(f"{path.stem}.{name}" for name in bound if name not in used)
+    assert not unused, f"imported but never used: {unused}"

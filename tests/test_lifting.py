@@ -229,6 +229,20 @@ def test_commutativity_fails_at_the_two_point_stage():
     assert "stage 1" in str(err.value)
 
 
+def test_forced_assignments_refuse_an_oversized_row_space():
+    # 3**13 rows per side over the three level-2 types, over tuple_cap
+    wide = parse_system("sig f 2\neq f(x1,x13) = f(x13,x1)\n")
+    with pytest.raises(CapExceeded) as err:
+        build_instance(DLO, [lex_op()], wide, caps=SMALL, assign={"f": "lex"})
+    assert (err.value.what, err.value.needed) == ("equation row space", 3**13)
+    instance = build_instance(
+        DLO, [lex_op()], wide, caps=SMALL, assign={"f": "lex"}, recheck=False
+    )
+    with pytest.raises(CapExceeded) as err:
+        lift(instance, 1, caps=SMALL, recheck=True)
+    assert err.value.what == "equation row space"
+
+
 def test_empty_system_lifts_vacuously():
     system = EquationSystem((("f", 2),), ())
     instance = build_instance(DLO, [lex_op()], system, caps=SMALL)

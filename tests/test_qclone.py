@@ -305,6 +305,15 @@ def test_demo_produces_one_extension_per_coordinate():
     assert "eventual coordinate 2" in report.describe()
 
 
+@pytest.mark.parametrize("n, samples, seed", [(2, 0, 0), (2, 12, 3), (3, 9, 5)])
+def test_demo_extensions_are_those_of_extend_restriction(n, samples, seed):
+    report = noncontinuity_demo(n, samples, seed)
+    restriction = dict(report.restriction)
+    assert report.extensions == tuple(
+        extend_restriction(restriction, target, n) for target in range(1, n + 1)
+    )
+
+
 def test_demo_is_deterministic_per_seed():
     first = noncontinuity_demo(3, 4, seed=21)
     second = noncontinuity_demo(3, 4, seed=21)

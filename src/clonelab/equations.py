@@ -265,16 +265,12 @@ def first_broken(
     tables: Mapping[str, Table],
     base_size: int,
     caps: Caps,
-    outside: Sequence[Modifier] = (None,),
-) -> tuple[int | None, list[tuple[Modifier, Modifier]]]:
+) -> int | None:
     """Whether the system holds on tables: the index of the first equation
-    whose side tables do not agree (None when all agree), and for each
-    equation before it the first pair of `outside` members, in family
-    order, whose post-composition makes its sides equal.  The default
-    family compares the sides themselves, one equality each.  A row
-    space over `caps.tuple_cap` is refused before any table is read."""
+    whose side tables do not agree, None when all agree.  A row space
+    over `caps.tuple_cap` is refused before any table is read."""
     outputs = {name: table.outputs for name, table in tables.items()}
-    return _first_broken(_compile(system, base_size, caps), outputs, outside)
+    return _first_broken(_compile(system, base_size, caps), outputs, (None,))[0]
 
 
 def _eval_pointwise(

@@ -282,7 +282,7 @@ def _check_satisfaction(
     clone: FiniteClone,
 ) -> None:
     tables = {sym: entry.table for sym, entry in assignment}
-    bad, _ = first_broken(system, tables, clone.base_size, clone.caps)
+    bad = first_broken(system, tables, clone.base_size, clone.caps)
     if bad is not None:
         eq = system.equations[bad]
         raise UnsatisfiableSystem(f"assignment breaks {eq} on the type tables")
@@ -539,8 +539,6 @@ def analyze_transfer(
             if len(witnesses) >= 2:
                 accumulation = approximate_accumulation(witnesses, depth)
         except EqualizerFailure as exc:
-            witnesses = None
-            accumulation = None
             failure = str(exc)
     else:
         failure = "witness system not satisfied in the explored catalogs"

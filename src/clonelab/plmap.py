@@ -157,14 +157,10 @@ class PLMap:
         for piece in inner.pieces:
             low, high = piece.limit_low(), piece.limit_high()
             for b in self.breakpoints():
+                # b inside the open image (low, high) of the strictly
+                # increasing piece has its one preimage inside the piece
                 if (low is None or low < b) and (high is None or b < high):
-                    x = piece.invert(b)
-                    if x is None:
-                        continue
-                    if (piece.lo is None or x >= piece.lo) and (
-                        piece.hi is None or x < piece.hi
-                    ):
-                        cuts.add(x)
+                    cuts.add(piece.invert(b))
         points = sorted(cuts)
         bounds: list[Fraction | None] = [None, *points, None]
         pieces = []

@@ -75,14 +75,6 @@ class DataHull:
 
 
 @dataclass(frozen=True)
-class CoordinateGraph:
-    """Below-threshold behavior that is one increasing map of the
-    eventual coordinate — the whole function is ``graph(u_i)``."""
-
-    graph: PLMap
-
-
-@dataclass(frozen=True)
 class Composition:
     """Provenance of a composed member; evaluation recurses through it."""
 
@@ -95,16 +87,22 @@ class QFunction:
     """A polymorphism of (Q,<) that is eventually a coordinate bijection.
 
     Whenever every argument exceeds ``threshold``, the value is
-    ``eventual(u[coordinate-1])`` with ``eventual`` an increasing
-    bijection of Q.  ``below`` fixes the rest of the function and
-    records where the member came from.
+    ``eventual(u[coordinate-1])``.  ``below`` fixes the rest of the
+    function and records where the member came from: a data hull, a
+    composition, or a ``PLMap`` of the eventual coordinate that is the
+    whole function (a graph member).
+
+    Construction, ``dataclasses.replace`` included, enforces that the
+    arity is at least 1, that the coordinate lies in 1..arity, that
+    ``eventual`` is an increasing bijection of Q, and that a graph
+    member's map agrees with ``eventual`` above the threshold.
     """
 
     arity: int
     coordinate: int
     threshold: Fraction
     eventual: PLMap
-    below: DataHull | CoordinateGraph | Composition
+    below: DataHull | PLMap | Composition
 
     def __post_init__(self):
         if self.arity < 1:
@@ -114,8 +112,10 @@ class QFunction:
                 f"coordinate {self.coordinate} outside 1..{self.arity}"
             )
         object.__setattr__(self, "threshold", Fraction(self.threshold))
-        if isinstance(self.below, CoordinateGraph) and not _agree_above(
-            self.below.graph, self.eventual, self.threshold
+        if not self.eventual.is_automorphism:
+            raise InconsistentData("the eventual map must be a bijection of Q")
+        if isinstance(self.below, PLMap) and not _agree_above(
+            self.below, self.eventual, self.threshold
         ):
             raise InconsistentData(
                 "graph disagrees with the eventual map above the threshold"
@@ -197,10 +197,9 @@ def make_member(
 
     The data must be monotone-consistent (weak pointwise domination
     between distinct points increases the value), sit below the
-    threshold in at least one coordinate, and stay under ``alpha(a)``.
+    threshold in at least one coordinate, and stay under ``alpha(a)``;
+    ``QFunction`` itself checks that ``alpha`` is a bijection of Q.
     """
-    if not alpha.is_automorphism:
-        raise InconsistentData("the eventual map must be a bijection of Q")
     a = Fraction(a)
     data = _normalize_data(base_data, n)
     for point in data:
@@ -214,7 +213,7 @@ def make_member(
 
 def selector_member(n: int, i: int) -> QFunction:
     """The i-th coordinate itself, as a member (eventual everywhere)."""
-    return QFunction(n, i, Fraction(0), identity(), CoordinateGraph(identity()))
+    return QFunction(n, i, Fraction(0), identity(), identity())
 
 
 # -- evaluation and the homomorphism --------------------------------------
@@ -228,8 +227,8 @@ def evaluate(f: QFunction, u: Sequence[Fraction]) -> Fraction:
     if isinstance(f.below, Composition):
         inner = [evaluate(g, point) for g in f.below.inners]
         return evaluate(f.below.outer, inner)
-    if isinstance(f.below, CoordinateGraph):
-        return f.below.graph.apply(point[f.coordinate - 1])
+    if isinstance(f.below, PLMap):
+        return f.below.apply(point[f.coordinate - 1])
     if min(point) > f.threshold:
         return f.eventual.apply(point[f.coordinate - 1])
     return f.below.apply(point)
@@ -263,10 +262,11 @@ def xi(f: QFunction) -> int:
 def compose_members(f: QFunction, gs: Sequence[QFunction]) -> QFunction:
     """Composition f(g_1, ..., g_k), with its eventual regime computed.
 
-    The new threshold is large enough that every inner member is in its
-    eventual regime and its output has cleared the outer threshold, so
-    above it the composite is the composed bijection of the collapsed
-    coordinate.
+    The new threshold is the largest inner threshold or point where an
+    inner eventual map reaches the outer threshold.  Past it every inner
+    member is in its eventual regime and its output has cleared the
+    outer threshold, so there the composite is the composed bijection of
+    the collapsed coordinate.
     """
     inners = tuple(gs)
     if len(inners) != f.arity:
@@ -276,20 +276,16 @@ def compose_members(f: QFunction, gs: Sequence[QFunction]) -> QFunction:
         raise InconsistentData("inner members must share one arity")
     n = arities.pop()
     star = inners[f.coordinate - 1]
-    candidates = [g.threshold for g in inners]
-    for g in inners:
-        pre = g.eventual.invert_value(f.threshold)
-        if pre is not None:
-            candidates.append(pre)
-            continue
-        sup = g.eventual.range_sup()
-        if sup is not None and sup <= f.threshold:
-            raise InconsistentData("inner eventual map never clears the outer threshold")
-        # the whole range already sits above the outer threshold
+    # each inner eventual map is a bijection of Q, so it reaches the
+    # outer threshold at exactly one point
+    threshold = max(
+        *(g.threshold for g in inners),
+        *(g.eventual.invert_value(f.threshold) for g in inners),
+    )
     return QFunction(
         arity=n,
         coordinate=star.coordinate,
-        threshold=max(candidates),
+        threshold=threshold,
         eventual=f.eventual.compose(star.eventual),
         below=Composition(f, inners),
     )
@@ -398,7 +394,7 @@ def uniqueness_witnesses(
     inf = graph.range_inf()
     if inf != a or graph.range_sup() is not None:
         raise InconsistentData("witness map range is not the interval above the threshold")
-    g = QFunction(1, 1, Fraction(0), translation(a + 1), CoordinateGraph(graph))
+    g = QFunction(1, 1, Fraction(0), translation(a + 1), graph)
     witnesses = tuple(g for _ in range(f.arity))
     guard(grid_side**f.arity, caps.tuple_cap, "verification grid size")
     half = grid_side // 2
@@ -582,8 +578,6 @@ def parse_member(text: str) -> QFunction:
         raise ParseError("no alpha map named")
     map_line, pieces = maps[alpha_name]
     alpha = assemble_plmap(pieces, map_line)
-    if not alpha.is_automorphism:
-        raise InconsistentData("the eventual map must be a bijection of Q")
     ceiling = alpha.apply(threshold)
     data: dict[tuple[Fraction, ...], Fraction] = {}
     for lineno, fields in rows:

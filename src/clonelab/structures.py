@@ -215,21 +215,11 @@ def pattern_of(structure: SymbolicStructure, values: Sequence[Fraction]) -> Patt
 
 
 def _weak_orders(k: int) -> Iterable[tuple[int, ...]]:
-    """All rank vectors of length k (weak orders on positions)."""
-    codes = [0] * k
-
-    def rec(remaining: tuple[int, ...], rank: int):
-        if not remaining:
-            yield tuple(codes)
-            return
-        for size in range(1, len(remaining) + 1):
-            for block in itertools.combinations(remaining, size):
-                for i in block:
-                    codes[i] = rank
-                rest = tuple(i for i in remaining if i not in block)
-                yield from rec(rest, rank + 1)
-
-    yield from rec(tuple(range(k)), 0)
+    """All rank vectors of length k (weak orders on positions): each set
+    partition with its blocks ranked in every order."""
+    for codes in _partitions(k):
+        for ranks in itertools.permutations(range(len(set(codes)))):
+            yield tuple(ranks[c] for c in codes)
 
 
 def _partitions(k: int) -> Iterable[tuple[int, ...]]:
@@ -244,9 +234,6 @@ def _partitions(k: int) -> Iterable[tuple[int, ...]]:
             codes[i] = c
             yield from rec(i + 1, blocks + (1 if c == blocks else 0))
 
-    if k == 0:
-        yield ()
-        return
     yield from rec(0, 0)
 
 

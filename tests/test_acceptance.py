@@ -425,7 +425,7 @@ def test_criterion_09_rational_order_model():
         assert report.unbounded_above
         assert report.checked == 100 and report.coordinate == 1
         g = witnesses[0]
-        graph = g.below.graph
+        graph = g.below
         assert graph.range_inf() == Fraction(3) and graph.range_sup() is None
         for x in (Fraction(-1000), Fraction(-1), Fraction(0), Fraction(17, 3)):
             assert evaluate(g, (x,)) > 3

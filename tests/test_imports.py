@@ -1,8 +1,9 @@
 """The package stays stdlib-only: every import in `clonelab` is relative
 or names a standard-library module.  And it holds no dead code: every
 top-level definition is reachable from the public API, the command line
-or the benchmark, and every top-level import is used.  The checks read
-the sources with `ast`."""
+or the benchmark, every top-level import is used, and every defaulted
+parameter is passed somewhere.  The checks read the sources with
+`ast`."""
 
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import clonelab
 
 PACKAGE = Path(clonelab.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
+TESTS = Path(__file__).resolve().parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -110,3 +112,62 @@ def test_every_top_level_import_is_used():
                 continue
             unused.extend(f"{path.stem}.{name}" for name in bound if name not in used)
     assert not unused, f"imported but never used: {unused}"
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, position) for every defaulted parameter of
+    every function and method.  A method's position does not count `self`
+    or `cls`, `__init__` is called by its class name, and a keyword-only
+    parameter has no position."""
+    methods = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    static = any(
+                        isinstance(d, ast.Name) and d.id == "staticmethod"
+                        for d in item.decorator_list
+                    )
+                    name = node.name if item.name == "__init__" else item.name
+                    methods[item] = (name, 0 if static else 1)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name, skip = methods.get(node, (node.name, 0))
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for index in range(first, len(positional)):
+                yield name, positional[index].arg, index - skip
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+
+
+def _passes(call, parameter, position):
+    if any(k.arg in (None, parameter) for k in call.keywords):
+        return True
+    return position is not None and any(
+        isinstance(arg, ast.Starred) or i == position
+        for i, arg in enumerate(call.args[: position + 1])
+    )
+
+
+def test_every_defaulted_parameter_is_passed():
+    # A default that no call in src/, bench/ or tests/ overrides is a
+    # constant in disguise.  Calls match by bare callee name, and `*` or
+    # `**` arguments count as passing whatever they could reach.
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py"), *TESTS.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if isinstance(func, ast.Name):
+                    calls.setdefault(func.id, []).append(node)
+                elif isinstance(func, ast.Attribute):
+                    calls.setdefault(func.attr, []).append(node)
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, parameter, position in _defaulted_parameters(tree):
+            if not any(_passes(c, parameter, position) for c in calls.get(name, ())):
+                unpassed.append(f"{path.stem}.{name}({parameter})")
+    assert not unpassed, f"defaulted parameters no call passes: {unpassed}"

@@ -9,6 +9,7 @@ of the first stages and are asserted as frozen values.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -351,6 +352,27 @@ def test_analyze_accepts_a_ternary_generator():
     assert report.homomorphism.status == "found"
     assert report.xi.space.size == 3
     assert dict(report.homomorphism.sigma)["f"] == 1
+
+
+def test_transfer_report_describes_stages_and_accumulation():
+    # over dlo the reading is always "found", so the lifted part of the
+    # report comes from an associativity lift of lex
+    instance = build_instance(
+        DLO, [lex_op()], associativity(), caps=SMALL, assign={"f": "lex"}
+    )
+    witnesses = lift(instance, 2, caps=SMALL)
+    report = dataclasses.replace(
+        analyze_transfer(DLO, [lex_op()], caps=SMALL),
+        witnesses=witnesses,
+        accumulation=approximate_accumulation(witnesses, 2),
+    )
+    assert report.describe().splitlines()[-5:] == [
+        "  assignment: lex->1",
+        "stage 0: 1 columns, 1 equalizer pairs",
+        "stage 1: 8 columns, 1 equalizer pairs",
+        "stage 2: 27 columns, 1 equalizer pairs",
+        "accumulation depth 2: pattern (0, 1, 2, 3) on tail [1,2] across 3 stages",
+    ]
 
 
 def test_analyze_without_generators_is_trivial():

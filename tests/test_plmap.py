@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from clonelab import plmap
 from clonelab.errors import InconsistentData, ParseError
 from clonelab.plmap import PLMap, Piece, from_point_pairs, identity, parse_plmap
+from clonelab.qclone import _embedding_above
 
 
 F = Fraction
@@ -113,6 +114,21 @@ def test_compose_with_mobius_pieces(x):
     assert h.apply(x) == g.apply(f.apply(x))
     hh = f.compose(g)
     assert hh.apply(x) == f.apply(g.apply(x))
+
+
+@st.composite
+def increasing_maps(draw):
+    # a Moebius embedding onto (a, oo), or an interpolation of random points
+    if draw(st.booleans()):
+        return _embedding_above(draw(rationals))
+    xs = sorted(draw(st.sets(rationals, max_size=5)))
+    ys = sorted(draw(st.sets(rationals, min_size=len(xs), max_size=len(xs))))
+    return from_point_pairs(zip(xs, ys))
+
+
+@given(increasing_maps(), increasing_maps(), rationals)
+def test_compose_agrees_pointwise_on_random_maps(g, f, x):
+    assert g.compose(f).apply(x) == g.apply(f.apply(x))
 
 
 @given(rationals)

@@ -8,6 +8,7 @@ dominated pairs; everything else is exact rational equality.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from clonelab.plmap import identity, translation
 from clonelab.qclone import (
     Composition,
     _build_hull,
+    _embedding_above,
     QFunction,
     compose_members,
     evaluate,
@@ -98,9 +100,25 @@ def test_member_data_validation(kwargs):
 def test_member_parameter_validation():
     with pytest.raises(InconsistentData):
         make_member(2, 3, F(0), identity(), {})
-    bounded = uniqueness_witnesses(plain_member())[0][0].below.graph
+    bounded = uniqueness_witnesses(plain_member())[0][0].below
     with pytest.raises(InconsistentData):
         make_member(2, 1, F(0), bounded, {})
+
+
+def test_every_construction_checks_the_eventual_bijection():
+    # a map onto (0, oo) is not a bijection of Q, however the member is built
+    bounded = _embedding_above(F(0))
+    hull = _build_hull({}, 2, F(1))
+    with pytest.raises(InconsistentData, match="bijection"):
+        QFunction(2, 1, F(0), bounded, hull)
+    with pytest.raises(InconsistentData, match="bijection"):
+        replace(incomparable_member(), eventual=bounded)
+    text = "arity 1\neventual 1 0\nalpha m\nmap m\n" + bounded.serialize()
+    with pytest.raises(InconsistentData, match="bijection"):
+        parse_member(text)
+    # a bad data row is reported at its line before the map is judged
+    with pytest.raises(ParseError, match="line 7:"):
+        parse_member(text + "data 1 -5\n")
 
 
 @given(
@@ -270,7 +288,7 @@ def test_uniqueness_witnesses_match_the_worked_example():
 def test_uniqueness_range_bound_is_symbolic():
     f = make_member(2, 2, F(3), translation(1), {})
     witnesses, report = uniqueness_witnesses(f)
-    graph = witnesses[0].below.graph
+    graph = witnesses[0].below
     assert graph.range_inf() == 3
     assert graph.range_sup() is None
     assert evaluate(witnesses[0], (F(-1),)) == F(7, 2)

@@ -432,7 +432,7 @@ def _cmd_analyze(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
 def _cmd_qdemo(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     n = ns.n if ns.n is not None else 2
     samples = ns.samples if ns.samples is not None else 5
-    report = noncontinuity_demo(n, samples, ns.seed)
+    report = noncontinuity_demo(n, samples, ns.seed, caps)
     return report.describe().splitlines(), 0
 
 

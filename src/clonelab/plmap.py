@@ -17,6 +17,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InconsistentData, ParseError
@@ -40,7 +41,11 @@ def _canonical(mat: Mat) -> Mat:
 
 @dataclass(frozen=True)
 class Piece:
-    """One interval [lo, hi) with its fractional-linear map; None is +-infinity."""
+    """One interval [lo, hi) with its fractional-linear map; None is +-infinity.
+
+    Construction also stores the matrix scaled to integers, which
+    ``value`` uses; it is not a field, so equality and repr see ``mat``.
+    """
 
     lo: Fraction | None
     hi: Fraction | None
@@ -63,14 +68,19 @@ class Piece:
                 self.hi is None or pole <= self.hi
             ):
                 raise InconsistentData("piece has a pole inside its closed interval")
+        scale = lcm(*(v.denominator for v in self.mat))
+        object.__setattr__(
+            self, "_ints", tuple(v.numerator * (scale // v.denominator) for v in self.mat)
+        )
 
     @property
     def is_affine(self) -> bool:
         return self.mat[2] == 0
 
     def value(self, x: Fraction) -> Fraction:
-        a, b, c, d = self.mat
-        return (a * x + b) / (c * x + d)
+        a, b, c, d = self._ints
+        xn, xd = x.numerator, x.denominator
+        return Fraction(a * xn + b * xd, c * xn + d * xd)
 
     def invert(self, y: Fraction) -> Fraction | None:
         """Solve value(x) == y; None when y is the piece's asymptote."""
@@ -96,6 +106,9 @@ class Piece:
 
 @dataclass(frozen=True)
 class PLMap:
+    """The map made of ``pieces``; construction stores their breakpoints
+    for ``piece_at``, outside the fields that equality compares."""
+
     pieces: tuple[Piece, ...]
 
     def __post_init__(self):
@@ -112,14 +125,15 @@ class PLMap:
                     f"pieces disagree at breakpoint {left.hi}: "
                     f"{left.value(left.hi)} vs {right.value(right.lo)}"
                 )
+        object.__setattr__(self, "_breaks", tuple(p.hi for p in ps[:-1]))
 
     # -- evaluation ----------------------------------------------------
 
-    def breakpoints(self) -> list[Fraction]:
-        return [p.hi for p in self.pieces[:-1]]  # type: ignore[misc]
+    def breakpoints(self) -> tuple[Fraction, ...]:
+        return self._breaks
 
     def piece_at(self, x: Fraction) -> Piece:
-        return self.pieces[bisect_right(self.breakpoints(), x)]
+        return self.pieces[bisect_right(self._breaks, x)]
 
     def apply(self, x: Fraction) -> Fraction:
         return self.piece_at(x).value(x)

@@ -42,11 +42,6 @@ from .plmap import (
 from .syntax import natural, records
 
 
-def _squash(x: Fraction) -> Fraction:
-    # bounded strictly increasing self-map of Q with values in (-1, 1)
-    return x / (1 + x) if x >= 0 else x / (1 - x)
-
-
 @dataclass(frozen=True)
 class DataHull:
     """Strictly monotone interpolation of finite data, range-bounded above.
@@ -56,27 +51,63 @@ class DataHull:
     strictly increasing tie-breaker small enough never to disturb a
     data gap.  Exact on the data, strictly increasing against it, and
     bounded above by the ceiling the builder was given.
+
+    Construction indexes the data: a dict of the exact hits, keyed by
+    the numerators and denominators of the point, and the entries above
+    the floor ranked by descending value with their points as integer
+    pairs, so the dominance scan stops at the first dominated entry.
     """
 
     data: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     floor: Fraction
     epsilon: Fraction
 
+    def __post_init__(self):
+        # derived lookups, not fields: equality and repr see only the data
+        exact = {_ratios(p): v for p, v in reversed(self.data)}  # first hit wins
+        ranked = sorted(
+            ((v, _ratios(p)) for p, v in self.data if v > self.floor),
+            key=lambda entry: entry[0],
+            reverse=True,
+        )
+        object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_ranked", tuple(ranked))
+
     def apply(self, point: tuple[Fraction, ...]) -> Fraction:
-        for p, v in self.data:
-            if p == point:
-                return v
+        ratios = _ratios(point)
+        hit = self._exact.get(ratios)
+        if hit is not None:
+            return hit
         best = self.floor
-        for p, v in self.data:
-            if v > best and all(pj <= xj for pj, xj in zip(p, point)):
+        for v, p in self._ranked:
+            # p <= point coordinatewise, compared as pn/pd <= xn/xd
+            if all(
+                p[j] * ratios[j + 1] <= ratios[j] * p[j + 1]
+                for j in range(0, len(p), 2)
+            ):
                 best = v
-        n = len(point)
-        return best + self.epsilon * (n + sum(_squash(x) for x in point))
+                break
+        # tie-breaker n + sum of squash(x), squash(p/q) = p/(q + |p|) in
+        # lowest terms, summed over the integers
+        num, den = len(point), 1
+        for j in range(0, len(ratios), 2):
+            xn = ratios[j]
+            d = ratios[j + 1] + abs(xn)
+            num, den = num * d + xn * den, den * d
+        bn, bd = best.numerator, best.denominator
+        en, ed = self.epsilon.numerator, self.epsilon.denominator
+        return Fraction(bn * ed * den + en * num * bd, bd * ed * den)
+
+
+def _ratios(point: Sequence[Fraction]) -> tuple[int, ...]:
+    # numerator and denominator of each coordinate, flattened
+    return tuple(k for x in point for k in (x.numerator, x.denominator))
 
 
 @dataclass(frozen=True)
 class Composition:
-    """Provenance of a composed member; evaluation recurses through it."""
+    """Provenance of a composed member; evaluation recurses through it,
+    evaluating each distinct sub-member once per point."""
 
     outer: "QFunction"
     inners: tuple["QFunction", ...]
@@ -220,18 +251,38 @@ def selector_member(n: int, i: int) -> QFunction:
 
 
 def evaluate(f: QFunction, u: Sequence[Fraction]) -> Fraction:
-    """Exact value at a rational point; compositions evaluate recursively."""
-    point = tuple(Fraction(x) for x in u)
+    """Exact value at a rational point.
+
+    The arguments are converted to ``Fraction`` once, here; a
+    composition then recurses through its provenance and evaluates each
+    distinct sub-member once per point.
+    """
+    point = tuple(x if type(x) is Fraction else Fraction(x) for x in u)
     if len(point) != f.arity:
         raise InconsistentData(f"expected {f.arity} arguments, got {len(point)}")
+    return _value(f, point, {})
+
+
+def _value(
+    f: QFunction, point: tuple[Fraction, ...], seen: dict[int, Fraction]
+) -> Fraction:
+    # `seen` holds the values at this point of the members already
+    # evaluated, by identity; the outer of a composition is evaluated at
+    # the inner values, a new point
+    value = seen.get(id(f))
+    if value is not None:
+        return value
     if isinstance(f.below, Composition):
-        inner = [evaluate(g, point) for g in f.below.inners]
-        return evaluate(f.below.outer, inner)
-    if isinstance(f.below, PLMap):
-        return f.below.apply(point[f.coordinate - 1])
-    if min(point) > f.threshold:
-        return f.eventual.apply(point[f.coordinate - 1])
-    return f.below.apply(point)
+        inner = tuple(_value(g, point, seen) for g in f.below.inners)
+        value = _value(f.below.outer, inner, {})
+    elif isinstance(f.below, PLMap):
+        value = f.below.apply(point[f.coordinate - 1])
+    elif min(point) > f.threshold:
+        value = f.eventual.apply(point[f.coordinate - 1])
+    else:
+        value = f.below.apply(point)
+    seen[id(f)] = value
+    return value
 
 
 def _collapse(f: QFunction) -> int:
@@ -363,8 +414,6 @@ class UniquenessReport:
 
     threshold: Fraction
     range_inf: Fraction
-    range_attained: bool
-    unbounded_above: bool
     grid_side: int
     checked: int
     coordinate: int
@@ -391,9 +440,6 @@ def uniqueness_witnesses(
         raise InconsistentData("uniqueness witnesses want a member with parameters")
     a = f.threshold
     graph = _embedding_above(a)
-    inf = graph.range_inf()
-    if inf != a or graph.range_sup() is not None:
-        raise InconsistentData("witness map range is not the interval above the threshold")
     g = QFunction(1, 1, Fraction(0), translation(a + 1), graph)
     witnesses = tuple(g for _ in range(f.arity))
     guard(grid_side**f.arity, caps.tuple_cap, "verification grid size")
@@ -409,9 +455,7 @@ def uniqueness_witnesses(
         checked += 1
     report = UniquenessReport(
         threshold=a,
-        range_inf=inf,
-        range_attained=False,
-        unbounded_above=True,
+        range_inf=graph.range_inf(),
         grid_side=grid_side,
         checked=checked,
         coordinate=f.coordinate,
@@ -461,7 +505,9 @@ _NUMERATORS = range(-24, 25)
 _DENOMINATORS = range(1, 5)
 
 
-def noncontinuity_demo(n: int, sample_count: int, seed: int = 0) -> NoncontinuityReport:
+def noncontinuity_demo(
+    n: int, sample_count: int, seed: int = 0, caps: Caps = DEFAULT_CAPS
+) -> NoncontinuityReport:
     """Restrict a member to finitely many points, then rebuild it with
     every possible eventual coordinate.
 
@@ -469,7 +515,9 @@ def noncontinuity_demo(n: int, sample_count: int, seed: int = 0) -> Noncontinuit
     exactly, yet their eventual coordinates exhaust 1..n — knowing a
     member on finitely many points says nothing about where it goes.
     Asking for more samples than there are distinct sample points raises
-    InconsistentData.
+    InconsistentData; the consistency check compares every pair of
+    samples, so a count whose square exceeds ``caps.tuple_cap`` raises
+    CapExceeded before any sampling.
     """
     if n < 2:
         raise InconsistentData("the demonstration needs arity at least 2")
@@ -481,6 +529,7 @@ def noncontinuity_demo(n: int, sample_count: int, seed: int = 0) -> Noncontinuit
         raise InconsistentData(
             f"{sample_count} samples asked for, only {values}**{n} distinct points exist"
         )
+    guard(sample_count**2, caps.tuple_cap, "consistency pairs")
     rng = random.Random(seed)
     base = make_member(n, 1, Fraction(0), identity(), {})
     points: set[tuple[Fraction, ...]] = set()

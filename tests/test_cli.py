@@ -397,6 +397,17 @@ def test_qdemo_accepts_an_empty_restriction(capsys):
     assert "restriction of 0 points" in out
 
 
+def test_qdemo_refuses_an_oversized_consistency_check_up_front(capsys):
+    # 16641 samples is the most the sampler can draw at n = 2, but
+    # checking all their pairs would take minutes
+    start = time.perf_counter()
+    code, out, err = run(capsys, "qdemo", "--n", "2", "--samples", "16641")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "consistency pairs needs 276922881" in err
+
+
 # -- plumbing --------------------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ from clonelab import plmap
 from clonelab.errors import InconsistentData, ParseError
 from clonelab.plmap import PLMap, Piece, from_point_pairs, identity, parse_plmap
 from clonelab.qclone import _embedding_above
+from hull_oracle import map_value
 
 
 F = Fraction
@@ -129,6 +130,14 @@ def increasing_maps(draw):
 @given(increasing_maps(), increasing_maps(), rationals)
 def test_compose_agrees_pointwise_on_random_maps(g, f, x):
     assert g.compose(f).apply(x) == g.apply(f.apply(x))
+
+
+@given(increasing_maps(), rationals)
+def test_apply_matches_a_scan_of_the_fraction_pieces(m, x):
+    # integer matrices and stored breakpoints against the slow form,
+    # at x and at every breakpoint
+    for y in (x, *m.breakpoints()):
+        assert m.apply(y) == map_value(m, y)
 
 
 @given(rationals)

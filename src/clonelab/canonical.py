@@ -9,18 +9,30 @@ critical level m (2 for the dense order, 1 for the pure set, the largest
 relation arity for finite structures) the action determines the whole
 family.
 
-Deciding canonicity is exhaustive, never sampled, and one loop decides
-it for both kinds of structure: it runs through argument lists (one
-k-tuple per argument), groups them by their per-argument types, and
-reports the first two lists of one group whose column images differ in
-type.  The kinds differ in what is enumerated and at which k.  Over a
-finite structure it is every argument list over the domain, typed by
-orbits, for each k up to `k_max`: finite structures are not homogeneous
-in general.  Over a symbolic structure it is every joint order pattern
-of the n*k argument entries, realized by its integer ranks and typed by
-patterns; this is exact precisely because the order-term basis is
-pattern-determined, so inner applications of named maps are rejected
-(see `orderterms.require_pattern_determined`).
+Deciding canonicity is exact, never sampled.  Over a finite structure
+the automorphism group decides a canonical table outright.  The table f
+is canonical at every level iff each (α_1, …, α_n) in Aut^n is undone
+by one β in Aut, f(α_1x_1, …, α_nx_n) = βf(x) pointwise: such a β moves
+the column images of any argument list onto those of the moved list,
+and conversely the argument list whose k = |D|^n columns enumerate D^n
+forces one β for every point.  The tuples that are undone form a
+subgroup of Aut^n, since they are closed under composition, so it is
+enough to check that moving one coordinate by a generator of Aut is
+undone; a greedy generating set keeps this to n·|gens| gathers of the
+table.
+
+When that test fails, and over a symbolic structure always, one loop
+decides: it runs through argument lists (one k-tuple per argument),
+groups them by their per-argument types, and reports the first two
+lists of one group whose column images differ in type.  The kinds differ
+in what is enumerated and at which k.  Over a finite structure it is
+every argument list over the domain, typed by orbits, for each k up to
+`k_max`, which finds the least level that splits: finite structures are
+not homogeneous in general.  Over a symbolic structure it is every joint
+order pattern of the n*k argument entries, realized by its integer ranks
+and typed by patterns; this is exact precisely because the order-term
+basis is pattern-determined, so inner applications of named maps are
+rejected (see `orderterms.require_pattern_determined`).
 
 Over the symbolic structures one level decides every k: the pair level
 `PAIR_LEVEL` = 2.  `dlo` and `pureset` are homogeneous in a binary
@@ -117,8 +129,11 @@ PAIR_LEVEL = 2
 
 def default_k_max(structure: Structure) -> int:
     """The default bound of `is_canonical`: max(m, 3), with m the
-    structure's largest relation arity.  A finite structure is checked
-    at every k up to it; over a symbolic one the verdict is decided on
+    structure's largest relation arity.  It bounds only the search for a
+    split.  Over a finite structure a table whose single-coordinate moves
+    by generators of Aut are undone is canonical at every k, whatever the
+    bound, and any other table is searched for its least splitting k up
+    to the bound; over a symbolic structure the verdict is decided on
     pairs and covers every k."""
     return max(structure.max_relation_arity, 3)
 
@@ -161,18 +176,65 @@ def _first_split(
     return None
 
 
-def is_canonical_finite(
+def _generating_set(auts: Sequence[Permutation]) -> list[tuple[int, ...]]:
+    """Image tuples of automorphisms that generate the group, chosen
+    greedily in the order of `auts`: one is kept when those kept before
+    it do not generate it.  The first automorphism is the identity."""
+    gens: list[tuple[int, ...]] = []
+    group = {auts[0].images}
+    for aut in auts:
+        if len(group) == len(auts):
+            break
+        if aut.images in group:
+            continue
+        gens.append(aut.images)
+        # the old group is closed under the old generators, so only its
+        # products with the new one, and new elements, need expanding
+        pending = [tuple(map(e.__getitem__, aut.images)) for e in group]
+        while pending:
+            e = pending.pop()
+            if e not in group:
+                group.add(e)
+                pending.extend(tuple(map(e.__getitem__, g)) for g in gens)
+    return gens
+
+
+def _moves_are_undone(table: Table, auts: Sequence[Permutation]) -> bool:
+    """Whether every move of one argument by a generator of Aut can be
+    undone by one automorphism on the output: f with the generator
+    applied at coordinate i must factor through f as a well-defined map
+    on the image of f, and that map must be the restriction of an
+    automorphism."""
+    size, n, outputs = table.size, table.arity, table.outputs
+    image = sorted(set(outputs))
+    restrictions = {tuple(map(aut.images.__getitem__, image)) for aut in auts}
+    gens = _generating_set(auts)
+    for i in range(n):
+        weight = size ** (n - 1 - i)
+        digits = [(row // weight) % size for row in range(len(outputs))]
+        for g in gens:
+            moved: dict[int, int] = {}
+            for row, (out, d) in enumerate(zip(outputs, digits)):
+                new = outputs[row + (g[d] - d) * weight]
+                if moved.setdefault(out, new) != new:
+                    return False
+            if tuple(map(moved.__getitem__, image)) not in restrictions:
+                return False
+    return True
+
+
+def _enumerated_verdict(
     table: Table,
     structure: FiniteStructure,
-    k_max: int | None = None,
-    caps: Caps = DEFAULT_CAPS,
+    k_max: int,
+    caps: Caps,
+    auts: Sequence[Permutation],
 ) -> CanonicalVerdict:
-    """Exhaustive canonicity check over a finite structure: every list of
-    argument tuples over the domain, typed by orbits."""
-    _require_matching(table, structure)
-    k_max = default_k_max(structure) if k_max is None else k_max
+    """The exhaustive check: for k = 1, 2, … up to `k_max`, every list of
+    argument tuples over the domain, typed by orbits.  It reports the
+    least k with a split, its first counterexample and automorphisms that
+    witness the equal argument types, or canonical when no k splits."""
     n = table.arity
-    auts = automorphisms(structure)
     for k in range(1, k_max + 1):
         guard(structure.domain_size ** (k * n), caps.tuple_cap, "argument space size")
         space = orbits(structure, k, caps)
@@ -189,6 +251,33 @@ def is_canonical_finite(
                 False, k, CanonicalCounterexample(k, first_args, args, witnesses)
             )
     return CanonicalVerdict(True, k_max)
+
+
+def is_canonical_finite(
+    table: Table,
+    structure: FiniteStructure,
+    k_max: int | None = None,
+    caps: Caps = DEFAULT_CAPS,
+) -> CanonicalVerdict:
+    """Canonicity over a finite structure, at every k up to `k_max`.
+
+    A table f is canonical at every level iff every (α_1, …, α_n) in
+    Aut^n is undone by some β in Aut: f(α_1x_1, …, α_nx_n) = βf(x)
+    pointwise.  If b_i = α_i a_i, the images of the columns of b are β of
+    those of a; conversely, at k = |D|^n with columns that enumerate D^n,
+    one β must undo the move on every point.  The tuples that are undone
+    are closed under composition, so they form a subgroup of Aut^n, and
+    it is enough that the moves of one coordinate by a generator of Aut
+    are undone.  When they are, the verdict is canonical with no
+    enumeration and no cap.  When one is not, f is not canonical at some
+    level, and the exhaustive check decides whether that level is at most
+    `k_max`, with the least splitting k and its first counterexample."""
+    _require_matching(table, structure)
+    k_max = default_k_max(structure) if k_max is None else k_max
+    auts = automorphisms(structure)
+    if _moves_are_undone(table, auts):
+        return CanonicalVerdict(True, k_max)
+    return _enumerated_verdict(table, structure, k_max, caps, auts)
 
 
 def is_canonical_symbolic(

@@ -41,7 +41,7 @@ class Table:
             raise InconsistentData(
                 f"table needs {self.size ** self.arity} outputs, got {len(self.outputs)}"
             )
-        if any(not 0 <= v < self.size for v in self.outputs):
+        if min(self.outputs) < 0 or max(self.outputs) >= self.size:
             raise InconsistentData("table output out of range")
 
     def apply(self, args: Sequence[int]) -> int:
@@ -61,13 +61,19 @@ class Table:
         l = inner[0].arity
         if any(g.arity != l or g.size != self.size for g in inner):
             raise InconsistentData("inner tables must share arity and base size")
-        outputs = []
-        for row in range(self.size**l):
-            idx = 0
-            for g in inner:
-                idx = idx * self.size + g.outputs[row]
-            outputs.append(self.outputs[idx])
-        return Table(self.size, l, tuple(outputs))
+        outputs = _gather(self.outputs, self.size, [g.outputs for g in inner])
+        return Table(self.size, l, outputs)
+
+
+def _gather(
+    outer: tuple[int, ...], size: int, inner: Sequence[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """Outputs of outer after inner, row by row: outer read at the index
+    sum of size^(n-1-j) * inner[j][row]."""
+    index = inner[0]
+    for column in inner[1:]:
+        index = [i * size + v for i, v in zip(index, column)]
+    return tuple(map(outer.__getitem__, index))
 
 
 def selector(size: int, arity: int, index: int) -> Table:
@@ -178,15 +184,18 @@ def _generate_arity(generators, base_size, arity, caps):
                     continue  # tried in an earlier round
                 args = [entries[i] for i in arg_ids]
                 term = App(name, tuple(e.term for e in args))
-                table = gtable.compose([e.table for e in args])
-                pos = index.get(table.outputs)
+                outputs = _gather(
+                    gtable.outputs, base_size, [e.table.outputs for e in args]
+                )
+                pos = index.get(outputs)
                 if pos is not None:
                     pairs.append((entries[pos].term, term))
                     continue
                 if len(entries) >= caps.catalog_cap:
                     capped = True
                     break
-                index[table.outputs] = len(entries)
+                index[outputs] = len(entries)
+                table = Table(base_size, arity, outputs)  # validated once, when new
                 entries.append(CatalogEntry(table, term, depth))
             if capped:
                 break

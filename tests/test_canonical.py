@@ -21,12 +21,16 @@ from canonical_oracle import is_canonical_every_k
 from factor_oracle import check_factor_isomorphism, check_table_correspondence
 from clonelab.canonical import (
     Operation,
+    _enumerated_verdict,
+    _moves_are_undone,
+    default_k_max,
     is_canonical_finite,
     is_canonical_symbolic,
     type_image,
     xi_infty,
 )
-from clonelab.clones import Table
+from clonelab.clones import Table, selector
+from clonelab.config import DEFAULT_CAPS
 from clonelab.errors import (
     CapExceeded,
     InconsistentData,
@@ -42,7 +46,14 @@ from clonelab.orderterms import (
     eval_rational,
 )
 from clonelab.plmap import translation
-from clonelab.structures import DLO, PURE_SET, pattern_of
+from clonelab.structures import (
+    DLO,
+    PURE_SET,
+    FiniteStructure,
+    Relation,
+    automorphisms,
+    pattern_of,
+)
 
 F = Fraction
 
@@ -145,6 +156,109 @@ def test_finite_check_matches_definition(outputs):
     table = Table(3, 2, tuple(outputs))
     expected = definition_says_canonical(table, cycle, 2)
     assert is_canonical_finite(table, cycle, k_max=2).canonical == expected
+
+
+def undone_by_brute_force(table, structure):
+    """Every (α_1, …, α_n) in Aut^n is undone by some β in Aut:
+    f(α_1x_1, …, α_nx_n) = β f(x) at every point x."""
+    auts = brute_automorphisms(structure)
+    points = list(itertools.product(range(table.size), repeat=table.arity))
+    images = [table.apply(x) for x in points]
+    for choice in itertools.product(auts, repeat=table.arity):
+        moved = [table.apply(tuple(p[v] for p, v in zip(choice, x))) for x in points]
+        if not any(
+            all(beta[out] == new for out, new in zip(images, moved)) for beta in auts
+        ):
+            return False
+    return True
+
+
+REDUCTION_CASES = [
+    (structure, Table(size, arity, outputs))
+    for size, arity in ((2, 2), (3, 1))
+    for structure in (
+        corpus.directed_cycle(size),
+        corpus.empty_structure(size),
+        corpus.marked_point(size),
+    )
+    for outputs in itertools.product(range(size), repeat=size**arity)
+]
+
+
+def test_generator_moves_decide_what_all_of_aut_n_decides():
+    # every binary table on two elements and every unary one on three,
+    # over a directed cycle, a relation-free set and a marked point
+    canonical = 0
+    for structure, table in REDUCTION_CASES:
+        undone = undone_by_brute_force(table, structure)
+        assert _moves_are_undone(table, automorphisms(structure)) == undone
+        # the reduction: all of Aut^n undone iff canonical at k = |D|^n
+        level = table.size**table.arity
+        assert definition_says_canonical(table, structure, level) == undone
+        canonical += undone
+    assert 0 < canonical < len(REDUCTION_CASES)
+
+
+def _relation(name, arity, size):
+    cube = list(itertools.product(range(size), repeat=arity))
+    return st.sets(st.sampled_from(cube)).map(
+        lambda tuples: Relation(name, arity, frozenset(tuples))
+    )
+
+
+def _random_structure(size):
+    shapes = [
+        corpus.directed_cycle(size),
+        corpus.linear_order(size),
+        corpus.path(size),
+        corpus.complete(size),
+        corpus.complete_bipartite(1, size - 1),
+        corpus.empty_structure(size),
+        corpus.marked_point(size),
+    ]
+    if size == 2:
+        shapes.append(corpus.disjoint_edges(1))
+    relations = st.lists(
+        st.one_of(
+            _relation("P", 1, size), _relation("E", 2, size), _relation("R", 3, size)
+        ),
+        max_size=2,
+        unique_by=lambda rel: rel.name,
+    )
+    return st.sampled_from(shapes) | relations.map(
+        lambda rels: FiniteStructure(size, tuple(rels))
+    )
+
+
+@st.composite
+def _table_over_structure(draw):
+    size = draw(st.integers(2, 3))
+    arity = draw(st.integers(1, 2))
+    cells = size**arity
+    outputs = draw(st.lists(st.integers(0, size - 1), min_size=cells, max_size=cells))
+    return Table(size, arity, tuple(outputs)), draw(_random_structure(size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_over_structure(), st.sampled_from([None, 1, 2]))
+def test_finite_verdict_equals_the_enumeration_alone(case, k_max):
+    table, structure = case
+    verdict = is_canonical_finite(table, structure, k_max)
+    k = default_k_max(structure) if k_max is None else k_max
+    enumerated = _enumerated_verdict(
+        table, structure, k, DEFAULT_CAPS, automorphisms(structure)
+    )
+    assert verdict == enumerated
+
+
+def test_large_relation_free_set_is_decided_by_generators():
+    # Aut has 40,320 elements and seven greedy generators; the enumeration
+    # at k <= 3 would run through 8^6 argument lists per level
+    start = time.monotonic()
+    verdict = is_canonical_finite(selector(8, 2, 1), corpus.empty_structure(8))
+    assert time.monotonic() - start < 2
+    assert verdict.canonical
+    assert verdict.checked_up_to == 3
 
 
 # -- order terms --------------------------------------------------------------

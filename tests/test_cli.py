@@ -141,6 +141,20 @@ def test_canonical_kmax_four_is_decided_on_pairs(files, capsys):
     )
 
 
+@pytest.mark.parametrize("kmax", ["6", "7"])
+def test_canonical_table_needs_no_enumeration(files, capsys, kmax):
+    # sum mod 3 over the directed triangle: every move of one argument by
+    # an automorphism is undone on the output, so no level is enumerated;
+    # k = 7 would need 3^14 argument lists, over tuple_cap
+    ops = files("add.ops", "op add 2\ntable 0 1 2 1 2 0 2 0 1\n")
+    cycle = files("cycle3.struct", CYCLE3)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "canonical", ops, cycle, "--kmax", kmax)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert f"add: canonical at every level up to k={kmax}" in out
+
+
 def test_type_image_rows(files, capsys):
     path = files("lex.ops", LEX_OPS)
     code, out, _ = run(capsys, "type-image", path, "dlo", "--k", "2")

@@ -17,9 +17,10 @@ the column images of any argument list onto those of the moved list,
 and conversely the argument list whose k = |D|^n columns enumerate D^n
 forces one β for every point.  The tuples that are undone form a
 subgroup of Aut^n, since they are closed under composition, so it is
-enough to check that moving one coordinate by a generator of Aut is
-undone; a greedy generating set keeps this to n·|gens| gathers of the
-table.
+enough that moving one coordinate by a generator of Aut is undone: per
+generator of `structures.generators` and coordinate, one gather of the
+table and one search for an automorphism extending the induced map on
+im(f).  The group is never listed.
 
 When that test fails, and over a symbolic structure always, one loop
 decides: it runs through argument lists (one k-tuple per argument),
@@ -57,7 +58,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .clones import Table
+from .clones import Table, gather, selector
 from .config import Caps, DEFAULT_CAPS, guard
 from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
@@ -73,7 +74,8 @@ from .structures import (
     Permutation,
     Structure,
     SymbolicStructure,
-    automorphisms,
+    extensions,
+    generators,
     joint_order_patterns,
     orbits,
     pattern_of,
@@ -130,11 +132,8 @@ PAIR_LEVEL = 2
 def default_k_max(structure: Structure) -> int:
     """The default bound of `is_canonical`: max(m, 3), with m the
     structure's largest relation arity.  It bounds only the search for a
-    split.  Over a finite structure a table whose single-coordinate moves
-    by generators of Aut are undone is canonical at every k, whatever the
-    bound, and any other table is searched for its least splitting k up
-    to the bound; over a symbolic structure the verdict is decided on
-    pairs and covers every k."""
+    split: a canonical verdict covers every k, by the finite generator
+    test or the symbolic pair lemma of the module docstring."""
     return max(structure.max_relation_arity, 3)
 
 
@@ -148,14 +147,14 @@ def _require_matching(body: Table | OrderTerm, structure: Structure) -> None:
         raise InconsistentData("order terms need a symbolic structure")
 
 
-def _column_images(
-    body: Table | OrderTerm, k: int
-) -> Callable[[Sequence[tuple]], tuple]:
+def _column_images(body: Table | OrderTerm) -> Callable[[Sequence[tuple]], tuple]:
     """The map from an argument list (one k-tuple per argument) to the
-    k-tuple of images of its columns."""
-    apply = body.apply if isinstance(body, Table) else partial(eval_term, body)
-    columns = range(k)
-    return lambda args: tuple(apply(tuple(a[j] for a in args)) for j in columns)
+    k-tuple of images of its columns.  A table gathers its outputs at the
+    columns, exactly as in composition."""
+    if isinstance(body, Table):
+        return partial(gather, body.outputs, body.size)
+    apply = partial(eval_term, body)
+    return lambda args: tuple(map(apply, zip(*args)))
 
 
 def _first_split(
@@ -176,75 +175,39 @@ def _first_split(
     return None
 
 
-def _generating_set(auts: Sequence[Permutation]) -> list[tuple[int, ...]]:
-    """Image tuples of automorphisms that generate the group, chosen
-    greedily in the order of `auts`: one is kept when those kept before
-    it do not generate it.  The first automorphism is the identity."""
-    gens: list[tuple[int, ...]] = []
-    group = {auts[0].images}
-    for aut in auts:
-        if len(group) == len(auts):
-            break
-        if aut.images in group:
-            continue
-        gens.append(aut.images)
-        # the old group is closed under the old generators, so only its
-        # products with the new one, and new elements, need expanding
-        pending = [tuple(map(e.__getitem__, aut.images)) for e in group]
-        while pending:
-            e = pending.pop()
-            if e not in group:
-                group.add(e)
-                pending.extend(tuple(map(e.__getitem__, g)) for g in gens)
-    return gens
-
-
-def _moves_are_undone(table: Table, auts: Sequence[Permutation]) -> bool:
-    """Whether every move of one argument by a generator of Aut can be
-    undone by one automorphism on the output: f with the generator
-    applied at coordinate i must factor through f as a well-defined map
-    on the image of f, and that map must be the restriction of an
-    automorphism."""
+def _moves_are_undone(table: Table, structure: FiniteStructure) -> bool:
+    """Whether every move of one argument by a generator of Aut is undone
+    on the output: paired row by row with f, f after the move must be an
+    injective map on im(f) that some automorphism extends."""
     size, n, outputs = table.size, table.arity, table.outputs
-    image = sorted(set(outputs))
-    restrictions = {tuple(map(aut.images.__getitem__, image)) for aut in auts}
-    gens = _generating_set(auts)
-    for i in range(n):
-        weight = size ** (n - 1 - i)
-        digits = [(row // weight) % size for row in range(len(outputs))]
-        for g in gens:
-            moved: dict[int, int] = {}
-            for row, (out, d) in enumerate(zip(outputs, digits)):
-                new = outputs[row + (g[d] - d) * weight]
-                if moved.setdefault(out, new) != new:
-                    return False
-            if tuple(map(moved.__getitem__, image)) not in restrictions:
+    columns = [selector(size, n, i).outputs for i in range(1, n + 1)]
+    for g in generators(structure):
+        for i, column in enumerate(columns):
+            inner = [*columns[:i], tuple(map(g.__getitem__, column)), *columns[i + 1 :]]
+            moved = gather(outputs, size, inner)
+            if next(extensions(structure, zip(outputs, moved)), None) is None:
                 return False
     return True
 
 
 def _enumerated_verdict(
-    table: Table,
-    structure: FiniteStructure,
-    k_max: int,
-    caps: Caps,
-    auts: Sequence[Permutation],
+    table: Table, structure: FiniteStructure, k_max: int, caps: Caps
 ) -> CanonicalVerdict:
     """The exhaustive check: for k = 1, 2, … up to `k_max`, every list of
-    argument tuples over the domain, typed by orbits.  It reports the
-    least k with a split, its first counterexample and automorphisms that
-    witness the equal argument types, or canonical when no k splits."""
+    argument tuples over the domain, typed by orbits.  It reports the least
+    k with a split, its first counterexample and the least automorphisms
+    that witness the equal argument types, or canonical when no k splits."""
     n = table.arity
     for k in range(1, k_max + 1):
         guard(structure.domain_size ** (k * n), caps.tuple_cap, "argument space size")
         space = orbits(structure, k, caps)
         tuples = itertools.product(range(structure.domain_size), repeat=k)
         arg_lists = itertools.product(tuples, repeat=n)
-        split = _first_split(arg_lists, space.classify, _column_images(table, k))
+        split = _first_split(arg_lists, space.classify, _column_images(table))
         if split is not None:
             first_args, args = split
             witnesses = tuple(
-                next(p for p in auts if p.apply(a) == b)
+                Permutation(next(extensions(structure, zip(a, b))))
                 for a, b in zip(first_args, args)
             )
             return CanonicalVerdict(
@@ -261,23 +224,15 @@ def is_canonical_finite(
 ) -> CanonicalVerdict:
     """Canonicity over a finite structure, at every k up to `k_max`.
 
-    A table f is canonical at every level iff every (α_1, …, α_n) in
-    Aut^n is undone by some β in Aut: f(α_1x_1, …, α_nx_n) = βf(x)
-    pointwise.  If b_i = α_i a_i, the images of the columns of b are β of
-    those of a; conversely, at k = |D|^n with columns that enumerate D^n,
-    one β must undo the move on every point.  The tuples that are undone
-    are closed under composition, so they form a subgroup of Aut^n, and
-    it is enough that the moves of one coordinate by a generator of Aut
-    are undone.  When they are, the verdict is canonical with no
-    enumeration and no cap.  When one is not, f is not canonical at some
-    level, and the exhaustive check decides whether that level is at most
-    `k_max`, with the least splitting k and its first counterexample."""
+    Canonical with no enumeration and no cap when every move of one
+    coordinate by a generator of Aut is undone (module docstring).
+    Otherwise the exhaustive check finds the least splitting k up to
+    `k_max` and its first counterexample, or answers canonical."""
     _require_matching(table, structure)
     k_max = default_k_max(structure) if k_max is None else k_max
-    auts = automorphisms(structure)
-    if _moves_are_undone(table, auts):
+    if _moves_are_undone(table, structure):
         return CanonicalVerdict(True, k_max)
-    return _enumerated_verdict(table, structure, k_max, caps, auts)
+    return _enumerated_verdict(table, structure, k_max, caps)
 
 
 def is_canonical_symbolic(
@@ -306,7 +261,7 @@ def is_canonical_symbolic(
         for codes in joint_order_patterns(n * k, caps)
     )
     classify = partial(pattern_of, structure)
-    split = _first_split(arg_lists, classify, _column_images(core, k))
+    split = _first_split(arg_lists, classify, _column_images(core))
     if split is not None:
         return CanonicalVerdict(False, k, CanonicalCounterexample(k, *split))
     return CanonicalVerdict(True, k_max)
@@ -368,7 +323,7 @@ def type_image(
     n = operation.arity
     space = type_space(structure, k, caps)
     guard(space.size**n, caps.tuple_cap, "type table size")
-    image = _column_images(operation.body, k)
+    image = _column_images(operation.body)
     outputs = tuple(
         space.classify(image([space.representative(t) for t in type_args]))
         for type_args in itertools.product(range(space.size), repeat=n)

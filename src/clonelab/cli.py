@@ -578,7 +578,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RecursionError:
-        print("error: term nested too deeply", file=sys.stderr)
+        causes = "a deeply nested term, or a structure with too many elements"
+        print(f"error: input too deep: {causes}", file=sys.stderr)
         return 2
     report = "\n".join(_header(ns, caps) + [""] + body) + "\n"
     sys.stdout.write(report)

@@ -61,11 +61,11 @@ class Table:
         l = inner[0].arity
         if any(g.arity != l or g.size != self.size for g in inner):
             raise InconsistentData("inner tables must share arity and base size")
-        outputs = _gather(self.outputs, self.size, [g.outputs for g in inner])
+        outputs = gather(self.outputs, self.size, [g.outputs for g in inner])
         return Table(self.size, l, outputs)
 
 
-def _gather(
+def gather(
     outer: tuple[int, ...], size: int, inner: Sequence[tuple[int, ...]]
 ) -> tuple[int, ...]:
     """Outputs of outer after inner, row by row: outer read at the index
@@ -184,7 +184,7 @@ def _generate_arity(generators, base_size, arity, caps):
                     continue  # tried in an earlier round
                 args = [entries[i] for i in arg_ids]
                 term = App(name, tuple(e.term for e in args))
-                outputs = _gather(
+                outputs = gather(
                     gtable.outputs, base_size, [e.table.outputs for e in args]
                 )
                 pos = index.get(outputs)

@@ -51,7 +51,6 @@ from clonelab.structures import (
     PURE_SET,
     FiniteStructure,
     Relation,
-    automorphisms,
     pattern_of,
 )
 
@@ -191,7 +190,7 @@ def test_generator_moves_decide_what_all_of_aut_n_decides():
     canonical = 0
     for structure, table in REDUCTION_CASES:
         undone = undone_by_brute_force(table, structure)
-        assert _moves_are_undone(table, automorphisms(structure)) == undone
+        assert _moves_are_undone(table, structure) == undone
         # the reduction: all of Aut^n undone iff canonical at k = |D|^n
         level = table.size**table.arity
         assert definition_says_canonical(table, structure, level) == undone
@@ -245,20 +244,37 @@ def test_finite_verdict_equals_the_enumeration_alone(case, k_max):
     table, structure = case
     verdict = is_canonical_finite(table, structure, k_max)
     k = default_k_max(structure) if k_max is None else k_max
-    enumerated = _enumerated_verdict(
-        table, structure, k, DEFAULT_CAPS, automorphisms(structure)
-    )
+    enumerated = _enumerated_verdict(table, structure, k, DEFAULT_CAPS)
     assert verdict == enumerated
 
 
 def test_large_relation_free_set_is_decided_by_generators():
-    # Aut has 40,320 elements and seven greedy generators; the enumeration
-    # at k <= 3 would run through 8^6 argument lists per level
+    # Aut has n! elements and n - 1 generators, the transpositions of
+    # neighbours; the enumeration at k <= 3 would run through n^6 argument
+    # lists per level
+    for n in (8, 10):
+        start = time.monotonic()
+        verdict = is_canonical_finite(selector(n, 2, 1), corpus.empty_structure(n))
+        assert time.monotonic() - start < 2
+        assert verdict.canonical
+        assert verdict.checked_up_to == 3
+
+
+def test_non_canonical_table_on_a_large_set_carries_witnesses():
+    # sum mod 10 on the relation-free 10-element set: the witnesses are the
+    # lexicographically least automorphisms, found without listing 10! of them
+    table = Table(10, 2, tuple((a + b) % 10 for a in range(10) for b in range(10)))
     start = time.monotonic()
-    verdict = is_canonical_finite(selector(8, 2, 1), corpus.empty_structure(8))
+    verdict = is_canonical_finite(table, corpus.empty_structure(10))
     assert time.monotonic() - start < 2
-    assert verdict.canonical
-    assert verdict.checked_up_to == 3
+    ce = verdict.counterexample
+    assert (ce.k, ce.args_a, ce.args_b) == (2, ((0, 1), (0, 1)), ((0, 1), (0, 9)))
+    assert [p.images for p in ce.automorphisms] == [
+        tuple(range(10)),
+        (0, 9, 1, 2, 3, 4, 5, 6, 7, 8),
+    ]
+    for p, a, b in zip(ce.automorphisms, ce.args_a, ce.args_b):
+        assert p.apply(a) == b
 
 
 # -- order terms --------------------------------------------------------------

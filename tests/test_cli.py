@@ -155,6 +155,19 @@ def test_canonical_table_needs_no_enumeration(files, capsys, kmax):
     assert f"add: canonical at every level up to k={kmax}" in out
 
 
+def test_non_canonical_table_on_a_nine_element_set(files, capsys):
+    # Aut has 9! elements; generators and the lexicographically least
+    # witnesses are found without listing them
+    table = " ".join(str((a + b) % 9) for a in range(9) for b in range(9))
+    ops = files("sum9.ops", f"op s 2\ntable {table}\n")
+    nine = files("nine.struct", "domain 9\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "canonical", ops, nine, "--kmax", "2")
+    assert time.perf_counter() - start < 2
+    assert code == 1
+    assert "s: not canonical at k=2\n  args (0,1) (0,1) and (0,1) (0,8)\n" in out
+
+
 def test_type_image_rows(files, capsys):
     path = files("lex.ops", LEX_OPS)
     code, out, _ = run(capsys, "type-image", path, "dlo", "--k", "2")
@@ -453,6 +466,15 @@ def test_usage_errors_exit_two(files, capsys):
     deep = files("deep.ops", f"op f 2\nterm {nested}\n")
     assert run(capsys, "canonical", deep, "dlo")[0] == 2
     assert run(capsys, "qdemo", "--n", "2", "--samples", "16642")[0] == 2
+
+
+def test_structure_too_large_to_search_is_not_blamed_on_a_term(files, capsys):
+    # the automorphism search recurses once per element
+    code, out, err = run(capsys, "orbits", files("big.struct", "domain 1500\n"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input too deep")
+    assert "a structure with too many elements" in err
 
 
 def test_help_exits_zero(capsys):

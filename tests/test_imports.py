@@ -2,8 +2,8 @@
 or names a standard-library module.  And it holds no dead code: every
 top-level definition is reachable from the public API, the command line
 or the benchmark, every top-level import is used, and every defaulted
-parameter is passed somewhere.  The checks read the sources with
-`ast`."""
+parameter is passed somewhere.  No code path lists a whole automorphism
+group.  The checks read the sources with `ast`."""
 
 from __future__ import annotations
 
@@ -171,3 +171,15 @@ def test_every_defaulted_parameter_is_passed():
             if not any(_passes(c, parameter, position) for c in calls.get(name, ())):
                 unpassed.append(f"{path.stem}.{name}({parameter})")
     assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
+
+
+def test_no_code_path_lists_the_automorphism_group():
+    # `structures.generators` and `structures.extensions` answer every
+    # group question; `automorphisms` stays for the tests and the tracer
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and "automorphisms" in _code_names(node.func)
+    ]
+    assert not calls, f"calls of automorphisms in the package: {calls}"

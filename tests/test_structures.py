@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -18,6 +19,8 @@ from clonelab.structures import (
     StructureKind,
     automorphisms,
     enumerate_patterns,
+    extensions,
+    generators,
     orbits,
     parse_structure,
     pattern_of,
@@ -222,6 +225,77 @@ def test_automorphisms_are_sorted_deterministically():
     assert [a.images for a in auts] == sorted(a.images for a in auts)
 
 
+def _assert_search_matches(structure, pair_lists):
+    """`extensions` yields the brute-force automorphisms that satisfy the
+    pairs, in the same order, and `generators` closes to the whole group
+    with fewer than 2n elements."""
+    group = [p.images for p in brute_force_automorphisms(structure)]
+    for pairs in pair_lists:
+        expected = [g for g in group if all(g[a] == b for a, b in pairs)]
+        assert list(extensions(structure, pairs)) == expected
+    n = structure.domain_size
+    gens = generators(structure)
+    assert len(gens) < 2 * n
+    closure, frontier = {tuple(range(n))}, [tuple(range(n))]
+    while frontier:
+        e = frontier.pop()
+        for g in gens:
+            composed = tuple(g[v] for v in e)
+            if composed not in closure:
+                closure.add(composed)
+                frontier.append(composed)
+    assert closure == set(group)
+
+
+def test_search_matches_brute_force_on_small_corpus():
+    # the graph is one where generators chosen from point 0 upward, rather
+    # than from the last point down, miss part of Aut
+    lopsided = corpus.graph(6, [(0, 3), (0, 4), (0, 5), (1, 4), (2, 5), (4, 5)])
+    for structure in corpus.corpus10() + [lopsided]:
+        n = structure.domain_size
+        if n > 6:
+            continue
+        points = range(n)
+        pair_lists = [()] + [[(a, b)] for a, b in product(points, repeat=2)]
+        pair_lists += [[(0, 1), (2, 2)], [(1, 1), (2, 0)]]
+        # inconsistent (a->b, a->c) and non-injective (a->c, b->c) pairs
+        pair_lists += [[(0, 1), (0, 2)], [(0, 2), (1, 2)], [(1, 0), (2, 0)]]
+        _assert_search_matches(structure, pair_lists)
+        assert list(extensions(structure, [(0, 1), (0, 2)])) == []
+        assert list(extensions(structure, [(0, 2), (1, 2)])) == []
+
+
+def test_pairs_that_are_not_an_injective_map_stop_before_the_search():
+    # the search alone would place points 1..10 in 10! ways before point 11
+    # found its image taken
+    start = time.monotonic()
+    assert list(extensions(corpus.empty_structure(12), [(0, 5), (11, 5)])) == []
+    assert time.monotonic() - start < 1
+
+
+@st.composite
+def _structure_and_pairs(draw):
+    n = draw(st.integers(1, 5))
+    relations = []
+    for name, arity in (("P", 1), ("E", 2), ("R", 3)):
+        if draw(st.booleans()):
+            cube = list(product(range(n), repeat=arity))
+            tuples = draw(st.sets(st.sampled_from(cube), max_size=6))
+            relations.append(Relation(name, arity, frozenset(tuples)))
+    point = st.integers(0, n - 1)
+    pair_lists = draw(st.lists(st.lists(st.tuples(point, point), max_size=3), max_size=4))
+    a, b, c = draw(point), draw(point), draw(point)
+    pair_lists += [[(a, b), (a, c)], [(a, c), (b, c)]]
+    return FiniteStructure(n, tuple(relations)), pair_lists
+
+
+@settings(max_examples=200, deadline=None)
+@given(_structure_and_pairs())
+def test_search_matches_brute_force_on_random_structures(case):
+    structure, pair_lists = case
+    _assert_search_matches(structure, pair_lists)
+
+
 # -- orbits ------------------------------------------------------------------
 
 
@@ -264,6 +338,15 @@ def test_orbit_transitivity_witnessed_by_some_automorphism():
         for b in product(range(4), repeat=2):
             if space.classify(a) == space.classify(b):
                 assert any(aut.apply(a) == b for aut in auts)
+
+
+def test_orbits_of_a_large_relation_free_set():
+    # 10! automorphisms; the orbits of triples are the equality patterns
+    start = time.monotonic()
+    space = orbits(corpus.empty_structure(10), 3)
+    assert time.monotonic() - start < 2
+    assert space.reps == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2))
+    assert space.orbit_sizes == (10, 90, 90, 90, 720)
 
 
 def test_orbits_caps():

@@ -4,10 +4,13 @@ An operation f is canonical for a structure when tuples of arguments of
 the same types have images of the same type, for every tuple length k:
 applying automorphisms to the arguments independently can be undone by
 one automorphism on the image.  Canonical operations act on type spaces;
-that action is the type table computed here, and at the structure's
-critical level m (2 for the dense order, 1 for the pure set, the largest
-relation arity for finite structures) the action determines the whole
-family.
+that action is the type table computed here.  `xi_infty` reads it at
+level m = `max_relation_arity`: 2 for the dense order, 1 for the pure
+set, the largest relation arity (1 without relations) for finite
+structures.  Level m need not determine the higher levels: over the pure
+set, and over a relation-free or unary finite structure with two points
+in one orbit, level 1 does not determine level 2, while level 2
+determines level 3 (`tests/test_canonical.py`, the factor checks).
 
 Deciding canonicity is exact, never sampled.  Over a finite structure
 the automorphism group decides a canonical table outright.  The table f
@@ -18,9 +21,9 @@ and conversely the argument list whose k = |D|^n columns enumerate D^n
 forces one β for every point.  The tuples that are undone form a
 subgroup of Aut^n, since they are closed under composition, so it is
 enough that moving one coordinate by a generator of Aut is undone: per
-generator of `structures.generators` and coordinate, one gather of the
-table and one search for an automorphism extending the induced map on
-im(f).  The group is never listed.
+generator in `FiniteStructure.generators` and coordinate, one gather of
+the table and one search for an automorphism extending the induced map
+on im(f).  The group is never listed.
 
 When that test fails, and over a symbolic structure always, one loop
 decides: it runs through argument lists (one k-tuple per argument),
@@ -75,7 +78,6 @@ from .structures import (
     Structure,
     SymbolicStructure,
     extensions,
-    generators,
     joint_order_patterns,
     orbits,
     pattern_of,
@@ -181,7 +183,7 @@ def _moves_are_undone(table: Table, structure: FiniteStructure) -> bool:
     injective map on im(f) that some automorphism extends."""
     size, n, outputs = table.size, table.arity, table.outputs
     columns = [selector(size, n, i).outputs for i in range(1, n + 1)]
-    for g in generators(structure):
+    for g in structure.generators:
         for i, column in enumerate(columns):
             inner = [*columns[:i], tuple(map(g.__getitem__, column)), *columns[i + 1 :]]
             moved = gather(outputs, size, inner)
@@ -297,12 +299,28 @@ class TypeOperation:
         return "\n".join(rows)
 
 
+def type_table(
+    body: Table | OrderTerm,
+    arity: int,
+    space: ConcreteTypeSpace | PatternTypeSpace,
+    caps: Caps,
+) -> Table:
+    """The action of `body` on the types of `space`, read off at the type
+    representatives; meaningful only for a body canonical at `space.k`."""
+    guard(space.size**arity, caps.tuple_cap, "type table size")
+    image = _column_images(body)
+    outputs = tuple(
+        space.classify(image([space.representative(t) for t in type_args]))
+        for type_args in itertools.product(range(space.size), repeat=arity)
+    )
+    return Table(space.size, arity, outputs)
+
+
 def type_image(
     operation: Operation,
     structure: Structure,
     k: int,
     caps: Caps = DEFAULT_CAPS,
-    check: bool = True,
 ) -> TypeOperation:
     """Type table of a canonical operation at level k.
 
@@ -311,29 +329,20 @@ def type_image(
     meaningless.  Over a symbolic structure that check is decided on
     pairs and covers every k.
     """
-    _require_matching(operation.body, structure)
-    if check:
-        verdict = is_canonical(operation, structure, k_max=k, caps=caps)
-        if not verdict.canonical:
-            raise NonCanonicalOperation(
-                f"operation {operation.name!r} is not canonical at level "
-                f"{verdict.counterexample.k}",
-                verdict.counterexample,
-            )
-    n = operation.arity
+    verdict = is_canonical(operation, structure, k_max=k, caps=caps)
+    if not verdict.canonical:
+        raise NonCanonicalOperation(
+            f"operation {operation.name!r} is not canonical at level "
+            f"{verdict.counterexample.k}",
+            verdict.counterexample,
+        )
     space = type_space(structure, k, caps)
-    guard(space.size**n, caps.tuple_cap, "type table size")
-    image = _column_images(operation.body)
-    outputs = tuple(
-        space.classify(image([space.representative(t) for t in type_args]))
-        for type_args in itertools.product(range(space.size), repeat=n)
-    )
-    return TypeOperation(space, Table(space.size, n, outputs))
+    return TypeOperation(space, type_table(operation.body, operation.arity, space, caps))
 
 
 @dataclass(frozen=True)
 class XiImage:
-    """Images of a generating set on the critical-level type space."""
+    """Images of a generating set on the level-m type space."""
 
     space: ConcreteTypeSpace | PatternTypeSpace
     images: tuple[tuple[str, TypeOperation], ...]
@@ -346,12 +355,27 @@ def xi_infty(
     generators: Sequence[Operation],
     structure: Structure,
     caps: Caps = DEFAULT_CAPS,
-    check: bool = True,
 ) -> XiImage:
-    """Action of the generators at the critical level m, past which the
-    type spaces of a structure stop changing."""
-    m = structure.max_relation_arity
+    """Action of the generators on the level-m type space, m the
+    structure's `max_relation_arity`; every image shares that one space.
+
+    Each generator must be canonical at every level, as `is_canonical`
+    decides at its default `k_max` (only up to `k_max` for a finite table
+    that fails the generator test); the first that is not raises
+    NonCanonicalOperation with its counterexample.  A check at level m
+    would not do: level 1 has a single type over `pureset` and over
+    relation-free finite structures.  Nor are the images the action at
+    every level, since level m need not determine level m + 1 (module
+    docstring)."""
+    for op in generators:
+        verdict = is_canonical(op, structure, caps=caps)
+        if not verdict.canonical:
+            raise NonCanonicalOperation(
+                f"generator {op.name!r} is not canonical", verdict.counterexample
+            )
+    space = type_space(structure, structure.max_relation_arity, caps)
     images = tuple(
-        (op.name, type_image(op, structure, m, caps, check)) for op in generators
+        (op.name, TypeOperation(space, type_table(op.body, op.arity, space, caps)))
+        for op in generators
     )
-    return XiImage(type_space(structure, m, caps), images)
+    return XiImage(space, images)

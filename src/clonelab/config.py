@@ -16,8 +16,11 @@ from .errors import CapExceeded
 class Caps:
     """Limits for enumeration-heavy operations.
 
-    tuple_cap      : largest tuple space domain_size**k that orbit
-                     computations will materialize
+    tuple_cap      : largest product enumerated point by point, checked
+                     by `guard` as "tuple space size", "argument space
+                     size", "type table size", "equation row space",
+                     "assignment search space", "argument matrix width",
+                     "verification grid size" and "consistency pairs"
     k_cap          : largest tuple length for type spaces
     arity_cap      : largest operation arity kept in clone catalogs
     depth_cap      : composition depth for clone generation

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .canonical import Operation, XiImage, is_canonical, type_image, xi_infty
+from .canonical import Operation, XiImage, type_table, xi_infty
 from .clones import CatalogEntry, FiniteClone, generate
 from .config import Caps, DEFAULT_CAPS, guard
 from .equations import (
@@ -49,12 +49,7 @@ from .equations import (
     satisfiable_in_clone,
     satisfiable_in_projections,
 )
-from .errors import (
-    EqualizerFailure,
-    InconsistentData,
-    NonCanonicalOperation,
-    UnsatisfiableSystem,
-)
+from .errors import EqualizerFailure, InconsistentData, UnsatisfiableSystem
 from .orderterms import Coord, OrderTerm, eval_rational, materialize, substitute
 from .plmap import PLMap, from_point_pairs
 from .structures import DLO, StructureKind, SymbolicStructure, pattern_of
@@ -88,9 +83,6 @@ class PointInjection:
             if src == x:
                 return dst
         raise InconsistentData(f"{x} is outside the injection's domain")
-
-    def describe(self) -> str:
-        return " ".join(f"{x}->{y}" for x, y in self.pairs)
 
 
 Witness = PLMap | PointInjection
@@ -206,19 +198,12 @@ class LiftInstance:
 def _type_clone(
     structure: SymbolicStructure, gen_ops: tuple[Operation, ...], caps: Caps
 ) -> tuple[XiImage, FiniteClone]:
-    """Refuse a finite structure or a non-canonical generator, then take
-    the generators' action on the critical-level types and generate the
-    type clone.  `is_canonical` decides on pairs over `dlo` and
-    `pureset`, and its verdict covers every k."""
+    """Refuse a finite structure, then read the generators' action on
+    types with `xi_infty`, which refuses a non-canonical generator, and
+    generate the type clone."""
     if not isinstance(structure, SymbolicStructure):
         raise InconsistentData("lifts work over the symbolic structures dlo/pureset")
-    for op in gen_ops:
-        verdict = is_canonical(op, structure, caps=caps)
-        if not verdict.canonical:
-            raise NonCanonicalOperation(
-                f"generator {op.name!r} is not canonical", verdict.counterexample
-            )
-    xi = xi_infty(gen_ops, structure, caps, check=False)
+    xi = xi_infty(gen_ops, structure, caps)
     return xi, generate(xi.named_tables(), xi.space.size, caps)
 
 
@@ -301,9 +286,7 @@ def _finish_instance(
     order_terms = []
     for sym, entry in assignment:
         interp = _as_order_term(entry.term, bodies)
-        arity = system.arity_of(sym)
-        image = type_image(Operation(sym, arity, interp), structure, xi.space.k, caps, check=False)
-        if image.table != entry.table:
+        if type_table(interp, system.arity_of(sym), xi.space, caps) != entry.table:
             raise InconsistentData(
                 f"substituted term for {sym!r} does not act as its catalog table"
             )

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -58,6 +59,28 @@ class FiniteStructure:
     def max_relation_arity(self) -> int:
         """Largest declared arity; 1 for a relation-free structure."""
         return max((r.arity for r in self.relations), default=1)
+
+    @cached_property
+    def generators(self) -> tuple[tuple, ...]:
+        """Image tuples of automorphisms that generate Aut, found once per
+        structure without listing the group (Sims, 1970).  For d = n-1 down
+        to 0 and each c > d outside the orbit of d under those kept so far,
+        the first automorphism that fixes 0..d-1 and sends d to c is kept;
+        by induction they generate the stabilizer of 0..d-1.  Each enlarges
+        the group, and subgroup chains in S_n have fewer than 3n/2 steps
+        (Cameron, Solomon and Turull, 1989)."""
+        n = self.domain_size
+        gens: list[tuple] = []
+        for d in reversed(range(n)):
+            orbit = _closure((d,), gens)
+            for c in range(d + 1, n):
+                if (c,) in orbit:
+                    continue
+                g = next(extensions(self, [(v, v) for v in range(d)] + [(d, c)]), None)
+                if g is not None:
+                    gens.append(g)
+                    orbit = _closure((d,), gens)
+        return tuple(gens)
 
 
 def parse_structure(text: str) -> FiniteStructure:
@@ -177,27 +200,6 @@ def _closure(seed: tuple, gens: Sequence[tuple]) -> set[tuple]:
     return orbit
 
 
-def generators(structure: FiniteStructure) -> list[tuple]:
-    """Image tuples of automorphisms that generate Aut, found without
-    listing it (Sims, 1970).  For d = n-1 down to 0 and each c > d outside
-    the orbit of d under those kept so far, the first automorphism that
-    fixes 0..d-1 and sends d to c is kept; by induction they generate the
-    stabilizer of 0..d-1.  Each enlarges the group, and subgroup chains in
-    S_n have fewer than 3n/2 steps (Cameron, Solomon and Turull, 1989)."""
-    n = structure.domain_size
-    gens: list[tuple] = []
-    for d in reversed(range(n)):
-        orbit = _closure((d,), gens)
-        for c in range(d + 1, n):
-            if (c,) in orbit:
-                continue
-            g = next(extensions(structure, [(v, v) for v in range(d)] + [(d, c)]), None)
-            if g is not None:
-                gens.append(g)
-                orbit = _closure((d,), gens)
-    return gens
-
-
 # -- symbolic structures ------------------------------------------------
 
 
@@ -212,8 +214,9 @@ class SymbolicStructure:
 
     @property
     def max_relation_arity(self) -> int:
-        """Arity bound past which type spaces stop changing (2 for the
-        order, 1 for the pure set)."""
+        """The level `xi_infty` reads types at: 2 for the order, 1 for the
+        pure set, which has no relations.  Over the pure set that is below
+        the critical level: level 1 does not determine level 2."""
         return 2 if self.kind is StructureKind.DLO else 1
 
     @property
@@ -343,7 +346,7 @@ def orbits(
     lexicographically least tuples, ids follow representative order."""
     guard(k, caps.k_cap, "tuple length")
     guard(structure.domain_size**k, caps.tuple_cap, "tuple space size")
-    gens = generators(structure)
+    gens = structure.generators
     index: dict[tuple[int, ...], int] = {}
     reps: list[tuple[int, ...]] = []
     sizes: list[int] = []

@@ -18,12 +18,12 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Sequence
 
-from clonelab.canonical import Operation, _require_matching, type_image
+from clonelab.canonical import Operation, _require_matching, type_table
 from clonelab.clones import Table, generate
 from clonelab.config import Caps, DEFAULT_CAPS, guard
 from clonelab.errors import InconsistentData
 from clonelab.orderterms import Coord, OrderTerm, substitute, term_arity
-from clonelab.structures import FiniteStructure, Structure
+from clonelab.structures import FiniteStructure, Structure, type_space
 
 
 @dataclass(frozen=True)
@@ -118,9 +118,11 @@ def check_factor_isomorphism(
 
 
 def _type_correspondence(labelled, structure, k, k_prime, caps):
+    high_space = type_space(structure, k_prime, caps)
+    low_space = type_space(structure, k, caps)
     pairs = []
     for label, op in labelled:
-        high = type_image(op, structure, k_prime, caps, check=False).table
-        low = type_image(op, structure, k, caps, check=False).table
+        high = type_table(op.body, op.arity, high_space, caps)
+        low = type_table(op.body, op.arity, low_space, caps)
         pairs.append((label, high, low))
     return check_table_correspondence(pairs, k, k_prime)

@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 import corpus
 from canonical_oracle import is_canonical_every_k
 from factor_oracle import check_factor_isomorphism, check_table_correspondence
+from clonelab import structures
 from clonelab.canonical import (
     Operation,
     _enumerated_verdict,
@@ -27,6 +28,7 @@ from clonelab.canonical import (
     is_canonical_finite,
     is_canonical_symbolic,
     type_image,
+    type_table,
     xi_infty,
 )
 from clonelab.clones import Table, selector
@@ -52,6 +54,7 @@ from clonelab.structures import (
     FiniteStructure,
     Relation,
     pattern_of,
+    type_space,
 )
 
 F = Fraction
@@ -277,6 +280,36 @@ def test_non_canonical_table_on_a_large_set_carries_witnesses():
         assert p.apply(a) == b
 
 
+def test_generating_set_is_built_once_per_structure(monkeypatch):
+    # Only the generating set searches for automorphisms from inside
+    # `structures`, so those searches count its builds.  The sum mod 9
+    # verdict needs it for the generator test and for the orbits at k = 1
+    # and 2; xi_infty needs it for two canonicity checks and the orbits.
+    searches = []
+    search = structures.extensions
+
+    def counted(structure, pairs):
+        searches.append(structure)
+        return search(structure, pairs)
+
+    monkeypatch.setattr(structures, "extensions", counted)
+    structures.orbits(corpus.empty_structure(9), 1)
+    one_build = len(searches)
+    assert one_build == 8
+    sum_mod9 = Table(9, 2, tuple((a + b) % 9 for a in range(9) for b in range(9)))
+    unary = [
+        Operation("id", 1, Table(9, 1, tuple(range(9)))),
+        Operation("c", 1, Table(9, 1, (0,) * 9)),
+    ]
+    for decide in (
+        lambda s: is_canonical_finite(sum_mod9, s, 3),
+        lambda s: xi_infty(unary, s),
+    ):
+        searches.clear()
+        decide(corpus.empty_structure(9))
+        assert len(searches) == one_build
+
+
 # -- order terms --------------------------------------------------------------
 
 
@@ -386,11 +419,12 @@ def test_lex_level2_table_prefers_the_first_argument():
 def test_lex_table_predicts_random_evaluations(structure, raw):
     a = (F(raw[0]), F(raw[1]))
     b = (F(raw[2]), F(raw[3]))
-    image = type_image(lex_op(), structure, 2, check=False)
+    space = type_space(structure, 2)
+    table = type_table(lex_op().body, 2, space, DEFAULT_CAPS)
     term = Lex(Coord(1), Coord(2))
     outs = [eval_rational(term, (a[j], b[j])) for j in range(2)]
-    predicted = image.table.apply((image.space.classify(a), image.space.classify(b)))
-    actual = image.space.classify(ranks(outs))
+    predicted = table.apply((space.classify(a), space.classify(b)))
+    actual = space.classify(ranks(outs))
     assert predicted == actual
 
 
@@ -399,7 +433,7 @@ def test_ternary_type_image_checks_on_pairs():
     op = Operation("f", 3, Lex(Coord(1), Lex(Coord(2), Coord(3))))
     image = type_image(op, DLO, 3)
     assert image.space.size == 13
-    assert image == type_image(op, DLO, 3, check=False)
+    assert image.table == type_table(op.body, 3, image.space, DEFAULT_CAPS)
 
 
 def test_type_image_refuses_non_canonical_operations():
@@ -431,6 +465,35 @@ def test_xi_infty_collects_critical_level_tables():
     assert xi_pure.space.k == 1
     assert xi_pure.space.size == 1
     assert xi_pure.named_tables()[0][1].outputs == (0,)
+
+
+def test_xi_infty_refuses_min_over_the_pure_set():
+    # level 1 over the pure set has one type, so only a check at every
+    # level sees that min splits equality patterns
+    op = Operation("min", 2, Min((Coord(1), Coord(2))))
+    with pytest.raises(NonCanonicalOperation, match="generator 'min'") as err:
+        xi_infty([op], PURE_SET)
+    assert err.value.counterexample.k == 2
+
+
+def test_xi_infty_refuses_sum_mod3_over_a_relation_free_set():
+    with pytest.raises(NonCanonicalOperation) as err:
+        xi_infty([Operation("add", 2, SUM_MOD3)], FiniteStructure(3))
+    assert err.value.counterexample.k == 2
+
+
+@pytest.mark.parametrize(
+    "generators, structure",
+    [
+        ([lex_op(), Operation("m", 1, Coord(1))], DLO),
+        ([Operation("add", 2, SUM_MOD3), CONSTANT], corpus.directed_cycle(3)),
+    ],
+    ids=["dlo", "cycle"],
+)
+def test_xi_infty_images_share_one_space(generators, structure):
+    xi = xi_infty(generators, structure)
+    assert len(xi.images) == 2
+    assert all(image.space is xi.space for _, image in xi.images)
 
 
 # -- factor consistency --------------------------------------------------------
@@ -466,6 +529,13 @@ def test_level_two_determines_level_three_and_level_one_does_not(
 def test_constant_shares_the_level_one_action_of_a_selector():
     low = check_factor_isomorphism([CONSTANT], corpus.empty_structure(3), 1, 2)
     assert [(v.term_a, v.term_b) for v in low.violations] == [("x1", "c(x1)")]
+
+
+def test_level_one_does_not_determine_level_two_over_a_marked_point():
+    # merging the two unmarked points acts on level-1 types as x1 does
+    merge = Operation("u", 1, Table(3, 1, (0, 1, 1)))
+    low = check_factor_isomorphism([merge], corpus.marked_point(3), 1, 2)
+    assert [(v.term_a, v.term_b) for v in low.violations] == [("x1", "u(x1)")]
 
 
 def test_factor_closure_refuses_an_oversized_round():

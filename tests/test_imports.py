@@ -2,8 +2,9 @@
 or names a standard-library module.  And it holds no dead code: every
 top-level definition is reachable from the public API, the command line
 or the benchmark, every top-level import is used, and every defaulted
-parameter is passed somewhere.  No code path lists a whole automorphism
-group.  The checks read the sources with `ast`."""
+parameter is passed by some call in the package or the benchmark.  No
+code path lists a whole automorphism group.  The checks read the sources
+with `ast`."""
 
 from __future__ import annotations
 
@@ -16,7 +17,6 @@ import clonelab
 
 PACKAGE = Path(clonelab.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-TESTS = Path(__file__).resolve().parent
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
@@ -152,11 +152,13 @@ def _passes(call, parameter, position):
 
 
 def test_every_defaulted_parameter_is_passed():
-    # A default that no call in src/, bench/ or tests/ overrides is a
-    # constant in disguise.  Calls match by bare callee name, and `*` or
-    # `**` arguments count as passing whatever they could reach.
+    # A default that no call in src/ or bench/ overrides is a constant in
+    # disguise; a test alone does not justify a setting.  `cli.main(argv)`
+    # is exempt as the seam through which tests drive the command line.
+    # Calls match by bare callee name, and `*` or `**` arguments count as
+    # passing whatever they could reach.
     calls: dict[str, list[ast.Call]] = {}
-    for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py"), *TESTS.glob("*.py")]:
+    for path in [*PACKAGE.glob("*.py"), *BENCH.glob("*.py")]:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Call):
                 func = node.func
@@ -170,11 +172,12 @@ def test_every_defaulted_parameter_is_passed():
         for name, parameter, position in _defaulted_parameters(tree):
             if not any(_passes(c, parameter, position) for c in calls.get(name, ())):
                 unpassed.append(f"{path.stem}.{name}({parameter})")
+    unpassed = [u for u in unpassed if u != "cli.main(argv)"]
     assert not unpassed, f"defaulted parameters no call passes: {unpassed}"
 
 
 def test_no_code_path_lists_the_automorphism_group():
-    # `structures.generators` and `structures.extensions` answer every
+    # `FiniteStructure.generators` and `structures.extensions` answer every
     # group question; `automorphisms` stays for the tests and the tracer
     calls = [
         f"{path.name}:{node.lineno}"

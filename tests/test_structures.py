@@ -20,7 +20,6 @@ from clonelab.structures import (
     automorphisms,
     enumerate_patterns,
     extensions,
-    generators,
     orbits,
     parse_structure,
     pattern_of,
@@ -234,7 +233,7 @@ def _assert_search_matches(structure, pair_lists):
         expected = [g for g in group if all(g[a] == b for a, b in pairs)]
         assert list(extensions(structure, pairs)) == expected
     n = structure.domain_size
-    gens = generators(structure)
+    gens = structure.generators
     assert len(gens) < 2 * n
     closure, frontier = {tuple(range(n))}, [tuple(range(n))]
     while frontier:

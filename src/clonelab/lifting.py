@@ -13,8 +13,11 @@ satisfying assignment of the system into the type clone and substitutes
 the generator bodies into the assigned catalog terms, producing one
 order term per symbol.  ``lift`` then walks the chain of argument sets
 ``A_j = {0, ..., j}``, evaluates both sides of every equation on all
-argument columns, and constructs a pair of order-preserving maps per
-equation whose composites agree exactly, column by column.  A stage at
+argument columns, and ranks all values of the stage once into integers
+by `order_key`.  Patterns, codes and the column check work on those
+ranks; each equation gets a pair of order-preserving maps, exact
+`Fraction` maps interpolated through its ranks, whose composites agree
+exactly, column by column.  A stage at
 which no such pair exists is a genuine obstruction and is reported as
 an :class:`~clonelab.errors.EqualizerFailure` rather than papered over.
 
@@ -50,7 +53,7 @@ from .equations import (
     satisfiable_in_projections,
 )
 from .errors import EqualizerFailure, InconsistentData, UnsatisfiableSystem
-from .orderterms import Coord, OrderTerm, eval_rational, materialize, substitute
+from .orderterms import Coord, OrderTerm, eval_term, rank, substitute
 from .plmap import PLMap, from_point_pairs
 from .structures import DLO, StructureKind, SymbolicStructure, pattern_of
 from .terms import Term, fold
@@ -70,19 +73,21 @@ class PointInjection:
     pairs: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self):
-        sources = [x for x, _ in self.pairs]
-        targets = [y for _, y in self.pairs]
-        if len(set(sources)) != len(self.pairs):
+        images = dict(self.pairs)
+        if len(images) != len(self.pairs):
             raise InconsistentData("point injection maps a source twice")
-        if len(set(targets)) != len(self.pairs):
+        if len(set(images.values())) != len(self.pairs):
             raise InconsistentData("point injection reuses a target")
+        # the lookup table for `apply`; not a field, so equality and repr
+        # see `pairs` only
+        object.__setattr__(self, "_images", images)
 
     def apply(self, x: Fraction) -> Fraction:
         x = Fraction(x)
-        for src, dst in self.pairs:
-            if src == x:
-                return dst
-        raise InconsistentData(f"{x} is outside the injection's domain")
+        image = self._images.get(x)
+        if image is None:
+            raise InconsistentData(f"{x} is outside the injection's domain")
+        return image
 
 
 Witness = PLMap | PointInjection
@@ -94,8 +99,10 @@ class WitnessTuple:
 
     For every equation ``s = t`` of the system and every argument
     column ``c`` drawn from ``universe``, the stored pair ``(w_s, w_t)``
-    satisfies ``w_s(s(c)) == w_t(t(c))`` exactly, where both sides are
-    evaluated through one shared rank materialization of the stage.
+    satisfies ``w_s(s(c)) == w_t(t(c))`` exactly, where the values of
+    both sides stand for their integer ranks among all values of the
+    stage.  The maps themselves are exact: `PLMap`s or `PointInjection`s
+    with `Fraction` coefficients and points.
     """
 
     universe: tuple[Fraction, ...]
@@ -117,8 +124,7 @@ def enumerate_argument_matrix(
     if n < 1:
         raise InconsistentData("argument matrix needs at least one row")
     guard(len(pts) ** n, caps.tuple_cap, "argument matrix width")
-    columns = list(itertools.product(pts, repeat=n))
-    return [tuple(col[i] for col in columns) for i in range(n)]
+    return list(zip(*itertools.product(pts, repeat=n)))
 
 
 def find_equalizers(
@@ -130,26 +136,24 @@ def find_equalizers(
 
     Both value lists are mapped onto the code sequence of their common
     pattern; if the patterns differ, no pair of symmetries of the
-    structure can reconcile the two sides and None is returned.
+    structure can reconcile the two sides and None is returned.  The
+    values may be any rationals, such as the integer ranks `lift`
+    passes; the codes are computed on them as given, and only the
+    distinct points of the maps become `Fraction`s.
     """
-    lv = tuple(Fraction(x) for x in left)
-    rv = tuple(Fraction(x) for x in right)
-    if len(lv) != len(rv):
+    if len(left) != len(right):
         raise InconsistentData("equalizer sides have different lengths")
-    pat_l = pattern_of(structure, lv)
-    pat_r = pattern_of(structure, rv)
-    if pat_l.codes != pat_r.codes:
+    codes = pattern_of(structure, left).codes
+    if pattern_of(structure, right).codes != codes:
         return None
-    target = tuple(Fraction(c) for c in pat_l.codes)
-    if structure.kind is StructureKind.DLO:
-        return (
-            from_point_pairs(zip(lv, target)),
-            from_point_pairs(zip(rv, target)),
-        )
-    return (
-        PointInjection(tuple(sorted(set(zip(lv, target))))),
-        PointInjection(tuple(sorted(set(zip(rv, target))))),
-    )
+
+    def witness(values: Sequence[Fraction]) -> Witness:
+        pairs = set(zip(values, codes))
+        if structure.kind is StructureKind.DLO:
+            return from_point_pairs(pairs)
+        return PointInjection(tuple(sorted((Fraction(x), Fraction(c)) for x, c in pairs)))
+
+    return witness(left), witness(right)
 
 
 def _mismatched_columns(
@@ -319,10 +323,11 @@ def lift(
     """Equalizing maps for every stage ``A_0, ..., A_stages``.
 
     Per stage, both sides of every equation are evaluated on all
-    argument columns, all values of the stage are ranked through one
-    shared materialization, and each equation receives a pair of maps
-    agreeing on the common pattern codes.  The resulting equalities are
-    verified exactly before the stage is returned.  A missing equalizer
+    argument columns, all values of the stage are ranked once into
+    integers by `order_key`, and each equation receives a pair of exact
+    `Fraction` maps agreeing on the common pattern codes of its ranks.
+    The resulting equalities are verified exactly, once per distinct
+    pair of ranks, before the stage is returned.  A missing equalizer
     raises :class:`~clonelab.errors.EqualizerFailure` naming the stage,
     the equation, and a column pair the two sides order differently.
     """
@@ -342,10 +347,10 @@ def lift(
         args = list(zip(*enumerate_argument_matrix(pts, n, caps)))
         columns = len(args)
         evaluations = [
-            ([eval_rational(lt, a) for a in args], [eval_rational(rt, a) for a in args])
+            ([eval_term(lt, a) for a in args], [eval_term(rt, a) for a in args])
             for lt, rt in sides
         ]
-        ranks = materialize(v for lv, rv in evaluations for v in lv + rv)
+        ranks = rank(v for lv, rv in evaluations for v in lv + rv)
         pairs = []
         for eq, (lv, rv) in zip(instance.system.equations, evaluations):
             left = [ranks[v] for v in lv]
@@ -360,8 +365,11 @@ def lift(
                     equation=str(eq),
                 )
             w_l, w_r = found
-            for c in range(columns):
-                if w_l.apply(left[c]) != w_r.apply(right[c]):
+            first_column: dict[tuple[int, int], int] = {}
+            for c, ranked in enumerate(zip(left, right)):
+                first_column.setdefault(ranked, c)
+            for (a, b), c in first_column.items():
+                if w_l.apply(a) != w_r.apply(b):
                     raise InconsistentData(
                         f"equalizer pair for {eq} fails on column {c}"
                     )

@@ -16,9 +16,9 @@ reading Pair(u, v) as u + eps * squash(v) for an infinitesimal eps; any
 finite set of comparisons made this way is realized by an honest
 order-embedding of Q^2 into Q (extend the finitely many constraints by
 back-and-forth), and increasing maps act on a pair by acting on its
-head.  Whole evaluation sets are materialized to rationals by rank, so
-downstream consumers see ordinary exact rationals whose order agrees
-with the value order.
+head.  Whole evaluation sets are ranked by `order_key`, into integers
+(`rank`) or rationals (`materialize`), so downstream consumers see
+ordinary exact numbers whose order agrees with the value order.
 """
 
 from __future__ import annotations
@@ -67,10 +67,35 @@ def map_value(m: PLMap, v: Value) -> Value:
     return m.apply(v)
 
 
+def order_key(v: Value) -> tuple:
+    """Sort key for the order of `compare_values`, which defines it.
+
+    Follow the head chain ``Pair(...Pair(Pair(q, t1), t2)..., tk)`` down
+    to its base rational q; the key is ``(q, k, key(t1), ..., key(tk))``,
+    and a plain rational has key ``(q, 0)``.  The depth k comes before
+    the tails because a pair sits above its head whatever its tail is:
+    ``Pair(Pair(q, a), b) > Pair(q, c)`` for all a, b and c.  An
+    integral q enters the key as an int, which compares much faster
+    than a `Fraction`.
+    """
+    tails = []
+    while isinstance(v, Pair):
+        tails.append(v.tail)
+        v = v.head
+    q = v.numerator if v.denominator == 1 else v
+    return (q, len(tails), *map(order_key, reversed(tails)))
+
+
+def rank(values: Iterable[Value]) -> dict[Value, int]:
+    """The i-th distinct value in value order gets the integer i."""
+    return {v: i for i, v in enumerate(sorted(set(values), key=order_key))}
+
+
 def materialize(values: Iterable[Value]) -> dict[Value, Fraction]:
     """Rank materialization of a whole finite evaluation set: the i-th
-    distinct value in value order becomes the rational i."""
-    return {v: Fraction(i) for i, v in enumerate(sorted(set(values)))}
+    distinct value in value order, sorted by `order_key`, becomes the
+    rational i."""
+    return {v: Fraction(i) for v, i in rank(values).items()}
 
 
 # -- terms ---------------------------------------------------------------

@@ -257,9 +257,12 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
 
     The pairs must be strictly increasing in both coordinates after
     sorting by the first; equal first coordinates must carry equal second
-    coordinates (duplicates are collapsed).
+    coordinates (duplicates are collapsed).  The map has one piece per
+    bend: a piece ends only at a point where the slope changes, so
+    collinear points share a piece.  Integer points are interpolated in
+    integer arithmetic; only the kept pieces hold `Fraction`s.
     """
-    cleaned = sorted(set((Fraction(x), Fraction(y)) for x, y in pairs))
+    cleaned = sorted(set((_exact(x), _exact(y)) for x, y in pairs))
     for (x1, y1), (x2, y2) in zip(cleaned, cleaned[1:]):
         if x1 == x2:
             raise InconsistentData(f"point {x1} maps to both {y1} and {y2}")
@@ -267,15 +270,29 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
             raise InconsistentData("point pairs are not increasing")
     if not cleaned:
         return identity()
+    (x0, y0), (xr, yr) = cleaned[0], cleaned[-1]
+    # one point beyond each end makes the tails slope-1 segments
+    points = [(x0 - 1, y0 - 1), *cleaned, (xr + 1, yr + 1)]
+    last = len(points) - 1
+    # a piece ends at each bend, a point where the slope changes
+    bends = []
+    for i in range(1, last):
+        (xa, ya), (xb, yb), (xc, yc) = points[i - 1 : i + 2]
+        if (yb - ya) * (xc - xb) != (yc - yb) * (xb - xa):
+            bends.append(i)
     pieces = []
-    x0, y0 = cleaned[0]
-    pieces.append(Piece(None, x0, (_ONE, y0 - x0, _ZERO, _ONE)))
-    for (x1, y1), (x2, y2) in zip(cleaned, cleaned[1:]):
-        slope = (y2 - y1) / (x2 - x1)
-        pieces.append(Piece(x1, x2, (slope, y1 - slope * x1, _ZERO, _ONE)))
-    xr, yr = cleaned[-1]
-    pieces.append(Piece(xr, None, (_ONE, yr - xr, _ZERO, _ONE)))
-    return PLMap(_merge(pieces))
+    for start, end in zip([0, *bends], [*bends, last]):
+        (xa, ya), (xb, yb) = points[start], points[start + 1]
+        slope = Fraction(yb - ya, xb - xa)
+        lo = None if start == 0 else xa
+        hi = None if end == last else points[end][0]
+        pieces.append(Piece(lo, hi, (slope, ya - slope * xa, _ZERO, _ONE)))
+    return PLMap(tuple(pieces))
+
+
+def _exact(v) -> int | Fraction:
+    # ints stay ints: they are exact, and much faster than Fractions
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 # -- parsing -----------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clonelab.canonical import Operation
 from clonelab.clones import Table
@@ -37,10 +37,21 @@ from clonelab.lifting import (
     find_equalizers,
     lift,
 )
-from clonelab.orderterms import Coord, Lex, Min, eval_rational, materialize, substitute
+from clonelab.orderterms import (
+    Coord,
+    Lex,
+    MapApply,
+    Max,
+    Min,
+    eval_rational,
+    materialize,
+    substitute,
+)
 from clonelab.plmap import PLMap, from_point_pairs, identity, translation
 from clonelab.structures import DLO, PURE_SET, parse_structure
 from clonelab.terms import fold
+
+import lift_oracle
 
 SMALL = Caps(arity_cap=3, depth_cap=2)
 
@@ -244,6 +255,19 @@ def test_forced_assignments_refuse_an_oversized_row_space():
     assert err.value.what == "equation row space"
 
 
+def test_lift_refuses_a_stage_wider_than_tuple_cap():
+    caps = Caps(tuple_cap=40, arity_cap=3, depth_cap=2)
+    instance = build_instance(
+        DLO, [lex_op()], associativity(), caps=caps, assign={"f": "lex"}
+    )
+    assert [w.columns for w in lift(instance, 2, caps=caps)] == [1, 8, 27]
+    with pytest.raises(CapExceeded) as err:
+        lift(instance, 3, caps=caps)
+    assert (err.value.what, err.value.needed, err.value.cap) == (
+        "argument matrix width", 64, 40
+    )
+
+
 def test_empty_system_lifts_vacuously():
     system = EquationSystem((("f", 2),), ())
     instance = build_instance(DLO, [lex_op()], system, caps=SMALL)
@@ -394,3 +418,54 @@ def test_analyze_lex_over_the_pure_set_hits_an_honest_obstruction():
 def test_analyze_rejects_non_canonical_generators():
     with pytest.raises(NonCanonicalOperation):
         analyze_transfer(DLO, [Operation("min", 2, Min((Coord(1), Coord(2))))], caps=SMALL)
+
+
+# -- the slow stage loop as oracle ------------------------------------------
+
+
+NODES = {
+    "lex": lambda a, b: Lex(a, b),
+    "min": lambda a, b: Min((a, b)),
+    "max": lambda a, b: Max((a, b)),
+}
+
+
+def binary_terms():
+    # lex is drawn as often as min and max together: min and max make
+    # most terms non-canonical, and those never reach the lift
+    return st.recursive(
+        st.sampled_from([Coord(1), Coord(2)]),
+        lambda children: st.tuples(
+            st.sampled_from(["lex", "lex", "min", "max"]), children, children
+        ).map(lambda node: NODES[node[0]](node[1], node[2])),
+        max_leaves=4,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    binary_terms(),
+    st.one_of(st.none(), increasing_maps()),
+    st.sampled_from([DLO, PURE_SET]),
+    st.sampled_from([associativity, commutativity]),
+    st.sampled_from(range(5)),
+)
+def test_lift_agrees_with_the_slow_stage_loop(body, outer, structure, system, stages):
+    if outer is not None:
+        body = MapApply("m", outer, body)
+    try:
+        instance = build_instance(
+            structure, [Operation("f", 2, body)], system(), caps=SMALL,
+            assign={"f": "f"}, recheck=False,
+        )
+    except NonCanonicalOperation:
+        assume(False)
+    try:
+        expected = lift_oracle.lift_stages(instance, stages)
+    except EqualizerFailure as exc:
+        with pytest.raises(EqualizerFailure) as err:
+            lift(instance, stages, caps=SMALL, recheck=False)
+        assert (err.value.j, err.value.equation) == (exc.j, exc.equation)
+        assert str(err.value) == str(exc)
+    else:
+        assert repr(lift(instance, stages, caps=SMALL, recheck=False)) == repr(expected)

@@ -16,6 +16,7 @@ from clonelab.orderterms import (
     eval_term,
     map_value,
     materialize,
+    order_key,
     parse_order_term,
     peel_outer_maps,
     require_pattern_determined,
@@ -123,6 +124,39 @@ def test_map_pushes_through_pair_heads():
     m = translation(10)
     v = Pair(Pair(rat(0), rat(1)), rat(2))
     assert map_value(m, v) == Pair(Pair(rat(10), rat(1)), rat(2))
+
+
+# few distinct leaves, so that heads tie and chains of several depths
+# share a base; an integral Fraction and a proper one both occur
+chain_values = st.recursive(
+    st.sampled_from([F(0), F(1), F(1, 2), F(-3, 2)]),
+    lambda children: st.tuples(children, children).map(lambda p: Pair(*p)),
+    max_leaves=10,
+)
+
+
+@given(st.lists(chain_values, max_size=12))
+def test_materialize_ranks_as_compare_values_orders(values):
+    mat = materialize(values)
+    assert sorted(mat.values()) == [F(i) for i in range(len(set(values)))]
+    for u in values:
+        for v in values:
+            c = compare_values(u, v)
+            assert (mat[u] > mat[v]) - (mat[u] < mat[v]) == c
+
+
+def test_order_key_puts_the_deeper_head_chain_above():
+    q, a, b, c = rat(1), rat(9), rat(-9), rat(100)
+    deep = Pair(Pair(q, a), b)
+    for shallow in (Pair(q, c), Pair(q, Pair(c, c)), q):
+        assert compare_values(deep, shallow) == 1
+        assert order_key(deep) > order_key(shallow)
+        mat = materialize([deep, shallow])
+        assert mat[deep] == 1 and mat[shallow] == 0
+    # a smaller base wins over any depth, and equal depths compare by tails
+    assert order_key(Pair(Pair(rat(0), c), c)) < order_key(F(1, 2))
+    assert order_key(Pair(Pair(q, a), b)) < order_key(Pair(Pair(q, a), c))
+    assert order_key(Pair(Pair(q, b), c)) < order_key(Pair(Pair(q, a), b))
 
 
 def test_materialize_is_order_preserving():

@@ -7,6 +7,7 @@ from clonelab import plmap
 from clonelab.errors import InconsistentData, ParseError
 from clonelab.plmap import PLMap, Piece, from_point_pairs, identity, parse_plmap
 from clonelab.qclone import _embedding_above
+import lift_oracle
 from hull_oracle import map_value
 
 
@@ -89,6 +90,62 @@ def test_from_point_pairs_rejects_nonincreasing():
 
 def test_from_point_pairs_empty_is_identity():
     assert from_point_pairs([]) == identity()
+
+
+@st.composite
+def point_runs(draw):
+    """Increasing points in collinear runs of random slope, as a list
+    with some pairs repeated, in random order."""
+    x, y = draw(rationals), draw(rationals)
+    points = [(x, y)]
+    for _ in range(draw(st.integers(0, 5))):
+        dx = draw(st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4))
+        slope = draw(st.sampled_from([F(1), F(2), F(1, 3), F(5, 2)]))
+        for _ in range(draw(st.integers(1, 4))):
+            x, y = x + dx, y + slope * dx
+            points.append((x, y))
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    return draw(st.permutations(points))
+
+
+@given(point_runs())
+def test_from_point_pairs_matches_the_merged_segments(pairs):
+    expected = lift_oracle.from_point_pairs(pairs)
+    m = from_point_pairs(pairs)
+    assert m == expected and repr(m) == repr(expected)
+    ints = [(x.numerator, y.numerator) for x, y in pairs if x.denominator == y.denominator == 1]
+    assert from_point_pairs(ints) == lift_oracle.from_point_pairs(ints)
+
+
+@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=6))
+def test_from_point_pairs_refuses_what_the_merged_segments_refuse(pairs):
+    try:
+        expected = lift_oracle.from_point_pairs(pairs)
+    except InconsistentData as exc:
+        with pytest.raises(InconsistentData) as err:
+            from_point_pairs(pairs)
+        assert str(err.value) == str(exc)
+    else:
+        assert from_point_pairs(pairs) == expected
+
+
+def test_from_point_pairs_builds_only_the_pieces_it_keeps(monkeypatch):
+    # one line of slope 2 through 1,000 points: both tails and one piece
+    built = []
+    check = Piece.__post_init__
+
+    def counted(piece):
+        built.append(piece)
+        check(piece)
+
+    monkeypatch.setattr(Piece, "__post_init__", counted)
+    m = from_point_pairs((F(i), F(2 * i)) for i in range(1000))
+    assert len(built) == 3
+    assert [(p.lo, p.hi, p.mat[0]) for p in m.pieces] == [
+        (None, F(0), F(1)),
+        (F(0), F(999), F(2)),
+        (F(999), None, F(1)),
+    ]
 
 
 @given(st.lists(rationals, min_size=1, max_size=8), rationals)

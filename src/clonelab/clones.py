@@ -4,8 +4,8 @@ Operations are stored as row-major output tables.  A clone is generated
 from named operations by breadth-first composition: per arity the
 catalog starts from the selectors and repeatedly applies each generator
 to already-catalogued operations, deduplicating by table and remembering
-the first composition term that produced each table.  Pairs of distinct
-terms that produced the same table ("collisions") are kept; they are the
+the first composition term that produced each table.  Two distinct
+terms that produce the same table ("collisions") are kept; they are the
 equations the clone is known to satisfy and drive the projective
 homomorphism search.
 

@@ -12,12 +12,12 @@ This module makes those maps concrete.  ``build_instance`` fixes a
 satisfying assignment of the system into the type clone and substitutes
 the generator bodies into the assigned catalog terms, producing one
 order term per symbol.  ``lift`` then walks the chain of argument sets
-``A_j = {0, ..., j}``, evaluates both sides of every equation on all
-argument columns, and ranks all values of the stage once into integers
-by `order_key`.  Patterns, codes and the column check work on those
-ranks; each equation gets a pair of order-preserving maps, exact
-`Fraction` maps interpolated through its ranks, whose composites agree
-exactly, column by column.  A stage at
+``A_j = {0, ..., j}`` of ints, evaluates both sides of every equation
+on all argument columns into the sort keys of their values, and ranks
+all keys of the stage once into integers in key order.  Patterns, codes
+and the column check work on those ranks; each equation gets a pair of
+order-preserving maps, exact `Fraction` maps interpolated through its
+ranks, whose composites agree exactly, column by column.  A stage at
 which no such pair exists is a genuine obstruction and is reported as
 an :class:`~clonelab.errors.EqualizerFailure` rather than papered over.
 
@@ -101,11 +101,12 @@ class WitnessTuple:
     column ``c`` drawn from ``universe``, the stored pair ``(w_s, w_t)``
     satisfies ``w_s(s(c)) == w_t(t(c))`` exactly, where the values of
     both sides stand for their integer ranks among all values of the
-    stage.  The maps themselves are exact: `PLMap`s or `PointInjection`s
-    with `Fraction` coefficients and points.
+    stage.  The stage points in ``universe`` are ints; the maps
+    themselves are exact: `PLMap`s or `PointInjection`s with `Fraction`
+    coefficients and points.
     """
 
-    universe: tuple[Fraction, ...]
+    universe: tuple[int, ...]
     pairs: tuple[tuple[Witness, Witness], ...]
     columns: int
 
@@ -116,9 +117,10 @@ def enumerate_argument_matrix(
     """Rows of the matrix whose columns run through ``points**n``.
 
     Columns are ordered lexicographically, so for points ``{0,1}`` and
-    ``n = 2`` the rows are ``(0,0,1,1)`` and ``(0,1,0,1)``.
+    ``n = 2`` the rows are ``(0,0,1,1)`` and ``(0,1,0,1)``.  The points
+    are kept as given, ints or `Fraction`s.
     """
-    pts = tuple(Fraction(p) for p in points)
+    pts = tuple(points)
     if not pts:
         raise InconsistentData("argument matrix needs at least one point")
     if n < 1:
@@ -186,11 +188,11 @@ class LiftInstance:
     assignment: tuple[tuple[str, CatalogEntry], ...]
     order_terms: tuple[tuple[str, OrderTerm], ...]
 
-    def universe(self, j: int) -> tuple[Fraction, ...]:
-        """The j-th argument set ``{0, ..., j}``."""
+    def universe(self, j: int) -> tuple[int, ...]:
+        """The j-th argument set ``{0, ..., j}``, as ints."""
         if j < 0:
             raise InconsistentData("stage index must be nonnegative")
-        return tuple(Fraction(i) for i in range(j + 1))
+        return tuple(range(j + 1))
 
     def order_term_of(self, name: str) -> OrderTerm:
         for sym, term in self.order_terms:
@@ -322,14 +324,15 @@ def lift(
 ) -> tuple[WitnessTuple, ...]:
     """Equalizing maps for every stage ``A_0, ..., A_stages``.
 
-    Per stage, both sides of every equation are evaluated on all
-    argument columns, all values of the stage are ranked once into
-    integers by `order_key`, and each equation receives a pair of exact
-    `Fraction` maps agreeing on the common pattern codes of its ranks.
-    The resulting equalities are verified exactly, once per distinct
-    pair of ranks, before the stage is returned.  A missing equalizer
-    raises :class:`~clonelab.errors.EqualizerFailure` naming the stage,
-    the equation, and a column pair the two sides order differently.
+    Per stage, both sides of every equation are evaluated on all int
+    argument columns into sort keys, all keys of the stage are ranked
+    once into integers in key order, and each equation receives a pair
+    of exact `Fraction` maps agreeing on the common pattern codes of its
+    ranks.  The resulting equalities are verified exactly, once per
+    distinct pair of ranks, before the stage is returned.  A missing
+    equalizer raises :class:`~clonelab.errors.EqualizerFailure` naming
+    the stage, the equation, and a column pair the two sides order
+    differently.
     """
     if stages < 0:
         raise InconsistentData("need at least stage 0")

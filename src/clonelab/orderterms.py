@@ -3,99 +3,54 @@
 The term basis is: coordinate selectors, binary (or folded n-ary) min
 and max, the binary order-embedding `lex`, and application of named
 increasing piecewise maps.  `lex` embeds Q^2, ordered lexicographically,
-into Q; it has no closed form, so evaluation works in a value algebra
-instead of in Q directly:
+into Q; it has no closed form, so a term evaluates not to a rational but
+to a sort key, a tuple whose native order is the order of the values:
 
-  value ::= q                 a plain rational, a `Fraction`
-          | Pair(head, tail)  the image lex(head, tail)
+  key(q)          = (q, 0)                      an argument, a rational
+  key(lex(h, t))  = (q, k + 1, key(t1), ..., key(tk), key(t))
+                    where key(h) = (q, k, key(t1), ..., key(tk))
 
-Values are linearly ordered by the rule "a pair sits immediately above
-its head": two pairs compare lexicographically, a pair against a
-rational compares by head with ties resolved above.  This amounts to
-reading Pair(u, v) as u + eps * squash(v) for an infinitesimal eps; any
-finite set of comparisons made this way is realized by an honest
-order-embedding of Q^2 into Q (extend the finitely many constraints by
-back-and-forth), and increasing maps act on a pair by acting on its
-head.  Whole evaluation sets are ranked by `order_key`, into integers
-(`rank`) or rationals (`materialize`), so downstream consumers see
-ordinary exact numbers whose order agrees with the value order.
+So the key of a head chain ``lex(...lex(lex(q, t1), t2)..., tk)`` is
+``(q, k, key(t1), ..., key(tk))``; min and max pick among keys, and an
+increasing map replaces the base q by its image.  The order reads
+lex(u, v) as u + eps * squash(v) for an infinitesimal eps: a value sits
+immediately above its head whatever its tail, so over one base a deeper
+head chain sits above a shallower one (the depth k comes before the
+tails), chains of equal depth compare by their tails, innermost first,
+and a smaller base wins over any depth.  Any finite set of comparisons
+made this way is realized by an honest order-embedding of Q^2 into Q
+(extend the finitely many constraints by back-and-forth), and increasing
+maps act on lex(u, v) by acting on u, hence on the base.  Arguments may
+be ints or `Fraction`s, which compare and hash alike; ints are faster.
+Whole evaluation sets are ranked in key order into integers (`rank`) or
+rationals (`materialize`), so downstream consumers see ordinary exact
+numbers whose order agrees with the value order.  The value algebra of
+nested pairs, the slow reading of the same order, is the test oracle
+(`tests/pair_oracle.py`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
 from typing import Iterable, Sequence
 
 from .errors import ParseError, UnsupportedTerm
 from .plmap import PLMap
 from .syntax import parse_prefix
 
-# -- values --------------------------------------------------------------
+# -- ranking -------------------------------------------------------------
 
 
-@total_ordering
-@dataclass(frozen=True)
-class Pair:
-    head: Value
-    tail: Value
-
-    def __lt__(self, other):
-        return compare_values(self, other) < 0
+def rank(keys: Iterable[tuple]) -> dict[tuple, int]:
+    """The i-th distinct key in key order gets the integer i."""
+    return {v: i for i, v in enumerate(sorted(set(keys)))}
 
 
-Value = Fraction | Pair
-
-
-def compare_values(u: Value, v: Value) -> int:
-    """Total order on values; 0 only for structurally equal values."""
-    if isinstance(u, Pair):
-        if isinstance(v, Pair):
-            c = compare_values(u.head, v.head)
-            return c if c else compare_values(u.tail, v.tail)
-        return compare_values(u.head, v) or 1
-    if isinstance(v, Pair):
-        return compare_values(u, v.head) or -1
-    return (u > v) - (u < v)
-
-
-def map_value(m: PLMap, v: Value) -> Value:
-    """Increasing maps move the head of a pair and leave the tail alone."""
-    if isinstance(v, Pair):
-        return Pair(map_value(m, v.head), v.tail)
-    return m.apply(v)
-
-
-def order_key(v: Value) -> tuple:
-    """Sort key for the order of `compare_values`, which defines it.
-
-    Follow the head chain ``Pair(...Pair(Pair(q, t1), t2)..., tk)`` down
-    to its base rational q; the key is ``(q, k, key(t1), ..., key(tk))``,
-    and a plain rational has key ``(q, 0)``.  The depth k comes before
-    the tails because a pair sits above its head whatever its tail is:
-    ``Pair(Pair(q, a), b) > Pair(q, c)`` for all a, b and c.  An
-    integral q enters the key as an int, which compares much faster
-    than a `Fraction`.
-    """
-    tails = []
-    while isinstance(v, Pair):
-        tails.append(v.tail)
-        v = v.head
-    q = v.numerator if v.denominator == 1 else v
-    return (q, len(tails), *map(order_key, reversed(tails)))
-
-
-def rank(values: Iterable[Value]) -> dict[Value, int]:
-    """The i-th distinct value in value order gets the integer i."""
-    return {v: i for i, v in enumerate(sorted(set(values), key=order_key))}
-
-
-def materialize(values: Iterable[Value]) -> dict[Value, Fraction]:
+def materialize(keys: Iterable[tuple]) -> dict[tuple, Fraction]:
     """Rank materialization of a whole finite evaluation set: the i-th
-    distinct value in value order, sorted by `order_key`, becomes the
-    rational i."""
-    return {v: Fraction(i) for v, i in rank(values).items()}
+    distinct key in key order becomes the rational i."""
+    return {v: Fraction(i) for v, i in rank(keys).items()}
 
 
 # -- terms ---------------------------------------------------------------
@@ -159,19 +114,24 @@ def term_arity(term: OrderTerm) -> int:
     return term_arity(term.arg)  # type: ignore[union-attr]
 
 
-def eval_term(term: OrderTerm, args: Sequence[Value]) -> Value:
+def eval_term(term: OrderTerm, args: Sequence[Fraction]) -> tuple:
+    """The sort key of the term's value at the rational arguments `args`
+    (module docstring)."""
     if isinstance(term, Coord):
-        return args[term.index - 1]
+        return (args[term.index - 1], 0)
     if isinstance(term, Min):
         return min(eval_term(t, args) for t in term.items)
     if isinstance(term, Max):
         return max(eval_term(t, args) for t in term.items)
     if isinstance(term, Lex):
-        return Pair(eval_term(term.head, args), eval_term(term.tail, args))
-    return map_value(term.map, eval_term(term.arg, args))
+        head = eval_term(term.head, args)
+        return (head[0], head[1] + 1, *head[2:], eval_term(term.tail, args))
+    key = eval_term(term.arg, args)
+    return (term.map.apply(key[0]), *key[1:])
 
 
-def eval_rational(term: OrderTerm, point: Sequence[Fraction]) -> Value:
+def eval_rational(term: OrderTerm, point: Sequence[Fraction]) -> tuple:
+    """`eval_term` with every argument converted to a `Fraction`."""
     return eval_term(term, tuple(Fraction(x) for x in point))
 
 

@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Sequence
 
 from .config import Caps, DEFAULT_CAPS, guard, ordered_set_partition_count
 from .errors import InconsistentData, ParseError
@@ -247,12 +247,14 @@ class Pattern:
         return "(" + ",".join(str(c) for c in self.codes) + ")"
 
 
-def pattern_of(structure: SymbolicStructure, values: Sequence[Fraction]) -> Pattern:
+def pattern_of(structure: SymbolicStructure, values: Sequence[Hashable]) -> Pattern:
+    """The pattern of rationals, integer ranks or the sort keys of
+    order-term values, compared in their native order."""
     if structure.kind is StructureKind.DLO:
         distinct = sorted(set(values))
         rank = {v: i for i, v in enumerate(distinct)}
         return Pattern(structure.kind, tuple(rank[v] for v in values))
-    codes: dict[Fraction, int] = {}
+    codes: dict[Hashable, int] = {}
     out = []
     for v in values:
         if v not in codes:

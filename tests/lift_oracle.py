@@ -1,19 +1,19 @@
 """The lift stage loop the slow way, the test oracle for `lifting.lift`.
 
 `lift_stages` is the stage loop as first written: every column is
-evaluated through `eval_rational`, which converts each argument to a
-`Fraction` again; the values of a stage are ranked to `Fraction`s by a
-sort that compares them with `compare_values`; `find_equalizers` builds
-one `Piece` per segment of each map and merges the collinear ones with
-`plmap._merge`; and every column is checked on its own.  The library
-ranks into integers by `order_key`, builds only the pieces it keeps and
-checks each distinct pair of ranks once; both must give the same
-witnesses and the same failures.
+evaluated into a tree of pairs by `pair_oracle.eval_pair`, which
+converts each argument to a `Fraction`; the values of a stage are ranked
+to `Fraction`s by a sort that compares them with `compare_values`;
+`find_equalizers` builds one `Piece` per segment of each map and merges
+the collinear ones with `plmap._merge`; and every column is checked on
+its own.  The library evaluates int points into sort keys, ranks them
+into integers in key order, builds only the pieces it keeps and checks
+each distinct pair of ranks once; both must give the same witnesses and
+the same failures.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from fractions import Fraction
 from typing import Sequence
@@ -25,19 +25,14 @@ from clonelab.lifting import (
     WitnessTuple,
     enumerate_argument_matrix,
 )
-from clonelab.orderterms import Coord, compare_values, eval_rational, substitute
+from clonelab.orderterms import Coord, substitute
 from clonelab.plmap import PLMap, Piece, _merge, identity
 from clonelab.structures import StructureKind, SymbolicStructure, pattern_of
 from clonelab.terms import fold
+from pair_oracle import eval_pair, materialize
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-def materialize(values) -> dict:
-    """The i-th distinct value in `compare_values` order becomes i."""
-    ordered = sorted(set(values), key=functools.cmp_to_key(compare_values))
-    return {v: Fraction(i) for i, v in enumerate(ordered)}
 
 
 def from_point_pairs(pairs) -> PLMap:
@@ -111,7 +106,7 @@ def lift_stages(instance: LiftInstance, stages: int) -> tuple[WitnessTuple, ...]
         args = list(zip(*enumerate_argument_matrix(pts, n)))
         columns = len(args)
         evaluations = [
-            ([eval_rational(lt, a) for a in args], [eval_rational(rt, a) for a in args])
+            ([eval_pair(lt, a) for a in args], [eval_pair(rt, a) for a in args])
             for lt, rt in sides
         ]
         ranks = materialize(v for lv, rv in evaluations for v in lv + rv)

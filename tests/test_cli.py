@@ -462,10 +462,21 @@ def test_usage_errors_exit_two(files, capsys):
     assert run(capsys, "sat-mod", comm, mins, "--family", named_id)[0] == 2
     nested = "f(" * 1200 + "x1" + ")" * 1200
     assert run(capsys, "sat1", files("deep.eqs", f"sig f 1\neq {nested} = x1\n"))[0] == 2
-    nested = "lex(x1, " * 400 + "x1" + ")" * 400
+    nested = "lex(x1, " * 1200 + "x1" + ")" * 1200
     deep = files("deep.ops", f"op f 2\nterm {nested}\n")
     assert run(capsys, "canonical", deep, "dlo")[0] == 2
     assert run(capsys, "qdemo", "--n", "2", "--samples", "16642")[0] == 2
+
+
+def test_a_deep_lex_chain_is_decided(files, capsys):
+    # the values of a 400-deep lex are nested keys, compared natively
+    nested = "lex(x1, " * 400 + "x1" + ")" * 400
+    deep = files("deep.ops", f"op f 2\nterm {nested}\n")
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "canonical", deep, "dlo")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    assert "f: canonical at every level" in out
 
 
 def test_structure_too_large_to_search_is_not_blamed_on_a_term(files, capsys):

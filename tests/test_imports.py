@@ -3,8 +3,9 @@ or names a standard-library module.  And it holds no dead code: every
 top-level definition is reachable from the public API, the command line
 or the benchmark, every top-level import is used, and every defaulted
 parameter is passed by some call in the package or the benchmark.  No
-code path lists a whole automorphism group.  The checks read the sources
-with `ast`."""
+code path lists a whole automorphism group, and no test oracle evaluates
+order terms through the library.  The checks read the sources with
+`ast`."""
 
 from __future__ import annotations
 
@@ -186,3 +187,22 @@ def test_no_code_path_lists_the_automorphism_group():
         if isinstance(node, ast.Call) and "automorphisms" in _code_names(node.func)
     ]
     assert not calls, f"calls of automorphisms in the package: {calls}"
+
+
+def test_oracles_do_not_evaluate_through_the_library():
+    # an oracle that evaluates order terms with `clonelab.orderterms`
+    # checks the library against itself
+    banned = {"eval_term", "eval_rational", "rank", "materialize"}
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*_oracle.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                "clonelab",
+                "clonelab.orderterms",
+            ):
+                found.extend(
+                    f"{path.name} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name in banned
+                )
+    assert not found, found

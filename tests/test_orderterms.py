@@ -1,5 +1,6 @@
 from fractions import Fraction
-from itertools import product
+from functools import reduce
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,28 +9,36 @@ from clonelab.errors import ParseError, UnsupportedTerm
 from clonelab.orderterms import (
     Coord,
     Lex,
+    MapApply,
     Max,
     Min,
-    Pair,
-    compare_values,
     eval_rational,
     eval_term,
-    map_value,
     materialize,
-    order_key,
     parse_order_term,
     peel_outer_maps,
+    rank,
     require_pattern_determined,
     substitute,
     term_arity,
 )
-from clonelab.plmap import affine, translation
+from clonelab.plmap import affine, from_point_pairs, translation
+from pair_oracle import Pair, compare_values, eval_pair, map_value
+from pair_oracle import materialize as oracle_materialize
 
 F = Fraction
 
+# increasing maps: affine ones and one that bends at 0 and 1
+MAPS = {
+    "shift": translation(10),
+    "scale": affine(F(3), F(-7)),
+    "bend": from_point_pairs([(F(0), F(0)), (F(1), F(5))]),
+}
 
-def rat(x) -> F:
-    return F(x)
+
+def key(text, *point):
+    """The sort key `eval_term` gives the term `text` at `point`."""
+    return eval_term(parse_order_term(text, MAPS), point)
 
 
 def ranks(values):
@@ -38,48 +47,110 @@ def ranks(values):
     return tuple(order.index(v) for v in values)
 
 
-values_strategy = st.recursive(
-    st.fractions(min_value=-6, max_value=6, max_denominator=4).map(rat),
-    lambda children: st.tuples(children, children).map(lambda p: Pair(*p)),
-    max_leaves=6,
+def _compound(children):
+    items = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(
+        items.map(Min),
+        items.map(Max),
+        # a head chain lex(...lex(base, t1)..., tk) of depth 1 to 3
+        st.tuples(children, st.lists(children, min_size=1, max_size=3)).map(
+            lambda p: reduce(Lex, p[1], p[0])
+        ),
+        st.tuples(st.sampled_from(sorted(MAPS)), children).map(
+            lambda p: MapApply(p[0], MAPS[p[0]], p[1])
+        ),
+    )
+
+
+# ternary terms over min, max, lex and the maps; few distinct points, so
+# that bases tie and chains of several depths share a base
+terms = st.recursive(st.integers(1, 3).map(Coord), _compound, max_leaves=8)
+int_points = st.tuples(*[st.sampled_from([0, 1, 2])] * 3)
+rational_points = st.tuples(*[st.sampled_from([F(0), F(1), F(1, 2), F(-3, 2)])] * 3)
+# every term at every permutation of a point or two, so that a head chain
+# meets itself with its tails swapped
+evaluations = st.builds(
+    lambda ts, ps: [(t, q) for t in ts for p in ps for q in permutations(p)],
+    st.lists(terms, min_size=1, max_size=4),
+    st.lists(st.one_of(int_points, rational_points), min_size=1, max_size=2),
 )
+
+
+def keys_and_values(evals):
+    """Each term at its point, as the library's key and the oracle's value."""
+    return [eval_term(t, p) for t, p in evals], [eval_pair(t, p) for t, p in evals]
 
 
 # -- value order ----------------------------------------------------------
 
 
 def test_pair_sits_just_above_its_head():
-    assert rat(5) < Pair(rat(5), rat(-100))
-    assert Pair(rat(5), rat(3)) < rat(6)
-    assert Pair(rat(4), rat(100)) < rat(5)
+    assert key("x1", 5) < key("lex(x1, x2)", 5, -100) < key("x1", F(11, 2))
+    assert key("lex(x1, x2)", 5, 3) < key("x1", 6)
+    assert key("lex(x1, x2)", 4, 100) < key("x1", 5)
 
 
 def test_pairs_compare_lexicographically():
-    assert Pair(rat(0), rat(5)) < Pair(rat(1), rat(-5))
-    assert Pair(rat(0), rat(1)) < Pair(rat(0), rat(2))
-    assert compare_values(Pair(rat(0), rat(1)), Pair(rat(0), rat(1))) == 0
+    assert key("lex(x1, x2)", 0, 5) < key("lex(x1, x2)", 1, -5)
+    assert key("lex(x1, x2)", 0, 1) < key("lex(x1, x2)", 0, 2)
+    # an int point and the equal `Fraction` give one key
+    assert key("lex(x1, x2)", 0, 1) == key("lex(x1, x2)", F(0), F(1))
 
 
-@given(values_strategy, values_strategy)
-def test_value_order_antisymmetric(u, v):
-    cu, cv = compare_values(u, v), compare_values(v, u)
-    assert cu == -cv
-    assert (cu == 0) == (u == v)
-    # Python's operators agree, also between a Fraction and a Pair
-    assert (u < v) == (cu < 0)
-    assert (u <= v) == (cu <= 0)
+def test_a_deeper_head_chain_sits_above():
+    deep = key("lex(lex(x1, x2), x3)", 1, 9, -9)
+    shallow = [key("lex(x1, x2)", 1, 100), key("lex(x1, lex(x2, x2))", 1, 100),
+               key("x1", 1)]
+    for low in shallow:
+        assert deep > low
+        assert rank([deep, low]) == {low: 0, deep: 1}
+    # a smaller base wins over any depth
+    assert key("lex(lex(x1, x2), x2)", 0, 100) < key("x1", F(1, 2))
+    # equal depths compare by their tails, innermost first
+    chain = "lex(lex(x1, x2), x3)"
+    assert key(chain, 1, 9, -9) < key(chain, 1, 9, 100)
+    assert key(chain, 1, -9, 100) < key(chain, 1, 9, -9)
 
 
-@given(values_strategy, values_strategy, values_strategy)
-def test_value_order_transitive(u, v, w):
-    if compare_values(u, v) <= 0 and compare_values(v, w) <= 0:
-        assert compare_values(u, w) <= 0
+@given(evaluations)
+def test_keys_order_and_identify_as_the_oracle(evals):
+    keys, values = keys_and_values(evals)
+    for (k, u), (l, v) in product(zip(keys, values), repeat=2):
+        assert (k > l) - (k < l) == compare_values(u, v)
+        assert (k == l) == (u == v)
+        assert k != l or hash(k) == hash(l)
 
 
-@given(values_strategy, values_strategy)
-def test_increasing_maps_preserve_value_order(u, v):
-    m = affine(F(3), F(-7))
-    assert compare_values(map_value(m, u), map_value(m, v)) == compare_values(u, v)
+@given(evaluations, st.sampled_from(sorted(MAPS)))
+def test_increasing_maps_preserve_value_order(evals, name):
+    # a map moves the base of every key as the oracle moves pair heads
+    m = MAPS[name]
+    keys, values = keys_and_values(evals)
+    moved = [eval_term(MapApply(name, m, t), p) for t, p in evals]
+    for (k, km, u), (l, lm, v) in product(zip(keys, moved, values), repeat=2):
+        c = compare_values(map_value(m, u), map_value(m, v))
+        assert c == compare_values(u, v)
+        assert (km > lm) - (km < lm) == c == (k > l) - (k < l)
+        assert (km == lm) == (k == l)
+
+
+@given(evaluations)
+def test_materialize_ranks_as_compare_values_orders(evals):
+    keys, values = keys_and_values(evals)
+    expected = oracle_materialize(values)
+    mat, ranked = materialize(keys), rank(keys)
+    assert len(mat) == len(ranked) == len(expected)
+    for k, v in zip(keys, values):
+        assert mat[k] == ranked[k] == expected[v]
+
+
+def test_materialize_is_order_preserving():
+    points = [(3, 0), (3, 0), (0, 0), (2, 9)]
+    texts = ["x1", "lex(x1, x2)", "x1", "lex(x1, x2)"]
+    keys = [key(t, *p) for t, p in zip(texts, points)]
+    mat = materialize(keys)
+    assert sorted(mat.values()) == [F(0), F(1), F(2), F(3)]
+    assert [mat[k] for k in keys] == [F(2), F(3), F(0), F(1)]
 
 
 # -- evaluation -------------------------------------------------------------
@@ -87,14 +158,15 @@ def test_increasing_maps_preserve_value_order(u, v):
 
 def test_min_max_selection():
     t = Min((Coord(1), Coord(2)))
-    assert eval_rational(t, (F(3), F(1))) == rat(1)
+    assert eval_rational(t, (F(3), F(1))) == (1, 0)
     t = Max((Coord(1), Coord(2), Coord(3)))
-    assert eval_rational(t, (F(3), F(1), F(7))) == rat(7)
+    assert eval_rational(t, (F(3), F(1), F(7))) == (7, 0)
 
 
 def test_lex_builds_pairs():
     t = Lex(Coord(1), Coord(2))
-    assert eval_rational(t, (F(1), F(2))) == Pair(rat(1), rat(2))
+    assert eval_pair(t, (1, 2)) == Pair(F(1), F(2))
+    assert eval_rational(t, (1, 2)) == (1, 1, (2, 0))
 
 
 def test_lex_output_pattern_is_lex_order_of_pairs():
@@ -107,65 +179,23 @@ def test_lex_output_pattern_is_lex_order_of_pairs():
 def test_associativity_of_lex_up_to_pattern():
     left = Lex(Coord(1), Lex(Coord(2), Coord(3)))
     right = Lex(Lex(Coord(1), Coord(2)), Coord(3))
-    points = list(product((F(0), F(1), F(2)), repeat=3))
-    l_out = [eval_rational(left, p) for p in points]
-    r_out = [eval_rational(right, p) for p in points]
+    points = list(product((0, 1, 2), repeat=3))
+    l_out = [eval_term(left, p) for p in points]
+    r_out = [eval_term(right, p) for p in points]
     assert ranks(l_out) == ranks(r_out)
     # but not pointwise equal as values: the sides differ by an outside map
     assert l_out != r_out
 
 
 def test_map_application_is_exact_on_rationals():
-    t = parse_order_term("shift(x1)", {"shift": translation(10)})
-    assert eval_rational(t, (F(5),)) == rat(15)
+    assert key("shift(x1)", F(5)) == (15, 0)
+    assert key("scale(x1)", F(1, 3)) == (-6, 0)
 
 
 def test_map_pushes_through_pair_heads():
-    m = translation(10)
-    v = Pair(Pair(rat(0), rat(1)), rat(2))
-    assert map_value(m, v) == Pair(Pair(rat(10), rat(1)), rat(2))
-
-
-# few distinct leaves, so that heads tie and chains of several depths
-# share a base; an integral Fraction and a proper one both occur
-chain_values = st.recursive(
-    st.sampled_from([F(0), F(1), F(1, 2), F(-3, 2)]),
-    lambda children: st.tuples(children, children).map(lambda p: Pair(*p)),
-    max_leaves=10,
-)
-
-
-@given(st.lists(chain_values, max_size=12))
-def test_materialize_ranks_as_compare_values_orders(values):
-    mat = materialize(values)
-    assert sorted(mat.values()) == [F(i) for i in range(len(set(values)))]
-    for u in values:
-        for v in values:
-            c = compare_values(u, v)
-            assert (mat[u] > mat[v]) - (mat[u] < mat[v]) == c
-
-
-def test_order_key_puts_the_deeper_head_chain_above():
-    q, a, b, c = rat(1), rat(9), rat(-9), rat(100)
-    deep = Pair(Pair(q, a), b)
-    for shallow in (Pair(q, c), Pair(q, Pair(c, c)), q):
-        assert compare_values(deep, shallow) == 1
-        assert order_key(deep) > order_key(shallow)
-        mat = materialize([deep, shallow])
-        assert mat[deep] == 1 and mat[shallow] == 0
-    # a smaller base wins over any depth, and equal depths compare by tails
-    assert order_key(Pair(Pair(rat(0), c), c)) < order_key(F(1, 2))
-    assert order_key(Pair(Pair(q, a), b)) < order_key(Pair(Pair(q, a), c))
-    assert order_key(Pair(Pair(q, b), c)) < order_key(Pair(Pair(q, a), b))
-
-
-def test_materialize_is_order_preserving():
-    vals = [rat(3), Pair(rat(3), rat(0)), rat(0), Pair(rat(2), rat(9))]
-    mat = materialize(vals)
-    assert sorted(mat.values()) == [F(0), F(1), F(2), F(3)]
-    for u in vals:
-        for v in vals:
-            assert (mat[u] < mat[v]) == (compare_values(u, v) < 0)
+    t = parse_order_term("shift(lex(lex(x1, x2), x3))", MAPS)
+    assert eval_term(t, (0, 1, 2)) == (10, 2, (1, 0), (2, 0))
+    assert eval_pair(t, (0, 1, 2)) == Pair(Pair(F(10), F(1)), F(2))
 
 
 # -- structure helpers ---------------------------------------------------------

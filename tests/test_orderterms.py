@@ -121,6 +121,31 @@ def test_keys_order_and_identify_as_the_oracle(evals):
         assert k != l or hash(k) == hash(l)
 
 
+@given(evaluations)
+def test_value_order_antisymmetric(evals):
+    keys, values = keys_and_values(evals)
+    for (k, u), (l, v) in product(zip(keys, values), repeat=2):
+        cu, cv = compare_values(u, v), compare_values(v, u)
+        assert cu == -cv
+        assert (cu == 0) == (u == v)
+        # the keys' own operators agree, in both argument orders
+        assert (k < l) == (cu < 0) == (l > k)
+        assert (k <= l) == (cu <= 0) == (l >= k)
+
+
+@given(evaluations)
+def test_value_order_transitive(evals):
+    keys, values = map(set, keys_and_values(evals))
+    for items, le in ((keys, lambda a, b: a <= b),
+                      (values, lambda a, b: compare_values(a, b) <= 0)):
+        # u <= v and v <= w give u <= w: whatever is at or above v is at
+        # or above every u below v
+        above = {u: {w for w in items if le(u, w)} for u in items}
+        for u in items:
+            for v in above[u]:
+                assert above[v] <= above[u]
+
+
 @given(evaluations, st.sampled_from(sorted(MAPS)))
 def test_increasing_maps_preserve_value_order(evals, name):
     # a map moves the base of every key as the oracle moves pair heads

@@ -4,13 +4,17 @@ An operation f is canonical for a structure when tuples of arguments of
 the same types have images of the same type, for every tuple length k:
 applying automorphisms to the arguments independently can be undone by
 one automorphism on the image.  Canonical operations act on type spaces;
-that action is the type table computed here.  `xi_infty` reads it at
-level m = `max_relation_arity`: 2 for the dense order, 1 for the pure
-set, the largest relation arity (1 without relations) for finite
-structures.  Level m need not determine the higher levels: over the pure
-set, and over a relation-free or unary finite structure with two points
-in one orbit, level 1 does not determine level 2, while level 2
-determines level 3 (`tests/test_canonical.py`, the factor checks).
+that action is the type table computed here.  One private builder
+computes every table: it refuses an operation that `is_canonical` refuses
+up to max(k, `default_k_max`), then builds one level-k type space.
+`type_image` is that builder on one operation at any level k, and
+`xi_infty` on a generating set at the critical level m =
+`critical_level`: 2 for the dense order, 1 for the pure set, the largest
+relation arity (1 without relations) for finite structures.  Level m
+need not determine the higher levels: over the pure set, and over a
+relation-free or unary finite structure with two points in one orbit,
+level 1 does not determine level 2, while level 2 determines level 3
+(`tests/test_canonical.py`, the factor checks).
 
 Deciding canonicity is exact, never sampled.  Over a finite structure
 the automorphism group decides a canonical table outright.  The table f
@@ -131,12 +135,22 @@ class CanonicalVerdict:
 PAIR_LEVEL = 2
 
 
+def critical_level(structure: Structure) -> int:
+    """The level m that `xi_infty` reads types at and the CLI's `orbits`
+    and `type-image` default to; every other reader asks here.  It is the
+    largest relation arity: 2 for `dlo`, 1 for `pureset`, 1 for a
+    relation-free finite structure.  Known defect: where that is 1, level
+    1 does not determine level 2 (module docstring), so the level should
+    be at least 2."""
+    return structure.max_relation_arity
+
+
 def default_k_max(structure: Structure) -> int:
-    """The default bound of `is_canonical`: max(m, 3), with m the
-    structure's largest relation arity.  It bounds only the search for a
-    split: a canonical verdict covers every k, by the finite generator
-    test or the symbolic pair lemma of the module docstring."""
-    return max(structure.max_relation_arity, 3)
+    """The default bound of `is_canonical`: max(`critical_level`, 3).  It
+    bounds only the search for a split: a canonical verdict covers every
+    k, by the finite generator test or the symbolic pair lemma of the
+    module docstring."""
+    return max(critical_level(structure), 3)
 
 
 def _require_matching(body: Table | OrderTerm, structure: Structure) -> None:
@@ -316,33 +330,9 @@ def type_table(
     return Table(space.size, arity, outputs)
 
 
-def type_image(
-    operation: Operation,
-    structure: Structure,
-    k: int,
-    caps: Caps = DEFAULT_CAPS,
-) -> TypeOperation:
-    """Type table of a canonical operation at level k.
-
-    Raises NonCanonicalOperation (carrying the counterexample) when the
-    canonicity check up to k fails; representatives are then
-    meaningless.  Over a symbolic structure that check is decided on
-    pairs and covers every k.
-    """
-    verdict = is_canonical(operation, structure, k_max=k, caps=caps)
-    if not verdict.canonical:
-        raise NonCanonicalOperation(
-            f"operation {operation.name!r} is not canonical at level "
-            f"{verdict.counterexample.k}",
-            verdict.counterexample,
-        )
-    space = type_space(structure, k, caps)
-    return TypeOperation(space, type_table(operation.body, operation.arity, space, caps))
-
-
 @dataclass(frozen=True)
 class XiImage:
-    """Images of a generating set on the level-m type space."""
+    """Images of operations on one level-k type space."""
 
     space: ConcreteTypeSpace | PatternTypeSpace
     images: tuple[tuple[str, TypeOperation], ...]
@@ -351,31 +341,56 @@ class XiImage:
         return [(name, op.table) for name, op in self.images]
 
 
+def _canonical_images(
+    operations: Sequence[Operation], structure: Structure, k: int, caps: Caps
+) -> XiImage:
+    """The one canonicity gate and the one builder of type tables.
+
+    Each operation must pass `is_canonical` up to max(k, `default_k_max`);
+    the first that does not raises NonCanonicalOperation with its
+    counterexample.  Then one level-k type space is built, and every
+    table shares it."""
+    level = max(k, default_k_max(structure))
+    for op in operations:
+        cx = is_canonical(op, structure, level, caps).counterexample
+        if cx is not None:
+            message = f"operation {op.name!r} is not canonical at level {cx.k}"
+            raise NonCanonicalOperation(message, cx)
+    space = type_space(structure, k, caps)
+    images = tuple(
+        (op.name, TypeOperation(space, type_table(op.body, op.arity, space, caps)))
+        for op in operations
+    )
+    return XiImage(space, images)
+
+
+def type_image(
+    operation: Operation,
+    structure: Structure,
+    k: int,
+    caps: Caps = DEFAULT_CAPS,
+) -> TypeOperation:
+    """The action of one operation on the level-k types.
+
+    It refuses what `canonical` refuses at its default `--kmax`, whatever
+    k is: a check up to k = 1 alone would pass `min` over `pureset`,
+    where level 1 has one type.  The check covers every k over a symbolic
+    structure and for a finite table that passes the generator test; any
+    other table is checked up to max(k, `default_k_max`)."""
+    return _canonical_images([operation], structure, k, caps).images[0][1]
+
+
 def xi_infty(
     generators: Sequence[Operation],
     structure: Structure,
     caps: Caps = DEFAULT_CAPS,
 ) -> XiImage:
-    """Action of the generators on the level-m type space, m the
-    structure's `max_relation_arity`; every image shares that one space.
+    """The generators' action on the types at `critical_level`, behind
+    the same gate as `type_image`; every image shares one space.
 
-    Each generator must be canonical at every level, as `is_canonical`
-    decides at its default `k_max` (only up to `k_max` for a finite table
-    that fails the generator test); the first that is not raises
-    NonCanonicalOperation with its counterexample.  A check at level m
-    would not do: level 1 has a single type over `pureset` and over
-    relation-free finite structures.  Nor are the images the action at
-    every level, since level m need not determine level m + 1 (module
-    docstring)."""
-    for op in generators:
-        verdict = is_canonical(op, structure, caps=caps)
-        if not verdict.canonical:
-            raise NonCanonicalOperation(
-                f"generator {op.name!r} is not canonical", verdict.counterexample
-            )
-    space = type_space(structure, structure.max_relation_arity, caps)
-    images = tuple(
-        (op.name, TypeOperation(space, type_table(op.body, op.arity, space, caps)))
-        for op in generators
-    )
-    return XiImage(space, images)
+    The gate keeps every non-canonical generator out, but the images need
+    not be the action at every level.  Over `pureset` and over
+    relation-free or unary finite structures, `critical_level` is 1, which
+    has a single type and does not determine level 2 (module docstring).
+    That known defect stays open until the level is raised to 2."""
+    return _canonical_images(generators, structure, critical_level(structure), caps)

@@ -24,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .canonical import Operation, Structure, is_canonical, type_image
+from .canonical import Operation, Structure, critical_level, is_canonical, type_image
 from .clones import FiniteClone, Table, generate
 from .config import DEFAULT_CAPS, Caps
 from .equations import (
@@ -227,7 +227,7 @@ def _signature(system: EquationSystem) -> str:
 
 def _cmd_orbits(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     structure = _load_structure(ns.structure)
-    k = ns.k if ns.k is not None else structure.max_relation_arity
+    k = ns.k if ns.k is not None else critical_level(structure)
     space = type_space(structure, k, caps)
     if isinstance(structure, FiniteStructure):
         lines = [f"{space.size} orbit classes at level k={k}"]
@@ -268,7 +268,7 @@ def _tuples(args) -> str:
 def _cmd_type_image(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     ops = parse_operations(_read(ns.operations))
     structure = _load_structure(ns.structure)
-    k = ns.k if ns.k is not None else structure.max_relation_arity
+    k = ns.k if ns.k is not None else critical_level(structure)
     lines = []
     for op in ops:
         try:
@@ -389,6 +389,10 @@ def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     system = parse_equation_system(_read(ns.equations))
     structure = _load_structure(ns.structure)
     stages = ns.depth if ns.depth is not None else 3
+    symbols = [sym for sym, _ in ns.assign]
+    for sym in symbols:
+        if symbols.count(sym) > 1:
+            raise InconsistentData(f"--assign names symbol {sym!r} twice")
     assign = dict(ns.assign) or None
     try:
         instance = build_instance(

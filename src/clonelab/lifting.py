@@ -226,12 +226,18 @@ def build_instance(
 
     By default the assignment is found by searching the type clone's
     catalogs.  ``assign`` forces specific generators onto the symbols
-    instead (by generator name), which matters when the search would
-    settle on a degenerate solution such as a plain selector; with
-    ``recheck=False`` the forced assignment is accepted without
-    verifying that it satisfies the system, so that the resulting
-    obstruction can be observed downstream.
+    instead (by generator name); it must name every symbol of the system
+    and nothing else, which is checked before any work.  That matters
+    when the search would settle on a degenerate solution such as a
+    plain selector; with ``recheck=False`` the forced assignment is
+    accepted without verifying that it satisfies the system, so that the
+    resulting obstruction can be observed downstream.
     """
+    stray = sorted(set(assign or ()).difference(sym for sym, _ in system.signature))
+    if stray:
+        raise InconsistentData(
+            f"forced assignment names {stray[0]!r}, not a symbol of the system"
+        )
     gen_ops = tuple(generators)
     xi, clone = _type_clone(structure, gen_ops, caps)
     fixed = None

@@ -593,9 +593,14 @@ def parse_member(text: str) -> QFunction:
     maps: dict[str, tuple[int, list[Piece]]] = {}
     current: list[Piece] | None = None
     rows: list[tuple[int, list[str]]] = []
+    declared: set[str] = set()
     for lineno, (head, *rest) in records(text):
         if head in _MEMBER_FIELDS and len(rest) != _MEMBER_FIELDS[head]:
             raise ParseError(f"`{head}` takes {_MEMBER_FIELDS[head]} field(s)", lineno)
+        if head in ("arity", "eventual", "alpha"):
+            if head in declared:
+                raise ParseError(f"`{head}` line repeated", lineno)
+            declared.add(head)
         if head == "arity":
             arity = natural(rest[0], lineno, "a member arity of at least 1", 1)
         elif head == "eventual":

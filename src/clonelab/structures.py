@@ -57,7 +57,8 @@ class FiniteStructure:
 
     @property
     def max_relation_arity(self) -> int:
-        """Largest declared arity; 1 for a relation-free structure."""
+        """Largest declared relation arity; 1 for a relation-free
+        structure.  `canonical.critical_level` turns it into a level."""
         return max((r.arity for r in self.relations), default=1)
 
     @cached_property
@@ -214,9 +215,9 @@ class SymbolicStructure:
 
     @property
     def max_relation_arity(self) -> int:
-        """The level `xi_infty` reads types at: 2 for the order, 1 for the
-        pure set, which has no relations.  Over the pure set that is below
-        the critical level: level 1 does not determine level 2."""
+        """Largest relation arity: 2 for the order `<`, and 1 for the pure
+        set, which has no relations besides equality.
+        `canonical.critical_level` turns it into a level."""
         return 2 if self.kind is StructureKind.DLO else 1
 
     @property

@@ -24,7 +24,9 @@ from clonelab.canonical import (
     Operation,
     _enumerated_verdict,
     _moves_are_undone,
+    critical_level,
     default_k_max,
+    is_canonical,
     is_canonical_finite,
     is_canonical_symbolic,
     type_image,
@@ -471,7 +473,9 @@ def test_xi_infty_refuses_min_over_the_pure_set():
     # level 1 over the pure set has one type, so only a check at every
     # level sees that min splits equality patterns
     op = Operation("min", 2, Min((Coord(1), Coord(2))))
-    with pytest.raises(NonCanonicalOperation, match="generator 'min'") as err:
+    with pytest.raises(
+        NonCanonicalOperation, match="operation 'min' is not canonical at level 2"
+    ) as err:
         xi_infty([op], PURE_SET)
     assert err.value.counterexample.k == 2
 
@@ -480,6 +484,50 @@ def test_xi_infty_refuses_sum_mod3_over_a_relation_free_set():
     with pytest.raises(NonCanonicalOperation) as err:
         xi_infty([Operation("add", 2, SUM_MOD3)], FiniteStructure(3))
     assert err.value.counterexample.k == 2
+
+
+def _binary_operation(term, wrap):
+    if wrap:
+        term = MapApply("shift", translation(F(7, 2)), term)
+    return Operation("f", 2, term)
+
+
+def _table_operation(case):
+    table, structure = case
+    return Operation("f", table.arity, table), structure
+
+
+_OPERATION_OVER_A_STRUCTURE = st.tuples(
+    st.builds(_binary_operation, _DEPTH_TWO, st.booleans()),
+    st.sampled_from([DLO, PURE_SET]),
+) | _table_over_structure().map(_table_operation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_OPERATION_OVER_A_STRUCTURE, st.integers(1, 3))
+def test_type_image_and_xi_infty_share_one_gate(case, k):
+    # type_image refuses exactly what is_canonical refuses up to the
+    # default bound, at any k, and xi_infty is type_image at the critical
+    # level
+    op, structure = case
+    verdict = is_canonical(op, structure, max(k, default_k_max(structure)))
+    try:
+        image = type_image(op, structure, k)
+    except NonCanonicalOperation as exc:
+        assert not verdict.canonical
+        assert exc.counterexample == verdict.counterexample
+    else:
+        assert verdict.canonical
+        assert image.space.k == k
+    level = critical_level(structure)
+    try:
+        xi = xi_infty([op], structure)
+    except NonCanonicalOperation as exc:
+        with pytest.raises(NonCanonicalOperation) as err:
+            type_image(op, structure, level)
+        assert err.value.counterexample == exc.counterexample
+    else:
+        assert xi.images[0][1] == type_image(op, structure, level)
 
 
 @pytest.mark.parametrize(

@@ -183,6 +183,41 @@ def test_type_image_refuses_non_canonical(files, capsys):
     assert "mn: not canonical" in out
 
 
+@pytest.mark.parametrize(
+    "ops, structure, flags",
+    [
+        ("op mn 2\nterm min(x1, x2)\n", "pureset", []),
+        ("op mn 2\nterm min(x1, x2)\n", "pureset", ["--k", "1"]),
+        ("op mn 2\ntable 0 1 2 1 2 0 2 0 1\n", "domain 3\n", []),
+    ],
+    ids=["min-pureset", "min-pureset-k1", "sum-mod3-three-points"],
+)
+def test_type_image_refuses_what_canonical_refuses(
+    files, capsys, ops, structure, flags
+):
+    # level 1 has a single type here, so a check at k = 1 alone lets
+    # the operation through with a one-row table
+    if structure != "pureset":
+        structure = files("three.struct", structure)
+    args = (files("mn.ops", ops), structure, *flags)
+    code, out, _ = run(capsys, "type-image", *args)
+    assert code == 1
+    assert out.endswith(
+        "\nmn: not canonical — operation 'mn' is not canonical at level 2\n"
+    )
+    code, out, _ = run(capsys, "canonical", *args[:2])
+    assert code == 1
+    assert "mn: not canonical at k=2" in out
+
+
+def test_type_image_of_lex_over_the_pure_set(files, capsys):
+    code, out, _ = run(capsys, "type-image", files("lex.ops", LEX_OPS), "pureset")
+    assert code == 0
+    assert out.endswith(
+        "\ntype table of lex at k=1 (1 types):\n  (x1, x1) -> x1\n"
+    )
+
+
 # -- equation solving --------------------------------------------------------
 
 
@@ -330,6 +365,25 @@ def test_lift_over_the_pure_set_reports_accumulation_as_undefined(
     assert code == 0
     assert "stage 3: points {0,1,2,3}" in out
     assert out.endswith("accumulation: not defined for point injections\n")
+
+
+@pytest.mark.parametrize(
+    "assigns, message",
+    [
+        (["f=lex", "f=rev"], "--assign names symbol 'f' twice"),
+        (["f=rev", "typo=lex"], "'typo', not a symbol of the system"),
+    ],
+    ids=["twice", "stray"],
+)
+def test_lift_refuses_an_assignment_it_would_ignore(files, capsys, assigns, message):
+    ops = files("lex.ops", LEX_OPS + "op rev 2\nterm lex(x2, x1)\n")
+    flags = [flag for a in assigns for flag in ("--assign", a)]
+    code, out, err = run(
+        capsys, "lift", ops, files("assoc.eqs", ASSOC), "dlo", *flags, *SMALL
+    )
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 def test_lift_unsatisfiable_assignment(files, capsys):

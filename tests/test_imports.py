@@ -3,8 +3,9 @@ or names a standard-library module.  And it holds no dead code: every
 top-level definition is reachable from the public API, the command line
 or the benchmark, every top-level import is used, and every defaulted
 parameter is passed by some call in the package or the benchmark.  No
-code path lists a whole automorphism group, and no test oracle evaluates
-order terms through the library.  The checks read the sources with
+code path lists a whole automorphism group, no test oracle evaluates
+order terms through the library, and the critical level and the
+canonicity gate each have one home.  The checks read the sources with
 `ast`."""
 
 from __future__ import annotations
@@ -206,3 +207,36 @@ def test_oracles_do_not_evaluate_through_the_library():
                     if alias.name in banned
                 )
     assert not found, found
+
+
+def _owned_nodes(tree):
+    """Every node of a module, with the name of the top-level definition
+    that holds it (None for module-level code)."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, DEFINITIONS) else None
+        for node in ast.walk(top):
+            yield owner, node
+
+
+def test_the_critical_level_has_one_definition():
+    # a second reader of the raw arity would be a second definition of the
+    # level, free to drift from `critical_level`
+    readers = {
+        f"{path.stem}.{owner}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "max_relation_arity"
+    }
+    assert readers == {"canonical.critical_level"}
+
+
+def test_one_gate_builds_every_type_table():
+    # `type_image` and `xi_infty` both go through one builder, so neither
+    # can check canonicity at a level of its own
+    path = PACKAGE / "canonical.py"
+    callers: dict[str, set] = {}
+    for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            callers.setdefault(node.func.id, set()).add(owner)
+    assert callers["is_canonical"] == {"_canonical_images"}
+    assert callers["type_space"] == {"_canonical_images"}

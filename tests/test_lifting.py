@@ -284,6 +284,9 @@ def test_build_instance_rejects_bad_generators():
         build_instance(DLO, [lex_op()], associativity(), caps=SMALL, assign={})
     with pytest.raises(InconsistentData):
         build_instance(DLO, [lex_op(), lex_op()], associativity(), caps=SMALL)
+    with pytest.raises(InconsistentData, match="'typo', not a symbol"):
+        build_instance(DLO, [lex_op()], associativity(), caps=SMALL,
+                       assign={"f": "lex", "typo": "lex"})
 
 
 def test_finite_structures_are_refused_before_the_canonicity_check():

@@ -476,6 +476,12 @@ MEMBER_ERROR_LINES = {
     # data row entirely above the threshold, before the map it needs
     "arity 2\neventual 1 0\ndata 1 1 -5\n"
     "alpha m\nmap m\npiece -inf inf affine 1 0\n": 3,
+    # a repeated single line is refused, not overridden by the last one
+    "arity 3\neventual 2 5\narity 2\neventual 1 0\n"
+    "alpha m\nmap m\npiece -inf inf affine 1 0\n": 3,
+    "arity 2\neventual 2 5\neventual 1 0\n"
+    "alpha m\nmap m\npiece -inf inf affine 1 0\n": 3,
+    "arity 2\neventual 1 0\nalpha m\nalpha m\nmap m\npiece -inf inf affine 1 0\n": 4,
 }
 
 

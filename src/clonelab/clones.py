@@ -9,6 +9,15 @@ terms that produce the same table ("collisions") are kept; they are the
 equations the clone is known to satisfy and drive the projective
 homomorphism search.
 
+On a base of at most 256 points a catalog is keyed by its tables'
+outputs as bytes, one byte per row, and each entry also keeps them as
+one packed integer.  A generator whose table has at most 256 entries
+then composes with one integer sum and one `bytes.translate`; a `Table`
+is built, and validated, only for a table the catalog has not seen.  A
+wider generator, such as a ternary table on 7 points, reads its table
+row by row with `gather`, as `Table.compose` does; on a base over 256
+points every generator does, and the catalog is keyed by output tuples.
+
 Caps bound arity, composition depth, and catalog size; each arity
 records whether its catalog is saturated (a full round added nothing)
 or was cut short.
@@ -161,42 +170,54 @@ def generate(
 
 
 def _generate_arity(generators, base_size, arity, caps):
+    rows = base_size**arity
+    packed = base_size <= 256  # outputs fit one byte each: keys are bytes
+    key = bytes if packed else tuple
     # selectors seed the catalog; on degenerate bases some coincide as
     # tables, and those identifications are collisions like any other
     entries: list[CatalogEntry] = []
-    index: dict[tuple[int, ...], int] = {}
+    terms: list[Term] = []
+    packs: list[int] = []  # each entry's outputs, one byte per row
+    index: dict[bytes | tuple[int, ...], int] = {}
     pairs: list[tuple[Term, Term]] = []
+
+    def add(outputs, term, depth):
+        index[outputs] = len(entries)
+        table = Table(base_size, arity, tuple(outputs))  # validated once, when new
+        entries.append(CatalogEntry(table, term, depth))
+        terms.append(term)
+        if packed:
+            packs.append(int.from_bytes(outputs, "big"))
+
     for i in range(1, arity + 1):
-        table = selector(base_size, arity, i)
-        pos = index.get(table.outputs)
+        outputs = key(selector(base_size, arity, i).outputs)
+        pos = index.get(outputs)
         if pos is not None:
-            pairs.append((entries[pos].term, Var(i)))
-            continue
-        index[table.outputs] = len(entries)
-        entries.append(CatalogEntry(table, Var(i), 0))
+            pairs.append((terms[pos], Var(i)))
+        else:
+            add(outputs, Var(i), 0)
     capped = False
     frontier_start = 0
     for depth in range(1, caps.depth_cap + 1):
         round_start = len(entries)
         for name, gtable in generators:
+            if packed and len(gtable.outputs) <= 256:
+                compose = _packed_composer(gtable, packs[:round_start], rows)
+            else:
+                compose = _tuple_composer(gtable, entries, key)
             for arg_ids in itertools.product(range(round_start), repeat=gtable.arity):
-                if max(arg_ids) < frontier_start and depth > 1:
+                if depth > 1 and max(arg_ids) < frontier_start:
                     continue  # tried in an earlier round
-                args = [entries[i] for i in arg_ids]
-                term = App(name, tuple(e.term for e in args))
-                outputs = gather(
-                    gtable.outputs, base_size, [e.table.outputs for e in args]
-                )
+                term = App(name, tuple(map(terms.__getitem__, arg_ids)))
+                outputs = compose(arg_ids)
                 pos = index.get(outputs)
                 if pos is not None:
-                    pairs.append((entries[pos].term, term))
+                    pairs.append((terms[pos], term))
                     continue
                 if len(entries) >= caps.catalog_cap:
                     capped = True
                     break
-                index[outputs] = len(entries)
-                table = Table(base_size, arity, outputs)  # validated once, when new
-                entries.append(CatalogEntry(table, term, depth))
+                add(outputs, term, depth)
             if capped:
                 break
         if capped:
@@ -206,3 +227,32 @@ def _generate_arity(generators, base_size, arity, caps):
         frontier_start = round_start
     # catalog cap hit, or depth cap reached while still finding new tables
     return entries, pairs, False
+
+
+def _packed_composer(gtable: Table, packs: Sequence[int], rows: int):
+    """Outputs of gtable after the entries with the given ids, as bytes.
+
+    Each byte of the weighted sum of the packed entries is a row's index
+    into gtable, below size^arity <= 256 so no byte carries into the next;
+    one translate reads gtable at every row at once."""
+    k = gtable.arity
+    scaled = [[p * gtable.size ** (k - 1 - j) for p in packs] for j in range(k)]
+    lut = bytes(gtable.outputs).ljust(256, b"\0")
+    pick = list.__getitem__
+
+    def compose(arg_ids):
+        return sum(map(pick, scaled, arg_ids)).to_bytes(rows, "big").translate(lut)
+
+    return compose
+
+
+def _tuple_composer(gtable: Table, entries: Sequence[CatalogEntry], key):
+    """Outputs of gtable after the entries with the given ids, as a
+    catalog key, gathered from output tuples: for a generator whose table
+    is too wide to translate through."""
+
+    def compose(arg_ids):
+        inner = [entries[i].table.outputs for i in arg_ids]
+        return key(gather(gtable.outputs, gtable.size, inner))
+
+    return compose

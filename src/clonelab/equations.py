@@ -13,11 +13,12 @@ Three satisfaction notions over a common signature of operation symbols:
 
 Plain clone search is modulo search without modifiers: one loop runs
 through the catalog assignments for both, and the plain search compares
-each equation's side tables directly.  Each side is compiled once per
+each equation's side values directly.  Each side is compiled once per
 search into a gather plan over the rows of the variable space, so an
 assignment is checked on the symbols' output tuples without building a
-table.  Every hit, modulo hits included, is re-verified pointwise before
-it is returned.
+table; a symbol applied to variables alone is one `itemgetter` over its
+outputs.  Every hit, modulo hits included, is re-verified pointwise
+before it is returned.
 
 The projective-homomorphism search runs the first notion against the
 equations a clone generation discovered (its collisions): an assignment
@@ -30,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
@@ -194,8 +196,8 @@ def _compile_side(term: Term, arity: int, base_size: int) -> Side:
     """A term's values on the rows of {0..base_size-1}^arity, in row-major
     order, as a gather plan: a variable is a fixed column, and a symbol
     reads its outputs at the row-wise indices its arguments spell.  The
-    indices contributed by variable arguments are fixed once, so a
-    height-1 term is a single gather."""
+    indices contributed by variable arguments are fixed once, so a symbol
+    applied to variables alone is one `itemgetter` over its outputs."""
     points = list(itertools.product(range(base_size), repeat=arity))
 
     def var(index: int) -> tuple[int, ...]:
@@ -210,6 +212,10 @@ def _compile_side(term: Term, arity: int, base_size: int) -> Side:
                 fixed = [i + weight * v for i, v in zip(fixed, part)]
             else:
                 nested.append((weight, part))
+        # on one row an itemgetter gives a bare value, not a 1-tuple
+        if not nested and len(points) > 1:
+            read = operator.itemgetter(*fixed)
+            return lambda outputs: read(outputs[symbol])
         fixed = tuple(fixed)
 
         def gather(outputs):
@@ -248,6 +254,11 @@ def _first_broken(
     outputs: Mapping[str, tuple[int, ...]],
     outside: Sequence[Modifier],
 ) -> tuple[int | None, list[tuple[Modifier, Modifier]]]:
+    if outside == (None,):  # plain equality: compare the side values
+        for i, (left, right) in enumerate(sides):
+            if left(outputs) != right(outputs):
+                return i, [(None, None)] * i
+        return None, [(None, None)] * len(sides)
     agreements = []
     for i, (left, right) in enumerate(sides):
         lhs, rhs = left(outputs), right(outputs)

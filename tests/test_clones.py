@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,7 @@ from clonelab.clones import (
 )
 from clonelab.terms import App, Var
 
-from table_oracle import eval_term_table
+from table_oracle import eval_term_table, reference_generate
 
 
 def term_depth(term):
@@ -138,3 +139,45 @@ def test_one_element_base_identifies_selectors():
     assert (Var(1), Var(2)) in clone.collisions[2]
     assert (Var(1), Var(3)) in clone.collisions[3]
 
+
+
+def assert_same_clone(clone, reference):
+    assert clone.catalogs == reference.catalogs  # tables, terms and depths
+    assert clone.collisions == reference.collisions  # in order
+    assert clone.saturated == reference.saturated
+
+
+def random_table(rng, size, arity):
+    return Table(size, arity, tuple(rng.randrange(size) for _ in range(size**arity)))
+
+
+def test_generation_matches_the_tuple_oracle():
+    rng = random.Random(20261019)
+    capped = 0
+    for _ in range(60):
+        base = rng.choice([1, 2, 3])
+        arities = rng.choice([(1,), (2,), (3,), (1, 2), (2, 2), (1, 3)])
+        generators = [(f"g{i}", random_table(rng, base, k)) for i, k in enumerate(arities)]
+        caps = Caps(arity_cap=3, depth_cap=2, catalog_cap=rng.choice([5, 40, 1000]))
+        clone = generate(generators, base, caps)
+        assert_same_clone(clone, reference_generate(generators, base, caps))
+        capped += any(len(c) == caps.catalog_cap for c in clone.catalogs.values())
+    assert capped > 0  # some catalogs were cut at the catalog cap
+
+
+def test_generators_too_wide_to_pack_match_the_tuple_oracle():
+    # a ternary table on 7 points has 343 entries, over one byte of index
+    rng = random.Random(7)
+    wide = ("t", random_table(rng, 7, 3))
+    binary = ("b", random_table(rng, 7, 2))
+    for generators, caps in [
+        ([wide], Caps(arity_cap=2, depth_cap=2)),
+        ([binary, wide], Caps(arity_cap=3, depth_cap=2, catalog_cap=150)),
+        ([wide, binary], Caps(arity_cap=2, depth_cap=3, catalog_cap=300)),
+    ]:
+        clone = generate(generators, 7, caps)
+        assert_same_clone(clone, reference_generate(generators, 7, caps))
+    # outputs past one byte: a base over 256 points
+    shift = ("s", Table(257, 1, tuple((v + 1) % 257 for v in range(257))))
+    caps = Caps(arity_cap=1, depth_cap=3)
+    assert_same_clone(generate([shift], 257, caps), reference_generate([shift], 257, caps))

@@ -22,6 +22,7 @@ from clonelab.equations import (
     Equation,
     EquationSystem,
     _compile_side,
+    first_broken,
     has_projective_homomorphism,
     pad_to_common_arity,
     parse_equation_system as parse_system,
@@ -271,14 +272,15 @@ def test_clone_search_matches_the_table_oracle():
     systems = [parse_system(text) for text in CONDITIONS.values()]
     found = 0
     for _ in range(40):
-        base = rng.choice([2, 3])
+        # one point: every side is a 1-tuple, a lone itemgetter index a scalar
+        base = rng.choice([1, 2, 3])
         generators = [
             (f"g{i}", Table(base, k, tuple(rng.randrange(base) for _ in range(base**k))))
             for i, k in enumerate(rng.choice([(1,), (2,), (1, 2), (2, 2)]))
         ]
         clone = generate(generators, base, Caps(arity_cap=3, depth_cap=2))
         perm = list(range(base))
-        while perm == list(range(base)):
+        while perm == list(range(base)) and base > 1:
             rng.shuffle(perm)
         identity = ("id", Table(base, 1, tuple(range(base))))
         swap = ("swap", Table(base, 1, tuple(perm)))
@@ -292,7 +294,29 @@ def test_clone_search_matches_the_table_oracle():
             for family in families:
                 modulo = satisfiable_modulo_outside(system, clone, family)
                 assert modulo == reference_search(system, clone, family)
+            for _ in range(5):
+                tables = {
+                    name: rng.choice(clone.catalog(arity)).table
+                    for name, arity in system.signature
+                }
+                assert first_broken(system, tables, base, clone.caps) == first_unequal(
+                    system, tables, base
+                )
     assert 0 < found < 40 * len(systems)
+
+
+def first_unequal(system, tables, base):
+    """The index of the first equation whose side tables differ."""
+    n = system.ambient_arity
+    return next(
+        (
+            i
+            for i, eq in enumerate(system.equations)
+            if eval_term_table(eq.lhs, tables, n, base)
+            != eval_term_table(eq.rhs, tables, n, base)
+        ),
+        None,
+    )
 
 
 # -- caps on the search -------------------------------------------------------------

@@ -14,10 +14,11 @@ Three satisfaction notions over a common signature of operation symbols:
 Plain clone search is modulo search without modifiers: one loop runs
 through the catalog assignments for both, and the plain search compares
 each equation's side values directly.  Each side is compiled once per
-search into a gather plan over the rows of the variable space, so an
-assignment is checked on the symbols' output tuples without building a
-table; a symbol applied to variables alone is one `itemgetter` over its
-outputs.  Every hit, modulo hits included, is re-verified pointwise
+search into a gather plan over the rows of the variable space that reads
+each symbol at its signature position, so an assignment is checked on
+the output tuples the product of the catalogs yields, with no table or
+dict built; a symbol applied to variables alone is one `itemgetter` over
+its outputs.  Every hit, modulo hits included, is re-verified pointwise
 before it is returned.
 
 The projective-homomorphism search runs the first notion against the
@@ -188,11 +189,13 @@ def satisfiable_in_projections(system: EquationSystem) -> ProjectionReport:
 
 # an outside unary with its name; None stands for no post-composition
 Modifier = tuple[str, Table] | None
-# a side's values on every row, from each symbol's output tuple
-Side = Callable[[Mapping[str, tuple[int, ...]]], tuple[int, ...]]
+# a side's values on every row, from the output tuples in signature order
+Side = Callable[[Sequence[tuple[int, ...]]], tuple[int, ...]]
 
 
-def _compile_side(term: Term, arity: int, base_size: int) -> Side:
+def _compile_side(
+    term: Term, arity: int, base_size: int, positions: Mapping[str, int]
+) -> Side:
     """A term's values on the rows of {0..base_size-1}^arity, in row-major
     order, as a gather plan: a variable is a fixed column, and a symbol
     reads its outputs at the row-wise indices its arguments spell.  The
@@ -204,6 +207,7 @@ def _compile_side(term: Term, arity: int, base_size: int) -> Side:
         return tuple(p[index - 1] for p in points)
 
     def app(symbol: str, parts: list) -> Side:
+        pos = positions[symbol]
         fixed = [0] * len(points)
         nested = []
         for j, part in enumerate(parts):
@@ -215,14 +219,14 @@ def _compile_side(term: Term, arity: int, base_size: int) -> Side:
         # on one row an itemgetter gives a bare value, not a 1-tuple
         if not nested and len(points) > 1:
             read = operator.itemgetter(*fixed)
-            return lambda outputs: read(outputs[symbol])
+            return lambda outputs: read(outputs[pos])
         fixed = tuple(fixed)
 
         def gather(outputs):
             index = fixed
             for weight, child in nested:
                 index = [i + weight * v for i, v in zip(index, child(outputs))]
-            return tuple(map(outputs[symbol].__getitem__, index))
+            return tuple(map(outputs[pos].__getitem__, index))
 
         return gather
 
@@ -233,12 +237,13 @@ def _compile_side(term: Term, arity: int, base_size: int) -> Side:
 def _compile(
     system: EquationSystem, base_size: int, caps: Caps
 ) -> list[tuple[Side, Side]]:
-    """Both sides of every equation compiled, after refusing a row space
-    over `tuple_cap`."""
+    """Both sides of every equation compiled against the signature order,
+    after refusing a row space over `tuple_cap`."""
     n = system.ambient_arity
     guard(base_size**n, caps.tuple_cap, "equation row space")
+    positions = {name: i for i, (name, _) in enumerate(system.signature)}
     return [
-        (_compile_side(eq.lhs, n, base_size), _compile_side(eq.rhs, n, base_size))
+        tuple(_compile_side(t, n, base_size, positions) for t in (eq.lhs, eq.rhs))
         for eq in system.equations
     ]
 
@@ -251,7 +256,7 @@ def _post(modifier: Modifier, values: tuple[int, ...]) -> tuple[int, ...]:
 
 def _first_broken(
     sides: Sequence[tuple[Side, Side]],
-    outputs: Mapping[str, tuple[int, ...]],
+    outputs: Sequence[tuple[int, ...]],
     outside: Sequence[Modifier],
 ) -> tuple[int | None, list[tuple[Modifier, Modifier]]]:
     if outside == (None,):  # plain equality: compare the side values
@@ -280,7 +285,7 @@ def first_broken(
     """Whether the system holds on tables: the index of the first equation
     whose side tables do not agree, None when all agree.  A row space
     over `caps.tuple_cap` is refused before any table is read."""
-    outputs = {name: table.outputs for name, table in tables.items()}
+    outputs = [tables[name].outputs for name, _ in system.signature]
     return _first_broken(_compile(system, base_size, caps), outputs, (None,))[0]
 
 
@@ -339,12 +344,14 @@ def _search(
     sides = _compile(system, clone.base_size, clone.caps)
     names = [name for name, _ in system.signature]
     exhaustive = all(clone.saturated[arity] for _, arity in system.signature)
+    columns = [[entry.table.outputs for entry in c] for c in catalogs]
     checked = 0
-    for entries in itertools.product(*catalogs):
+    for outputs in itertools.product(*columns):
         checked += 1
-        outputs = {name: entry.table.outputs for name, entry in zip(names, entries)}
         bad, agreements = _first_broken(sides, outputs, outside)
         if bad is None:
+            # outputs are unique within a catalog
+            entries = [c[col.index(o)] for c, col, o in zip(catalogs, columns, outputs)]
             tables = {name: entry.table for name, entry in zip(names, entries)}
             _verify_pointwise(system, tables, clone.base_size, agreements)
             modifiers = None

@@ -37,7 +37,7 @@ and reports whether a single pattern owns a tail of the chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -145,8 +145,8 @@ def find_equalizers(
     """
     if len(left) != len(right):
         raise InconsistentData("equalizer sides have different lengths")
-    codes = pattern_of(structure, left).codes
-    if pattern_of(structure, right).codes != codes:
+    codes = pattern_of(structure, left)
+    if pattern_of(structure, right) != codes:
         return None
 
     def witness(values: Sequence[Fraction]) -> Witness:
@@ -239,7 +239,11 @@ def build_instance(
             f"forced assignment names {stray[0]!r}, not a symbol of the system"
         )
     gen_ops = tuple(generators)
-    xi, clone = _type_clone(structure, gen_ops, caps)
+    # only the catalogs of the symbols' arities are read, and no catalog
+    # depends on a wider one
+    widest = max((arity for _, arity in system.signature), default=1)
+    narrow = replace(caps, arity_cap=min(caps.arity_cap, widest))
+    xi, clone = _type_clone(structure, gen_ops, narrow)
     fixed = None
     if assign is not None:
         chosen = []
@@ -442,7 +446,7 @@ def approximate_accumulation(
         for w_l, w_r in witness.pairs:
             images.extend(w_l.apply(p) for p in pts)
             images.extend(w_r.apply(p) for p in pts)
-        classes.setdefault(pattern_of(DLO, images).codes, []).append(index)
+        classes.setdefault(pattern_of(DLO, images), []).append(index)
     pattern, indices = max(classes.items(), key=lambda kv: (len(kv[1]), kv[1][-1]))
     stable = indices == list(range(indices[0], len(witnesses)))
     return AccumulationReport(

@@ -4,10 +4,11 @@ Two worlds share one vocabulary here.  Finite relational structures get
 one backtracking search for automorphisms, which answers every question
 about the group without listing it, and orbits of tuples as types.  The
 two symbolic structures, the dense linear order on Q and the pure set on
-Q, get type spaces whose types are order patterns (weak orders as rank
-vectors) respectively equality patterns (partitions as first-occurrence
-codes).  Both kinds of space classify tuples and produce canonical
-representatives.
+Q, are homogeneous, so the type of a tuple is its order respectively
+equality pattern, and a symbolic type is its code tuple: the rank vector
+of a weak order over `dlo`, the first-occurrence block codes of a
+partition over `pureset`.  Both kinds of space classify tuples and
+produce canonical representatives.
 """
 
 from __future__ import annotations
@@ -229,39 +230,18 @@ DLO = SymbolicStructure(StructureKind.DLO)
 PURE_SET = SymbolicStructure(StructureKind.PURE_SET)
 
 
-@dataclass(frozen=True)
-class Pattern:
-    """Type of a k-tuple: rank vector over the order, first-occurrence
-    block codes over the pure set."""
-
-    kind: StructureKind
-    codes: tuple[int, ...]
-
-    def describe(self) -> str:
-        blocks: dict[int, list[str]] = {}
-        for i, c in enumerate(self.codes):
-            blocks.setdefault(c, []).append(f"x{i + 1}")
-        separator = " < " if self.kind is StructureKind.DLO else " | "
-        return separator.join("=".join(blocks[c]) for c in sorted(blocks))
-
-    def __str__(self) -> str:
-        return "(" + ",".join(str(c) for c in self.codes) + ")"
-
-
-def pattern_of(structure: SymbolicStructure, values: Sequence[Hashable]) -> Pattern:
-    """The pattern of rationals, integer ranks or the sort keys of
-    order-term values, compared in their native order."""
+def pattern_of(
+    structure: SymbolicStructure, values: Sequence[Hashable]
+) -> tuple[int, ...]:
+    """The code tuple of rationals, integer ranks or order-term sort keys,
+    compared natively: ranks among the distinct values over `dlo`, block
+    indices in order of first occurrence over `pureset`."""
     if structure.kind is StructureKind.DLO:
         distinct = sorted(set(values))
         rank = {v: i for i, v in enumerate(distinct)}
-        return Pattern(structure.kind, tuple(rank[v] for v in values))
+        return tuple(rank[v] for v in values)
     codes: dict[Hashable, int] = {}
-    out = []
-    for v in values:
-        if v not in codes:
-            codes[v] = len(codes)
-        out.append(codes[v])
-    return Pattern(structure.kind, tuple(out))
+    return tuple(codes.setdefault(v, len(codes)) for v in values)
 
 
 def _weak_orders(k: int) -> Iterable[tuple[int, ...]]:
@@ -316,12 +296,12 @@ class ConcreteTypeSpace:
 
 @dataclass(frozen=True)
 class PatternTypeSpace:
-    """Patterns of k-tuples over a symbolic structure."""
+    """The types of k-tuples over a symbolic structure, each its code tuple."""
 
     structure: SymbolicStructure
     k: int
-    patterns: tuple[Pattern, ...]
-    index: dict[Pattern, int] = field(compare=False, repr=False)
+    patterns: tuple[tuple[int, ...], ...]
+    index: dict[tuple[int, ...], int] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -332,10 +312,15 @@ class PatternTypeSpace:
 
     def representative(self, i: int) -> tuple[int, ...]:
         """The pattern realized by its own codes, which are integer ranks."""
-        return self.patterns[i].codes
+        return self.patterns[i]
 
     def describe(self, i: int) -> str:
-        return self.patterns[i].describe()
+        """Blocks of equal positions in order: "x2 < x1=x3", "x1=x2 | x3"."""
+        blocks: dict[int, list[str]] = {}
+        for position, c in enumerate(self.patterns[i], 1):
+            blocks.setdefault(c, []).append(f"x{position}")
+        separator = " < " if self.structure.kind is StructureKind.DLO else " | "
+        return separator.join("=".join(blocks[c]) for c in sorted(blocks))
 
 
 TypeSpace = ConcreteTypeSpace | PatternTypeSpace
@@ -368,14 +353,13 @@ def orbits(
 def enumerate_patterns(
     structure: SymbolicStructure, k: int, caps: Caps = DEFAULT_CAPS
 ) -> PatternTypeSpace:
-    """All patterns of length k, sorted by code vector."""
+    """All code tuples of length k, sorted."""
     guard(k, caps.k_cap, "tuple length")
     if structure.kind is StructureKind.DLO:
         guard(ordered_set_partition_count(k), caps.pattern_cap, "pattern family size")
-        codes = sorted(_weak_orders(k))
+        patterns = tuple(sorted(_weak_orders(k)))
     else:
-        codes = sorted(_partitions(k))
-    patterns = tuple(Pattern(structure.kind, c) for c in codes)
+        patterns = tuple(sorted(_partitions(k)))
     index = {p: i for i, p in enumerate(patterns)}
     return PatternTypeSpace(structure, k, patterns, index)
 

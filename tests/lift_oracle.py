@@ -63,9 +63,9 @@ def find_equalizers(left, right, structure: SymbolicStructure):
         raise InconsistentData("equalizer sides have different lengths")
     pat_l = pattern_of(structure, lv)
     pat_r = pattern_of(structure, rv)
-    if pat_l.codes != pat_r.codes:
+    if pat_l != pat_r:
         return None
-    target = tuple(Fraction(c) for c in pat_l.codes)
+    target = tuple(Fraction(c) for c in pat_l)
     if structure.kind is StructureKind.DLO:
         return (
             from_point_pairs(zip(lv, target)),

@@ -124,12 +124,12 @@ def test_criterion_01_type_space_counts():
             space = enumerate_patterns(DLO, k)
             oracle = brute_rank_vectors(k)
             assert space.size == len(oracle) == expected
-            assert {p.codes for p in space.patterns} == oracle
+            assert set(space.patterns) == oracle
         for k, expected in [(1, 1), (2, 2), (3, 5)]:
             space = enumerate_patterns(PURE_SET, k)
             oracle = brute_partition_codes(k)
             assert space.size == len(oracle) == expected
-            assert {p.codes for p in space.patterns} == oracle
+            assert set(space.patterns) == oracle
 
 
 # -- criterion 2: orbits against a naive closure oracle ----------------------

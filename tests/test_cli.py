@@ -386,6 +386,29 @@ def test_lift_refuses_an_assignment_it_would_ignore(files, capsys, assigns, mess
     assert message in err
 
 
+def test_lift_at_the_default_caps_finishes_with_the_narrow_body(files, capsys):
+    # the binary symbol reads only the arity-2 catalog, so no wider one
+    # is built under the default arity cap of 6
+    argv = [
+        "lift",
+        files("lex.ops", LEX_OPS),
+        files("assoc.eqs", ASSOC),
+        "dlo",
+        "--assign",
+        "f=lex",
+        "--depth",
+        "3",
+    ]
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 5
+    narrow_code, narrow, _ = run(capsys, *argv, "--arity-cap", "2")
+    assert code == narrow_code == 0
+    assert "caps: arity<=6 " in out
+    assert out.split("\n\n", 1)[1] == narrow.split("\n\n", 1)[1]
+    assert "stage 3: points {0,1,2,3}, 64 columns" in out
+
+
 def test_lift_unsatisfiable_assignment(files, capsys):
     code, out, _ = run(
         capsys,

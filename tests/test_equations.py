@@ -247,9 +247,10 @@ def sides_with_tables(draw):
 def test_compiled_side_matches_the_composed_table(case):
     # repeated, unused and nested variables, variables as whole sides
     term, tables, arity, base = case
-    outputs = {name: table.outputs for name, table in tables.items()}
+    positions = {name: i for i, (name, _) in enumerate(SIG3)}
+    outputs = tuple(tables[name].outputs for name, _ in SIG3)
     expected = eval_term_table(term, tables, arity, base).outputs
-    assert _compile_side(term, arity, base)(outputs) == expected
+    assert _compile_side(term, arity, base, positions)(outputs) == expected
 
 
 CONDITIONS = {

@@ -5,7 +5,8 @@ or the benchmark, every top-level import is used, and every defaulted
 parameter is passed by some call in the package or the benchmark.  No
 code path lists a whole automorphism group, no test oracle evaluates
 order terms or generates its reference clone through the library, and
-the critical level and the canonicity gate each have one home.  The
+the critical level and the canonicity gate each have one home.  Every
+source parses at the Python floor that `pyproject.toml` promises.  The
 checks read the sources with `ast`."""
 
 from __future__ import annotations
@@ -36,6 +37,19 @@ def test_package_imports_only_the_standard_library():
             for module in modules:
                 top = module.split(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name} imports {module}"
+
+
+def test_package_parses_at_the_promised_python_floor():
+    # tier-1 runs a newer Python, where newer syntax such as `except*`
+    # would pass unnoticed; `feature_version` rejects it
+    pyproject = (BENCH.parent / "pyproject.toml").read_text()
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', pyproject)
+    assert floor, "pyproject.toml states no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), str(path), feature_version=version)
 
 
 def _code_names(node):

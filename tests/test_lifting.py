@@ -209,6 +209,15 @@ def test_associativity_stages_accumulate_on_one_pattern():
     assert "tail" in report.describe()
 
 
+def test_a_lift_builds_catalogs_only_up_to_its_widest_symbol():
+    # SMALL allows arity 3; associativity has one binary symbol
+    for assign in ({"f": "lex"}, None):
+        instance = build_instance(
+            DLO, [lex_op()], associativity(), caps=SMALL, assign=assign
+        )
+        assert max(instance.type_clone.catalogs) == 2
+
+
 def test_searched_assignment_may_settle_on_a_selector():
     # without a forced assignment the catalog search is free to satisfy
     # associativity with a plain selector, which lifts trivially

@@ -8,12 +8,12 @@ from hypothesis import given, settings, strategies as st
 import corpus
 from clonelab.errors import CapExceeded, ParseError
 from clonelab.config import Caps
+from clonelab.orderterms import eval_term, parse_order_term
 from clonelab.plmap import from_point_pairs
 from clonelab.structures import (
     DLO,
     PURE_SET,
     FiniteStructure,
-    Pattern,
     Permutation,
     Relation,
     StructureKind,
@@ -90,7 +90,7 @@ def test_order_pattern_counts_match_filter_oracle():
             codes for codes in product(range(k), repeat=k) if valid_rank_vector(codes)
         ]
         assert len(oracle) == count
-        assert [p.codes for p in enumerate_patterns(DLO, k).patterns] == oracle
+        assert list(enumerate_patterns(DLO, k).patterns) == oracle
 
 
 def test_equality_pattern_counts_match_filter_oracle():
@@ -104,22 +104,57 @@ def test_equality_pattern_counts_match_filter_oracle():
 
 
 def test_pattern_of_examples():
-    assert pattern_of(DLO, (F(3), F(1), F(3))).codes == (1, 0, 1)
-    assert pattern_of(PURE_SET, (F(7), F(7), F(9))).codes == (0, 0, 1)
-    assert pattern_of(DLO, (F(1, 2),)).codes == (0,)
+    assert pattern_of(DLO, (F(3), F(1), F(3))) == (1, 0, 1)
+    assert pattern_of(PURE_SET, (F(7), F(7), F(9))) == (0, 0, 1)
+    assert pattern_of(DLO, (F(1, 2),)) == (0,)
 
 
 def test_pattern_describe():
-    assert pattern_of(DLO, (F(3), F(1), F(3))).describe() == "x2 < x1=x3"
-    assert pattern_of(PURE_SET, (F(7), F(7), F(9))).describe() == "x1=x2 | x3"
+    space = enumerate_patterns(DLO, 3)
+    assert space.describe(space.classify((F(3), F(1), F(3)))) == "x2 < x1=x3"
+    space = enumerate_patterns(PURE_SET, 3)
+    assert space.describe(space.classify((F(7), F(7), F(9)))) == "x1=x2 | x3"
 
 
 @given(st.lists(st.fractions(max_denominator=30), min_size=1, max_size=6))
 def test_pattern_representative_realizes_pattern(values):
     p = pattern_of(DLO, values)
-    assert pattern_of(DLO, tuple(F(c) for c in p.codes)) == p
+    assert pattern_of(DLO, tuple(F(c) for c in p)) == p
     q = pattern_of(PURE_SET, values)
-    assert pattern_of(PURE_SET, tuple(F(c) for c in q.codes)) == q
+    assert pattern_of(PURE_SET, tuple(F(c) for c in q)) == q
+
+
+def code_oracle(structure, values):
+    """Rank among the sorted distinct values over dlo, index of the
+    first occurrence among the distinct values over pureset."""
+    if structure is DLO:
+        distinct = sorted(set(values))
+    else:
+        distinct = list(dict.fromkeys(values))
+    return tuple(distinct.index(v) for v in values)
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=6))
+def test_pattern_of_is_the_plain_code_tuple(pairs):
+    lex = parse_order_term("lex(x1, x2)")
+    families = [
+        [a for a, _ in pairs],
+        [F(a) + F(b, 10) for a, b in pairs],
+        [eval_term(lex, (F(a), F(b))) for a, b in pairs],
+    ]
+    for structure in (DLO, PURE_SET):
+        for values in families:
+            codes = pattern_of(structure, values)
+            assert type(codes) is tuple
+            assert codes == code_oracle(structure, values)
+
+
+def test_every_type_classifies_its_representative():
+    for structure in (DLO, PURE_SET):
+        for k in range(1, 5):
+            space = enumerate_patterns(structure, k)
+            for i in range(space.size):
+                assert space.classify(space.representative(i)) == i
 
 
 @given(

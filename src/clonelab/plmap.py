@@ -8,16 +8,17 @@ case.  Adjacent pieces agree at shared endpoints, so the whole map is
 strictly increasing.  Maps with unbounded range in both directions are
 automorphisms of (Q, <); bounded ones are proper self-embeddings.
 
-All coefficients and arguments are `fractions.Fraction`; everything is
-exact.
+Coefficients are `fractions.Fraction`s, arguments are `Fraction`s or
+`int`s, and everything is exact.  Evaluation runs in integers: ``ratio``
+takes x as a numerator/denominator pair and returns the value as one in
+lowest terms, and ``apply`` wraps that in a single `Fraction`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InconsistentData, ParseError
@@ -77,10 +78,18 @@ class Piece:
     def is_affine(self) -> bool:
         return self.mat[2] == 0
 
-    def value(self, x: Fraction) -> Fraction:
+    def ratio(self, xn: int, xd: int) -> tuple[int, int]:
+        """The value at xn/xd, for xd > 0, in lowest terms with a
+        positive denominator; left of a pole c*xn + d*xd is negative."""
         a, b, c, d = self._ints
-        xn, xd = x.numerator, x.denominator
-        return Fraction(a * xn + b * xd, c * xn + d * xd)
+        num, den = a * xn + b * xd, c * xn + d * xd
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        return num // g, den // g
+
+    def value(self, x: Fraction) -> Fraction:
+        return Fraction(*self.ratio(x.numerator, x.denominator))
 
     def invert(self, y: Fraction) -> Fraction | None:
         """Solve value(x) == y; None when y is the piece's asymptote."""
@@ -107,7 +116,8 @@ class Piece:
 @dataclass(frozen=True)
 class PLMap:
     """The map made of ``pieces``; construction stores their breakpoints
-    for ``piece_at``, outside the fields that equality compares."""
+    as numerator/denominator pairs for the piece lookup, outside the
+    fields that equality compares."""
 
     pieces: tuple[Piece, ...]
 
@@ -125,18 +135,39 @@ class PLMap:
                     f"pieces disagree at breakpoint {left.hi}: "
                     f"{left.value(left.hi)} vs {right.value(right.lo)}"
                 )
-        object.__setattr__(self, "_breaks", tuple(p.hi for p in ps[:-1]))
+        object.__setattr__(
+            self, "_breaks", tuple((p.hi.numerator, p.hi.denominator) for p in ps[:-1])
+        )
 
     # -- evaluation ----------------------------------------------------
 
     def breakpoints(self) -> tuple[Fraction, ...]:
-        return self._breaks
+        return tuple(p.hi for p in self.pieces[:-1])
+
+    def _index(self, xn: int, xd: int) -> int:
+        # bisect_right over the breakpoints, comparing xn/xd < bn/bd as
+        # xn*bd < bn*xd: a point on a breakpoint belongs to the piece on
+        # its right
+        breaks = self._breaks
+        lo, hi = 0, len(breaks)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            bn, bd = breaks[mid]
+            if xn * bd < bn * xd:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def piece_at(self, x: Fraction) -> Piece:
-        return self.pieces[bisect_right(self._breaks, x)]
+        return self.pieces[self._index(x.numerator, x.denominator)]
 
-    def apply(self, x: Fraction) -> Fraction:
-        return self.piece_at(x).value(x)
+    def ratio(self, xn: int, xd: int) -> tuple[int, int]:
+        """The value at xn/xd, for xd > 0, as ``Piece.ratio`` gives it."""
+        return self.pieces[self._index(xn, xd)].ratio(xn, xd)
+
+    def apply(self, x: Fraction | int) -> Fraction:
+        return Fraction(*self.ratio(x.numerator, x.denominator))
 
     def invert_value(self, y: Fraction) -> Fraction | None:
         """Preimage of y, or None when y is outside the range."""

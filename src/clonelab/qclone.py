@@ -26,6 +26,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 from typing import Mapping, Sequence
 
 from .config import Caps, DEFAULT_CAPS, guard
@@ -52,10 +53,12 @@ class DataHull:
     data gap.  Exact on the data, strictly increasing against it, and
     bounded above by the ceiling the builder was given.
 
-    Construction indexes the data: a dict of the exact hits, keyed by
-    the numerators and denominators of the point, and the entries above
-    the floor ranked by descending value with their points as integer
-    pairs, so the dominance scan stops at the first dominated entry.
+    ``apply`` works in integers: it takes the point as one
+    numerator/denominator pair per coordinate and returns the value as
+    a pair in lowest terms.  Construction indexes the data for it: a
+    dict of the exact hits keyed by their points in that form, and the
+    entries above the floor ranked by descending value, so the
+    dominance scan stops at the first dominated entry.
     """
 
     data: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
@@ -63,45 +66,51 @@ class DataHull:
     epsilon: Fraction
 
     def __post_init__(self):
-        # derived lookups, not fields: equality and repr see only the data
-        exact = {_ratios(p): v for p, v in reversed(self.data)}  # first hit wins
+        # derived lookups, not fields: equality and repr see only the
+        # data; reversed, so the first of repeated hits wins
+        exact = {tuple(map(_ratio, p)): _ratio(v) for p, v in reversed(self.data)}
         ranked = sorted(
-            ((v, _ratios(p)) for p, v in self.data if v > self.floor),
+            ((v, p) for p, v in self.data if v > self.floor),
             key=lambda entry: entry[0],
             reverse=True,
         )
         object.__setattr__(self, "_exact", exact)
-        object.__setattr__(self, "_ranked", tuple(ranked))
+        object.__setattr__(
+            self, "_ranked", tuple((_ratio(v), tuple(map(_ratio, p))) for v, p in ranked)
+        )
+        object.__setattr__(self, "_floor", _ratio(self.floor))
+        object.__setattr__(self, "_epsilon", _ratio(self.epsilon))
 
-    def apply(self, point: tuple[Fraction, ...]) -> Fraction:
-        ratios = _ratios(point)
-        hit = self._exact.get(ratios)
+    def apply(self, point: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+        hit = self._exact.get(point)
         if hit is not None:
             return hit
-        best = self.floor
-        for v, p in self._ranked:
+        bn, bd = self._floor
+        for value, p in self._ranked:
             # p <= point coordinatewise, compared as pn/pd <= xn/xd
-            if all(
-                p[j] * ratios[j + 1] <= ratios[j] * p[j + 1]
-                for j in range(0, len(p), 2)
-            ):
-                best = v
+            for (pn, pd), (xn, xd) in zip(p, point):
+                if pn * xd > xn * pd:
+                    break
+            else:
+                bn, bd = value
                 break
         # tie-breaker n + sum of squash(x), squash(p/q) = p/(q + |p|) in
         # lowest terms, summed over the integers
         num, den = len(point), 1
-        for j in range(0, len(ratios), 2):
-            xn = ratios[j]
-            d = ratios[j + 1] + abs(xn)
+        for xn, xd in point:
+            d = xd + abs(xn)
             num, den = num * d + xn * den, den * d
-        bn, bd = best.numerator, best.denominator
-        en, ed = self.epsilon.numerator, self.epsilon.denominator
-        return Fraction(bn * ed * den + en * num * bd, bd * ed * den)
+        en, ed = self._epsilon
+        num, den = bn * ed * den + en * num * bd, bd * ed * den
+        g = gcd(num, den)
+        return num // g, den // g
 
 
-def _ratios(point: Sequence[Fraction]) -> tuple[int, ...]:
-    # numerator and denominator of each coordinate, flattened
-    return tuple(k for x in point for k in (x.numerator, x.denominator))
+def _ratio(x: Fraction | int) -> tuple[int, int]:
+    # an exact rational as its numerator and positive denominator
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    raise InconsistentData(f"argument {x!r} is not an int or a Fraction")
 
 
 @dataclass(frozen=True)
@@ -250,37 +259,47 @@ def selector_member(n: int, i: int) -> QFunction:
 # -- evaluation and the homomorphism --------------------------------------
 
 
-def evaluate(f: QFunction, u: Sequence[Fraction]) -> Fraction:
-    """Exact value at a rational point.
+def evaluate(f: QFunction, u: Sequence[Fraction | int]) -> Fraction:
+    """Exact value at a rational point, whose coordinates must be ints
+    or Fractions; anything else raises InconsistentData naming it.
 
-    The arguments are converted to ``Fraction`` once, here; a
-    composition then recurses through its provenance and evaluates each
-    distinct sub-member once per point.
+    The arguments become numerator/denominator pairs once, here, and
+    the members evaluate in integers, each node's value reduced to
+    lowest terms; a composition recurses through its provenance and
+    evaluates each distinct sub-member once per point.  The answer is
+    the one ``Fraction`` built.
     """
-    point = tuple(x if type(x) is Fraction else Fraction(x) for x in u)
+    point = tuple(map(_ratio, u))
     if len(point) != f.arity:
         raise InconsistentData(f"expected {f.arity} arguments, got {len(point)}")
-    return _value(f, point, {})
+    return Fraction(*_value(f, point, {}))
 
 
 def _value(
-    f: QFunction, point: tuple[Fraction, ...], seen: dict[int, Fraction]
-) -> Fraction:
-    # `seen` holds the values at this point of the members already
-    # evaluated, by identity; the outer of a composition is evaluated at
-    # the inner values, a new point
+    f: QFunction, point: tuple[tuple[int, int], ...], seen: dict[int, tuple[int, int]]
+) -> tuple[int, int]:
+    # values and coordinates are numerator/denominator pairs in lowest
+    # terms with positive denominators; `seen` holds the values at this
+    # point of the members already evaluated, by identity; the outer of
+    # a composition is evaluated at the inner values, a new point
     value = seen.get(id(f))
     if value is not None:
         return value
-    if isinstance(f.below, Composition):
-        inner = tuple(_value(g, point, seen) for g in f.below.inners)
-        value = _value(f.below.outer, inner, {})
-    elif isinstance(f.below, PLMap):
-        value = f.below.apply(point[f.coordinate - 1])
-    elif min(point) > f.threshold:
-        value = f.eventual.apply(point[f.coordinate - 1])
+    below = f.below
+    if isinstance(below, Composition):
+        inner = tuple([_value(g, point, seen) for g in below.inners])
+        value = _value(below.outer, inner, {})
+    elif isinstance(below, PLMap):
+        value = below.ratio(*point[f.coordinate - 1])
     else:
-        value = f.below.apply(point)
+        tn, td = f.threshold.numerator, f.threshold.denominator
+        # min(point) > threshold, compared as xn/xd > tn/td
+        for xn, xd in point:
+            if xn * td <= tn * xd:
+                value = below.apply(point)
+                break
+        else:
+            value = f.eventual.ratio(*point[f.coordinate - 1])
     seen[id(f)] = value
     return value
 
@@ -346,8 +365,11 @@ def spot_check_polymorphism(f: QFunction, pairs: int = 1000, seed: int = 0) -> i
     """Randomized strict-monotonicity check; raises on any violation."""
     rng = random.Random(seed)
     for _ in range(pairs):
-        u = [Fraction(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(f.arity)]
-        v = [x + Fraction(rng.randint(1, 30), rng.randint(1, 6)) for x in u]
+        # u and the step from u to v as integer pairs, v summed in integers
+        lows = [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(f.arity)]
+        steps = [(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(f.arity)]
+        u = [Fraction(xn, xd) for xn, xd in lows]
+        v = [Fraction(xn * sd + sn * xd, xd * sd) for (xn, xd), (sn, sd) in zip(lows, steps)]
         if not evaluate(f, u) < evaluate(f, v):
             raise InconsistentData(f"not increasing between {u} and {v}")
     return pairs
@@ -445,12 +467,15 @@ def uniqueness_witnesses(
     guard(grid_side**f.arity, caps.tuple_cap, "verification grid size")
     half = grid_side // 2
     axis = [Fraction(k - half) for k in range(grid_side)]
+    # every witness is g, so each grid point pushes to a product of g's
+    # values on the axis, and the composite must give alpha of the
+    # pushed eventual coordinate
+    pushed = [evaluate(g, (x,)) for x in axis]
+    images = [f.eventual.apply(y) for y in pushed]
     checked = 0
-    for x in itertools.product(axis, repeat=f.arity):
-        pushed = [evaluate(w, (xj,)) for w, xj in zip(witnesses, x)]
-        lhs = evaluate(f, pushed)
-        rhs = f.eventual.apply(pushed[f.coordinate - 1])
-        if lhs != rhs:
+    for ks in itertools.product(range(grid_side), repeat=f.arity):
+        if evaluate(f, [pushed[k] for k in ks]) != images[ks[f.coordinate - 1]]:
+            x = tuple(axis[k] for k in ks)
             raise InconsistentData(f"composite not a function of x{f.coordinate} at {x}")
         checked += 1
     report = UniquenessReport(

@@ -5,10 +5,13 @@ for an exact hit, a scan of every entry for the largest dominated value,
 and a tie-breaker summed in `Fraction`s.  `map_value` applies a `PLMap`
 by a linear scan of its pieces and the `Fraction` matrix form of the
 piece.  `nested_value` evaluates a member by recursing through its
-provenance, each occurrence of a sub-member on its own.  The library
-indexes the hull, sums in integers, bisects stored breakpoints and
-evaluates each distinct sub-member once per point; both must give the
-same values.
+provenance, each occurrence of a sub-member on its own, in
+`Fraction`s throughout.  The library evaluates in integers: it turns
+each argument into a numerator/denominator pair once, looks pieces up
+by cross-multiplying with the breakpoints, indexes the hull, reduces
+every node's value to lowest terms, evaluates each distinct sub-member
+once per point and builds one `Fraction` for the answer; both must give
+the same values.
 """
 
 from __future__ import annotations

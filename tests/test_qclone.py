@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from clonelab import qclone
 from clonelab.errors import InconsistentData, ParseError
 from clonelab.plmap import identity, translation
 from clonelab.qclone import (
@@ -34,7 +36,7 @@ from clonelab.qclone import (
     uniqueness_witnesses,
     xi,
 )
-from hull_oracle import hull_apply, nested_value
+from hull_oracle import hull_apply, map_value, nested_value
 
 F = Fraction
 
@@ -209,6 +211,60 @@ def test_composition_collapse_law_on_random_chains():
         evaluate(chains[1], (1,))
 
 
+# alpha is the identity off [0, 1) and x/(2 - x) on it, a Moebius piece
+# left of its pole at 2
+MOBIUS_MEMBER = """\
+arity 2
+eventual 2 -1
+alpha m
+map m
+piece -inf 0 affine 1 0
+piece 0 1 mobius -1 0 1 -2
+piece 1 inf affine 1 0
+data -2 0 -5
+data -1 -3 -6
+"""
+
+
+def test_evaluation_matches_the_oracle_on_moebius_pieces_and_edges():
+    # Moebius pieces left of their pole have negative denominators in
+    # integers: the parsed alpha, and the witness graph _embedding_above
+    member = parse_member(MOBIUS_MEMBER)
+    witness = uniqueness_witnesses(member)[0][0]
+    assert witness.below == _embedding_above(F(-1))
+    raised = compose_members(witness, [member])
+    members = [member, raised, compose_members(member, [raised, member])]
+    points = [
+        (-2, 0), (F(-1), F(-3)),  # exact data hits
+        (-1, 5), (F(3), F(-1)), (-1, -1),  # on the threshold
+        (0, 0), (F(7), F(0)), (0, 1), (F(1, 2), F(1)),  # on breakpoints past it
+        (F(-7, 3), F(1, 2)), (F(9, 4), F(-5, 2)), (F(1, 3), F(2, 3)),
+    ]
+    for f in members:
+        for u in points:
+            assert evaluate(f, u) == nested_value(f, u), (f, u)
+    for x in (-1, 0, 1, 5, F(-7, 3), F(0), F(1, 2), F(1)):
+        assert evaluate(witness, (x,)) == nested_value(witness, (x,))
+    # the maps themselves, on int and Fraction arguments alike
+    for m in (member.eventual, witness.below, _embedding_above(F(-5, 3))):
+        for x in (-3, -1, 0, 1, 2, F(-1), F(0), F(1), F(-1, 3), F(1, 2), F(5, 2)):
+            value = m.apply(x)
+            assert type(value) is Fraction and value == map_value(m, x), (m, x)
+        # the two pieces agree on a breakpoint, which belongs to the right one
+        for b in m.breakpoints():
+            assert m.piece_at(b).lo == b
+
+
+def test_evaluate_refuses_inexact_arguments():
+    f = selector_member(2, 1)
+    with pytest.raises(InconsistentData, match=r"argument 0\.1 is not an int or a Fraction"):
+        evaluate(f, (0.1, 2))
+    with pytest.raises(InconsistentData, match="argument '1/3' is not"):
+        evaluate(f, (F(1), "1/3"))
+    with pytest.raises(InconsistentData, match=r"argument Decimal\('1'\) is not"):
+        evaluate(f, (Decimal(1), 2))
+
+
 def test_a_repeated_inner_is_evaluated_once_per_point(monkeypatch):
     applied = []
     apply = DataHull.apply
@@ -222,9 +278,11 @@ def test_a_repeated_inner_is_evaluated_once_per_point(monkeypatch):
     chain = compose_members(a, [a, a])
     u = (F(-1), F(1, 2))
     evaluate(chain, u)
-    # once at u for the two inners, once at their value pair for the outer
-    inner_value = apply(a.below, u)
-    assert applied == [u, (inner_value, inner_value)]
+    # once at u for the two inners, once at their value pair for the
+    # outer, each point as numerator/denominator pairs
+    point = ((-1, 1), (1, 2))
+    inner_value = apply(a.below, point)
+    assert applied == [point, (inner_value, inner_value)]
 
 
 def test_composing_with_selectors_changes_nothing_pointwise():
@@ -342,7 +400,10 @@ def test_hull_matches_the_oracle():
             for _ in range(8)
         ]
         for point in points:
-            assert hull.apply(point) == hull_apply(hull, point), (hull, point)
+            # the integer hull returns its value in lowest terms
+            expected = hull_apply(hull, point)
+            ratio = hull.apply(tuple((x.numerator, x.denominator) for x in point))
+            assert ratio == (expected.numerator, expected.denominator), (hull, point)
 
 
 def test_extension_rejects_strictly_dominated_decrease():
@@ -390,6 +451,21 @@ def test_uniqueness_composite_ignores_the_other_coordinate():
         assert evaluate(f, (evaluate(g, (F(1, 3),)), evaluate(h, (x2,)))) == evaluate(
             f, (evaluate(g, (F(1, 3),)), evaluate(h, (F(7),)))
         )
+
+
+def test_a_uniqueness_failure_names_the_grid_point(monkeypatch):
+    f = plain_member(2, 1)
+    real = qclone.evaluate
+
+    def broken(g, u):
+        # off by one wherever the pushed x2 is g(1) = 2
+        value = real(g, u)
+        return value + 1 if len(u) == 2 and u[1] == 2 else value
+
+    monkeypatch.setattr(qclone, "evaluate", broken)
+    # the first such grid point is (-2, 1), pushed to (1/3, 2)
+    with pytest.raises(InconsistentData, match=r"x1 at \(Fraction\(-2, 1\), Fraction\(1, 1\)\)$"):
+        uniqueness_witnesses(f, grid_side=4)
 
 
 def test_uniqueness_needs_parameters():

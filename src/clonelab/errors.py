@@ -55,8 +55,9 @@ class UnsatisfiableSystem(ClonelabError):
 
 
 class EqualizerFailure(ClonelabError):
-    """Two term evaluations disagree in order type, so no increasing map
-    can equalize them; carries the stage and the offending equation."""
+    """Two term evaluations disagree in type, so no symmetries of the
+    structure can equalize them (increasing maps over dlo, injections
+    over pureset); carries the stage and the offending equation."""
 
     def __init__(self, message: str, j: int, equation: str):
         self.j = j

@@ -11,8 +11,10 @@ increasing maps applied on the outside.
 This module makes those maps concrete.  ``build_instance`` fixes a
 satisfying assignment of the system into the type clone and substitutes
 the generator bodies into the assigned catalog terms, producing one
-order term per symbol.  ``lift`` then walks the chain of argument sets
-``A_j = {0, ..., j}`` of ints, evaluates both sides of every equation
+order term per symbol; a generator is read one way, by
+``_generator_reading``, for a forced assignment and in
+``analyze_transfer`` alike.  ``lift`` then walks the chain of argument
+sets ``A_j = {0, ..., j}`` of ints, evaluates both sides of every equation
 on all argument columns into the sort keys of their values, and ranks
 all keys of the stage once into integers in key order.  Patterns, codes
 and the column check work on those ranks; each equation gets a pair of
@@ -56,7 +58,7 @@ from .errors import EqualizerFailure, InconsistentData, UnsatisfiableSystem
 from .orderterms import Coord, OrderTerm, eval_term, rank, substitute
 from .plmap import PLMap, from_point_pairs
 from .structures import DLO, StructureKind, SymbolicStructure, pattern_of
-from .terms import Term, fold
+from .terms import App, Term, Var, fold
 
 
 @dataclass(frozen=True)
@@ -148,14 +150,19 @@ def find_equalizers(
     codes = pattern_of(structure, left)
     if pattern_of(structure, right) != codes:
         return None
+    build = _SYMMETRIES[structure.kind][0]
+    return build(set(zip(left, codes))), build(set(zip(right, codes)))
 
-    def witness(values: Sequence[Fraction]) -> Witness:
-        pairs = set(zip(values, codes))
-        if structure.kind is StructureKind.DLO:
-            return from_point_pairs(pairs)
-        return PointInjection(tuple(sorted((Fraction(x), Fraction(c)) for x, c in pairs)))
 
-    return witness(left), witness(right)
+def _point_injection(pairs) -> PointInjection:
+    return PointInjection(tuple(sorted((Fraction(x), Fraction(c)) for x, c in pairs)))
+
+
+# per structure kind: the equalizer maps, and the words for a mismatch
+_SYMMETRIES = {
+    StructureKind.DLO: (from_point_pairs, "order", "increasing maps"),
+    StructureKind.PURE_SET: (_point_injection, "equate", "injections"),
+}
 
 
 def _mismatched_columns(
@@ -181,9 +188,7 @@ class LiftInstance:
     """
 
     structure: SymbolicStructure
-    generators: tuple[Operation, ...]
     system: EquationSystem
-    xi: XiImage
     type_clone: FiniteClone
     assignment: tuple[tuple[str, CatalogEntry], ...]
     order_terms: tuple[tuple[str, OrderTerm], ...]
@@ -229,8 +234,9 @@ def build_instance(
     instead (by generator name); it must name every symbol of the system
     and nothing else, which is checked before any work.  That matters
     when the search would settle on a degenerate solution such as a
-    plain selector; with ``recheck=False`` the forced assignment is
-    accepted without verifying that it satisfies the system, so that the
+    plain selector; see `_generator_reading` for how a generator is
+    read.  With ``recheck=False`` the forced assignment is accepted
+    without verifying that it satisfies the system, so that the
     resulting obstruction can be observed downstream.
     """
     stray = sorted(set(assign or ()).difference(sym for sym, _ in system.signature))
@@ -244,37 +250,44 @@ def build_instance(
     widest = max((arity for _, arity in system.signature), default=1)
     narrow = replace(caps, arity_cap=min(caps.arity_cap, widest))
     xi, clone = _type_clone(structure, gen_ops, narrow)
-    fixed = None
-    if assign is not None:
-        chosen = []
-        for sym, arity in system.signature:
-            gname = assign.get(sym)
-            if gname is None:
-                raise InconsistentData(f"forced assignment misses symbol {sym!r}")
-            table = clone.generator_table(gname)
-            if table.arity != arity:
-                raise InconsistentData(
-                    f"generator {gname!r} has arity {table.arity}, "
-                    f"symbol {sym!r} needs {arity}"
-                )
-            entry = clone.lookup_by_table(table)
-            if entry is None:
-                raise InconsistentData(
-                    f"table of generator {gname!r} is missing from the catalog"
-                )
-            chosen.append((sym, entry))
-        fixed = tuple(chosen)
-        if recheck:
-            _check_satisfaction(system, fixed, clone)
-    else:
+    if assign is None:
         search = satisfiable_in_clone(system, clone)
         if not search.found:
             qualifier = "" if search.exhaustive else " within the explored catalogs"
             raise UnsatisfiableSystem(
                 f"no assignment into the type clone satisfies the system{qualifier}"
             )
-        fixed = search.assignment
-    return _finish_instance(structure, gen_ops, system, xi, clone, fixed, caps)
+        assignment = search.assignment
+    else:
+        assignment = _generator_reading(system, clone, assign)
+        if recheck:
+            _check_satisfaction(system, assignment, clone)
+    return _finish_instance(structure, gen_ops, system, xi, clone, assignment, caps)
+
+
+def _generator_reading(
+    system: EquationSystem, clone: FiniteClone, assign: Mapping[str, str]
+) -> tuple[tuple[str, CatalogEntry], ...]:
+    """Each symbol read as its assigned generator: the first catalog
+    entry with the generator's table, or, where a cap kept that table
+    out of the catalog, the generator's own term ``g(x1, ..., xn)``."""
+    reading = []
+    for sym, arity in system.signature:
+        gname = assign.get(sym)
+        if gname is None:
+            raise InconsistentData(f"forced assignment misses symbol {sym!r}")
+        table = clone.generator_table(gname)
+        if table.arity != arity:
+            raise InconsistentData(
+                f"generator {gname!r} has arity {table.arity}, "
+                f"symbol {sym!r} needs {arity}"
+            )
+        entry = clone.lookup_by_table(table)
+        if entry is None:
+            own = App(gname, tuple(Var(i) for i in range(1, arity + 1)))
+            entry = CatalogEntry(table, own, 1)
+        reading.append((sym, entry))
+    return tuple(reading)
 
 
 def _check_satisfaction(
@@ -309,9 +322,7 @@ def _finish_instance(
         order_terms.append((sym, interp))
     return LiftInstance(
         structure=structure,
-        generators=gen_ops,
         system=system,
-        xi=xi,
         type_clone=clone,
         assignment=assignment,
         order_terms=tuple(order_terms),
@@ -371,9 +382,10 @@ def lift(
             found = find_equalizers(left, right, instance.structure)
             if found is None:
                 c1, c2 = _mismatched_columns(left, right, instance.structure)
+                _, relate, maps = _SYMMETRIES[instance.structure.kind]
                 raise EqualizerFailure(
-                    f"stage {j}: sides of {eq} order columns {c1} and {c2} "
-                    "differently; no increasing maps can equalize them",
+                    f"stage {j}: sides of {eq} {relate} columns {c1} and {c2} "
+                    f"differently; no {maps} can equalize them",
                     j=j,
                     equation=str(eq),
                 )
@@ -517,9 +529,13 @@ def analyze_transfer(
     refutation was found, the lift of its witness system.
 
     A refuted projection reading comes with an equation system that the
-    type clone satisfies but no selector assignment does; the lift then
-    shows how the generators themselves satisfy it up to increasing
-    maps — or fails honestly at some stage, which is itself a finding.
+    type clone satisfies but no selector assignment does.  Its equations
+    are collisions of the generators' own tables, so each generator is
+    read as itself, as ``build_instance`` reads ``assign={g: g}``, and
+    ``triangle[0]`` holds by construction (the lift's recheck verifies
+    it).  The lift then shows how the generators themselves satisfy the
+    system up to symmetries — or fails honestly at some stage, which is
+    itself a finding.
     """
     gen_ops = tuple(generators)
     xi, clone = _type_clone(structure, gen_ops, caps)
@@ -527,32 +543,22 @@ def analyze_transfer(
     if hom.status != "refuted":
         return TransferReport(structure, xi, clone, hom)
     system = hom.witness_system()
-    in_clone = satisfiable_in_clone(system, clone)
-    in_projections = satisfiable_in_projections(system)
-    triangle = (in_clone.found, not in_projections.satisfiable)
-    instance = None
-    witnesses = None
-    accumulation = None
-    failure = None
-    if in_clone.found:
-        instance = _finish_instance(
-            structure, gen_ops, system, xi, clone, in_clone.assignment, caps
-        )
-        try:
-            witnesses = lift(instance, stages, caps)
-            if len(witnesses) >= 2:
-                accumulation = approximate_accumulation(witnesses, depth)
-        except EqualizerFailure as exc:
-            failure = str(exc)
-    else:
-        failure = "witness system not satisfied in the explored catalogs"
+    reading = _generator_reading(system, clone, {op.name: op.name for op in gen_ops})
+    instance = _finish_instance(structure, gen_ops, system, xi, clone, reading, caps)
+    witnesses = accumulation = failure = None
+    try:
+        witnesses = lift(instance, stages, caps)
+        if len(witnesses) >= 2:
+            accumulation = approximate_accumulation(witnesses, depth)
+    except EqualizerFailure as exc:
+        failure = str(exc)
     return TransferReport(
         structure=structure,
         xi=xi,
         type_clone=clone,
         homomorphism=hom,
         system=system,
-        triangle=triangle,
+        triangle=(True, not satisfiable_in_projections(system).satisfiable),
         instance=instance,
         witnesses=witnesses,
         accumulation=accumulation,

@@ -53,11 +53,12 @@ class Piece:
     mat: Mat
 
     def __post_init__(self):
-        object.__setattr__(self, "mat", _canonical(tuple(Fraction(v) for v in self.mat)))
+        mat = tuple(Fraction(_exact(v)) for v in self.mat)
+        object.__setattr__(self, "mat", _canonical(mat))
         if self.lo is not None:
-            object.__setattr__(self, "lo", Fraction(self.lo))
+            object.__setattr__(self, "lo", Fraction(_exact(self.lo)))
         if self.hi is not None:
-            object.__setattr__(self, "hi", Fraction(self.hi))
+            object.__setattr__(self, "hi", Fraction(_exact(self.hi)))
         a, b, c, d = self.mat
         if a * d - b * c <= 0:
             raise InconsistentData("piece matrix must have positive determinant")
@@ -273,14 +274,14 @@ def identity() -> PLMap:
     return PLMap((Piece(None, None, (_ONE, _ZERO, _ZERO, _ONE)),))
 
 
-def affine(slope: Fraction, offset: Fraction) -> PLMap:
-    if slope <= 0:
+def affine(slope: Fraction | int, offset: Fraction | int) -> PLMap:
+    if _exact(slope) <= 0:
         raise InconsistentData("affine map must have positive slope")
-    return PLMap((Piece(None, None, (Fraction(slope), Fraction(offset), _ZERO, _ONE)),))
+    return PLMap((Piece(None, None, (slope, offset, _ZERO, _ONE)),))
 
 
-def translation(offset) -> PLMap:
-    return affine(_ONE, Fraction(offset))
+def translation(offset: Fraction | int) -> PLMap:
+    return affine(_ONE, offset)
 
 
 def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
@@ -322,8 +323,10 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
 
 
 def _exact(v) -> int | Fraction:
-    # ints stay ints: they are exact, and much faster than Fractions
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+    # the one gate for exact values; ints stay ints: they are much faster
+    if isinstance(v, (int, Fraction)):
+        return v
+    raise InconsistentData(f"argument {v!r} is not an int or a Fraction")
 
 
 # -- parsing -----------------------------------------------------------

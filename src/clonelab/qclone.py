@@ -34,6 +34,7 @@ from .errors import InconsistentData, ParseError
 from .plmap import (
     Piece,
     PLMap,
+    _exact,
     assemble_plmap,
     identity,
     parse_fraction,
@@ -108,9 +109,8 @@ class DataHull:
 
 def _ratio(x: Fraction | int) -> tuple[int, int]:
     # an exact rational as its numerator and positive denominator
-    if isinstance(x, (int, Fraction)):
-        return x.numerator, x.denominator
-    raise InconsistentData(f"argument {x!r} is not an int or a Fraction")
+    x = _exact(x)
+    return x.numerator, x.denominator
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ class QFunction:
             raise InconsistentData(
                 f"coordinate {self.coordinate} outside 1..{self.arity}"
             )
-        object.__setattr__(self, "threshold", Fraction(self.threshold))
+        object.__setattr__(self, "threshold", Fraction(_exact(self.threshold)))
         if not self.eventual.is_automorphism:
             raise InconsistentData("the eventual map must be a bijection of Q")
         if isinstance(self.below, PLMap) and not _agree_above(
@@ -163,20 +163,12 @@ class QFunction:
 
 
 def _agree_above(m1: PLMap, m2: PLMap, lo: Fraction) -> bool:
-    # exact: on each subinterval both maps are single fractional-linear
-    # pieces, and those are determined by three points
-    cuts = sorted(
-        {b for b in m1.breakpoints() + m2.breakpoints() if b > lo}
-    )
-    samples: list[Fraction] = list(cuts)
-    bounds = [lo, *cuts, None]
-    for left, right in zip(bounds, bounds[1:]):
-        if right is None:
-            samples.extend(left + k for k in (1, 2, 3))
-        else:
-            step = (right - left) / 4
-            samples.extend(left + k * step for k in (1, 2, 3))
-    return all(m1.apply(x) == m2.apply(x) for x in samples)
+    # two fractional-linear pieces agree on an interval exactly when their
+    # canonical matrices are equal; past `lo` both maps are one piece each
+    # between consecutive breakpoints, and `piece_at` reads each interval
+    # at its left end
+    cuts = {b for b in m1.breakpoints() + m2.breakpoints() if b > lo}
+    return all(m1.piece_at(x).mat == m2.piece_at(x).mat for x in (lo, *cuts))
 
 
 # -- construction --------------------------------------------------------
@@ -189,7 +181,7 @@ def _normalize_data(
     for point, value in data.items():
         if len(point) != n:
             raise InconsistentData(f"data point {point} is not {n}-ary")
-        out[tuple(Fraction(x) for x in point)] = Fraction(value)
+        out[tuple(Fraction(_exact(x)) for x in point)] = Fraction(_exact(value))
     return out
 
 
@@ -240,7 +232,7 @@ def make_member(
     threshold in at least one coordinate, and stay under ``alpha(a)``;
     ``QFunction`` itself checks that ``alpha`` is a bijection of Q.
     """
-    a = Fraction(a)
+    a = Fraction(_exact(a))
     data = _normalize_data(base_data, n)
     for point in data:
         if all(x > a for x in point):
@@ -415,13 +407,7 @@ def extend_restriction(
 def _embedding_above(a: Fraction) -> PLMap:
     # increasing self-map with range exactly (a, oo): a Moebius squash
     # below zero, a translation above
-    a = Fraction(a)
-    return PLMap(
-        (
-            Piece(None, Fraction(0), (-a, a + 1, Fraction(-1), Fraction(1))),
-            Piece(Fraction(0), None, (Fraction(1), a + 1, Fraction(0), Fraction(1))),
-        )
-    )
+    return PLMap((Piece(None, 0, (-a, a + 1, -1, 1)), Piece(0, None, (1, a + 1, 0, 1))))
 
 
 @dataclass(frozen=True)

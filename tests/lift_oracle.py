@@ -117,9 +117,13 @@ def lift_stages(instance: LiftInstance, stages: int) -> tuple[WitnessTuple, ...]
             found = find_equalizers(left, right, instance.structure)
             if found is None:
                 c1, c2 = _mismatched_columns(left, right, instance.structure)
+                if instance.structure.kind is StructureKind.DLO:
+                    relate, maps = "order", "increasing maps"
+                else:
+                    relate, maps = "equate", "injections"
                 raise EqualizerFailure(
-                    f"stage {j}: sides of {eq} order columns {c1} and {c2} "
-                    "differently; no increasing maps can equalize them",
+                    f"stage {j}: sides of {eq} {relate} columns {c1} and {c2} "
+                    f"differently; no {maps} can equalize them",
                     j=j,
                     equation=str(eq),
                 )

@@ -409,6 +409,26 @@ def test_lift_at_the_default_caps_finishes_with_the_narrow_body(files, capsys):
     assert "stage 3: points {0,1,2,3}, 64 columns" in out
 
 
+def test_lift_reads_a_generator_past_the_arity_cap_as_itself(files, capsys):
+    # no binary catalog is built at --arity-cap 1; f is read as lex(x1,x2)
+    code, out, err = run(
+        capsys,
+        "lift",
+        files("lex.ops", LEX_OPS),
+        files("assoc.eqs", ASSOC),
+        "dlo",
+        "--assign",
+        "f=lex",
+        "--arity-cap",
+        "1",
+        "--depth",
+        "2",
+    )
+    assert (code, err) == (0, "")
+    assert "order term for f: lex(x1, x2)" in out
+    assert "stage 2: points {0,1,2}, 27 columns, 1 equation(s) equalized exactly" in out
+
+
 def test_lift_unsatisfiable_assignment(files, capsys):
     code, out, _ = run(
         capsys,
@@ -470,7 +490,18 @@ def test_analyze_lex_over_the_pure_set(files, capsys):
     code, out, _ = run(capsys, "analyze", files("lex.ops", LEX_OPS), "pureset", *SMALL)
     assert code == 1
     assert "projection reading: refuted" in out
+    assert out.endswith(
+        "lift failed: stage 1: sides of x1 = x2 equate columns 0 and 1 "
+        "differently; no injections can equalize them\n"
+    )
+
+
+def test_analyze_lifts_at_a_small_catalog_cap(files, capsys):
+    ops = files("two.ops", LEX_OPS + "op u 1\nterm x1\n")
+    code, out, _ = run(capsys, "analyze", ops, "pureset", *SMALL, "--catalog-cap", "1")
+    assert code == 1
     assert "lift failed: stage 1" in out
+    assert "not satisfied" not in out
 
 
 # -- qdemo ---------------------------------------------------------------------

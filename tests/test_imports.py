@@ -267,3 +267,23 @@ def test_one_gate_builds_every_type_table():
             callers.setdefault(node.func.id, set()).add(owner)
     assert callers["is_canonical"] == {"_canonical_images"}
     assert callers["type_space"] == {"_canonical_images"}
+
+
+def test_one_reading_of_the_generators():
+    # `build_instance(assign=...)` and `analyze_transfer` read a generator
+    # in its type clone through one helper, and `analyze_transfer` runs no
+    # second clone search, so the two cannot settle on different entries
+    callers = set()
+    in_analyze = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "lookup_by_table":
+                callers.add(f"{path.stem}.{owner}")
+            if path.stem == "lifting" and owner == "analyze_transfer":
+                in_analyze.add(func.id if isinstance(func, ast.Name) else func.attr)
+    assert callers == {"lifting._generator_reading"}
+    assert "_generator_reading" in in_analyze
+    assert "satisfiable_in_clone" not in in_analyze

@@ -17,9 +17,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from clonelab.canonical import Operation
-from clonelab.clones import Table
+from clonelab.clones import Table, generate
 from clonelab.config import Caps
-from clonelab.equations import EquationSystem, parse_equation_system as parse_system
+from clonelab.equations import (
+    EquationSystem,
+    parse_equation_system as parse_system,
+    satisfiable_in_clone,
+)
 from clonelab.errors import (
     CapExceeded,
     EqualizerFailure,
@@ -28,7 +32,9 @@ from clonelab.errors import (
     UnsatisfiableSystem,
 )
 from clonelab.lifting import (
+    LiftInstance,
     PointInjection,
+    _generator_reading,
     WitnessTuple,
     analyze_transfer,
     approximate_accumulation,
@@ -45,11 +51,12 @@ from clonelab.orderterms import (
     Min,
     eval_rational,
     materialize,
+    parse_order_term,
     substitute,
 )
 from clonelab.plmap import PLMap, from_point_pairs, identity, translation
 from clonelab.structures import DLO, PURE_SET, parse_structure
-from clonelab.terms import fold
+from clonelab.terms import App, Var, fold
 
 import lift_oracle
 
@@ -285,6 +292,36 @@ def test_empty_system_lifts_vacuously():
     assert [w.columns for w in witnesses] == [1, 2, 3]
 
 
+def test_a_generator_a_cap_keeps_out_of_the_catalog_is_read_as_itself():
+    # at arity cap 1 the binary catalog is never built; the symbol is read
+    # as lex(x1,x2), whose table the recheck still verifies
+    caps = Caps(arity_cap=1, depth_cap=2)
+    instance = build_instance(
+        DLO, [lex_op()], associativity(), caps=caps, assign={"f": "lex"}
+    )
+    assert instance.assignment[0][1].term == App("lex", (Var(1), Var(2)))
+    assert instance.order_term_of("f") == Lex(Coord(1), Coord(2))
+    replay_exactly(instance, lift(instance, 2, caps=caps)[-1])
+
+
+def test_the_reading_falls_back_to_the_generator_term_past_the_catalog_cap():
+    # min on {0,1}: the binary catalog fills with x1, x2 before min(x1,x2)
+    clone = generate([("min", Table(2, 2, (0, 0, 0, 1)))], 2, Caps(catalog_cap=2))
+    assert not clone.saturated[2]
+    system = parse_system("sig f 2\neq f(x1,x1) = x1\n")
+    ((_, entry),) = _generator_reading(system, clone, {"f": "min"})
+    assert (entry.table.outputs, entry.term) == ((0, 0, 0, 1), App("min", (Var(1), Var(2))))
+    # a table the catalog holds is read as its first entry, a selector here
+    clone = generate([("left", Table(2, 2, (0, 0, 1, 1)))], 2, Caps(catalog_cap=2))
+    ((_, entry),) = _generator_reading(system, clone, {"f": "left"})
+    assert entry.term == Var(1)
+
+
+def test_a_lift_instance_holds_no_generators_or_xi():
+    fields = {field.name for field in dataclasses.fields(LiftInstance)}
+    assert not fields & {"generators", "xi"}
+
+
 def test_build_instance_rejects_bad_generators():
     with pytest.raises(NonCanonicalOperation):
         build_instance(DLO, [Operation("min", 2, Min((Coord(1), Coord(2))))],
@@ -425,6 +462,39 @@ def test_analyze_lex_over_the_pure_set_hits_an_honest_obstruction():
     assert report.witnesses is None and report.accumulation is None
     assert "stage 1" in report.failure
     assert "lift failed" in report.describe()
+
+
+TRANSFER_TERMS = [
+    "lex(x1, x2)", "lex(x2, x1)", "m(lex(x1, x2))", "m(lex(x2, x1))",
+    "lex(x1, lex(x2, x1))", "lex(lex(x2, x1), x2)",
+]
+
+
+@pytest.mark.parametrize("structure", [DLO, PURE_SET], ids=["dlo", "pureset"])
+def test_analyze_reads_each_generator_as_build_instance_does(structure):
+    # the term kinds of the transfer-repeat pool, alone and beside a
+    # unary m(x1); only the level-1 type clone of the bare set refutes
+    maps = {"m": from_point_pairs([(-2, -5), (1, 0), (4, 9)])}
+    refuted = 0
+    for text, unary in itertools.product(TRANSFER_TERMS, (False, True)):
+        ops = [Operation("f", 2, parse_order_term(text, maps))]
+        if unary:
+            ops.append(Operation("u", 1, parse_order_term("m(x1)", maps)))
+        report = analyze_transfer(structure, ops, caps=SMALL)
+        if report.homomorphism.status != "refuted":
+            assert report.instance is None
+            continue
+        refuted += 1
+        forced = build_instance(
+            structure, ops, report.system, caps=SMALL,
+            assign={op.name: op.name for op in ops},
+        )
+        assert report.instance.assignment == forced.assignment
+        # the same entries the catalog search used to settle on
+        search = satisfiable_in_clone(report.system, report.type_clone)
+        assert report.instance.assignment == search.assignment
+        assert report.triangle == (True, True)
+    assert refuted == (0 if structure is DLO else 2 * len(TRANSFER_TERMS))
 
 
 def test_analyze_rejects_non_canonical_generators():

@@ -5,7 +5,15 @@ from hypothesis import given, strategies as st
 
 from clonelab import plmap
 from clonelab.errors import InconsistentData, ParseError
-from clonelab.plmap import PLMap, Piece, from_point_pairs, identity, parse_plmap
+from clonelab.plmap import (
+    PLMap,
+    Piece,
+    affine,
+    from_point_pairs,
+    identity,
+    parse_plmap,
+    translation,
+)
 from clonelab.qclone import _embedding_above
 import lift_oracle
 from hull_oracle import map_value
@@ -86,6 +94,37 @@ def test_from_point_pairs_rejects_nonincreasing():
         from_point_pairs([(F(0), F(1)), (F(1), F(0))])
     with pytest.raises(InconsistentData):
         from_point_pairs([(F(0), F(1)), (F(0), F(2))])
+
+
+@pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "string"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: Piece(None, None, (v, 0, 0, 1)),
+        lambda v: Piece(None, None, (1, 0, 0, v)),
+        lambda v: Piece(v, None, (1, 0, 0, 1)),
+        lambda v: Piece(None, v, (1, 0, 0, 1)),
+        lambda v: affine(v, 0),
+        lambda v: affine(1, v),
+        translation,
+        lambda v: from_point_pairs([(v, 1)]),
+        lambda v: from_point_pairs([(0, 0), (1, v)]),
+    ],
+    ids=[
+        "piece-slope", "piece-d", "piece-lo", "piece-hi", "affine-slope",
+        "affine-offset", "translation", "pairs-x", "pairs-y",
+    ],
+)
+def test_constructors_refuse_inexact_values(build, bad):
+    # 0.5 is exact as a binary float, and still refused: the gate is the
+    # type, not the value
+    with pytest.raises(InconsistentData, match=f"argument {bad!r} is not an int or a Fraction"):
+        build(bad)
+
+
+def test_constructors_keep_int_and_fraction_values():
+    assert translation(1) == translation(F(1)) == affine(F(1), 1)
+    assert from_point_pairs([(0, 1), (F(1, 3), 2)]).apply(F(1, 3)) == 2
 
 
 def test_from_point_pairs_empty_is_identity():

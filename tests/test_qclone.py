@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 
 from clonelab import qclone
 from clonelab.errors import InconsistentData, ParseError
-from clonelab.plmap import identity, translation
+from clonelab.plmap import PLMap, Piece, from_point_pairs, identity, translation
 from clonelab.qclone import (
     Composition,
     DataHull,
@@ -263,6 +263,56 @@ def test_evaluate_refuses_inexact_arguments():
         evaluate(f, (F(1), "1/3"))
     with pytest.raises(InconsistentData, match=r"argument Decimal\('1'\) is not"):
         evaluate(f, (Decimal(1), 2))
+
+
+@pytest.mark.parametrize("bad", [0.1, "1/3"], ids=["float", "string"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: make_member(2, 1, v, identity(), {}),
+        lambda v: make_member(2, 1, F(0), identity(), {(v, F(-1)): F(-1)}),
+        lambda v: make_member(2, 1, F(0), identity(), {(F(-1), F(-1)): v}),
+        lambda v: QFunction(1, 1, v, identity(), identity()),
+        lambda v: replace(selector_member(2, 1), threshold=v),
+    ],
+    ids=["threshold", "data-point", "data-value", "qfunction", "replace"],
+)
+def test_members_refuse_inexact_values(build, bad):
+    with pytest.raises(InconsistentData, match=f"argument {bad!r} is not an int or a Fraction"):
+        build(bad)
+
+
+# the identity outside [2, 6]: slope 2 up to 3, then slope 2/3
+BUMP = from_point_pairs([(2, 2), (3, 4), (6, 6)])
+# the identity up to 5, slope 2 past it
+STEEP_TAIL = PLMap((Piece(None, 5, (1, 0, 0, 1)), Piece(5, None, (2, -5, 0, 1))))
+# the identity, cut in two at 3
+CUT_IDENTITY = PLMap((Piece(None, 3, (1, 0, 0, 1)), Piece(3, None, (1, 0, 0, 1))))
+
+
+@pytest.mark.parametrize(
+    "graph, eventual, threshold",
+    [
+        (BUMP, identity(), 0),  # inside the graph's pieces
+        (BUMP, identity(), 5),  # inside a piece the threshold cuts
+        (identity(), BUMP, 0),  # inside the eventual map's pieces
+        (STEEP_TAIL, identity(), 0),  # past the last breakpoint
+        (STEEP_TAIL, identity(), 7),  # past it, from a threshold beyond it
+    ],
+)
+def test_a_graph_member_must_agree_with_its_map_above_the_threshold(
+    graph, eventual, threshold
+):
+    with pytest.raises(InconsistentData, match="graph disagrees with the eventual map"):
+        QFunction(1, 1, F(threshold), eventual, graph)
+
+
+def test_a_graph_member_may_disagree_up_to_its_threshold():
+    member = QFunction(1, 1, F(6), identity(), BUMP)
+    assert [evaluate(member, (x,)) for x in (1, 3, F(9, 2), 6, 7)] == [1, 4, 5, 6, 7]
+    # pieces cut at different points still agree past the threshold
+    cut = QFunction(2, 2, F(0), identity(), CUT_IDENTITY)
+    assert evaluate(cut, (F(1), F(7, 2))) == F(7, 2)
 
 
 def test_a_repeated_inner_is_evaluated_once_per_point(monkeypatch):

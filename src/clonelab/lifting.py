@@ -56,7 +56,7 @@ from .equations import (
 )
 from .errors import EqualizerFailure, InconsistentData, UnsatisfiableSystem
 from .orderterms import Coord, OrderTerm, eval_term, rank, substitute
-from .plmap import PLMap, from_point_pairs
+from .plmap import PLMap, _exact, from_point_pairs
 from .structures import DLO, StructureKind, SymbolicStructure, pattern_of
 from .terms import App, Term, Var, fold
 
@@ -84,9 +84,8 @@ class PointInjection:
         # see `pairs` only
         object.__setattr__(self, "_images", images)
 
-    def apply(self, x: Fraction) -> Fraction:
-        x = Fraction(x)
-        image = self._images.get(x)
+    def apply(self, x: Fraction | int) -> Fraction:
+        image = self._images.get(_exact(x))
         if image is None:
             raise InconsistentData(f"{x} is outside the injection's domain")
         return image

@@ -8,10 +8,11 @@ case.  Adjacent pieces agree at shared endpoints, so the whole map is
 strictly increasing.  Maps with unbounded range in both directions are
 automorphisms of (Q, <); bounded ones are proper self-embeddings.
 
-Coefficients are `fractions.Fraction`s, arguments are `Fraction`s or
-`int`s, and everything is exact.  Evaluation runs in integers: ``ratio``
-takes x as a numerator/denominator pair and returns the value as one in
-lowest terms, and ``apply`` wraps that in a single `Fraction`.
+A piece stores its matrix as four coprime ints, endpoints are
+`fractions.Fraction`s, arguments are `Fraction`s or `int`s, and
+everything is exact.  Evaluation runs in integers: ``ratio`` takes x as
+a numerator/denominator pair and returns the value as one in lowest
+terms, and ``apply`` wraps that in a single `Fraction`.
 """
 
 from __future__ import annotations
@@ -24,28 +25,17 @@ from typing import Iterable, Sequence
 from .errors import InconsistentData, ParseError
 from .syntax import records
 
-Mat = tuple[Fraction, Fraction, Fraction, Fraction]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def _canonical(mat: Mat) -> Mat:
-    """Scale a matrix to its canonical representative (c == 1, or d == 1)."""
-    a, b, c, d = mat
-    if c != 0:
-        return (a / c, b / c, _ONE, d / c)
-    if d == 0:
-        raise InconsistentData("degenerate piece matrix: c = d = 0")
-    return (a / d, b / d, _ZERO, _ONE)
+Mat = tuple[int, int, int, int]
 
 
 @dataclass(frozen=True)
 class Piece:
     """One interval [lo, hi) with its fractional-linear map; None is +-infinity.
 
-    Construction also stores the matrix scaled to integers, which
-    ``value`` uses; it is not a field, so equality and repr see ``mat``.
+    Construction takes any exact matrix and stores its primitive integer
+    multiple: four coprime ints with c > 0, or c == 0 and d > 0.  Two
+    matrices give the same map exactly when they are proportional, so
+    equal maps give equal pieces.
     """
 
     lo: Fraction | None
@@ -53,27 +43,29 @@ class Piece:
     mat: Mat
 
     def __post_init__(self):
-        mat = tuple(Fraction(_exact(v)) for v in self.mat)
-        object.__setattr__(self, "mat", _canonical(mat))
+        vals = [_exact(v) for v in self.mat]
+        scale = lcm(*(v.denominator for v in vals))
+        a, b, c, d = (v.numerator * (scale // v.denominator) for v in vals)
+        if c == d == 0:
+            raise InconsistentData("degenerate piece matrix: c = d = 0")
+        g = gcd(a, b, c, d)
+        if c < 0 or c == 0 and d < 0:
+            g = -g
+        object.__setattr__(self, "mat", (a // g, b // g, c // g, d // g))
         if self.lo is not None:
             object.__setattr__(self, "lo", Fraction(_exact(self.lo)))
         if self.hi is not None:
             object.__setattr__(self, "hi", Fraction(_exact(self.hi)))
-        a, b, c, d = self.mat
         if a * d - b * c <= 0:
             raise InconsistentData("piece matrix must have positive determinant")
         if self.lo is not None and self.hi is not None and not self.lo < self.hi:
             raise InconsistentData("piece interval is empty")
         if c != 0:
-            pole = -d / c
+            pole = Fraction(-d, c)
             if (self.lo is None or pole >= self.lo) and (
                 self.hi is None or pole <= self.hi
             ):
                 raise InconsistentData("piece has a pole inside its closed interval")
-        scale = lcm(*(v.denominator for v in self.mat))
-        object.__setattr__(
-            self, "_ints", tuple(v.numerator * (scale // v.denominator) for v in self.mat)
-        )
 
     @property
     def is_affine(self) -> bool:
@@ -82,36 +74,36 @@ class Piece:
     def ratio(self, xn: int, xd: int) -> tuple[int, int]:
         """The value at xn/xd, for xd > 0, in lowest terms with a
         positive denominator; left of a pole c*xn + d*xd is negative."""
-        a, b, c, d = self._ints
+        a, b, c, d = self.mat
         num, den = a * xn + b * xd, c * xn + d * xd
         g = gcd(num, den)
         if den < 0:
             g = -g
         return num // g, den // g
 
-    def value(self, x: Fraction) -> Fraction:
-        return Fraction(*self.ratio(x.numerator, x.denominator))
+    def value(self, x: Fraction | int) -> Fraction:
+        return Fraction(*self.ratio(*_ratio(x)))
 
-    def invert(self, y: Fraction) -> Fraction | None:
+    def invert(self, y: Fraction | int) -> Fraction | None:
         """Solve value(x) == y; None when y is the piece's asymptote."""
+        yn, yd = _ratio(y)
         a, b, c, d = self.mat
-        if a - c * y == 0:
-            return None
-        return (d * y - b) / (a - c * y)
+        den = a * yd - c * yn
+        return None if den == 0 else Fraction(d * yn - b * yd, den)
 
     def limit_low(self) -> Fraction | None:
         """Infimum of values on the piece; None means -infinity."""
         if self.lo is not None:
             return self.value(self.lo)
         a, _, c, _ = self.mat
-        return None if c == 0 else a / c
+        return None if c == 0 else Fraction(a, c)
 
     def limit_high(self) -> Fraction | None:
         """Supremum of values on the piece; None means +infinity."""
         if self.hi is not None:
             return self.value(self.hi)
         a, _, c, _ = self.mat
-        return None if c == 0 else a / c
+        return None if c == 0 else Fraction(a, c)
 
 
 @dataclass(frozen=True)
@@ -160,17 +152,17 @@ class PLMap:
                 lo = mid + 1
         return lo
 
-    def piece_at(self, x: Fraction) -> Piece:
-        return self.pieces[self._index(x.numerator, x.denominator)]
+    def piece_at(self, x: Fraction | int) -> Piece:
+        return self.pieces[self._index(*_ratio(x))]
 
     def ratio(self, xn: int, xd: int) -> tuple[int, int]:
         """The value at xn/xd, for xd > 0, as ``Piece.ratio`` gives it."""
         return self.pieces[self._index(xn, xd)].ratio(xn, xd)
 
     def apply(self, x: Fraction | int) -> Fraction:
-        return Fraction(*self.ratio(x.numerator, x.denominator))
+        return Fraction(*self.ratio(*_ratio(x)))
 
-    def invert_value(self, y: Fraction) -> Fraction | None:
+    def invert_value(self, y: Fraction | int) -> Fraction | None:
         """Preimage of y, or None when y is outside the range."""
         for piece in self.pieces:
             x = piece.invert(y)
@@ -209,11 +201,13 @@ class PLMap:
                     cuts.add(piece.invert(b))
         points = sorted(cuts)
         bounds: list[Fraction | None] = [None, *points, None]
+        # each interval is read at its left cut, the first just below the
+        # first cut: inside one interval both maps are one piece each
+        samples = [points[0] - 1 if points else 0, *points]
         pieces = []
-        for lo, hi in zip(bounds, bounds[1:]):
-            sample = _interior_point(lo, hi)
-            f = inner.piece_at(sample)
-            g = self.piece_at(f.value(sample))
+        for x, lo, hi in zip(samples, bounds, bounds[1:]):
+            f = inner.piece_at(x)
+            g = self.piece_at(f.value(x))
             pieces.append(Piece(lo, hi, _matmul(g.mat, f.mat)))
         return PLMap(_merge(pieces))
 
@@ -222,23 +216,16 @@ class PLMap:
     def serialize(self) -> str:
         lines = []
         for p in self.pieces:
-            lo, hi = _endpoint_str(p.lo, "-inf"), _endpoint_str(p.hi, "inf")
-            a, b, c, d = p.mat
+            lo = "-inf" if p.lo is None else p.lo
+            hi = "inf" if p.hi is None else p.hi
+            # printed with c == 1, or d == 1 when affine
+            scale = p.mat[2] or p.mat[3]
+            a, b, c, d = (Fraction(v, scale) for v in p.mat)
             if p.is_affine:
                 lines.append(f"piece {lo} {hi} affine {a} {b}")
             else:
                 lines.append(f"piece {lo} {hi} mobius {a} {b} {c} {d}")
         return "\n".join(lines) + "\n"
-
-
-def _interior_point(lo: Fraction | None, hi: Fraction | None) -> Fraction:
-    if lo is None and hi is None:
-        return _ZERO
-    if lo is None:
-        return hi - 1  # type: ignore[operand-type]
-    if hi is None:
-        return lo + 1
-    return (lo + hi) / 2
 
 
 def _matmul(g: Mat, f: Mat) -> Mat:
@@ -263,25 +250,21 @@ def _merge(pieces: list[Piece]) -> tuple[Piece, ...]:
     return tuple(merged)
 
 
-def _endpoint_str(v: Fraction | None, inf: str) -> str:
-    return inf if v is None else str(v)
-
-
 # -- constructors ------------------------------------------------------
 
 
 def identity() -> PLMap:
-    return PLMap((Piece(None, None, (_ONE, _ZERO, _ZERO, _ONE)),))
+    return PLMap((Piece(None, None, (1, 0, 0, 1)),))
 
 
 def affine(slope: Fraction | int, offset: Fraction | int) -> PLMap:
     if _exact(slope) <= 0:
         raise InconsistentData("affine map must have positive slope")
-    return PLMap((Piece(None, None, (slope, offset, _ZERO, _ONE)),))
+    return PLMap((Piece(None, None, (slope, offset, 0, 1)),))
 
 
 def translation(offset: Fraction | int) -> PLMap:
-    return affine(_ONE, offset)
+    return affine(1, offset)
 
 
 def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
@@ -291,8 +274,9 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
     sorting by the first; equal first coordinates must carry equal second
     coordinates (duplicates are collapsed).  The map has one piece per
     bend: a piece ends only at a point where the slope changes, so
-    collinear points share a piece.  Integer points are interpolated in
-    integer arithmetic; only the kept pieces hold `Fraction`s.
+    collinear points share a piece.  A kept piece takes its matrix
+    (dy, ya*dx - dy*xa, 0, dx) from its first two points, without a
+    division.
     """
     cleaned = sorted(set((_exact(x), _exact(y)) for x, y in pairs))
     for (x1, y1), (x2, y2) in zip(cleaned, cleaned[1:]):
@@ -315,10 +299,10 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
     pieces = []
     for start, end in zip([0, *bends], [*bends, last]):
         (xa, ya), (xb, yb) = points[start], points[start + 1]
-        slope = Fraction(yb - ya, xb - xa)
+        dx, dy = xb - xa, yb - ya
         lo = None if start == 0 else xa
         hi = None if end == last else points[end][0]
-        pieces.append(Piece(lo, hi, (slope, ya - slope * xa, _ZERO, _ONE)))
+        pieces.append(Piece(lo, hi, (dy, ya * dx - dy * xa, 0, dx)))
     return PLMap(tuple(pieces))
 
 
@@ -327,6 +311,12 @@ def _exact(v) -> int | Fraction:
     if isinstance(v, (int, Fraction)):
         return v
     raise InconsistentData(f"argument {v!r} is not an int or a Fraction")
+
+
+def _ratio(v) -> tuple[int, int]:
+    # an exact rational as its numerator and positive denominator
+    v = _exact(v)
+    return v.numerator, v.denominator
 
 
 # -- parsing -----------------------------------------------------------
@@ -343,24 +333,19 @@ def parse_fraction(text: str, line: int | None = None) -> Fraction:
     raise ParseError(f"bad rational literal {text!r}", line)
 
 
-def _parse_endpoint(text: str, line: int | None) -> Fraction | None:
-    if text in ("inf", "-inf"):
-        return None
-    return parse_fraction(text, line)
-
-
 def parse_piece_line(parts: Sequence[str], line: int | None = None) -> Piece:
     """Parse the tail of a `piece` line (after the keyword itself)."""
     if len(parts) < 3:
         raise ParseError("piece needs endpoints and a kind", line)
-    lo = _parse_endpoint(parts[0], line)
-    hi = _parse_endpoint(parts[1], line)
+    # an open end is `-inf` below and `inf` above, never the other way round
+    lo = None if parts[0] == "-inf" else parse_fraction(parts[0], line)
+    hi = None if parts[1] == "inf" else parse_fraction(parts[1], line)
     kind = parts[2]
     coeffs = [parse_fraction(t, line) for t in parts[3:]]
     if kind == "affine":
         if len(coeffs) != 2:
             raise ParseError("affine piece needs 2 coefficients", line)
-        mat = (coeffs[0], coeffs[1], _ZERO, _ONE)
+        mat = (coeffs[0], coeffs[1], 0, 1)
     elif kind == "mobius":
         if len(coeffs) != 4:
             raise ParseError("mobius piece needs 4 coefficients", line)

@@ -35,6 +35,7 @@ from .plmap import (
     Piece,
     PLMap,
     _exact,
+    _ratio,
     assemble_plmap,
     identity,
     parse_fraction,
@@ -107,12 +108,6 @@ class DataHull:
         return num // g, den // g
 
 
-def _ratio(x: Fraction | int) -> tuple[int, int]:
-    # an exact rational as its numerator and positive denominator
-    x = _exact(x)
-    return x.numerator, x.denominator
-
-
 @dataclass(frozen=True)
 class Composition:
     """Provenance of a composed member; evaluation recurses through it,
@@ -164,9 +159,9 @@ class QFunction:
 
 def _agree_above(m1: PLMap, m2: PLMap, lo: Fraction) -> bool:
     # two fractional-linear pieces agree on an interval exactly when their
-    # canonical matrices are equal; past `lo` both maps are one piece each
-    # between consecutive breakpoints, and `piece_at` reads each interval
-    # at its left end
+    # primitive integer matrices are equal; past `lo` both maps are one
+    # piece each between consecutive breakpoints, and `piece_at` reads
+    # each interval at its left end
     cuts = {b for b in m1.breakpoints() + m2.breakpoints() if b > lo}
     return all(m1.piece_at(x).mat == m2.piece_at(x).mat for x in (lo, *cuts))
 

@@ -3,10 +3,12 @@
 `hull_apply` is the data hull evaluated as first written: a linear scan
 for an exact hit, a scan of every entry for the largest dominated value,
 and a tie-breaker summed in `Fraction`s.  `map_value` applies a `PLMap`
-by a linear scan of its pieces and the `Fraction` matrix form of the
-piece.  `nested_value` evaluates a member by recursing through its
-provenance, each occurrence of a sub-member on its own, in
-`Fraction`s throughout.  The library evaluates in integers: it turns
+by a linear scan of its pieces and `reference_form`, the piece matrix
+in `Fraction`s scaled so that c == 1, or d == 1 when c == 0: the form
+that `serialize` prints, where a `Piece` stores the primitive integer
+multiple.
+`nested_value` evaluates a member by recursing through its provenance,
+each occurrence of a sub-member on its own, in `Fraction`s throughout.  The library evaluates in integers: it turns
 each argument into a numerator/denominator pair once, looks pieces up
 by cross-multiplying with the breakpoints, indexes the hull, reduces
 every node's value to lowest terms, evaluates each distinct sub-member
@@ -40,10 +42,20 @@ def hull_apply(hull: DataHull, point: tuple[Fraction, ...]) -> Fraction:
     return best + hull.epsilon * (n + sum(_squash(x) for x in point))
 
 
+def reference_form(mat) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """The matrix scaled to c == 1, or to d == 1 when c == 0."""
+    a, b, c, d = map(Fraction, mat)
+    if c != 0:
+        return (a / c, b / c, Fraction(1), d / c)
+    return (a / d, b / d, Fraction(0), Fraction(1))
+
+
 def map_value(m: PLMap, x: Fraction) -> Fraction:
     for piece in m.pieces:
         if (piece.lo is None or piece.lo <= x) and (piece.hi is None or x < piece.hi):
-            a, b, c, d = piece.mat
+            # in Fractions: on int matrices and an int x, `/` would be float
+            # division
+            a, b, c, d = reference_form(piece.mat)
             return (a * x + b) / (c * x + d)
     raise AssertionError(f"no piece of {m} contains {x}")
 

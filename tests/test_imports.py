@@ -287,3 +287,19 @@ def test_one_reading_of_the_generators():
     assert callers == {"lifting._generator_reading"}
     assert "_generator_reading" in in_analyze
     assert "satisfiable_in_clone" not in in_analyze
+
+
+def test_a_piece_stores_one_matrix():
+    # the primitive integer matrix is the only stored form, so nothing in
+    # `plmap` converts to a second one or keeps a private copy; a frozen
+    # piece can set attributes only through `object.__setattr__`
+    tree = ast.parse((PACKAGE / "plmap.py").read_text())
+    names = {node.name for node in tree.body if isinstance(node, DEFINITIONS)}
+    assert not names & {"_canonical", "_interior_point"}
+    piece = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Piece")
+    post_init = next(n for n in piece.body if getattr(n, "name", None) == "__post_init__")
+    set_fields = set()
+    for node in ast.walk(post_init):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
+            set_fields.add(node.args[1].value)
+    assert set_fields <= {"lo", "hi", "mat"}

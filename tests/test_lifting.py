@@ -177,6 +177,15 @@ def test_point_injection_validation():
         inj.apply(Fraction(9))
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "string"])
+def test_point_injection_refuses_inexact_points(bad):
+    # 1/2 is in the domain, so only the gate can refuse it
+    inj = PointInjection(((Fraction(1, 2), Fraction(1)), (Fraction(2), Fraction(3))))
+    assert inj.apply(Fraction(1, 2)) == 1 and inj.apply(2) == 3
+    with pytest.raises(InconsistentData, match=f"argument {bad!r} is not an int or a Fraction"):
+        inj.apply(bad)
+
+
 # -- building and lifting ------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,9 +15,9 @@ from clonelab.plmap import (
     parse_plmap,
     translation,
 )
-from clonelab.qclone import _embedding_above
+from clonelab.qclone import _embedding_above, parse_member
 import lift_oracle
-from hull_oracle import map_value
+from hull_oracle import map_value, reference_form
 
 
 F = Fraction
@@ -122,6 +123,23 @@ def test_constructors_refuse_inexact_values(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2"], ids=["float", "string"])
+@pytest.mark.parametrize(
+    "read",
+    [
+        translation(1).apply,
+        translation(1).piece_at,
+        translation(1).invert_value,
+        translation(1).pieces[0].value,
+        translation(1).pieces[0].invert,
+    ],
+    ids=["apply", "piece_at", "invert_value", "piece-value", "piece-invert"],
+)
+def test_evaluation_refuses_inexact_points(read, bad):
+    with pytest.raises(InconsistentData, match=f"argument {bad!r} is not an int or a Fraction"):
+        read(bad)
+
+
 def test_constructors_keep_int_and_fraction_values():
     assert translation(1) == translation(F(1)) == affine(F(1), 1)
     assert from_point_pairs([(0, 1), (F(1, 3), 2)]).apply(F(1, 3)) == 2
@@ -180,11 +198,76 @@ def test_from_point_pairs_builds_only_the_pieces_it_keeps(monkeypatch):
     monkeypatch.setattr(Piece, "__post_init__", counted)
     m = from_point_pairs((F(i), F(2 * i)) for i in range(1000))
     assert len(built) == 3
-    assert [(p.lo, p.hi, p.mat[0]) for p in m.pieces] == [
-        (None, F(0), F(1)),
-        (F(0), F(999), F(2)),
-        (F(999), None, F(1)),
-    ]
+    assert m.pieces == (
+        Piece(None, 0, (1, 0, 0, 1)),
+        Piece(0, 999, (2, 0, 0, 1)),
+        Piece(999, None, (1, 999, 0, 1)),
+    )
+
+
+coefficients = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=6))
+positive = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8)
+scales = st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=9)).filter(bool)
+
+
+@st.composite
+def exact_pieces(draw):
+    """(lo, hi, mat): an exact matrix of positive determinant in ints or
+    Fractions, on a bounded interval clear of its pole."""
+    mat = draw(
+        st.tuples(*[coefficients] * 4).filter(lambda m: m[0] * m[3] > m[1] * m[2])
+    )
+    _, _, c, d = mat
+    width = draw(positive)
+    if c == 0:
+        lo = draw(rationals)
+    elif draw(st.booleans()):
+        lo = F(-d) / c + draw(positive)
+    else:
+        lo = F(-d) / c - draw(positive) - width
+    return lo, lo + width, mat
+
+
+def reference_value(mat, x: Fraction) -> Fraction:
+    a, b, c, d = reference_form(mat)
+    return (a * x + b) / (c * x + d)
+
+
+def reference_text(spec) -> str:
+    """The file form of pieces given as (lo, hi, mat), printed from the
+    reference form of each matrix."""
+    text = ""
+    for lo, hi, mat in spec:
+        a, b, c, d = reference_form(mat)
+        ends = f"{'-inf' if lo is None else lo} {'inf' if hi is None else hi}"
+        kind = f"affine {a} {b}" if c == 0 else f"mobius {a} {b} {c} {d}"
+        text += f"piece {ends} {kind}\n"
+    return text
+
+
+@given(exact_pieces(), scales)
+def test_a_piece_stores_its_primitive_integer_matrix(piece, k):
+    lo, hi, mat = piece
+    p = Piece(lo, hi, mat)
+    assert Piece(lo, hi, tuple(k * v for v in mat)) == p
+    a, b, c, d = p.mat
+    assert all(type(v) is int for v in p.mat) and gcd(a, b, c, d) == 1
+    assert c > 0 or c == 0 < d
+    assert reference_form(p.mat) == reference_form(mat)
+
+
+@given(exact_pieces())
+def test_serialize_prints_the_reference_form(piece):
+    # the drawn piece between two slope-1 tails that meet it at its ends
+    lo, hi, mat = piece
+    spec = (
+        (None, lo, (1, reference_value(mat, lo) - lo, 0, 1)),
+        piece,
+        (hi, None, (1, reference_value(mat, hi) - hi, 0, 1)),
+    )
+    m = PLMap(tuple(Piece(*s) for s in spec))
+    assert m.serialize() == reference_text(spec)
+    assert parse_plmap(m.serialize()) == m
 
 
 @given(st.lists(rationals, min_size=1, max_size=8), rationals)
@@ -223,6 +306,33 @@ def increasing_maps(draw):
     return from_point_pairs(zip(xs, ys))
 
 
+MOBIUS_MIDDLE = PLMap(
+    (
+        Piece(None, 0, (1, 0, 0, 1)),
+        Piece(0, 1, (2, 0, 1, 1)),  # 2x/(x + 1), from 0 to 1
+        Piece(1, None, (1, 0, 0, 1)),
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        # the inner cut 1 maps exactly onto the outer breakpoint 2
+        (from_point_pairs([(2, 2), (3, 5)]), from_point_pairs([(0, 0), (1, 2)])),
+        # a bounded Moebius inner piece whose image holds the outer
+        # breakpoints 1/2 and 2/3, with preimages 1/3 and 1/2
+        (from_point_pairs([(F(1, 2), F(1, 2)), (F(2, 3), 1)]), MOBIUS_MIDDLE),
+    ],
+    ids=["cut-on-breakpoint", "mobius-inner"],
+)
+def test_compose_reads_each_interval_at_its_left_cut(outer, inner):
+    h = outer.compose(inner)
+    for cut in {*inner.breakpoints(), *h.breakpoints()}:
+        for x in (cut - F(1, 1000), cut, cut + F(1, 1000)):
+            assert h.apply(x) == outer.apply(inner.apply(x))
+
+
 @given(increasing_maps(), increasing_maps(), rationals)
 def test_compose_agrees_pointwise_on_random_maps(g, f, x):
     assert g.compose(f).apply(x) == g.apply(f.apply(x))
@@ -247,6 +357,24 @@ def test_automorphism_invert_roundtrip(y):
 def test_serialize_parse_roundtrip():
     for m in (identity(), squash(), from_point_pairs([(F(0), F(1)), (F(1, 2), F(3))])):
         assert parse_plmap(m.serialize()) == m
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("piece inf 0 affine 1 0\npiece 0 inf affine 2 0\n", 1),
+        ("piece -inf 0 affine 1 0\npiece 0 -inf affine 2 0\n", 2),
+        ("piece inf 0 affine 1 0\npiece 0 -inf affine 2 0\n", 1),
+        ("piece inf -inf affine 1 0\n", 1),
+    ],
+)
+def test_an_infinity_stands_only_at_its_own_end(text, line):
+    with pytest.raises(ParseError) as err:
+        parse_plmap(text)
+    assert err.value.line == line
+    with pytest.raises(ParseError) as err:
+        parse_member("arity 1\neventual 1 0\nalpha m\nmap m\n" + text)
+    assert err.value.line == line + 4
 
 
 def test_parse_reports_line_numbers():

@@ -68,6 +68,9 @@ class EquationSystem:
         names = [name for name, _ in self.signature]
         if len(set(names)) != len(names):
             raise InconsistentData("duplicate symbol in signature")
+        for name, arity in self.signature:
+            if arity < 1:
+                raise InconsistentData(f"symbol {name!r} has arity {arity}, below 1")
         sig = dict(self.signature)
         for eq in self.equations:
             _check_term(eq.lhs, sig)

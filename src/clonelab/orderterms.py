@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ParseError, UnsupportedTerm
+from .errors import InconsistentData, ParseError, UnsupportedTerm
 from .plmap import PLMap
 from .syntax import parse_prefix
 
@@ -63,6 +63,10 @@ class OrderTerm:
 @dataclass(frozen=True)
 class Coord(OrderTerm):
     index: int  # 1-based
+
+    def __post_init__(self):
+        if self.index < 1:
+            raise InconsistentData(f"coordinate index {self.index} is below 1")
 
     def __str__(self):
         return f"x{self.index}"

@@ -15,6 +15,46 @@ finite data with whatever eventual coordinate is requested, and
 ``noncontinuity_demo`` packages that as n members agreeing on a common
 restriction while disagreeing everywhere in their eventual behavior.
 
+Every member is a polymorphism by construction.  Write u < v when
+u_j < v_j in every coordinate, and p <= u when p_j <= u_j in every
+coordinate.  A data hull of arity n over data points p with values v_p,
+below a ceiling c, is v_p at each data point and elsewhere
+
+    h(u) = b(u) + eps * (n + sum_j squash(u_j)),
+
+where b(u) is the largest v_p with p <= u, or the floor min_p v_p - 1
+when there is none (c - 2 without data), squash(x) = x / (1 + |x|) maps
+Q increasingly into (-1, 1), and eps = min(g, 1, c - max_p v_p) / (4n)
+for the least gap g between distinct data values (eps = 1/(4n) without
+data).  The tie-breaker is strictly increasing and lies strictly
+between 0 and 2n * eps, which is at most half of each of g, 1 and
+c - max_p v_p.
+
+Lemma.  If the data are strictly consistent (p < q implies v_p < v_q)
+and every v_p is below c, then u < v implies h(u) < h(v), and every
+value of h is below c.
+
+Proof.  A value of h off the data is below b(u) + 2n * eps, which is at
+most max_p v_p + (c - max_p v_p) / 2 < c, or c - 3/2 without data.
+Let u < v.  If neither is a data point, every p <= u
+also has p <= v, so b(u) <= b(v), and the tie-breaker adds strictly
+more at v.  If u is a data point p and v is not, then p <= v, so
+h(v) > b(v) >= v_p.  If v is a data point q and u is not, then b(u) is
+the floor, at least 1 below v_q, or some v_p with p <= u < q, at least
+g below v_q by strict consistency; either way h(u) < b(u) + min(g, 1) / 2
+< v_q.  If both are data points, strict consistency is the claim.
+
+A hull member with threshold a and eventual map alpha has the ceiling
+c = alpha(a), which ``QFunction`` enforces.  Let u < v.  If u is past
+the threshold in every coordinate, so is v, and alpha of the eventual
+coordinate increases.  If u is not and v is, h(u) < alpha(a) <
+alpha(v_i).  Otherwise the lemma applies.  A graph member is an
+increasing map of one coordinate, and a composition of functions that
+are strictly increasing in this sense is one too.  So every
+``QFunction`` is a polymorphism of (Q,<).  Every data point also lies
+at or below the threshold in some coordinate, so evaluation reaches
+the hull there and returns the data value exactly.
+
 Thresholds, maps, and data are exact rationals throughout; every
 verification in this module compares values with ``==``, not with
 tolerances.
@@ -27,7 +67,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .config import Caps, DEFAULT_CAPS, guard
 from .errors import InconsistentData, ParseError
@@ -47,41 +87,59 @@ from .syntax import natural, records
 
 @dataclass(frozen=True)
 class DataHull:
-    """Strictly monotone interpolation of finite data, range-bounded above.
+    """Strictly monotone interpolation of finite data, below a ceiling.
 
-    Off the data points the value is the largest data value weakly
-    dominated by the argument (or a floor below all data), plus a
-    strictly increasing tie-breaker small enough never to disturb a
-    data gap.  Exact on the data, strictly increasing against it, and
-    bounded above by the ceiling the builder was given.
+    A function of its fields: the data as (point, value) pairs, the
+    ``arity`` of the points and the ``ceiling``, which a member sets to
+    alpha(threshold).  Construction makes the data exact and sorts them
+    by point, and refuses a point of another arity, a repeated point, a
+    strictly dominated pair whose value does not increase, and a value
+    at or above the ceiling.  It derives ``floor`` and ``epsilon`` as
+    the module docstring defines them, and the lemma there makes the
+    hull strictly increasing and bounded by the ceiling.
 
     ``apply`` works in integers: it takes the point as one
     numerator/denominator pair per coordinate and returns the value as
     a pair in lowest terms.  Construction indexes the data for it: a
     dict of the exact hits keyed by their points in that form, and the
-    entries above the floor ranked by descending value, so the
-    dominance scan stops at the first dominated entry.
+    entries ranked by descending value, so the dominance scan stops at
+    the first dominated entry.
     """
 
     data: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    floor: Fraction
-    epsilon: Fraction
+    arity: int
+    ceiling: Fraction
 
     def __post_init__(self):
-        # derived lookups, not fields: equality and repr see only the
-        # data; reversed, so the first of repeated hits wins
-        exact = {tuple(map(_ratio, p)): _ratio(v) for p, v in reversed(self.data)}
-        ranked = sorted(
-            ((v, p) for p, v in self.data if v > self.floor),
-            key=lambda entry: entry[0],
-            reverse=True,
-        )
-        object.__setattr__(self, "_exact", exact)
+        n = self.arity
+        if n < 1:
+            raise InconsistentData("arity must be at least 1")
+        data = tuple(sorted(_normalize_data(self.data, n)))
+        for (p, _), (q, _) in zip(data, data[1:]):
+            if p == q:
+                raise InconsistentData(f"data point {p} repeated")
+        _check_consistency(data, strict_only=True)
+        ceiling = Fraction(_exact(self.ceiling))
+        values = sorted({v for _, v in data})
+        floor = values[0] - 1 if values else ceiling - 2
+        head = values[-1] if values else floor
+        if head >= ceiling:
+            raise InconsistentData(f"data value {head} at or above the ceiling {ceiling}")
+        min_gap = min((b - a for a, b in zip(values, values[1:])), default=Fraction(1))
+        epsilon = min(min_gap, Fraction(1), ceiling - head) / (4 * n)
+        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "ceiling", ceiling)
+        # derived attributes, not fields: equality and repr see only
+        # the fields
+        object.__setattr__(self, "floor", floor)
+        object.__setattr__(self, "epsilon", epsilon)
+        ranked = sorted(data, key=lambda entry: entry[1], reverse=True)
+        object.__setattr__(self, "_exact", {tuple(map(_ratio, p)): _ratio(v) for p, v in data})
         object.__setattr__(
-            self, "_ranked", tuple((_ratio(v), tuple(map(_ratio, p))) for v, p in ranked)
+            self, "_ranked", tuple((_ratio(v), tuple(map(_ratio, p))) for p, v in ranked)
         )
-        object.__setattr__(self, "_floor", _ratio(self.floor))
-        object.__setattr__(self, "_epsilon", _ratio(self.epsilon))
+        object.__setattr__(self, "_floor", _ratio(floor))
+        object.__setattr__(self, "_epsilon", _ratio(epsilon))
 
     def apply(self, point: tuple[tuple[int, int], ...]) -> tuple[int, int]:
         hit = self._exact.get(point)
@@ -129,8 +187,13 @@ class QFunction:
 
     Construction, ``dataclasses.replace`` included, enforces that the
     arity is at least 1, that the coordinate lies in 1..arity, that
-    ``eventual`` is an increasing bijection of Q, and that a graph
-    member's map agrees with ``eventual`` above the threshold.
+    ``eventual`` is an increasing bijection of Q, that a graph member's
+    map agrees with ``eventual`` above the threshold, and that a hull
+    member's hull has the member's arity, has the ceiling
+    ``eventual(threshold)`` and has every data point at or below the
+    threshold in some coordinate.  That is what the module docstring's
+    argument needs: every member is a polymorphism of (Q,<) and
+    reproduces its data.
     """
 
     arity: int
@@ -155,6 +218,23 @@ class QFunction:
             raise InconsistentData(
                 "graph disagrees with the eventual map above the threshold"
             )
+        if isinstance(self.below, DataHull):
+            hull = self.below
+            if hull.arity != self.arity:
+                raise InconsistentData(
+                    f"{hull.arity}-ary hull below a {self.arity}-ary member"
+                )
+            ceiling = self.eventual.apply(self.threshold)
+            if hull.ceiling != ceiling:
+                raise InconsistentData(
+                    f"hull ceiling {hull.ceiling} is not alpha(threshold) = {ceiling}"
+                )
+            for point, _ in hull.data:
+                if all(x > self.threshold for x in point):
+                    raise InconsistentData(
+                        f"data point {point} lies entirely above the threshold "
+                        f"{self.threshold}"
+                    )
 
 
 def _agree_above(m1: PLMap, m2: PLMap, lo: Fraction) -> bool:
@@ -170,46 +250,34 @@ def _agree_above(m1: PLMap, m2: PLMap, lo: Fraction) -> bool:
 
 
 def _normalize_data(
-    data: Mapping[Sequence[Fraction], Fraction], n: int
-) -> dict[tuple[Fraction, ...], Fraction]:
-    out: dict[tuple[Fraction, ...], Fraction] = {}
-    for point, value in data.items():
+    data: Iterable[tuple[Sequence[Fraction], Fraction]], n: int
+) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+    out = []
+    for point, value in data:
         if len(point) != n:
             raise InconsistentData(f"data point {point} is not {n}-ary")
-        out[tuple(Fraction(_exact(x)) for x in point)] = Fraction(_exact(value))
+        out.append((tuple(Fraction(_exact(x)) for x in point), Fraction(_exact(value))))
     return out
 
 
 def _check_consistency(
-    data: Mapping[tuple[Fraction, ...], Fraction], strict_only: bool
+    data: Sequence[tuple[tuple[Fraction, ...], Fraction]], strict_only: bool
 ) -> None:
     """The order condition finite data must satisfy to extend.
 
-    ``strict_only`` checks just pointwise-strict pairs — the condition
-    forced on any restriction of a polymorphism.  Otherwise any weak
-    domination between distinct points must already increase the value.
+    ``data`` holds distinct points in sorted order, so a point can only
+    be dominated by a later one.  ``strict_only`` checks just
+    pointwise-strict pairs — the condition forced on any restriction of
+    a polymorphism.  Otherwise any weak domination must already increase
+    the value.
     """
-    for (p, pv), (q, qv) in itertools.permutations(data.items(), 2):
-        if strict_only:
-            if all(pj < qj for pj, qj in zip(p, q)) and pv >= qv:
-                raise InconsistentData(f"inconsistent data: {p} -> {pv}, {q} -> {qv}")
-        elif p != q and all(pj <= qj for pj, qj in zip(p, q)) and pv >= qv:
+    for (p, pv), (q, qv) in itertools.combinations(data, 2):
+        if pv >= qv and (
+            all(pj < qj for pj, qj in zip(p, q))
+            if strict_only
+            else all(pj <= qj for pj, qj in zip(p, q))
+        ):
             raise InconsistentData(f"inconsistent data: {p} -> {pv}, {q} -> {qv}")
-
-
-def _build_hull(
-    data: Mapping[tuple[Fraction, ...], Fraction], n: int, ceiling: Fraction
-) -> DataHull:
-    entries = tuple(sorted(data.items()))
-    values = [v for _, v in entries]
-    floor = min(values) - 1 if values else ceiling - 2
-    head = max(values) if values else floor
-    if head >= ceiling:
-        raise InconsistentData(f"base value {head} at or above the bound {ceiling}")
-    distinct = sorted(set(values))
-    min_gap = min((b - a for a, b in zip(distinct, distinct[1:])), default=Fraction(1))
-    epsilon = min(min_gap, Fraction(1), ceiling - head) / (4 * n)
-    return DataHull(entries, floor, epsilon)
 
 
 def make_member(
@@ -220,22 +288,17 @@ def make_member(
     base_data: Mapping[Sequence[Fraction], Fraction],
 ) -> QFunction:
     """A member from its parameters: eventually ``alpha`` of coordinate
-    ``i``, below the threshold ``a`` a strict extension of ``base_data``.
+    ``i``, below the threshold ``a`` the data hull of ``base_data`` under
+    the ceiling ``alpha(a)``.
 
-    The data must be monotone-consistent (weak pointwise domination
-    between distinct points increases the value), sit below the
-    threshold in at least one coordinate, and stay under ``alpha(a)``;
-    ``QFunction`` itself checks that ``alpha`` is a bijection of Q.
+    ``DataHull`` and ``QFunction`` check everything that makes the
+    member a polymorphism reproducing its data.  On top of that the
+    data must be consistent under weak domination: a point weakly below
+    another, distinct one has a smaller value.
     """
-    a = Fraction(_exact(a))
-    data = _normalize_data(base_data, n)
-    for point in data:
-        if all(x > a for x in point):
-            raise InconsistentData(
-                f"data point {point} lies entirely above the threshold {a}"
-            )
-    _check_consistency(data, strict_only=False)
-    return QFunction(n, i, a, alpha, _build_hull(data, n, alpha.apply(a)))
+    hull = DataHull(tuple(base_data.items()), n, alpha.apply(a))
+    _check_consistency(hull.data, strict_only=False)
+    return QFunction(n, i, a, alpha, hull)
 
 
 def selector_member(n: int, i: int) -> QFunction:
@@ -350,6 +413,8 @@ def compose_members(f: QFunction, gs: Sequence[QFunction]) -> QFunction:
 
 def spot_check_polymorphism(f: QFunction, pairs: int = 1000, seed: int = 0) -> int:
     """Randomized strict-monotonicity check; raises on any violation."""
+    if pairs < 0:
+        raise InconsistentData(f"pair count {pairs} is negative")
     rng = random.Random(seed)
     for _ in range(pairs):
         # u and the step from u to v as integer pairs, v summed in integers
@@ -372,28 +437,19 @@ def extend_restriction(
     eventual coordinate of our choosing.
 
     Only pointwise-strict domination constrains a polymorphism, so only
-    that is demanded of the data — restrictions of min, say, repeat
-    values across weakly comparable points and still extend.  The
-    threshold is pushed above every coordinate in the data and the
-    eventual map is a translation clearing every data value.
+    that is demanded of the data, as ``DataHull`` does — restrictions
+    of min, say, repeat values across weakly comparable points and
+    still extend.  The threshold is pushed above every coordinate in
+    the data and the eventual map is a translation clearing every data
+    value, so the member reproduces the data through its hull.
     """
-    data = _normalize_data(restriction, n)
-    _check_consistency(data, strict_only=True)
-    coords = [x for point in data for x in point]
+    data = _normalize_data(restriction.items(), n)
+    coords = [x for point, _ in data for x in point]
     a = max(coords) + 1 if coords else Fraction(0)
-    values = list(data.values())
+    values = [v for _, v in data]
     offset = max(values) + 1 - a if values else Fraction(0)
-    member = QFunction(
-        arity=n,
-        coordinate=target_i,
-        threshold=a,
-        eventual=translation(offset),
-        below=_build_hull(data, n, a + offset),
-    )
-    for point, value in data.items():
-        if evaluate(member, point) != value:
-            raise InconsistentData(f"extension failed to reproduce {point}")
-    return member
+    hull = DataHull(tuple(data), n, a + offset)
+    return QFunction(n, target_i, a, translation(offset), hull)
 
 
 # -- the uniqueness argument ----------------------------------------------
@@ -441,6 +497,8 @@ def uniqueness_witnesses(
     """
     if isinstance(f.below, Composition):
         raise InconsistentData("uniqueness witnesses want a member with parameters")
+    if grid_side < 1:
+        raise InconsistentData(f"grid side {grid_side} is below 1")
     a = f.threshold
     graph = _embedding_above(a)
     g = QFunction(1, 1, Fraction(0), translation(a + 1), graph)
@@ -548,15 +606,9 @@ def noncontinuity_demo(
         )
     restriction = {p: evaluate(base, p) for p in sorted(points)}
     # threshold, eventual map and hull do not depend on the target, and
-    # extend_restriction has verified the first extension on every point
+    # every extension reproduces the restriction through its hull
     first = extend_restriction(restriction, 1, n)
-    extensions = [first]
-    for target in range(2, n + 1):
-        member = replace(first, coordinate=target)
-        for point, value in restriction.items():
-            if evaluate(member, point) != value:
-                raise InconsistentData(f"extension {target} broke the restriction at {point}")
-        extensions.append(member)
+    extensions = [first] + [replace(first, coordinate=t) for t in range(2, n + 1)]
     return NoncontinuityReport(
         arity=n,
         seed=seed,
@@ -658,6 +710,5 @@ def parse_member(text: str) -> QFunction:
                 lineno,
             )
         data[point] = numbers[arity]
-    _check_consistency(data, strict_only=True)
-    hull = _build_hull(data, arity, ceiling)
+    hull = DataHull(tuple(data.items()), arity, ceiling)
     return QFunction(arity, coordinate, threshold, alpha, hull)

@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
-from .errors import ParseError
+from .errors import InconsistentData, ParseError
 from .syntax import parse_prefix
 
 
@@ -17,6 +17,10 @@ class Term:
 @dataclass(frozen=True)
 class Var(Term):
     index: int  # 1-based
+
+    def __post_init__(self):
+        if self.index < 1:
+            raise InconsistentData(f"variable index {self.index} is below 1")
 
     def __str__(self):
         return f"x{self.index}"

@@ -303,3 +303,35 @@ def test_a_piece_stores_one_matrix():
         if isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__":
             set_fields.add(node.args[1].value)
     assert set_fields <= {"lo", "hi", "mat"}
+
+
+def _is_strict_check(call):
+    """A call of `_check_consistency` with `strict_only=True`."""
+    if "_check_consistency" not in _code_names(call.func):
+        return False
+    strict = [k.value for k in call.keywords if k.arg == "strict_only"] + call.args[1:2]
+    return any(isinstance(v, ast.Constant) and v.value is True for v in strict)
+
+
+def test_a_hull_is_a_function_of_its_data():
+    # `DataHull` derives its floor and epsilon from its three fields, and
+    # it is the one place that checks data for strict consistency, so no
+    # builder can hand a member a hull the module's lemma does not cover
+    tree = ast.parse((PACKAGE / "qclone.py").read_text())
+    names = {node.name for node in tree.body if isinstance(node, DEFINITIONS)}
+    assert "_build_hull" not in names
+    hull = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "DataHull")
+    fields = [n.target.id for n in hull.body if isinstance(n, ast.AnnAssign)]
+    assert fields == ["data", "arity", "ceiling"]
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            scopes = top.body if isinstance(top, ast.ClassDef) else [top]
+            for scope in scopes:
+                owner = getattr(top, "name", None)
+                if scope is not top:
+                    owner = f"{owner}.{getattr(scope, 'name', None)}"
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Call) and _is_strict_check(node):
+                        callers.add(f"{path.stem}.{owner}")
+    assert callers == {"qclone.DataHull.__post_init__"}

@@ -13,7 +13,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from clonelab import qclone
 from clonelab.errors import InconsistentData, ParseError
@@ -21,7 +21,6 @@ from clonelab.plmap import PLMap, Piece, from_point_pairs, identity, translation
 from clonelab.qclone import (
     Composition,
     DataHull,
-    _build_hull,
     _embedding_above,
     QFunction,
     compose_members,
@@ -112,7 +111,7 @@ def test_member_parameter_validation():
 def test_every_construction_checks_the_eventual_bijection():
     # a map onto (0, oo) is not a bijection of Q, however the member is built
     bounded = _embedding_above(F(0))
-    hull = _build_hull({}, 2, F(1))
+    hull = DataHull((), 2, F(1))
     with pytest.raises(InconsistentData, match="bijection"):
         QFunction(2, 1, F(0), bounded, hull)
     with pytest.raises(InconsistentData, match="bijection"):
@@ -123,6 +122,40 @@ def test_every_construction_checks_the_eventual_bijection():
     # a bad data row is reported at its line before the map is judged
     with pytest.raises(ParseError, match="line 7:"):
         parse_member(text + "data 1 -5\n")
+
+
+def test_a_hull_member_must_be_a_polymorphism():
+    # a hull under a ceiling other than alpha(threshold) = 0 would give
+    # 100 at 0 and 1 at 1
+    high = DataHull((((F(0),), F(100)),), 1, F(101))
+    with pytest.raises(InconsistentData, match="hull ceiling 101 is not alpha"):
+        QFunction(1, 1, F(0), identity(), high)
+    with pytest.raises(InconsistentData, match="2-ary hull below a 1-ary member"):
+        QFunction(1, 1, F(0), identity(), DataHull((), 2, F(0)))
+    member = make_member(2, 1, F(0), identity(), {(F(-1), F(-1)): F(-5)})
+    # a new eventual map would give -99 at (1, 1), above -5 at (-1, -1)
+    with pytest.raises(InconsistentData, match="hull ceiling 0 is not alpha"):
+        replace(member, eventual=translation(-100))
+    # a new threshold that keeps the ceiling would leave (-1, -1) past
+    # it, where evaluation never reaches its data value
+    with pytest.raises(InconsistentData, match="entirely above the threshold -2"):
+        replace(member, threshold=F(-2), eventual=translation(2))
+
+
+@pytest.mark.parametrize(
+    "data, arity, ceiling, message",
+    [
+        ((((F(0),), F(1)), ((F(0),), F(2))), 1, F(5), "data point .* repeated"),
+        ((((F(0), F(0)), F(1)), ((F(1), F(1)), F(0))), 2, F(5), "inconsistent data"),
+        ((((F(0),), F(5)),), 1, F(5), "data value 5 at or above the ceiling 5"),
+        ((((F(0),), F(1)),), 2, F(5), "is not 2-ary"),
+        ((((F(0),), F(1)),), -1, F(1), "arity must be at least 1"),
+    ],
+    ids=["repeated", "inconsistent", "ceiling", "point-arity", "arity"],
+)
+def test_a_hull_refuses_data_the_lemma_does_not_cover(data, arity, ceiling, message):
+    with pytest.raises(InconsistentData, match=message):
+        DataHull(data, arity, ceiling)
 
 
 @given(
@@ -148,6 +181,53 @@ def test_polymorphism_spot_checks_pass():
     ]
     for f in members:
         assert spot_check_polymorphism(f, 300, seed=5) == 300
+
+
+RATIONAL = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
+STEP = st.builds(F, st.integers(1, 12), st.integers(1, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(["make_member", "extend_restriction", "parse_member"]), st.data())
+def test_members_built_from_consistent_data_are_polymorphisms(builder, draw):
+    n = draw.draw(st.integers(1, 3))
+    i = draw.draw(st.integers(1, n))
+    threshold, shift = draw.draw(RATIONAL), draw.draw(RATIONAL)
+    points = draw.draw(st.lists(st.tuples(*[RATIONAL] * n), max_size=6))
+    if builder != "extend_restriction":
+        # one coordinate of each point at or below the threshold
+        ks = [draw.draw(st.integers(0, n - 1)) for _ in points]
+        points = [p[:k] + (min(p[k], threshold),) + p[k + 1 :] for p, k in zip(points, ks)]
+    # b * min + c * sum increases along strict domination, and along
+    # weak domination too when c > 0, as make_member demands
+    c = draw.draw(st.integers(1 if builder == "make_member" else 0, 3))
+    b = draw.draw(st.integers(0 if c else 1, 3))
+    raw = {p: b * min(p) + c * sum(p) for p in points}
+    # every value below the ceiling alpha(threshold) = threshold + shift
+    offset = threshold + shift - 1 - max(raw.values(), default=0) - draw.draw(STEP)
+    data = {p: r + offset for p, r in raw.items()}
+    if builder == "make_member":
+        f = make_member(n, i, threshold, translation(shift), data)
+    elif builder == "extend_restriction":
+        f = extend_restriction(data, i, n)
+    else:
+        rows = "".join(
+            "data " + " ".join(str(x) for x in (*p, v)) + "\n" for p, v in data.items()
+        )
+        f = parse_member(
+            f"arity {n}\neventual {i} {threshold}\nalpha m\nmap m\n"
+            f"piece -inf inf affine 1 {shift}\n{rows}"
+        )
+    for p, v in data.items():
+        assert evaluate(f, p) == v
+    # strictly comparable pairs from and to every data point, and from
+    # random points, against the oracle
+    for u in [*data, *draw.draw(st.lists(st.tuples(*[RATIONAL] * n), min_size=1, max_size=3))]:
+        below = tuple(x - draw.draw(STEP) for x in u)
+        above = tuple(x + draw.draw(STEP) for x in u)
+        values = [evaluate(f, w) for w in (below, u, above)]
+        assert values == [nested_value(f, w) for w in (below, u, above)]
+        assert values[0] < values[1] < values[2]
 
 
 # -- composition and the coordinate reading --------------------------------
@@ -395,43 +475,49 @@ def test_min_restrictions_extend_despite_repeated_values():
         make_member(2, 1, F(4), translation(10), MIN_POINTS)
 
 
+def _strictly_consistent(rng: random.Random, n: int, count: int, coordinate) -> dict:
+    """Up to `count` random data points with random values, each kept
+    only when its point is new and strictly comparable points increase."""
+    data: dict = {}
+    for _ in range(count):
+        p = tuple(coordinate() for _ in range(n))
+        v = F(rng.randint(-20, 20), rng.randint(1, 4))
+        if p not in data and not any(
+            all(a < b for a, b in zip(q, p)) and w >= v
+            or all(b < a for a, b in zip(q, p)) and v >= w
+            for q, w in data.items()
+        ):
+            data[p] = v
+    return data
+
+
 def test_hull_epsilon_is_the_all_pairs_minimum_gap():
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(1, 3)
-        data = {
-            tuple(F(rng.randint(-4, 4)) for _ in range(n)): F(rng.randint(-20, 20), rng.randint(1, 4))
-            for _ in range(rng.randint(0, 9))
-        }
+        data = _strictly_consistent(rng, n, rng.randint(0, 9), lambda: F(rng.randint(-4, 4)))
         values = list(data.values())
         ceiling = max(values, default=F(0)) + F(rng.randint(1, 9), rng.randint(1, 4))
         head = max(values) if values else ceiling - 2
         gaps = {abs(a - b) for a in values for b in values if a != b}
         expected = min(min(gaps, default=F(1)), F(1), ceiling - head) / (4 * n)
-        assert _build_hull(data, n, ceiling).epsilon == expected
+        assert DataHull(tuple(data.items()), n, ceiling).epsilon == expected
 
 
 def _random_hull(rng: random.Random) -> DataHull:
     n = rng.randint(1, 3)
-    data = {
-        tuple(F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)): F(
-            rng.randint(-20, 20), rng.randint(1, 4)
-        )
-        for _ in range(rng.randint(0, 6))
-    }
-    if rng.random() < 0.7:
-        ceiling = max(data.values(), default=F(0)) + F(rng.randint(1, 9), rng.randint(1, 4))
-        return _build_hull(data, n, ceiling)
-    # data in insertion order, under a floor that may cut off values
-    floor = rng.choice([*data.values(), F(rng.randint(-25, 25), rng.randint(1, 3))])
-    return DataHull(tuple(data.items()), floor, F(rng.randint(1, 5), rng.randint(5, 40)))
+    data = _strictly_consistent(
+        rng, n, rng.randint(0, 6), lambda: F(rng.randint(-6, 6), rng.randint(1, 3))
+    )
+    ceiling = max(data.values(), default=F(0)) + F(rng.randint(1, 9), rng.randint(1, 4))
+    return DataHull(tuple(data.items()), n, ceiling)
 
 
 def test_hull_matches_the_oracle():
     rng = random.Random(29)
     for _ in range(400):
         hull = _random_hull(rng)
-        n = len(hull.data[0][0]) if hull.data else rng.randint(1, 3)
+        n = hull.arity
         coords = [x for p, _ in hull.data for x in p]
         low = min(coords, default=F(0)) - 1
         points = [p for p, _ in hull.data]  # exact hits
@@ -522,6 +608,16 @@ def test_uniqueness_needs_parameters():
     comp = compose_members(plain_member(), [plain_member(), plain_member(2, 2)])
     with pytest.raises(InconsistentData):
         uniqueness_witnesses(comp)
+
+
+def test_qclone_checks_refuse_vacuous_sizes():
+    f = plain_member()
+    for side in (0, -3):
+        with pytest.raises(InconsistentData, match=f"grid side {side} is below 1"):
+            uniqueness_witnesses(f, grid_side=side)
+    with pytest.raises(InconsistentData, match="pair count -5 is negative"):
+        spot_check_polymorphism(f, -5)
+    assert spot_check_polymorphism(f, 0) == 0
 
 
 # -- the discontinuity demonstration ----------------------------------------

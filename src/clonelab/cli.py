@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every run prints one deterministic report: a header echoing the
-subcommand, inputs, caps, and seed, then the result.  Exit codes
-separate the ways a run can end:
+subcommand, its inputs and the settings it read (the caps on the five
+commands that build a clone, the seed on `qdemo`), then the result.
+Exit codes separate the ways a run can end:
 
 * 0 — the question has a positive answer (or the report is purely
   descriptive),
@@ -66,12 +67,8 @@ def _read(path: str) -> str:
 
 
 def _load_structure(token: str) -> Structure:
-    lowered = token.lower()
-    if lowered == "dlo":
-        return DLO
-    if lowered in ("pureset", "pure-set", "pure_set"):
-        return PURE_SET
-    return parse_structure(_read(token))
+    symbolic = {"dlo": DLO, "pureset": PURE_SET}.get(token)
+    return symbolic if symbolic is not None else parse_structure(_read(token))
 
 
 def parse_operations(text: str) -> list[Operation]:
@@ -190,10 +187,11 @@ def _header(ns: argparse.Namespace, caps: Caps) -> list[str]:
     ]
     if inputs:
         lines.append("inputs: " + " ".join(inputs))
-    lines.append(
-        f"caps: arity<={caps.arity_cap} depth<={caps.depth_cap} "
-        f"catalog<={caps.catalog_cap}"
-    )
+    if "arity_cap" in given:
+        lines.append(
+            f"caps: arity<={caps.arity_cap} depth<={caps.depth_cap} "
+            f"catalog<={caps.catalog_cap}"
+        )
     options = [
         f"{label}={given[name]}"
         for name, label in (
@@ -210,7 +208,8 @@ def _header(ns: argparse.Namespace, caps: Caps) -> list[str]:
         options.append(f"family={given['family']}")
     if options:
         lines.append("options: " + " ".join(options))
-    lines.append(f"seed: {ns.seed}")
+    if "seed" in given:
+        lines.append(f"seed: {ns.seed}")
     return lines
 
 
@@ -482,16 +481,17 @@ def _assign_pair(text: str) -> tuple[str, str]:
     return symbol, generator
 
 
+# only the commands that build a clone take caps; the others run at DEFAULT_CAPS
+_CAP_DESTS = ("arity_cap", "depth_cap", "catalog_cap")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    for flag, default in (
-        ("--arity-cap", DEFAULT_CAPS.arity_cap),
-        ("--depth-cap", DEFAULT_CAPS.depth_cap),
-        ("--catalog-cap", DEFAULT_CAPS.catalog_cap),
-    ):
-        common.add_argument(flag, type=_at_least(1), default=default)
-    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--out", help="also write the report to this file")
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    for dest in _CAP_DESTS:
+        flag, default = "--" + dest.replace("_", "-"), getattr(DEFAULT_CAPS, dest)
+        capped.add_argument(flag, type=_at_least(1), default=default)
 
     parser = argparse.ArgumentParser(
         prog="clonelab",
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("structure")
     p.add_argument("--k", type=_at_least(1))
 
-    p = sub.add_parser("sat", parents=[common], help="satisfiability in a clone")
+    p = sub.add_parser("sat", parents=[capped], help="satisfiability in a clone")
     p.add_argument("equations", help="equation file")
     p.add_argument("tables", help="operation file of finite tables")
 
@@ -523,18 +523,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("equations")
 
     p = sub.add_parser(
-        "sat-mod", parents=[common], help="satisfiability modulo outer unaries"
+        "sat-mod", parents=[capped], help="satisfiability modulo outer unaries"
     )
     p.add_argument("equations")
     p.add_argument("tables")
     p.add_argument("--family", help="operation file of unary tables (identity is free)")
 
     p = sub.add_parser(
-        "proj-hom", parents=[common], help="projection reading of a finite clone"
+        "proj-hom", parents=[capped], help="projection reading of a finite clone"
     )
     p.add_argument("tables")
 
-    p = sub.add_parser("lift", parents=[common], help="equalize a system by stages")
+    p = sub.add_parser("lift", parents=[capped], help="equalize a system by stages")
     p.add_argument("operations")
     p.add_argument("equations")
     p.add_argument("structure", help="dlo or pureset")
@@ -549,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser(
-        "analyze", parents=[common], help="full transfer report for generators"
+        "analyze", parents=[capped], help="full transfer report for generators"
     )
     p.add_argument("operations")
     p.add_argument("structure", help="dlo or pureset")
@@ -560,6 +560,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--samples", type=_at_least(0), help="restriction size (default 5)"
     )
+    p.add_argument("--seed", type=_seed, default=0)
 
     return parser
 
@@ -570,9 +571,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    caps = Caps(
-        arity_cap=ns.arity_cap, depth_cap=ns.depth_cap, catalog_cap=ns.catalog_cap
-    )
+    caps = Caps(**{dest: getattr(ns, dest) for dest in _CAP_DESTS if dest in ns})
     try:
         body, code = _COMMANDS[ns.subcommand](ns, caps)
     except CapExceeded as exc:

@@ -19,8 +19,9 @@ class Caps:
     tuple_cap      : largest product enumerated point by point, checked
                      by `guard` as "tuple space size", "argument space
                      size", "type table size", "equation row space",
-                     "assignment search space", "argument matrix width",
-                     "verification grid size" and "consistency pairs"
+                     "assignment search space", "argument matrix width"
+                     and "verification grid size", and largest number of
+                     unordered pairs compared, as "consistency pairs"
     k_cap          : largest tuple length for type spaces
     arity_cap      : largest operation arity kept in clone catalogs
     depth_cap      : composition depth for clone generation

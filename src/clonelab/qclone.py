@@ -66,7 +66,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
 from .config import Caps, DEFAULT_CAPS, guard
@@ -96,7 +96,8 @@ class DataHull:
     strictly dominated pair whose value does not increase, and a value
     at or above the ceiling.  It derives ``floor`` and ``epsilon`` as
     the module docstring defines them, and the lemma there makes the
-    hull strictly increasing and bounded by the ceiling.
+    hull strictly increasing and bounded by the ceiling; ``weak_conflict``
+    is the first weakly dominated pair whose value does not increase.
 
     ``apply`` works in integers: it takes the point as one
     numerator/denominator pair per coordinate and returns the value as
@@ -118,7 +119,7 @@ class DataHull:
         for (p, _), (q, _) in zip(data, data[1:]):
             if p == q:
                 raise InconsistentData(f"data point {p} repeated")
-        _check_consistency(data, strict_only=True)
+        object.__setattr__(self, "weak_conflict", _check_consistency(data))
         ceiling = Fraction(_exact(self.ceiling))
         values = sorted({v for _, v in data})
         floor = values[0] - 1 if values else ceiling - 2
@@ -261,23 +262,28 @@ def _normalize_data(
 
 
 def _check_consistency(
-    data: Sequence[tuple[tuple[Fraction, ...], Fraction]], strict_only: bool
-) -> None:
-    """The order condition finite data must satisfy to extend.
+    data: Sequence[tuple[tuple[Fraction, ...], Fraction]]
+) -> tuple | None:
+    """The order condition finite data must satisfy to extend, in one pass.
 
     ``data`` holds distinct points in sorted order, so a point can only
-    be dominated by a later one.  ``strict_only`` checks just
-    pointwise-strict pairs — the condition forced on any restriction of
-    a polymorphism.  Otherwise any weak domination must already increase
-    the value.
+    be dominated by a later one.  A pointwise-strict domination whose
+    value does not increase raises — the condition forced on any
+    restriction of a polymorphism.  The first weak such domination is
+    returned, or None.
     """
+    weak = None
     for (p, pv), (q, qv) in itertools.combinations(data, 2):
-        if pv >= qv and (
-            all(pj < qj for pj, qj in zip(p, q))
-            if strict_only
-            else all(pj <= qj for pj, qj in zip(p, q))
-        ):
-            raise InconsistentData(f"inconsistent data: {p} -> {pv}, {q} -> {qv}")
+        if pv >= qv and all(pj <= qj for pj, qj in zip(p, q)):
+            if all(pj < qj for pj, qj in zip(p, q)):
+                raise _inconsistent(((p, pv), (q, qv)))
+            weak = weak or ((p, pv), (q, qv))
+    return weak
+
+
+def _inconsistent(pair: tuple) -> InconsistentData:
+    (p, pv), (q, qv) = pair
+    return InconsistentData(f"inconsistent data: {p} -> {pv}, {q} -> {qv}")
 
 
 def make_member(
@@ -297,7 +303,8 @@ def make_member(
     another, distinct one has a smaller value.
     """
     hull = DataHull(tuple(base_data.items()), n, alpha.apply(a))
-    _check_consistency(hull.data, strict_only=False)
+    if hull.weak_conflict is not None:
+        raise _inconsistent(hull.weak_conflict)
     return QFunction(n, i, a, alpha, hull)
 
 
@@ -579,9 +586,9 @@ def noncontinuity_demo(
     exactly, yet their eventual coordinates exhaust 1..n — knowing a
     member on finitely many points says nothing about where it goes.
     Asking for more samples than there are distinct sample points raises
-    InconsistentData; the consistency check compares every pair of
-    samples, so a count whose square exceeds ``caps.tuple_cap`` raises
-    CapExceeded before any sampling.
+    InconsistentData; the consistency check compares every unordered
+    pair of samples once, so a count with more than ``caps.tuple_cap``
+    such pairs raises CapExceeded before any sampling.
     """
     if n < 2:
         raise InconsistentData("the demonstration needs arity at least 2")
@@ -593,7 +600,7 @@ def noncontinuity_demo(
         raise InconsistentData(
             f"{sample_count} samples asked for, only {values}**{n} distinct points exist"
         )
-    guard(sample_count**2, caps.tuple_cap, "consistency pairs")
+    guard(comb(sample_count, 2), caps.tuple_cap, "consistency pairs")
     rng = random.Random(seed)
     base = make_member(n, 1, Fraction(0), identity(), {})
     points: set[tuple[Fraction, ...]] = set()

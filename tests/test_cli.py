@@ -130,9 +130,7 @@ def test_canonical_kmax_four_is_decided_on_pairs(files, capsys):
     assert out == (
         "command: canonical\n"
         f"inputs: {path} dlo\n"
-        "caps: arity<=6 depth<=4 catalog<=100000\n"
         "options: kmax=4\n"
-        "seed: 0\n"
         "\n"
         "lex: canonical at every level up to k=4\n"
         "mn: not canonical at k=2\n"
@@ -534,13 +532,15 @@ def test_qdemo_accepts_an_empty_restriction(capsys):
 
 def test_qdemo_refuses_an_oversized_consistency_check_up_front(capsys):
     # 16641 samples is the most the sampler can draw at n = 2, but
-    # checking all their pairs would take minutes
-    start = time.perf_counter()
-    code, out, err = run(capsys, "qdemo", "--n", "2", "--samples", "16641")
-    assert time.perf_counter() - start < 1
-    assert code == 3
-    assert out == ""
-    assert "consistency pairs needs 276922881" in err
+    # checking all their pairs would take minutes; 1415 samples is the
+    # least count with more than the 1,000,000 pairs of the tuple cap
+    for samples, pairs in (("16641", 138453120), ("1415", 1000405)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "qdemo", "--n", "2", "--samples", samples)
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert f"consistency pairs needs {pairs}, cap is 1000000" in err
 
 
 # -- plumbing --------------------------------------------------------------------
@@ -558,15 +558,18 @@ def test_usage_errors_exit_two(files, capsys):
     assert run(capsys)[0] == 2
     assert run(capsys, "no-such-command")[0] == 2
     assert run(capsys, "sat1", "/nowhere/missing.eqs")[0] == 2
-    assert run(capsys, "orbits", "dlo", "--arity-cap", "-3")[0] == 2
+    mins = files("min.ops", MIN_OPS)
+    assert run(capsys, "proj-hom", mins)[0] == 1
+    assert run(capsys, "proj-hom", mins, "--arity-cap", "-3")[0] == 2
     assert run(capsys, "orbits", files("sup.struct", "domain ²\n"))[0] == 2
     assert run(capsys, "sat1", files("sup.eqs", "sig f ²\n"))[0] == 2
     assert run(capsys, "sat1", files("var.eqs", "sig f 2\neq f(x1,x²) = x1\n"))[0] == 2
     assert run(capsys, "orbits", "dlo", "--k", "١")[0] == 2
     assert run(capsys, "qdemo", "--samples", "٣")[0] == 2
-    assert run(capsys, "orbits", "dlo", "--seed", "1_0")[0] == 2
+    assert run(capsys, "qdemo", "--samples", "1", "--seed", "-10")[0] == 0
+    assert run(capsys, "qdemo", "--samples", "1", "--seed", "1_0")[0] == 2
     named_id = files("id.ops", "op id 1\ntable 1 0\n")
-    comm, mins = files("comm.eqs", COMM), files("min.ops", MIN_OPS)
+    comm = files("comm.eqs", COMM)
     assert run(capsys, "sat-mod", comm, mins, "--family", named_id)[0] == 2
     nested = "f(" * 1200 + "x1" + ")" * 1200
     assert run(capsys, "sat1", files("deep.eqs", f"sig f 1\neq {nested} = x1\n"))[0] == 2
@@ -601,15 +604,72 @@ def test_help_exits_zero(capsys):
 
 
 def test_report_embeds_configuration(files, capsys):
-    _, out, _ = run(
-        capsys, "orbits", "dlo", "--k", "2", "--arity-cap", "4", "--seed", "5"
-    )
-    head = out.splitlines()[:5]
-    assert head[0] == "command: orbits"
-    assert head[1] == "inputs: dlo"
-    assert head[2] == "caps: arity<=4 depth<=4 catalog<=100000"
-    assert head[3] == "options: k=2"
-    assert head[4] == "seed: 5"
+    # the header echoes the settings its command reads, and no others
+    mins = files("min.ops", MIN_OPS)
+    _, out, _ = run(capsys, "proj-hom", mins, "--arity-cap", "4")
+    assert out.splitlines()[:4] == [
+        "command: proj-hom",
+        f"inputs: {mins}",
+        "caps: arity<=4 depth<=4 catalog<=100000",
+        "",
+    ]
+    _, out, _ = run(capsys, "qdemo", "--samples", "1", "--seed", "5")
+    assert out.splitlines()[:4] == [
+        "command: qdemo",
+        "options: samples=1",
+        "seed: 5",
+        "",
+    ]
+    _, out, _ = run(capsys, "orbits", "dlo", "--k", "2")
+    assert out.splitlines()[:4] == ["command: orbits", "inputs: dlo", "options: k=2", ""]
+
+
+CLONE_BUILDERS = {"sat", "sat-mod", "proj-hom", "lift", "analyze"}
+
+
+def _valid_runs(files):
+    """One quick invocation of each subcommand that exits other than 2."""
+    lex, assoc = files("lex.ops", LEX_OPS), files("assoc.eqs", ASSOC)
+    comm, mins = files("comm.eqs", COMM), files("min.ops", MIN_OPS)
+    return {
+        "orbits": ["orbits", "dlo", "--k", "1"],
+        "canonical": ["canonical", lex, "dlo"],
+        "type-image": ["type-image", lex, "dlo"],
+        "sat": ["sat", comm, mins],
+        "sat1": ["sat1", assoc],
+        "sat-mod": ["sat-mod", comm, mins],
+        "proj-hom": ["proj-hom", mins],
+        "lift": ["lift", lex, assoc, "dlo", "--depth", "1"],
+        "analyze": ["analyze", lex, "pureset", *SMALL, "--depth", "1"],
+        "qdemo": ["qdemo", "--samples", "1"],
+    }
+
+
+@pytest.mark.parametrize("flag", ["--arity-cap", "--depth-cap", "--catalog-cap", "--seed"])
+def test_a_flag_is_refused_where_nothing_reads_it(files, capsys, flag):
+    # the caps change only what the clone-building commands build, and
+    # the seed only what qdemo draws; elsewhere a flag is a usage error
+    takes = {"qdemo"} if flag == "--seed" else CLONE_BUILDERS
+    for command, argv in _valid_runs(files).items():
+        assert run(capsys, *argv)[0] != 2, command
+        code, out, _ = run(capsys, *argv, flag, "2")
+        assert (code == 2) == (command not in takes), command
+        if command not in takes:
+            assert out == ""
+
+
+def test_only_the_documented_literals_name_symbolic_structures(
+    tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pure-set").write_text("domain 2\n")
+    code, out, _ = run(capsys, "orbits", "pure-set", "--k", "1")
+    assert code == 0
+    assert "1 orbit classes at level k=1" in out
+    for token in ("DLO", "pure_set", "Pure_Set"):
+        code, out, err = run(capsys, "orbits", token)
+        assert (code, out) == (2, "")
+        assert f"No such file or directory: '{token}'" in err
 
 
 # -- operation files ---------------------------------------------------------------

@@ -2,7 +2,8 @@
 or names a standard-library module.  And it holds no dead code: every
 top-level definition is reachable from the public API, the command line
 or the benchmark, every top-level import is used, and every defaulted
-parameter is passed by some call in the package or the benchmark.  No
+parameter is passed by some call in the package or the benchmark, and
+every command-line option is read by the command that takes it.  No
 code path lists a whole automorphism group, no test oracle evaluates
 order terms or generates its reference clone through the library, and
 the critical level and the canonicity gate each have one home.  Every
@@ -11,12 +12,14 @@ checks read the sources with `ast`."""
 
 from __future__ import annotations
 
+import argparse
 import ast
 import re
 import sys
 from pathlib import Path
 
 import clonelab
+from clonelab.cli import _COMMANDS, build_parser
 
 PACKAGE = Path(clonelab.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -305,18 +308,12 @@ def test_a_piece_stores_one_matrix():
     assert set_fields <= {"lo", "hi", "mat"}
 
 
-def _is_strict_check(call):
-    """A call of `_check_consistency` with `strict_only=True`."""
-    if "_check_consistency" not in _code_names(call.func):
-        return False
-    strict = [k.value for k in call.keywords if k.arg == "strict_only"] + call.args[1:2]
-    return any(isinstance(v, ast.Constant) and v.value is True for v in strict)
-
-
 def test_a_hull_is_a_function_of_its_data():
     # `DataHull` derives its floor and epsilon from its three fields, and
-    # it is the one place that checks data for strict consistency, so no
+    # it is the one place that checks data for consistency, in one pass
+    # that refuses strict conflicts and records the first weak one, so no
     # builder can hand a member a hull the module's lemma does not cover
+    # and `make_member` never scans the pairs a second time
     tree = ast.parse((PACKAGE / "qclone.py").read_text())
     names = {node.name for node in tree.body if isinstance(node, DEFINITIONS)}
     assert "_build_hull" not in names
@@ -332,6 +329,37 @@ def test_a_hull_is_a_function_of_its_data():
                 if scope is not top:
                     owner = f"{owner}.{getattr(scope, 'name', None)}"
                 for node in ast.walk(scope):
-                    if isinstance(node, ast.Call) and _is_strict_check(node):
+                    call = isinstance(node, ast.Call)
+                    if call and "_check_consistency" in _code_names(node.func):
                         callers.add(f"{path.stem}.{owner}")
     assert callers == {"qclone.DataHull.__post_init__"}
+
+
+def test_every_command_line_option_is_read():
+    # A flag no command reads is a setting that changes nothing.  Every
+    # subcommand option but the caps is read as `ns.<dest>` by its
+    # handler; `main` reads the caps and `--out`.  The caps sit on exactly
+    # the commands that build a clone, and the seed on exactly those
+    # whose handler reads it.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    handlers = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(subparsers.choices) == set(_COMMANDS)
+    caps = {"arity_cap", "depth_cap", "catalog_cap"}
+    builders = {"_clone", "build_instance", "analyze_transfer"}
+    for name, parser in subparsers.choices.items():
+        handler = handlers[_COMMANDS[name].__name__]
+        read = {
+            n.attr
+            for n in ast.walk(handler)
+            if isinstance(n, ast.Attribute) and ast.unparse(n.value) == "ns"
+        }
+        called = {
+            ast.unparse(n.func) for n in ast.walk(handler) if isinstance(n, ast.Call)
+        }
+        dests = {a.dest for a in parser._actions} - {"help", "out"}
+        assert dests - caps <= read, f"{name} takes unread {dests - caps - read}"
+        assert dests & caps == (caps if called & builders else set()), name
+        assert ("seed" in dests) == ("seed" in read), name

@@ -121,7 +121,7 @@ def test_argument_matrix_rejects_bad_shapes():
     with pytest.raises(InconsistentData):
         enumerate_argument_matrix([Fraction(0)], 0)
     with pytest.raises(CapExceeded):
-        enumerate_argument_matrix(range(10), 8, Caps(tuple_cap=1000))
+        enumerate_argument_matrix(range(10), 7)
 
 
 # -- equalizers ----------------------------------------------------------------

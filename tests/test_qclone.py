@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clonelab import qclone
-from clonelab.errors import InconsistentData, ParseError
+from clonelab.config import Caps
+from clonelab.errors import CapExceeded, InconsistentData, ParseError
 from clonelab.plmap import PLMap, Piece, from_point_pairs, identity, translation
 from clonelab.qclone import (
     Composition,
@@ -156,6 +157,24 @@ def test_a_hull_member_must_be_a_polymorphism():
 def test_a_hull_refuses_data_the_lemma_does_not_cover(data, arity, ceiling, message):
     with pytest.raises(InconsistentData, match=message):
         DataHull(data, arity, ceiling)
+
+
+def test_one_pass_names_the_pair_each_check_names():
+    # (0,1) -> 5 is weakly below (0,2) -> 3 and (0,3) -> 1: the hull keeps
+    # the first such pair for make_member, which refuses it by name
+    a, b, c = ((F(0), F(1)), F(5)), ((F(0), F(2)), F(3)), ((F(0), F(3)), F(1))
+    hull = DataHull((c, b, a), 2, F(6))
+    assert hull.weak_conflict == (a, b)
+    assert DataHull((b, c), 2, F(6)).weak_conflict == (b, c)
+    assert DataHull((a,), 2, F(6)).weak_conflict is None
+    with pytest.raises(InconsistentData) as err:
+        make_member(2, 1, F(6), identity(), dict((a, b, c)))
+    assert str(err.value) == f"inconsistent data: {a[0]} -> 5, {b[0]} -> 3"
+    # a strict conflict is refused by the hull, ahead of an earlier weak one
+    strict = ((F(1), F(4)), F(0))
+    with pytest.raises(InconsistentData) as err:
+        DataHull((a, b, strict), 2, F(6))
+    assert str(err.value) == f"inconsistent data: {a[0]} -> 5, {strict[0]} -> 0"
 
 
 @given(
@@ -648,6 +667,14 @@ def test_demo_is_deterministic_per_seed():
     assert first.describe() == second.describe()
     assert first.restriction == second.restriction
     assert noncontinuity_demo(3, 4, seed=22).restriction != first.restriction
+
+
+def test_demo_caps_the_unordered_pairs_it_compares():
+    # 10 samples make 45 pairs, 11 make 55
+    caps = Caps(tuple_cap=45)
+    assert len(noncontinuity_demo(2, 10, caps=caps).restriction) == 10
+    with pytest.raises(CapExceeded, match="consistency pairs needs 55, cap is 45"):
+        noncontinuity_demo(2, 11, caps=caps)
 
 
 def test_demo_edge_cases():

@@ -46,7 +46,14 @@ from .errors import (
     ParseError,
     UnsatisfiableSystem,
 )
-from .lifting import analyze_transfer, approximate_accumulation, build_instance, lift
+from .lifting import (
+    ACCUMULATION_DEPTH,
+    DEFAULT_STAGES,
+    analyze_transfer,
+    approximate_accumulation,
+    build_instance,
+    lift,
+)
 from .orderterms import parse_order_term
 from .qclone import noncontinuity_demo
 from .structures import (
@@ -387,16 +394,14 @@ def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     ops = parse_operations(_read(ns.operations))
     system = parse_equation_system(_read(ns.equations))
     structure = _load_structure(ns.structure)
-    stages = ns.depth if ns.depth is not None else 3
+    stages = ns.depth if ns.depth is not None else DEFAULT_STAGES
     symbols = [sym for sym, _ in ns.assign]
     for sym in symbols:
         if symbols.count(sym) > 1:
             raise InconsistentData(f"--assign names symbol {sym!r} twice")
     assign = dict(ns.assign) or None
     try:
-        instance = build_instance(
-            structure, ops, system, caps, assign=assign
-        )
+        instance = build_instance(structure, ops, system, caps, assign=assign)
     except UnsatisfiableSystem as exc:
         return [f"no assignment to lift: {exc}"], 1
     lines = [f"structure: {structure.name}"]
@@ -414,7 +419,7 @@ def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
             f"{len(witness.pairs)} equation(s) equalized exactly"
         )
     if len(witnesses) >= 2:
-        accumulation = approximate_accumulation(witnesses, 2)
+        accumulation = approximate_accumulation(witnesses, ACCUMULATION_DEPTH)
         if accumulation is None:
             lines.append("accumulation: not defined for point injections")
         else:
@@ -425,7 +430,7 @@ def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
 def _cmd_analyze(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     ops = parse_operations(_read(ns.operations))
     structure = _load_structure(ns.structure)
-    stages = ns.depth if ns.depth is not None else 3
+    stages = ns.depth if ns.depth is not None else DEFAULT_STAGES
     report = analyze_transfer(structure, ops, caps, stages=stages)
     lines = report.describe().splitlines()
     code = {"found": 0, "refuted": 1}.get(report.homomorphism.status, 3)
@@ -538,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("operations")
     p.add_argument("equations")
     p.add_argument("structure", help="dlo or pureset")
-    p.add_argument("--depth", type=_at_least(1), help="last stage index (default 3)")
+    p.add_argument("--depth", type=_at_least(1), help=f"last stage (default {DEFAULT_STAGES})")
     p.add_argument(
         "--assign",
         type=_assign_pair,

@@ -251,9 +251,7 @@ def _compile(
     ]
 
 
-def _post(modifier: Modifier, values: tuple[int, ...]) -> tuple[int, ...]:
-    if modifier is None:
-        return values
+def _post(modifier: tuple[str, Table], values: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(modifier[1].outputs.__getitem__, values))
 
 

@@ -60,6 +60,10 @@ from .plmap import PLMap, _exact, from_point_pairs
 from .structures import DLO, StructureKind, SymbolicStructure, pattern_of
 from .terms import App, Term, Var, fold
 
+# the last stage of a lift and the sample points of its accumulation, by default
+DEFAULT_STAGES = 3
+ACCUMULATION_DEPTH = 2
+
 
 @dataclass(frozen=True)
 class PointInjection:
@@ -69,10 +73,10 @@ class PointInjection:
     order, but over a pure set the symmetries are arbitrary injections,
     and the equalizing maps may genuinely have to invert the order of
     their inputs.  A point injection records such a map on exactly the
-    points where it is needed.
+    points where it is needed, ints or `Fraction`s, kept as given.
     """
 
-    pairs: tuple[tuple[Fraction, Fraction], ...]
+    pairs: tuple[tuple[Fraction | int, Fraction | int], ...]
 
     def __post_init__(self):
         images = dict(self.pairs)
@@ -84,7 +88,7 @@ class PointInjection:
         # see `pairs` only
         object.__setattr__(self, "_images", images)
 
-    def apply(self, x: Fraction | int) -> Fraction:
+    def apply(self, x: Fraction | int) -> Fraction | int:
         image = self._images.get(_exact(x))
         if image is None:
             raise InconsistentData(f"{x} is outside the injection's domain")
@@ -103,8 +107,8 @@ class WitnessTuple:
     satisfies ``w_s(s(c)) == w_t(t(c))`` exactly, where the values of
     both sides stand for their integer ranks among all values of the
     stage.  The stage points in ``universe`` are ints; the maps
-    themselves are exact: `PLMap`s or `PointInjection`s with `Fraction`
-    coefficients and points.
+    themselves are exact: `PLMap`s, or `PointInjection`s on the int
+    ranks as `lift` passes them.
     """
 
     universe: tuple[int, ...]
@@ -143,8 +147,8 @@ def find_equalizers(
     pattern; if the patterns differ, no pair of symmetries of the
     structure can reconcile the two sides and None is returned.  The
     values may be any rationals, such as the integer ranks `lift`
-    passes; the codes are computed on them as given, and only the
-    distinct points of the maps become `Fraction`s.
+    passes; the codes are computed on them as given, and a point
+    injection keeps them so.
     """
     if len(left) != len(right):
         raise InconsistentData("equalizer sides have different lengths")
@@ -156,7 +160,7 @@ def find_equalizers(
 
 
 def _point_injection(pairs) -> PointInjection:
-    return PointInjection(tuple(sorted((Fraction(x), Fraction(c)) for x, c in pairs)))
+    return PointInjection(tuple(sorted(pairs)))
 
 
 # per structure kind: the equalizer maps, and the words for a mismatch
@@ -349,7 +353,7 @@ def lift(
     Per stage, both sides of every equation are evaluated on all int
     argument columns into sort keys, all keys of the stage are ranked
     once into integers in key order, and each equation receives a pair
-    of exact `Fraction` maps agreeing on the common pattern codes of its
+    of exact maps agreeing on the common pattern codes of its
     ranks.  The resulting equalities are verified exactly, once per
     distinct pair of ranks, before the stage is returned.  A missing
     equalizer raises :class:`~clonelab.errors.EqualizerFailure` naming
@@ -524,8 +528,8 @@ def analyze_transfer(
     structure: SymbolicStructure,
     generators: Sequence[Operation],
     caps: Caps = DEFAULT_CAPS,
-    stages: int = 3,
-    depth: int = 2,
+    stages: int = DEFAULT_STAGES,
+    depth: int = ACCUMULATION_DEPTH,
 ) -> TransferReport:
     """Full pipeline: type images, projection reading, and if a
     refutation was found, the lift of its witness system.

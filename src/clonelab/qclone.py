@@ -630,59 +630,42 @@ def noncontinuity_demo(
 
 def serialize_member(f: QFunction) -> str:
     """File form of a member with parameters: arity, eventual coordinate
-    and threshold, the named eventual map, and the data rows."""
+    and threshold, the pieces of the eventual map, and the data rows."""
     if not isinstance(f.below, DataHull):
         raise InconsistentData("only members with parameters have a file form")
-    lines = [
-        f"arity {f.arity}",
-        f"eventual {f.coordinate} {f.threshold}",
-        "alpha m",
-        "map m",
-    ]
+    lines = [f"arity {f.arity}", f"eventual {f.coordinate} {f.threshold}"]
     lines.extend(f.eventual.serialize().strip().splitlines())
-    for point, value in f.below.data:
-        row = " ".join(str(x) for x in point)
-        lines.append(f"data {row} {value}")
+    lines.extend("data " + " ".join(map(str, (*p, v))) for p, v in f.below.data)
     return "\n".join(lines) + "\n"
 
 
-_MEMBER_FIELDS = {"arity": 1, "eventual": 2, "alpha": 1, "map": 1}
+_MEMBER_FIELDS = {"arity": 1, "eventual": 2}
 
 
 def parse_member(text: str) -> QFunction:
-    """Inverse of :func:`serialize_member`; '#' starts a comment."""
+    """Inverse of :func:`serialize_member`; '#' starts a comment.  The
+    `piece` lines, wherever they stand, make the eventual map in file order;
+    a gap, an overlap or a jump between them is reported at the first."""
     arity: int | None = None
     coordinate: int | None = None
     threshold: Fraction | None = None
-    alpha_name: str | None = None
-    maps: dict[str, tuple[int, list[Piece]]] = {}
-    current: list[Piece] | None = None
+    pieces: list[Piece] = []
     rows: list[tuple[int, list[str]]] = []
-    declared: set[str] = set()
+    first_line: dict[str, int] = {}
     for lineno, (head, *rest) in records(text):
-        if head in _MEMBER_FIELDS and len(rest) != _MEMBER_FIELDS[head]:
-            raise ParseError(f"`{head}` takes {_MEMBER_FIELDS[head]} field(s)", lineno)
-        if head in ("arity", "eventual", "alpha"):
-            if head in declared:
+        if head in _MEMBER_FIELDS:
+            if len(rest) != _MEMBER_FIELDS[head]:
+                raise ParseError(f"`{head}` takes {_MEMBER_FIELDS[head]} field(s)", lineno)
+            if head in first_line:
                 raise ParseError(f"`{head}` line repeated", lineno)
-            declared.add(head)
+        first_line.setdefault(head, lineno)
         if head == "arity":
             arity = natural(rest[0], lineno, "a member arity of at least 1", 1)
         elif head == "eventual":
             coordinate = natural(rest[0], lineno, "an eventual coordinate of at least 1", 1)
             threshold = parse_fraction(rest[1], lineno)
-            eventual_line = lineno
-        elif head == "alpha":
-            alpha_name = rest[0]
-        elif head == "map":
-            if rest[0] in maps:
-                raise ParseError(f"map {rest[0]!r} defined twice", lineno)
-            current = []
-            maps[rest[0]] = (lineno, current)
         elif head == "piece":
-            if current is None:
-                raise ParseError("piece line outside a map block", lineno)
-            current.append(parse_piece_line(rest, lineno))
+            pieces.append(parse_piece_line(rest, lineno))
         elif head == "data":
             rows.append((lineno, rest))
         else:
@@ -691,12 +674,9 @@ def parse_member(text: str) -> QFunction:
         raise ParseError("missing arity or eventual line")
     if coordinate > arity:
         raise ParseError(
-            f"eventual coordinate {coordinate} above arity {arity}", eventual_line
+            f"eventual coordinate {coordinate} above arity {arity}", first_line["eventual"]
         )
-    if alpha_name is None or alpha_name not in maps:
-        raise ParseError("no alpha map named")
-    map_line, pieces = maps[alpha_name]
-    alpha = assemble_plmap(pieces, map_line)
+    alpha = assemble_plmap(pieces, first_line.get("piece"))
     ceiling = alpha.apply(threshold)
     data: dict[tuple[Fraction, ...], Fraction] = {}
     for lineno, fields in rows:

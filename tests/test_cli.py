@@ -291,6 +291,18 @@ def test_sat_mod_with_identity_family(files, capsys):
     assert "equation 0: left side under id, right side under id" in out
 
 
+def test_sat_mod_with_a_unary_family(files, capsys):
+    family = files("swap.ops", "op swap 1\ntable 1 0\n")
+    code, out, _ = run(
+        capsys, "sat-mod", files("comm.eqs", COMM), files("min.ops", MIN_OPS), "--family", family
+    )
+    assert code == 0
+    assert f"options: family={family}" in out.splitlines()
+    assert "outside family: id swap" in out.splitlines()
+    assert "satisfiable modulo the family (3 combinations)" in out
+    assert "  f := min(x1,x2)" in out.splitlines()
+
+
 def test_sat_mod_family_base_mismatch(files, capsys):
     family = "op u 1\ntable 2 0 1\n"
     code, out, err = run(

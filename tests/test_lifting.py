@@ -559,4 +559,9 @@ def test_lift_agrees_with_the_slow_stage_loop(body, outer, structure, system, st
         assert (err.value.j, err.value.equation) == (exc.j, exc.equation)
         assert str(err.value) == str(exc)
     else:
-        assert repr(lift(instance, stages, caps=SMALL, recheck=False)) == repr(expected)
+        got = lift(instance, stages, caps=SMALL, recheck=False)
+        assert got == expected
+        # the oracle's point injections hold `Fraction`s where the library
+        # keeps the int ranks; its increasing maps are the library's own
+        if structure is DLO:
+            assert repr(got) == repr(expected)

@@ -373,8 +373,8 @@ def test_an_infinity_stands_only_at_its_own_end(text, line):
         parse_plmap(text)
     assert err.value.line == line
     with pytest.raises(ParseError) as err:
-        parse_member("arity 1\neventual 1 0\nalpha m\nmap m\n" + text)
-    assert err.value.line == line + 4
+        parse_member("arity 1\neventual 1 0\n" + text)
+    assert err.value.line == line + 2
 
 
 def test_parse_reports_line_numbers():

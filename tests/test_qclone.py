@@ -117,11 +117,11 @@ def test_every_construction_checks_the_eventual_bijection():
         QFunction(2, 1, F(0), bounded, hull)
     with pytest.raises(InconsistentData, match="bijection"):
         replace(incomparable_member(), eventual=bounded)
-    text = "arity 1\neventual 1 0\nalpha m\nmap m\n" + bounded.serialize()
+    text = "arity 1\neventual 1 0\n" + bounded.serialize()
     with pytest.raises(InconsistentData, match="bijection"):
         parse_member(text)
     # a bad data row is reported at its line before the map is judged
-    with pytest.raises(ParseError, match="line 7:"):
+    with pytest.raises(ParseError, match="line 5:"):
         parse_member(text + "data 1 -5\n")
 
 
@@ -234,9 +234,11 @@ def test_members_built_from_consistent_data_are_polymorphisms(builder, draw):
             "data " + " ".join(str(x) for x in (*p, v)) + "\n" for p, v in data.items()
         )
         f = parse_member(
-            f"arity {n}\neventual {i} {threshold}\nalpha m\nmap m\n"
+            f"arity {n}\neventual {i} {threshold}\n"
             f"piece -inf inf affine 1 {shift}\n{rows}"
         )
+    # every builder's member is what its file form parses back to
+    assert parse_member(serialize_member(f)) == f
     for p, v in data.items():
         assert evaluate(f, p) == v
     # strictly comparable pairs from and to every data point, and from
@@ -315,8 +317,6 @@ def test_composition_collapse_law_on_random_chains():
 MOBIUS_MEMBER = """\
 arity 2
 eventual 2 -1
-alpha m
-map m
 piece -inf 0 affine 1 0
 piece 0 1 mobius -1 0 1 -2
 piece 1 inf affine 1 0
@@ -709,47 +709,84 @@ def test_only_parameterized_members_serialize():
         serialize_member(comp)
 
 
-# the second piece of the alpha map, on file line 6, has slope 0
+# the second piece of the eventual map, on file line 4, has slope 0
 BAD_ALPHA_PIECE = (
-    "arity 2\neventual 1 0\nalpha m\nmap m\n"
+    "arity 2\neventual 1 0\n"
     "piece -inf 0 affine 1 0\npiece 0 inf affine 0 0\n"
 )
+
+# a file in the retired format whose `junk` map, with gaps between its
+# pieces, was once accepted and dropped unread
+NAMED_MAPS = """\
+arity 2
+eventual 1 0
+alpha m
+map m
+piece -inf 0 affine 1 0
+piece 0 inf affine 2 0
+map junk
+piece 5 7 affine 1 0
+piece 9 inf affine 3 0
+data 0 1 -1
+"""
 
 # inputs whose error is reported at a known file line
 MEMBER_ERROR_LINES = {
     # coordinate above the arity, reported at the `eventual` line
-    "arity 2\neventual 3 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n": 2,
+    "arity 2\neventual 3 0\npiece -inf inf affine 1 0\n": 2,
     # data value at or above alpha(threshold) = 0
-    "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n"
-    "data -2 -2 -3\ndata -1 -1 5\n": 7,
+    "arity 2\neventual 1 0\npiece -inf inf affine 1 0\n"
+    "data -2 -2 -3\ndata -1 -1 5\n": 5,
     # data row entirely above the threshold, before the map it needs
-    "arity 2\neventual 1 0\ndata 1 1 -5\n"
-    "alpha m\nmap m\npiece -inf inf affine 1 0\n": 3,
+    "arity 2\neventual 1 0\ndata 1 1 -5\npiece -inf inf affine 1 0\n": 3,
     # a repeated single line is refused, not overridden by the last one
-    "arity 3\neventual 2 5\narity 2\neventual 1 0\n"
-    "alpha m\nmap m\npiece -inf inf affine 1 0\n": 3,
-    "arity 2\neventual 2 5\neventual 1 0\n"
-    "alpha m\nmap m\npiece -inf inf affine 1 0\n": 3,
-    "arity 2\neventual 1 0\nalpha m\nalpha m\nmap m\npiece -inf inf affine 1 0\n": 4,
+    "arity 3\neventual 2 5\narity 2\neventual 1 0\npiece -inf inf affine 1 0\n": 3,
+    "arity 2\neventual 2 5\neventual 1 0\npiece -inf inf affine 1 0\n": 3,
+    # a malformed piece line anywhere in the file
+    "arity 2\neventual 1 0\npiece -inf inf affine 1 0\ndata 0 0 -1\npiece wat\n": 5,
+    # `alpha` and `map` are unknown directives
+    NAMED_MAPS: 3,
+    "arity 2\neventual 1 0\npiece -inf 0 affine 1 0\nmap m\npiece 0 inf affine 2 0\n": 4,
+    # the pieces of NAMED_MAPS as one map overlap, reported at the first
+    "arity 2\neventual 1 0\npiece -inf 0 affine 1 0\npiece 0 inf affine 2 0\n"
+    "piece 5 7 affine 1 0\npiece 9 inf affine 3 0\n": 3,
+    # a gap between pieces, reported at the first piece line
+    "arity 2\neventual 1 0\ndata -1 -1 -3\n"
+    "piece -inf 0 affine 1 0\npiece 1 inf affine 2 0\n": 4,
 }
+
+# files in the retired format that named the eventual map with `alpha`
+# and gave it in `map` blocks; each is refused at its first `alpha` or
+# `map` line, or at a faulty line before it
+RETIRED_FORMAT = [
+    "arity 2\neventual 3 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+    "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n"
+    "data -2 -2 -3\ndata -1 -1 5\n",
+    "arity 2\neventual 1 0\ndata 1 1 -5\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+    "arity 3\neventual 2 5\narity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+    "arity 2\neventual 2 5\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+    "arity 2\neventual 1 0\nalpha m\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+    "arity 2\neventual 1 0\nmap m\npiece -inf inf affine 1 0\n",
+    "arity 2\neventual 1 0\nalpha m\n",
+    "arity ٢\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+    "arity 2\neventual ١ 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+    "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf 0 affine 1 0\npiece 0 inf affine 0 0\n",
+]
 
 
 @pytest.mark.parametrize(
     "text",
     [
-        "arity 2\neventual 1 0\nmap m\npiece -inf inf affine 1 0\n",  # no alpha line
-        "arity 2\neventual 1 0\nalpha m\n",  # alpha names a missing map
-        "piece -inf inf affine 1 0\n",  # piece outside any map
-        "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\ndata 1 2\n",
+        "arity 2\neventual 1 0\ndata -1 -1 -3\n",  # no piece line
+        "piece -inf inf affine 1 0\n",  # no arity or eventual line
+        "arity 2\neventual 1 0\npiece -inf inf affine 1 0\ndata 1 2\n",
         "arity two\n",
         "arity 2\nwhatever\n",
-        "arity ٢\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
-        "arity 2\neventual ١ 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n",
+        "arity ٢\neventual 1 0\npiece -inf inf affine 1 0\n",
+        "arity 2\neventual ١ 0\npiece -inf inf affine 1 0\n",
         BAD_ALPHA_PIECE,
-        # garbage in a map that alpha does not name
-        "arity 2\neventual 1 0\nalpha m\nmap m\npiece -inf inf affine 1 0\n"
-        "map g\npiece wat\n",
         *MEMBER_ERROR_LINES,
+        *RETIRED_FORMAT,
     ],
 )
 def test_member_parse_errors(text):
@@ -757,16 +794,34 @@ def test_member_parse_errors(text):
         parse_member(text)
     if text in MEMBER_ERROR_LINES:
         assert err.value.line == MEMBER_ERROR_LINES[text]
+    if text in RETIRED_FORMAT:
+        lines = [line.split()[0] for line in text.splitlines()]
+        retired = 1 + min(lines.index(d) for d in ("alpha", "map") if d in lines)
+        assert err.value.line <= retired
 
 
 def test_member_piece_errors_name_their_file_line():
-    with pytest.raises(ParseError, match="line 6:"):
+    with pytest.raises(ParseError, match="line 4:"):
         parse_member(BAD_ALPHA_PIECE)
+
+
+def test_piece_lines_between_data_rows_make_the_same_member():
+    contiguous = (
+        "arity 2\neventual 1 0\npiece -inf 0 affine 1 0\npiece 0 inf affine 2 0\n"
+        "data -1 -1 -3\ndata 0 1 -1\n"
+    )
+    scattered = (
+        "arity 2\npiece -inf 0 affine 1 0\ndata -1 -1 -3\n"
+        "eventual 1 0\npiece 0 inf affine 2 0\ndata 0 1 -1\n"
+    )
+    member = parse_member(contiguous)
+    assert parse_member(scattered) == member
+    assert serialize_member(member) == contiguous
 
 
 def test_parsed_members_are_validated():
     inconsistent = (
-        "arity 2\neventual 1 10\nalpha m\nmap m\npiece -inf inf affine 1 0\n"
+        "arity 2\neventual 1 10\npiece -inf inf affine 1 0\n"
         "data 0 0 5\ndata 1 1 4\n"
     )
     with pytest.raises(InconsistentData):

@@ -31,6 +31,7 @@ from .config import DEFAULT_CAPS, Caps
 from .equations import (
     CloneSearchReport,
     EquationSystem,
+    format_sigma,
     has_projective_homomorphism,
     parse_equation_system,
     satisfiable_in_clone,
@@ -40,19 +41,17 @@ from .equations import (
 from .errors import (
     CapExceeded,
     ClonelabError,
-    EqualizerFailure,
     InconsistentData,
     NonCanonicalOperation,
     ParseError,
     UnsatisfiableSystem,
 )
 from .lifting import (
-    ACCUMULATION_DEPTH,
     DEFAULT_STAGES,
     analyze_transfer,
-    approximate_accumulation,
     build_instance,
-    lift,
+    describe_lift,
+    run_lift,
 )
 from .orderterms import parse_order_term
 from .qclone import noncontinuity_demo
@@ -150,10 +149,12 @@ def parse_operations(text: str) -> list[Operation]:
 
 
 def _infer_size(count: int, arity: int, name: str, line: int) -> int:
+    # count >= 2 outputs need size >= 2, so 2**arity <= count < 2**count.bit_length()
+    fits = count < 2 or arity < count.bit_length()
     size = 1
-    while size**arity < count:
+    while fits and size**arity < count:
         size += 1
-    if size**arity != count:
+    if not fits or size**arity != count:
         raise ParseError(
             f"table for {name!r} has {count} outputs, "
             f"not a power with exponent {arity}",
@@ -220,10 +221,6 @@ def _header(ns: argparse.Namespace, caps: Caps) -> list[str]:
     return lines
 
 
-def _sigma(pairs) -> str:
-    return " ".join(f"{name}->{i}" for name, i in pairs)
-
-
 def _signature(system: EquationSystem) -> str:
     return " ".join(f"{name}/{arity}" for name, arity in system.signature)
 
@@ -260,15 +257,18 @@ def _cmd_canonical(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
             )
         else:
             failed = True
-            cx = verdict.counterexample
-            lines.append(f"{op.name}: not canonical at k={cx.k}")
-            lines.append(f"  args {_tuples(cx.args_a)} and {_tuples(cx.args_b)}")
-            lines.append("  agree in type argument by argument; the images differ")
+            lines.extend(_not_canonical(op.name, verdict.counterexample))
     return lines, 1 if failed else 0
 
 
-def _tuples(args) -> str:
-    return " ".join("(" + ",".join(str(v) for v in t) + ")" for t in args)
+def _not_canonical(name: str, cx) -> list[str]:
+    """The refusal that `canonical` and `type-image` print."""
+    args = [" ".join(f"({','.join(map(str, t))})" for t in a) for a in (cx.args_a, cx.args_b)]
+    return [
+        f"{name}: not canonical at k={cx.k}",
+        f"  args {args[0]} and {args[1]}",
+        "  agree in type argument by argument; the images differ",
+    ]
 
 
 def _cmd_type_image(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
@@ -280,8 +280,7 @@ def _cmd_type_image(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]
         try:
             image = type_image(op, structure, k, caps)
         except NonCanonicalOperation as exc:
-            lines.append(f"{op.name}: not canonical — {exc}")
-            return lines, 1
+            return lines + _not_canonical(op.name, exc.counterexample), 1
         lines.append(f"type table of {op.name} at k={k} ({image.space.size} types):")
         lines.extend("  " + row for row in image.describe().splitlines())
     return lines, 0
@@ -327,12 +326,12 @@ def _cmd_sat1(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     report = satisfiable_in_projections(system)
     lines = [f"system: {len(system.equations)} equation(s) over {_signature(system)}"]
     if report.satisfiable:
-        lines.append(f"satisfiable in projections: {_sigma(report.sigma)}")
+        lines.append(f"satisfiable in projections: {format_sigma(report.sigma)}")
         return lines, 0
     total = len(report.failures)
     lines.append(f"unsatisfiable in projections, {total}/{total} assignments fail")
     for sigma, index in report.failures:
-        lines.append(f"  {_sigma(sigma)} fails {system.equations[index]}")
+        lines.append(f"  {format_sigma(sigma)} fails {system.equations[index]}")
     return lines, 1
 
 
@@ -361,33 +360,19 @@ def _cmd_sat_mod(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     )
 
 
+# a "found" that is not exhaustive exits 0 too; its reading carries the note
+_READING_CODES = {"found": 0, "refuted": 1, "undecided": 3}
+
+
 def _cmd_proj_hom(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     clone = _clone(ns.tables, caps)
     report = has_projective_homomorphism(clone)
     lines = [
         "generators: " + " ".join(f"{n}/{t.arity}" for n, t in clone.generators),
         f"catalogs: {clone.saturation_summary()}",
-        f"projection reading: {report.status}",
+        *report.describe().splitlines(),
     ]
-    if report.status == "found":
-        lines.append(f"  assignment: {_sigma(report.sigma)}")
-        if not report.exhaustive:
-            lines.append(
-                "  note: catalogs not saturated; deeper compositions "
-                "could still add obstructions"
-            )
-        return lines, 0
-    if report.status == "refuted":
-        lines.append("  witness identities:")
-        for left, right in report.witness:
-            lines.append(f"    {left} = {right}")
-        lines.append(
-            f"  every one of {len(report.coverage)} selector assignments "
-            f"fails a witness ({report.collisions_checked} collisions examined)"
-        )
-        return lines, 1
-    lines.append("  a generator's arity exceeds the cap; nothing was observed")
-    return lines, 3
+    return lines, _READING_CODES[report.status]
 
 
 def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
@@ -407,24 +392,9 @@ def _cmd_lift(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     lines = [f"structure: {structure.name}"]
     for name, _ in system.signature:
         lines.append(f"order term for {name}: {instance.order_term_of(name)}")
-    try:
-        witnesses = lift(instance, stages, caps)
-    except EqualizerFailure as exc:
-        lines.append(f"obstruction at stage {exc.j}: {exc}")
-        return lines, 1
-    for j, witness in enumerate(witnesses):
-        points = ",".join(str(p) for p in witness.universe)
-        lines.append(
-            f"stage {j}: points {{{points}}}, {witness.columns} columns, "
-            f"{len(witness.pairs)} equation(s) equalized exactly"
-        )
-    if len(witnesses) >= 2:
-        accumulation = approximate_accumulation(witnesses, ACCUMULATION_DEPTH)
-        if accumulation is None:
-            lines.append("accumulation: not defined for point injections")
-        else:
-            lines.append(f"accumulation: {accumulation.describe()}")
-    return lines, 0
+    witnesses, accumulation, failure = run_lift(instance, stages, caps)
+    lines.extend(describe_lift(witnesses, accumulation, failure))
+    return lines, 0 if failure is None else 1
 
 
 def _cmd_analyze(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
@@ -432,9 +402,7 @@ def _cmd_analyze(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     structure = _load_structure(ns.structure)
     stages = ns.depth if ns.depth is not None else DEFAULT_STAGES
     report = analyze_transfer(structure, ops, caps, stages=stages)
-    lines = report.describe().splitlines()
-    code = {"found": 0, "refuted": 1}.get(report.homomorphism.status, 3)
-    return lines, code
+    return report.describe().splitlines(), _READING_CODES[report.homomorphism.status]
 
 
 def _cmd_qdemo(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:

@@ -46,6 +46,11 @@ from .terms import App, Term, Var, collapse, fold, max_variable, parse_term
 Sigma = tuple[tuple[str, int], ...]
 
 
+def format_sigma(sigma: Sigma) -> str:
+    """A selector assignment as `f->1 g->2`."""
+    return " ".join(f"{name}->{i}" for name, i in sigma)
+
+
 @dataclass(frozen=True)
 class Equation:
     lhs: Term
@@ -421,6 +426,27 @@ class ProjHomReport:
         return EquationSystem(
             self.signature, tuple(Equation(s, t) for s, t in self.witness)
         )
+
+    def describe(self) -> str:
+        """The reading, and what makes it exact or leaves it open."""
+        lines = [f"projection reading: {self.status}"]
+        if self.status == "found":
+            lines.append(f"  assignment: {format_sigma(self.sigma)}")
+            if not self.exhaustive:
+                lines.append(
+                    "  note: catalogs not saturated; deeper compositions "
+                    "could still add obstructions"
+                )
+        elif self.status == "refuted":
+            lines.append("  witness identities:")
+            lines.extend(f"    {left} = {right}" for left, right in self.witness)
+            lines.append(
+                f"  every one of {len(self.coverage)} selector assignments "
+                f"fails a witness ({self.collisions_checked} collisions examined)"
+            )
+        else:
+            lines.append("  a generator's arity exceeds the cap; nothing was observed")
+        return "\n".join(lines)
 
 
 def has_projective_homomorphism(clone: FiniteClone) -> ProjHomReport:

@@ -1,8 +1,11 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: input and validation problems exit
-with 2, resource-cap exhaustion exits with 3.  Negative mathematical
-results are ordinary return values, never exceptions.
+with 2, resource-cap exhaustion exits with 3.  Most negative answers are
+return values, but three are exceptions that a command answers with exit
+1: `EqualizerFailure` in `lift` and `analyze`, `UnsatisfiableSystem` in
+`lift`, and `NonCanonicalOperation` in `type-image` (`lift` and `analyze`
+refuse a non-canonical generator as unusable input, exit 2).
 """
 
 from __future__ import annotations

@@ -476,6 +476,41 @@ def approximate_accumulation(
     )
 
 
+def run_lift(
+    instance: LiftInstance, stages: int, caps: Caps, depth: int = ACCUMULATION_DEPTH
+) -> tuple[tuple[WitnessTuple, ...] | None, AccumulationReport | None, str | None]:
+    """`lift` and, past one stage, `approximate_accumulation`, with a
+    failed stage returned as its message: what `describe_lift` renders."""
+    try:
+        witnesses = lift(instance, stages, caps)
+    except EqualizerFailure as exc:
+        return None, None, str(exc)
+    if len(witnesses) < 2:
+        return witnesses, None, None
+    return witnesses, approximate_accumulation(witnesses, depth), None
+
+
+def describe_lift(
+    witnesses: Sequence[WitnessTuple] | None,
+    accumulation: AccumulationReport | None,
+    failure: str | None,
+) -> list[str]:
+    """A failed stage, or a line per stage and, past one stage, the
+    accumulation; no line for a lift that never ran."""
+    if failure is not None:
+        return [f"lift failed: {failure}"]
+    lines = [
+        f"stage {j}: points {{{','.join(map(str, w.universe))}}}, {w.columns} "
+        f"columns, {len(w.pairs)} equation(s) equalized exactly"
+        for j, w in enumerate(witnesses or ())
+    ]
+    if len(lines) >= 2 and accumulation is None:
+        lines.append("accumulation: not defined for point injections")
+    elif len(lines) >= 2:
+        lines.append(f"accumulation: {accumulation.describe()}")
+    return lines
+
+
 @dataclass(frozen=True)
 class TransferReport:
     """End-to-end analysis of a generating set over a structure."""
@@ -500,27 +535,8 @@ class TransferReport:
             lines.append(f"xi({name}):")
             lines.extend("  " + row for row in image.describe().splitlines())
         lines.append(f"catalogs: {self.type_clone.saturation_summary()}")
-        lines.append(f"projection reading: {self.homomorphism.status}")
-        if self.homomorphism.sigma is not None:
-            sigma = " ".join(f"{s}->{i}" for s, i in self.homomorphism.sigma)
-            lines.append(f"  assignment: {sigma}")
-        if self.system is not None:
-            lines.append("obstruction:")
-            for eq in self.system.equations:
-                lines.append(f"  {eq}")
-            holds, fails = self.triangle  # type: ignore[misc]
-            lines.append(f"  satisfiable in the type clone: {'yes' if holds else 'NO'}")
-            lines.append(f"  satisfiable in projections: {'no' if fails else 'YES'}")
-        if self.witnesses is not None:
-            for j, witness in enumerate(self.witnesses):
-                lines.append(
-                    f"stage {j}: {witness.columns} columns, "
-                    f"{len(witness.pairs)} equalizer pairs"
-                )
-        if self.accumulation is not None:
-            lines.append("accumulation " + self.accumulation.describe())
-        if self.failure is not None:
-            lines.append(f"lift failed: {self.failure}")
+        lines.append(self.homomorphism.describe())
+        lines.extend(describe_lift(self.witnesses, self.accumulation, self.failure))
         return "\n".join(lines)
 
 
@@ -551,22 +567,8 @@ def analyze_transfer(
     system = hom.witness_system()
     reading = _generator_reading(system, clone, {op.name: op.name for op in gen_ops})
     instance = _finish_instance(structure, gen_ops, system, xi, clone, reading, caps)
-    witnesses = accumulation = failure = None
-    try:
-        witnesses = lift(instance, stages, caps)
-        if len(witnesses) >= 2:
-            accumulation = approximate_accumulation(witnesses, depth)
-    except EqualizerFailure as exc:
-        failure = str(exc)
+    triangle = (True, not satisfiable_in_projections(system).satisfiable)
     return TransferReport(
-        structure=structure,
-        xi=xi,
-        type_clone=clone,
-        homomorphism=hom,
-        system=system,
-        triangle=(True, not satisfiable_in_projections(system).satisfiable),
-        instance=instance,
-        witnesses=witnesses,
-        accumulation=accumulation,
-        failure=failure,
+        structure, xi, clone, hom, system, triangle, instance,
+        *run_lift(instance, stages, caps, depth),
     )

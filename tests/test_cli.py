@@ -8,10 +8,12 @@ import time
 import pytest
 
 from clonelab.cli import main, parse_operations
-from clonelab.canonical import Operation
+from clonelab.canonical import Operation, xi_infty
 from clonelab.clones import Table
+from clonelab.config import Caps
 from clonelab.errors import ParseError
 from clonelab.orderterms import Coord, Lex
+from clonelab.structures import DLO, PURE_SET
 
 CYCLE3 = """
 domain 3
@@ -200,12 +202,11 @@ def test_type_image_refuses_what_canonical_refuses(
     args = (files("mn.ops", ops), structure, *flags)
     code, out, _ = run(capsys, "type-image", *args)
     assert code == 1
-    assert out.endswith(
-        "\nmn: not canonical — operation 'mn' is not canonical at level 2\n"
-    )
+    refusal = out.split("\n\n", 1)[1]
+    assert refusal.startswith("mn: not canonical at k=2\n")
     code, out, _ = run(capsys, "canonical", *args[:2])
     assert code == 1
-    assert "mn: not canonical at k=2" in out
+    assert out.split("\n\n", 1)[1] == refusal
 
 
 def test_type_image_of_lex_over_the_pure_set(files, capsys):
@@ -454,6 +455,25 @@ def test_lift_unsatisfiable_assignment(files, capsys):
     assert "no assignment to lift" in out
 
 
+def test_lift_reports_a_failed_stage_once(files, capsys):
+    # over pureset lex is read as x1, which no injections equalize with x2
+    code, out, _ = run(
+        capsys,
+        "lift",
+        files("lex.ops", LEX_OPS),
+        files("proj.eqs", "sig f 2\neq f(x1,x2) = x2\n"),
+        "pureset",
+        "--assign",
+        "f=lex",
+        *SMALL,
+    )
+    assert code == 1
+    assert out.endswith(
+        "\norder term for f: x1\nlift failed: stage 1: sides of f(x1,x2) = x2 "
+        "equate columns 0 and 1 differently; no injections can equalize them\n"
+    )
+
+
 def test_lift_refuses_an_oversized_row_space_for_a_forced_assignment(files, capsys):
     # 3**13 rows per side over the three level-2 types of dlo
     wide = "sig f 2\neq f(x1,x13) = f(x13,x1)\n"
@@ -504,6 +524,51 @@ def test_analyze_lex_over_the_pure_set(files, capsys):
         "lift failed: stage 1: sides of x1 = x2 equate columns 0 and 1 "
         "differently; no injections can equalize them\n"
     )
+
+
+def test_analyze_notes_a_reading_its_catalogs_did_not_exhaust(files, capsys):
+    code, out, _ = run(capsys, "analyze", files("lex.ops", LEX_OPS), "dlo", *SMALL)
+    assert code == 0
+    assert "catalogs: 1:yes 2:yes 3:no\n" in out
+    assert out.endswith(
+        "projection reading: found\n  assignment: lex->1\n"
+        "  note: catalogs not saturated; deeper compositions "
+        "could still add obstructions\n"
+    )
+
+
+def test_analyze_says_why_a_reading_is_undecided(files, capsys):
+    code, out, _ = run(
+        capsys, "analyze", files("lex.ops", LEX_OPS), "dlo", "--arity-cap", "1"
+    )
+    assert code == 3
+    assert out.endswith(
+        "projection reading: undecided\n"
+        "  a generator's arity exceeds the cap; nothing was observed\n"
+    )
+
+
+@pytest.mark.parametrize("structure", ["dlo", "pureset"])
+def test_analyze_reads_its_type_tables_as_proj_hom_does(files, capsys, structure):
+    # the type tables, written to a table file, give proj-hom the same
+    # clone; both commands print its catalogs and reading alike
+    caps = Caps(arity_cap=3, depth_cap=2)
+    op = Operation("lex", 2, Lex(Coord(1), Coord(2)))
+    xi = xi_infty([op], {"dlo": DLO, "pureset": PURE_SET}[structure], caps)
+    tables = "".join(
+        f"op {name} {t.arity}\ntable {' '.join(map(str, t.outputs))}\n"
+        for name, t in xi.named_tables()
+    )
+    code, out, _ = run(capsys, "analyze", files("lex.ops", LEX_OPS), structure, *SMALL)
+    hom_code, hom, _ = run(capsys, "proj-hom", files("types.ops", tables), *SMALL)
+    assert code == hom_code
+    reading = hom.split("\n\n", 1)[1].splitlines()[1:]
+    assert reading[0].startswith("catalogs: ")
+    lines = out.splitlines()
+    start = lines.index(reading[0])
+    assert lines[start : start + len(reading)] == reading
+    rest = lines[start + len(reading) :]
+    assert all(line.startswith(("stage ", "accumulation: ", "lift failed: ")) for line in rest)
 
 
 def test_analyze_lifts_at_a_small_catalog_cap(files, capsys):
@@ -728,3 +793,15 @@ def test_parse_operations_rejects(text, fragment):
     with pytest.raises(ParseError) as info:
         parse_operations(text)
     assert fragment in str(info.value)
+
+
+def test_a_table_arity_past_its_outputs_is_refused_without_a_power(files, capsys):
+    # four outputs fit no arity of 3 or more, so no size is searched
+    text = "op f 10000000000\ntable 0 0 0 1\n"
+    with pytest.raises(ParseError, match="line 1: .* not a power with exponent"):
+        parse_operations(text)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "proj-hom", files("huge.ops", text))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert "has 4 outputs, not a power with exponent 10000000000" in err

@@ -6,9 +6,9 @@ parameter is passed by some call in the package or the benchmark, and
 every command-line option is read by the command that takes it.  No
 code path lists a whole automorphism group, no test oracle evaluates
 order terms or generates its reference clone through the library, and
-the critical level and the canonicity gate each have one home.  Every
-source parses at the Python floor that `pyproject.toml` promises.  The
-checks read the sources with `ast`."""
+the critical level, the canonicity gate and each printed answer have
+one home each.  Every source parses at the Python floor that
+`pyproject.toml` promises.  The checks read the sources with `ast`."""
 
 from __future__ import annotations
 
@@ -270,6 +270,36 @@ def test_one_gate_builds_every_type_table():
             callers.setdefault(node.func.id, set()).add(owner)
     assert callers["is_canonical"] == {"_canonical_images"}
     assert callers["type_space"] == {"_canonical_images"}
+
+
+def _by_scope(node, scope=""):
+    """Every node under `node`, with the dotted name of the innermost
+    class or function that holds it ("" outside every definition)."""
+    for child in ast.iter_child_nodes(node):
+        inner = f"{scope}.{child.name}" if isinstance(child, DEFINITIONS) else scope
+        yield inner, child
+        yield from _by_scope(child, inner)
+
+
+def test_each_printed_answer_has_one_renderer():
+    # a phrase of a printed answer sits in the string constants of exactly
+    # one function, f-string parts included, so no command or report can
+    # build a second copy of the answer
+    phrases = ("projection reading: ", "lift failed: ", "accumulation: ", "not canonical at k=")
+    owners: dict[str, set] = {phrase: set() for phrase in phrases}
+    functions = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for scope, node in _by_scope(tree):
+            where = path.stem + scope
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                functions.add(where)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for phrase in phrases:
+                    if phrase in node.value:
+                        owners[phrase].add(where)
+    for phrase, found in owners.items():
+        assert len(found) == 1 and found <= functions, (phrase, found)
 
 
 def test_one_reading_of_the_generators():

@@ -39,6 +39,7 @@ from clonelab.lifting import (
     analyze_transfer,
     approximate_accumulation,
     build_instance,
+    describe_lift,
     enumerate_argument_matrix,
     find_equalizers,
     lift,
@@ -266,6 +267,18 @@ def test_commutativity_fails_at_the_two_point_stage():
     assert "stage 1" in str(err.value)
 
 
+def test_a_failed_stage_renders_with_its_stage_named_once():
+    instance = build_instance(
+        DLO, [lex_op()], commutativity(), caps=SMALL, assign={"f": "lex"},
+        recheck=False,
+    )
+    with pytest.raises(EqualizerFailure) as err:
+        lift(instance, 2, caps=SMALL, recheck=False)
+    (line,) = describe_lift(None, None, str(err.value))
+    assert line.startswith("lift failed: stage 1: sides of f(x1,x2) = f(x2,x1) ")
+    assert line.count("stage") == 1
+
+
 def test_forced_assignments_refuse_an_oversized_row_space():
     # 3**13 rows per side over the three level-2 types, over tuple_cap
     wide = parse_system("sig f 2\neq f(x1,x13) = f(x13,x1)\n")
@@ -448,12 +461,13 @@ def test_transfer_report_describes_stages_and_accumulation():
         witnesses=witnesses,
         accumulation=approximate_accumulation(witnesses, 2),
     )
-    assert report.describe().splitlines()[-5:] == [
+    assert report.describe().splitlines()[-6:] == [
         "  assignment: lex->1",
-        "stage 0: 1 columns, 1 equalizer pairs",
-        "stage 1: 8 columns, 1 equalizer pairs",
-        "stage 2: 27 columns, 1 equalizer pairs",
-        "accumulation depth 2: pattern (0, 1, 2, 3) on tail [1,2] across 3 stages",
+        "  note: catalogs not saturated; deeper compositions could still add obstructions",
+        "stage 0: points {0}, 1 columns, 1 equation(s) equalized exactly",
+        "stage 1: points {0,1}, 8 columns, 1 equation(s) equalized exactly",
+        "stage 2: points {0,1,2}, 27 columns, 1 equation(s) equalized exactly",
+        "accumulation: depth 2: pattern (0, 1, 2, 3) on tail [1,2] across 3 stages",
     ]
 
 

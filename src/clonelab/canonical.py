@@ -354,8 +354,7 @@ def _canonical_images(
     for op in operations:
         cx = is_canonical(op, structure, level, caps).counterexample
         if cx is not None:
-            message = f"operation {op.name!r} is not canonical at level {cx.k}"
-            raise NonCanonicalOperation(message, cx)
+            raise NonCanonicalOperation(op.name, cx)
     space = type_space(structure, k, caps)
     images = tuple(
         (op.name, TypeOperation(space, type_table(op.body, op.arity, space, caps)))

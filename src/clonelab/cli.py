@@ -262,7 +262,7 @@ def _cmd_canonical(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
 
 
 def _not_canonical(name: str, cx) -> list[str]:
-    """The refusal that `canonical` and `type-image` print."""
+    """The refusal that `canonical`, `type-image`, `lift` and `analyze` print."""
     args = [" ".join(f"({','.join(map(str, t))})" for t in a) for a in (cx.args_a, cx.args_b)]
     return [
         f"{name}: not canonical at k={cx.k}",
@@ -547,6 +547,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     caps = Caps(**{dest: getattr(ns, dest) for dest in _CAP_DESTS if dest in ns})
     try:
         body, code = _COMMANDS[ns.subcommand](ns, caps)
+    except NonCanonicalOperation as exc:  # `lift` and `analyze` need canonical generators
+        body, code = _not_canonical(exc.name, exc.counterexample), 1
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 3

@@ -10,13 +10,17 @@ equations the clone is known to satisfy and drive the projective
 homomorphism search.
 
 On a base of at most 256 points a catalog is keyed by its tables'
-outputs as bytes, one byte per row, and each entry also keeps them as
-one packed integer.  A generator whose table has at most 256 entries
-then composes with one integer sum and one `bytes.translate`; a `Table`
-is built, and validated, only for a table the catalog has not seen.  A
-wider generator, such as a ternary table on 7 points, reads its table
-row by row with `gather`, as `Table.compose` does; on a base over 256
-points every generator does, and the catalog is keyed by output tuples.
+outputs as bytes, one byte per row, and each round packs every entry it
+reads into one integer.  A generator whose table has at most 256 entries
+then composes with one integer sum and one `bytes.translate`.  A wider
+generator, such as a ternary table on 7 points, reads its table row by
+row with `gather`, as `Table.compose` does; on a base over 256 points
+every generator does, and the catalog is keyed by output tuples.
+
+A catalog entry is a valid `Table` by construction: its outputs are a
+selector's, or a checked generator table read at one in-range index per
+row (`_unchecked_table` gives the argument).  So generation builds
+entries without `Table`'s checks; tables from anywhere else keep them.
 
 Caps bound arity, composition depth, and catalog size; each arity
 records whether its catalog is saturated (a full round added nothing)
@@ -46,10 +50,13 @@ class Table:
     def __post_init__(self):
         if self.size < 1 or self.arity < 1:
             raise InconsistentData("tables need size >= 1 and arity >= 1")
-        if len(self.outputs) != self.size**self.arity:
-            raise InconsistentData(
-                f"table needs {self.size ** self.arity} outputs, got {len(self.outputs)}"
-            )
+        n = len(self.outputs)
+        if self.size > 1 and self.arity > n.bit_length():
+            # size^arity >= 2^arity > n: the power, which can have millions
+            # of digits, is named instead of computed
+            raise InconsistentData(f"table needs {self.size}^{self.arity} outputs, got {n}")
+        if n != self.size**self.arity:
+            raise InconsistentData(f"table needs {self.size ** self.arity} outputs, got {n}")
         if min(self.outputs) < 0 or max(self.outputs) >= self.size:
             raise InconsistentData("table output out of range")
 
@@ -177,17 +184,14 @@ def _generate_arity(generators, base_size, arity, caps):
     # tables, and those identifications are collisions like any other
     entries: list[CatalogEntry] = []
     terms: list[Term] = []
-    packs: list[int] = []  # each entry's outputs, one byte per row
-    index: dict[bytes | tuple[int, ...], int] = {}
+    index: dict[bytes | tuple[int, ...], int] = {}  # keys in catalog order
     pairs: list[tuple[Term, Term]] = []
 
     def add(outputs, term, depth):
         index[outputs] = len(entries)
-        table = Table(base_size, arity, tuple(outputs))  # validated once, when new
+        table = _unchecked_table(base_size, arity, tuple(outputs))
         entries.append(CatalogEntry(table, term, depth))
         terms.append(term)
-        if packed:
-            packs.append(int.from_bytes(outputs, "big"))
 
     for i in range(1, arity + 1):
         outputs = key(selector(base_size, arity, i).outputs)
@@ -196,63 +200,56 @@ def _generate_arity(generators, base_size, arity, caps):
             pairs.append((terms[pos], Var(i)))
         else:
             add(outputs, Var(i), 0)
-    capped = False
     frontier_start = 0
     for depth in range(1, caps.depth_cap + 1):
         round_start = len(entries)
+        keys = list(index)  # the round reads the entries it starts with
+        packs = [int.from_bytes(k, "big") for k in keys] if packed else None
         for name, gtable in generators:
+            k = gtable.arity
             if packed and len(gtable.outputs) <= 256:
-                compose = _packed_composer(gtable, packs[:round_start], rows)
-            else:
-                compose = _tuple_composer(gtable, entries, key)
-            for arg_ids in itertools.product(range(round_start), repeat=gtable.arity):
+                # byte r of the weighted sum is row r's index into gtable
+                lut = bytes(gtable.outputs).ljust(256, b"\0")
+                columns = [[p * gtable.size ** (k - 1 - j) for p in packs] for j in range(k)]
+            else:  # too wide to translate through: gather row by row
+                lut = None
+                columns = [keys] * k
+            ids = itertools.product(range(round_start), repeat=k)
+            for arg_ids, parts in zip(ids, itertools.product(*columns)):
                 if depth > 1 and max(arg_ids) < frontier_start:
                     continue  # tried in an earlier round
                 term = App(name, tuple(map(terms.__getitem__, arg_ids)))
-                outputs = compose(arg_ids)
+                if lut is None:
+                    outputs = key(gather(gtable.outputs, gtable.size, parts))
+                else:
+                    outputs = sum(parts).to_bytes(rows, "big").translate(lut)
                 pos = index.get(outputs)
                 if pos is not None:
                     pairs.append((terms[pos], term))
                     continue
                 if len(entries) >= caps.catalog_cap:
-                    capped = True
-                    break
+                    return entries, pairs, False  # cut at the catalog cap
                 add(outputs, term, depth)
-            if capped:
-                break
-        if capped:
-            break
         if len(entries) == round_start:
             return entries, pairs, True  # saturated: a full round added nothing
         frontier_start = round_start
-    # catalog cap hit, or depth cap reached while still finding new tables
+    # depth cap reached while still finding new tables
     return entries, pairs, False
 
 
-def _packed_composer(gtable: Table, packs: Sequence[int], rows: int):
-    """Outputs of gtable after the entries with the given ids, as bytes.
+def _unchecked_table(size: int, arity: int, outputs: tuple[int, ...]) -> Table:
+    """A catalog entry's `Table`, built without `Table.__post_init__`.
 
-    Each byte of the weighted sum of the packed entries is a row's index
-    into gtable, below size^arity <= 256 so no byte carries into the next;
-    one translate reads gtable at every row at once."""
-    k = gtable.arity
-    scaled = [[p * gtable.size ** (k - 1 - j) for p in packs] for j in range(k)]
-    lut = bytes(gtable.outputs).ljust(256, b"\0")
-    pick = list.__getitem__
-
-    def compose(arg_ids):
-        return sum(map(pick, scaled, arg_ids)).to_bytes(rows, "big").translate(lut)
-
-    return compose
-
-
-def _tuple_composer(gtable: Table, entries: Sequence[CatalogEntry], key):
-    """Outputs of gtable after the entries with the given ids, as a
-    catalog key, gathered from output tuples: for a generator whose table
-    is too wide to translate through."""
-
-    def compose(arg_ids):
-        inner = [entries[i].table.outputs for i in arg_ids]
-        return key(gather(gtable.outputs, gtable.size, inner))
-
-    return compose
+    Only `_generate_arity` calls this, where the checks hold by
+    construction.  An entry's outputs are a checked selector's, or one
+    per row of a generator table `g` read at the index of each row's
+    inner outputs.  Every inner output is below `size`, so every index
+    is below size^k, the length of `g.outputs`: a packed sum never reads
+    the zero padding of the translate table, and no byte carries into
+    the next row.  So there are size^arity outputs, each an output of
+    `g`, whose checked `Table` keeps it in 0..size-1."""
+    table = object.__new__(Table)
+    object.__setattr__(table, "size", size)
+    object.__setattr__(table, "arity", arity)
+    object.__setattr__(table, "outputs", outputs)
+    return table

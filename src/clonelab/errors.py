@@ -4,8 +4,7 @@ The CLI maps these onto exit codes: input and validation problems exit
 with 2, resource-cap exhaustion exits with 3.  Most negative answers are
 return values, but three are exceptions that a command answers with exit
 1: `EqualizerFailure` in `lift` and `analyze`, `UnsatisfiableSystem` in
-`lift`, and `NonCanonicalOperation` in `type-image` (`lift` and `analyze`
-refuse a non-canonical generator as unusable input, exit 2).
+`lift`, and `NonCanonicalOperation` in `type-image`, `lift` and `analyze`.
 """
 
 from __future__ import annotations
@@ -42,11 +41,13 @@ class InconsistentData(ClonelabError):
 
 
 class NonCanonicalOperation(ClonelabError):
-    """An operation required to be canonical is not; carries the counterexample."""
+    """An operation required to be canonical is not; carries its name and
+    the counterexample."""
 
-    def __init__(self, message: str, counterexample=None):
+    def __init__(self, name: str, counterexample):
+        self.name = name
         self.counterexample = counterexample
-        super().__init__(message)
+        super().__init__(f"operation {name!r} is not canonical at level {counterexample.k}")
 
 
 class UnsupportedTerm(ClonelabError):

@@ -506,6 +506,25 @@ def test_lift_needs_a_symbolic_structure(files, capsys):
     assert "dlo/pureset" in err
 
 
+LEX_MIN_OPS = LEX_OPS + "op mn 2\nterm min(x1, x2)\n"
+
+
+def refuses_as_type_image_does(capsys, ops, code, out, err):
+    # a non-canonical generator is a negative answer, exit 1, printed as
+    # `type-image` prints it, not an error about the input
+    assert (code, err) == (1, "")
+    body = out.split("\n\n", 1)[1]
+    assert body.startswith("mn: not canonical at k=2\n")
+    _, image, _ = run(capsys, "type-image", ops, "dlo")
+    assert image.endswith("\n" + body)
+
+
+def test_lift_answers_a_non_canonical_generator(files, capsys):
+    ops = files("two.ops", LEX_MIN_OPS)
+    code, out, err = run(capsys, "lift", ops, files("assoc.eqs", ASSOC), "dlo", *SMALL)
+    refuses_as_type_image_does(capsys, ops, code, out, err)
+
+
 # -- analyze -------------------------------------------------------------------
 
 
@@ -569,6 +588,12 @@ def test_analyze_reads_its_type_tables_as_proj_hom_does(files, capsys, structure
     assert lines[start : start + len(reading)] == reading
     rest = lines[start + len(reading) :]
     assert all(line.startswith(("stage ", "accumulation: ", "lift failed: ")) for line in rest)
+
+
+def test_analyze_answers_a_non_canonical_generator(files, capsys):
+    ops = files("two.ops", LEX_MIN_OPS)
+    code, out, err = run(capsys, "analyze", ops, "dlo", *SMALL)
+    refuses_as_type_image_does(capsys, ops, code, out, err)
 
 
 def test_analyze_lifts_at_a_small_catalog_cap(files, capsys):

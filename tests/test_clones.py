@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -151,14 +152,35 @@ def random_table(rng, size, arity):
     return Table(size, arity, tuple(rng.randrange(size) for _ in range(size**arity)))
 
 
-def test_generation_matches_the_tuple_oracle():
+def random_clones():
+    """(generators, base, caps) on bases 1-3, some catalogs cut at the
+    catalog cap."""
     rng = random.Random(20261019)
-    capped = 0
     for _ in range(60):
         base = rng.choice([1, 2, 3])
         arities = rng.choice([(1,), (2,), (3,), (1, 2), (2, 2), (1, 3)])
         generators = [(f"g{i}", random_table(rng, base, k)) for i, k in enumerate(arities)]
         caps = Caps(arity_cap=3, depth_cap=2, catalog_cap=rng.choice([5, 40, 1000]))
+        yield generators, base, caps
+
+
+def wide_clones():
+    """(generators, base, caps) with generators too wide to pack."""
+    # a ternary table on 7 points has 343 entries, over one byte of index
+    rng = random.Random(7)
+    wide = ("t", random_table(rng, 7, 3))
+    binary = ("b", random_table(rng, 7, 2))
+    yield [wide], 7, Caps(arity_cap=2, depth_cap=2)
+    yield [binary, wide], 7, Caps(arity_cap=3, depth_cap=2, catalog_cap=150)
+    yield [wide, binary], 7, Caps(arity_cap=2, depth_cap=3, catalog_cap=300)
+    # outputs past one byte: a base over 256 points
+    shift = ("s", Table(257, 1, tuple((v + 1) % 257 for v in range(257))))
+    yield [shift], 257, Caps(arity_cap=1, depth_cap=3)
+
+
+def test_generation_matches_the_tuple_oracle():
+    capped = 0
+    for generators, base, caps in random_clones():
         clone = generate(generators, base, caps)
         assert_same_clone(clone, reference_generate(generators, base, caps))
         capped += any(len(c) == caps.catalog_cap for c in clone.catalogs.values())
@@ -166,18 +188,48 @@ def test_generation_matches_the_tuple_oracle():
 
 
 def test_generators_too_wide_to_pack_match_the_tuple_oracle():
-    # a ternary table on 7 points has 343 entries, over one byte of index
-    rng = random.Random(7)
-    wide = ("t", random_table(rng, 7, 3))
-    binary = ("b", random_table(rng, 7, 2))
-    for generators, caps in [
-        ([wide], Caps(arity_cap=2, depth_cap=2)),
-        ([binary, wide], Caps(arity_cap=3, depth_cap=2, catalog_cap=150)),
-        ([wide, binary], Caps(arity_cap=2, depth_cap=3, catalog_cap=300)),
-    ]:
-        clone = generate(generators, 7, caps)
-        assert_same_clone(clone, reference_generate(generators, 7, caps))
-    # outputs past one byte: a base over 256 points
-    shift = ("s", Table(257, 1, tuple((v + 1) % 257 for v in range(257))))
-    caps = Caps(arity_cap=1, depth_cap=3)
-    assert_same_clone(generate([shift], 257, caps), reference_generate([shift], 257, caps))
+    for generators, base, caps in wide_clones():
+        clone = generate(generators, base, caps)
+        assert_same_clone(clone, reference_generate(generators, base, caps))
+
+
+def test_every_catalog_table_is_a_valid_table():
+    # generation builds catalog tables without `Table`'s checks; each must
+    # pass them, and equal the table the checked constructor builds
+    for generators, base, caps in [*random_clones(), *wide_clones()]:
+        clone = generate(generators, base, caps)
+        for arity, entries in clone.catalogs.items():
+            for entry in entries:
+                table = entry.table
+                assert (table.size, table.arity) == (base, arity)
+                assert type(table.outputs) is tuple
+                assert Table(table.size, table.arity, table.outputs) == table
+
+
+def test_generation_checks_no_catalog_entry(monkeypatch):
+    # a count, not a timing: `Table`'s checks run on the selectors alone,
+    # never once per catalog entry
+    rng = random.Random(3)
+    generators = [("f", random_table(rng, 3, 2)), ("g", random_table(rng, 3, 2))]
+    caps = Caps(arity_cap=3, depth_cap=2)
+    selectors = [selector(3, a, i) for a in (1, 2, 3) for i in range(1, a + 1)]
+    checked = []
+    post_init = Table.__post_init__
+
+    def counted(table):
+        checked.append(table)
+        post_init(table)
+
+    monkeypatch.setattr(Table, "__post_init__", counted)
+    clone = generate(generators, 3, caps)
+    assert checked == selectors
+    assert sum(map(len, clone.catalogs.values())) > 100
+
+
+def test_a_huge_arity_is_refused_without_computing_the_power():
+    # 3^10000000 has millions of digits: computing and printing it took
+    # seconds and ended in a ValueError
+    start = time.perf_counter()
+    with pytest.raises(InconsistentData, match=r"table needs 3\^10000000 outputs, got 3"):
+        Table(3, 10**7, (0, 1, 2))
+    assert time.perf_counter() - start < 1

@@ -7,7 +7,7 @@ every command-line option is read by the command that takes it.  No
 code path lists a whole automorphism group, no test oracle evaluates
 order terms or generates its reference clone through the library, and
 the critical level, the canonicity gate and each printed answer have
-one home each.  Every source parses at the Python floor that
+one home each, and the unchecked table constructor one caller.  Every source parses at the Python floor that
 `pyproject.toml` promises.  The checks read the sources with `ast`."""
 
 from __future__ import annotations
@@ -258,6 +258,18 @@ def test_the_critical_level_has_one_definition():
         if isinstance(node, ast.Attribute) and node.attr == "max_relation_arity"
     }
     assert readers == {"canonical.critical_level"}
+
+
+def test_only_generation_builds_unchecked_tables():
+    # a catalog entry is a valid table by construction; every other table
+    # comes from outside `_generate_arity` and goes through `Table`'s checks
+    users = {
+        f"{path.stem}.{owner}"
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path)))
+        if "_unchecked_table" in (getattr(node, "id", None), getattr(node, "attr", None))
+    }
+    assert users == {"clones._generate_arity"}
 
 
 def test_one_gate_builds_every_type_table():

@@ -56,6 +56,16 @@ Bodirsky, *Complexity of Infinite-Domain Constraint Satisfaction*,
 never splits, and the first split at any k <= `k_max` is the first
 split at min(`k_max`, 2).  The every-k loop survives as the test oracle
 for this lemma (`tests/canonical_oracle.py`).
+
+The symbolic check's argument lists and their per-argument types depend
+only on the structure kind, the arity n and k, never on the term.  So
+`_joint_family` builds them once per process, and a check evaluates and
+types only the images.  Only families of at most
+`RETAINED_FAMILY_SIZE` = 4,683 joint patterns are kept: n*k <= 6, every
+term of arity at most 3 at k = 2.  The next family, 545,835 patterns
+for a 4-ary term, would keep hundreds of megabytes for the rest of the
+process, so it is built per check and dropped, as before.  The
+`pattern_cap` guard runs on every check, kept family or not.
 """
 
 from __future__ import annotations
@@ -66,7 +76,7 @@ from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .clones import Table, gather, selector
-from .config import Caps, DEFAULT_CAPS, guard
+from .config import Caps, DEFAULT_CAPS, guard_power
 from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
     OrderTerm,
@@ -80,9 +90,11 @@ from .structures import (
     PatternTypeSpace,
     Permutation,
     Structure,
+    StructureKind,
     SymbolicStructure,
     extensions,
     joint_order_patterns,
+    joint_pattern_count,
     orbits,
     pattern_of,
     type_space,
@@ -174,16 +186,16 @@ def _column_images(body: Table | OrderTerm) -> Callable[[Sequence[tuple]], tuple
 
 
 def _first_split(
-    arg_lists: Iterable[tuple[tuple, ...]],
+    typed: Iterable[tuple[tuple[tuple, ...], tuple]],
     classify: Callable[[Sequence], Hashable],
     image: Callable[[Sequence[tuple]], tuple],
 ) -> tuple[tuple, tuple] | None:
     """The first two argument lists with equal per-argument types whose
     images differ in type, or None when the images' type is a function
-    of the argument types."""
+    of the argument types.  `typed` pairs each argument list with its
+    per-argument types; `classify` types the images."""
     groups: dict[tuple, tuple[tuple, Hashable]] = {}
-    for args in arg_lists:
-        key = tuple(map(classify, args))
+    for args, key in typed:
         image_type = classify(image(args))
         first_args, first_type = groups.setdefault(key, (args, image_type))
         if image_type != first_type:
@@ -215,11 +227,14 @@ def _enumerated_verdict(
     that witness the equal argument types, or canonical when no k splits."""
     n = table.arity
     for k in range(1, k_max + 1):
-        guard(structure.domain_size ** (k * n), caps.tuple_cap, "argument space size")
+        guard_power(structure.domain_size, k * n, caps.tuple_cap, "argument space size")
         space = orbits(structure, k, caps)
         tuples = itertools.product(range(structure.domain_size), repeat=k)
-        arg_lists = itertools.product(tuples, repeat=n)
-        split = _first_split(arg_lists, space.classify, _column_images(table))
+        typed = (
+            (args, tuple(map(space.classify, args)))
+            for args in itertools.product(tuples, repeat=n)
+        )
+        split = _first_split(typed, space.classify, _column_images(table))
         if split is not None:
             first_args, args = split
             witnesses = tuple(
@@ -251,6 +266,36 @@ def is_canonical_finite(
     return _enumerated_verdict(table, structure, k_max, caps)
 
 
+RETAINED_FAMILY_SIZE = 4_683  # n*k <= 6; see the module docstring
+
+_families: dict[tuple[StructureKind, int, int], tuple[tuple[tuple, tuple], ...]] = {}
+
+
+def _joint_family(
+    structure: SymbolicStructure, n: int, k: int, caps: Caps
+) -> Iterable[tuple[tuple[tuple, ...], tuple]]:
+    """Every joint order pattern of n argument k-tuples as its argument
+    list (each tuple realized by its integer ranks) with the patterns of
+    its arguments, in `joint_order_patterns` order.  Neither depends on
+    the term, so a family of at most `RETAINED_FAMILY_SIZE` patterns is
+    built once per process and structure kind; a larger one is built for
+    the call and dropped.  The family-size cap is checked on every call."""
+    count = joint_pattern_count(n * k, caps)
+    key = (structure.kind, n, k)
+    if key in _families:
+        return _families[key]
+    arg_lists = (
+        tuple(codes[i * k : (i + 1) * k] for i in range(n))
+        for codes in joint_order_patterns(n * k, caps)
+    )
+    classify = partial(pattern_of, structure)
+    typed = ((args, tuple(map(classify, args))) for args in arg_lists)
+    if count > RETAINED_FAMILY_SIZE:
+        return typed
+    family = _families[key] = tuple(typed)
+    return family
+
+
 def is_canonical_symbolic(
     term: OrderTerm,
     structure: SymbolicStructure,
@@ -261,23 +306,22 @@ def is_canonical_symbolic(
 
     The joint order patterns of all n*k argument entries are enumerated
     at the single level k = min(`k_max`, `PAIR_LEVEL`), each realized by
-    its integer ranks and typed by patterns.  By the pair lemma the
-    verdict covers every k up to `k_max`, which a canonical verdict
-    reports as `checked_up_to`.  Outer increasing-map chains are peeled
-    off first since they preserve output patterns; inner map
-    applications are rejected.
+    its integer ranks and typed by patterns.  Those argument lists and
+    types do not depend on the term: `_joint_family` builds them once per
+    process for n*k <= 6, where they take little memory, so a check
+    evaluates and types only the images.  By the pair lemma the verdict
+    covers every k up to `k_max`, which a canonical verdict reports as
+    `checked_up_to`.  Outer increasing-map chains are peeled off first
+    since they preserve output patterns; inner map applications are
+    rejected.
     """
     _require_matching(term, structure)
     core = require_pattern_determined(term)
     k_max = default_k_max(structure) if k_max is None else k_max
     n = max(term_arity(core), 1)
     k = min(k_max, PAIR_LEVEL)
-    arg_lists = (
-        tuple(codes[i * k : (i + 1) * k] for i in range(n))
-        for codes in joint_order_patterns(n * k, caps)
-    )
-    classify = partial(pattern_of, structure)
-    split = _first_split(arg_lists, classify, _column_images(core))
+    family = _joint_family(structure, n, k, caps)
+    split = _first_split(family, partial(pattern_of, structure), _column_images(core))
     if split is not None:
         return CanonicalVerdict(False, k, CanonicalCounterexample(k, *split))
     return CanonicalVerdict(True, k_max)
@@ -321,7 +365,7 @@ def type_table(
 ) -> Table:
     """The action of `body` on the types of `space`, read off at the type
     representatives; meaningful only for a body canonical at `space.k`."""
-    guard(space.size**arity, caps.tuple_cap, "type table size")
+    guard_power(space.size, arity, caps.tuple_cap, "type table size")
     image = _column_images(body)
     outputs = tuple(
         space.classify(image([space.representative(t) for t in type_args]))

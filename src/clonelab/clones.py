@@ -51,6 +51,14 @@ class Table:
         if self.size < 1 or self.arity < 1:
             raise InconsistentData("tables need size >= 1 and arity >= 1")
         n = len(self.outputs)
+        if self.size.bit_length() > 64:
+            # size^arity >= size > n, since no table in memory has 2^64
+            # outputs; the size, which may be too long to print, is named
+            # by its bit length
+            raise InconsistentData(
+                f"table needs more than {n} outputs: its size has "
+                f"{self.size.bit_length()} bits"
+            )
         if self.size > 1 and self.arity > n.bit_length():
             # size^arity >= 2^arity > n: the power, which can have millions
             # of digits, is named instead of computed

@@ -27,9 +27,10 @@ class ParseError(ClonelabError):
 class CapExceeded(ClonelabError):
     """A configured resource cap would be exceeded; raised before the work
     starts.  Carries the quantity's name (`what`), the size it `needed`
-    and the `cap` it exceeds."""
+    and the `cap` it exceeds; `needed` is None for a size too large to
+    compute, which the message then names or bounds."""
 
-    def __init__(self, message: str, what: str, needed: int, cap: int):
+    def __init__(self, message: str, what: str, needed: int | None, cap: int):
         self.what = what
         self.needed = needed
         self.cap = cap

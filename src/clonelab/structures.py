@@ -20,7 +20,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from .config import Caps, DEFAULT_CAPS, guard, ordered_set_partition_count
+from .config import Caps, DEFAULT_CAPS, guard, guard_weak_orders
 from .errors import InconsistentData, ParseError
 from .syntax import natural, records
 
@@ -356,7 +356,7 @@ def enumerate_patterns(
     """All code tuples of length k, sorted."""
     guard(k, caps.k_cap, "tuple length")
     if structure.kind is StructureKind.DLO:
-        guard(ordered_set_partition_count(k), caps.pattern_cap, "pattern family size")
+        guard_weak_orders(k, caps.pattern_cap, "pattern family size")
         patterns = tuple(sorted(_weak_orders(k)))
     else:
         patterns = tuple(sorted(_partitions(k)))
@@ -372,6 +372,12 @@ def type_space(structure: Structure, k: int, caps: Caps = DEFAULT_CAPS) -> TypeS
     return enumerate_patterns(structure, k, caps)
 
 
+def joint_pattern_count(length: int, caps: Caps) -> int:
+    """The number of joint order patterns of the given length, refused
+    with CapExceeded when it is over `pattern_cap`."""
+    return guard_weak_orders(length, caps.pattern_cap, "joint pattern family size")
+
+
 def joint_order_patterns(
     length: int, caps: Caps = DEFAULT_CAPS
 ) -> list[tuple[int, ...]]:
@@ -381,9 +387,5 @@ def joint_order_patterns(
     laid side by side, so the length is a product n*k rather than a
     tuple length; only the family-size cap applies.
     """
-    guard(
-        ordered_set_partition_count(length),
-        caps.pattern_cap,
-        "joint pattern family size",
-    )
+    joint_pattern_count(length, caps)
     return sorted(_weak_orders(length))

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 import corpus
 from canonical_oracle import is_canonical_every_k
 from factor_oracle import check_factor_isomorphism, check_table_correspondence
-from clonelab import structures
+from clonelab import canonical, structures
 from clonelab.canonical import (
     Operation,
     _enumerated_verdict,
@@ -34,7 +34,7 @@ from clonelab.canonical import (
     xi_infty,
 )
 from clonelab.clones import Table, selector
-from clonelab.config import DEFAULT_CAPS
+from clonelab.config import DEFAULT_CAPS, Caps
 from clonelab.errors import (
     CapExceeded,
     InconsistentData,
@@ -395,6 +395,65 @@ def test_inner_map_applications_are_rejected():
     inner = Min((MapApply("shift", shift, Coord(1)), Coord(2)))
     with pytest.raises(UnsupportedTerm):
         is_canonical_symbolic(inner, DLO)
+
+
+
+def _count_family_builds(monkeypatch):
+    """An empty family store, and the list of lengths that
+    `joint_order_patterns` is called with from `canonical`."""
+    monkeypatch.setattr(canonical, "_families", {})
+    calls = []
+    build = canonical.joint_order_patterns
+
+    def counted(length, caps):
+        calls.append(length)
+        return build(length, caps)
+
+    monkeypatch.setattr(canonical, "joint_order_patterns", counted)
+    return calls
+
+
+def test_one_family_serves_every_binary_term(monkeypatch):
+    calls = _count_family_builds(monkeypatch)
+    assert is_canonical_symbolic(Lex(Coord(1), Coord(2)), DLO).canonical
+    assert not is_canonical_symbolic(Min((Coord(1), Coord(2))), DLO).canonical
+    assert is_canonical_symbolic(Lex(Coord(2), Coord(1)), DLO).canonical
+    assert calls == [4]
+    # the per-argument types differ over the pure set: a family of its own
+    assert is_canonical_symbolic(Lex(Coord(1), Coord(2)), PURE_SET).canonical
+    assert calls == [4, 4]
+    assert set(canonical._families) == {
+        (DLO.kind, 2, 2),
+        (PURE_SET.kind, 2, 2),
+    }
+
+
+def test_a_family_over_the_retention_bound_is_built_per_check(monkeypatch):
+    calls = _count_family_builds(monkeypatch)
+    monkeypatch.setattr(canonical, "RETAINED_FAMILY_SIZE", 74)
+    for _ in range(2):
+        assert is_canonical_symbolic(Lex(Coord(1), Coord(2)), DLO).canonical
+    assert calls == [4, 4]
+    assert canonical._families == {}
+    # a unary term's family, 3 patterns at k = 2, is still kept
+    for _ in range(2):
+        assert is_canonical_symbolic(Coord(1), DLO).canonical
+    assert calls == [4, 4, 2]
+
+
+def test_a_kept_family_still_answers_to_the_pattern_cap():
+    # 75 joint patterns for a binary term at k = 2
+    term = Lex(Coord(1), Coord(2))
+    assert is_canonical_symbolic(term, DLO).canonical
+    assert (DLO.kind, 2, 2) in canonical._families
+    with pytest.raises(CapExceeded) as err:
+        is_canonical_symbolic(term, DLO, caps=Caps(pattern_cap=74))
+    assert (err.value.what, err.value.needed, err.value.cap) == (
+        "joint pattern family size",
+        75,
+        74,
+    )
+    assert is_canonical_symbolic(term, DLO, caps=Caps(pattern_cap=75)).canonical
 
 
 # -- type tables ---------------------------------------------------------------

@@ -122,6 +122,34 @@ def test_canonical_answers_ternary_terms(files, capsys, structure):
     assert time.perf_counter() - start < 2
 
 
+@pytest.mark.parametrize(
+    "command, ops, message",
+    [
+        # the weak orders of 2000 points: counting them took minutes
+        (
+            "canonical",
+            "op f 1000\nterm lex(x1, x1000)\n",
+            "joint pattern family size needs more than 7087261 "
+            "(the weak orders of 2000 points), cap is 600000",
+        ),
+        # 3^10000000000 type table rows: the power never finished
+        (
+            "type-image",
+            "op f 10000000000\nterm x1\n",
+            "type table size needs 3^10000000000, cap is 1000000",
+        ),
+    ],
+    ids=["weak-orders", "type-table"],
+)
+def test_huge_sizes_are_refused_without_computing_them(files, capsys, command, ops, message):
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, files("f.ops", ops), "dlo")
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == f"cap exceeded: {message}\n"
+
+
 def test_canonical_kmax_four_is_decided_on_pairs(files, capsys):
     # the same text the every-k check printed after a minute
     path = files("mixed.ops", LEX_OPS + "op mn 2\nterm min(x1, x2)\n")

@@ -233,3 +233,14 @@ def test_a_huge_arity_is_refused_without_computing_the_power():
     with pytest.raises(InconsistentData, match=r"table needs 3\^10000000 outputs, got 3"):
         Table(3, 10**7, (0, 1, 2))
     assert time.perf_counter() - start < 1
+
+
+def test_a_huge_size_is_refused_by_its_bit_length():
+    # printing 10^5000 exceeds the integer-to-string digit limit, which
+    # raised a ValueError instead of InconsistentData
+    with pytest.raises(InconsistentData, match="table needs more than 1 outputs: its size has 16610 bits"):
+        Table(10**5000, 1, (0,))
+    with pytest.raises(InconsistentData, match="table needs more than 3 outputs: its size has 16610 bits"):
+        Table(10**5000, 10**7, (0, 1, 2))
+    with pytest.raises(InconsistentData, match="table needs 9 outputs, got 8"):
+        Table(3, 2, (0,) * 8)

@@ -239,6 +239,25 @@ def test_oracles_do_not_evaluate_through_the_library():
     assert not found, found
 
 
+
+def test_the_canonicity_oracle_builds_its_own_patterns():
+    # the library keeps the typed joint-pattern families across checks;
+    # the every-k oracle enumerates and types its patterns itself, so a
+    # wrong family cannot agree with the oracle by being shared
+    path = Path(__file__).parent / "canonical_oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert {name for name in imported if name.startswith("clonelab.canonical")} == {
+        "clonelab.canonical.CanonicalCounterexample",
+        "clonelab.canonical.CanonicalVerdict",
+    }
+    assert not set(_code_names(tree)) & {"_joint_family", "_families"}
+
 def _owned_nodes(tree):
     """Every node of a module, with the name of the top-level definition
     that holds it (None for module-level code)."""

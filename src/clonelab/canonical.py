@@ -30,17 +30,19 @@ the table and one search for an automorphism extending the induced map
 on im(f).  The group is never listed.
 
 When that test fails, and over a symbolic structure always, one loop
-decides: it runs through argument lists (one k-tuple per argument),
-groups them by their per-argument types, and reports the first two
-lists of one group whose column images differ in type.  The kinds differ
-in what is enumerated and at which k.  Over a finite structure it is
-every argument list over the domain, typed by orbits, for each k up to
+decides: it runs through argument lists (one k-tuple per argument), each
+with its per-argument types and the type of its column images, groups
+them by the former, and reports the first two lists of one group whose
+images differ in type.  The kinds differ in what is enumerated, at which
+k and how the images are typed.  Over a finite structure it is every
+argument list over the domain, typed by orbits, for each k up to
 `k_max`, which finds the least level that splits: finite structures are
-not homogeneous in general.  Over a symbolic structure it is every joint
-order pattern of the n*k argument entries, realized by its integer ranks
-and typed by patterns; this is exact precisely because the order-term
-basis is pattern-determined, so inner applications of named maps are
-rejected (see `orderterms.require_pattern_determined`).
+not homogeneous in general; the images are gathered from the table and
+typed by orbits.  Over a symbolic structure it is every joint order
+pattern of the n*k argument entries, realized by its integer ranks and
+typed by patterns; this is exact precisely because the order-term basis
+is pattern-determined, so inner applications of named maps are rejected
+(see `orderterms.require_pattern_determined`).
 
 Over the symbolic structures one level decides every k: the pair level
 `PAIR_LEVEL` = 2.  `dlo` and `pureset` are homogeneous in a binary
@@ -57,15 +59,21 @@ never splits, and the first split at any k <= `k_max` is the first
 split at min(`k_max`, 2).  The every-k loop survives as the test oracle
 for this lemma (`tests/canonical_oracle.py`).
 
-The symbolic check's argument lists and their per-argument types depend
-only on the structure kind, the arity n and k, never on the term.  So
-`_joint_family` builds them once per process, and a check evaluates and
-types only the images.  Only families of at most
+The symbolic check's argument lists, their per-argument types and the
+places of their columns in the grid range(n*k)^n depend only on the
+structure kind, the arity n and k, never on the term.  So
+`_joint_family` builds them once per process.  Only families of at most
 `RETAINED_FAMILY_SIZE` = 4,683 joint patterns are kept: n*k <= 6, every
 term of arity at most 3 at k = 2.  The next family, 545,835 patterns
 for a 4-ary term, would keep hundreds of megabytes for the rest of the
 process, so it is built per check and dropped, as before.  The
-`pattern_cap` guard runs on every check, kept family or not.
+`pattern_cap` guard runs on every check, kept family or not.  A check
+reads the term once: it evaluates the term at each of the (2n)^n grid
+points (16 for a binary term, where the family has 150 columns) and
+ranks the values into an integer table.  Ranking is an order
+isomorphism of a finite value set, so an image pair has the type of its
+two ranks, which one comparison decides: their sign over `dlo`, their
+equality over `pureset`.
 """
 
 from __future__ import annotations
@@ -81,6 +89,7 @@ from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
     OrderTerm,
     eval_term,
+    rank,
     require_pattern_determined,
     term_arity,
 )
@@ -175,28 +184,26 @@ def _require_matching(body: Table | OrderTerm, structure: Structure) -> None:
         raise InconsistentData("order terms need a symbolic structure")
 
 
-def _column_images(body: Table | OrderTerm) -> Callable[[Sequence[tuple]], tuple]:
-    """The map from an argument list (one k-tuple per argument) to the
-    k-tuple of images of its columns.  A table gathers its outputs at the
-    columns, exactly as in composition."""
-    if isinstance(body, Table):
-        return partial(gather, body.outputs, body.size)
-    apply = partial(eval_term, body)
-    return lambda args: tuple(map(apply, zip(*args)))
+def _rank_table(term: OrderTerm, side: int, n: int) -> tuple[int, ...]:
+    """The term on the grid range(side)^n, row-major, each value replaced
+    by its rank among the grid's values.  Ranking is an order isomorphism
+    of a finite value set, so ranks have the patterns of the values; the
+    table is read like a table's outputs, by `gather`."""
+    grid = itertools.product(range(side), repeat=n)
+    keys = [eval_term(term, point) for point in grid]
+    ranks = rank(keys)
+    return tuple(map(ranks.__getitem__, keys))
 
 
 def _first_split(
-    typed: Iterable[tuple[tuple[tuple, ...], tuple]],
-    classify: Callable[[Sequence], Hashable],
-    image: Callable[[Sequence[tuple]], tuple],
+    typed: Iterable[tuple[tuple[tuple, ...], tuple, Hashable]],
 ) -> tuple[tuple, tuple] | None:
     """The first two argument lists with equal per-argument types whose
     images differ in type, or None when the images' type is a function
-    of the argument types.  `typed` pairs each argument list with its
-    per-argument types; `classify` types the images."""
+    of the argument types.  `typed` gives each argument list with its
+    per-argument types and the type of its images."""
     groups: dict[tuple, tuple[tuple, Hashable]] = {}
-    for args, key in typed:
-        image_type = classify(image(args))
+    for args, key, image_type in typed:
         first_args, first_type = groups.setdefault(key, (args, image_type))
         if image_type != first_type:
             return first_args, args
@@ -226,15 +233,16 @@ def _enumerated_verdict(
     k with a split, its first counterexample and the least automorphisms
     that witness the equal argument types, or canonical when no k splits."""
     n = table.arity
+    image = partial(gather, table.outputs, table.size)
     for k in range(1, k_max + 1):
         guard_power(structure.domain_size, k * n, caps.tuple_cap, "argument space size")
         space = orbits(structure, k, caps)
         tuples = itertools.product(range(structure.domain_size), repeat=k)
         typed = (
-            (args, tuple(map(space.classify, args)))
+            (args, tuple(map(space.classify, args)), space.classify(image(args)))
             for args in itertools.product(tuples, repeat=n)
         )
-        split = _first_split(typed, space.classify, _column_images(table))
+        split = _first_split(typed)
         if split is not None:
             first_args, args = split
             witnesses = tuple(
@@ -268,18 +276,22 @@ def is_canonical_finite(
 
 RETAINED_FAMILY_SIZE = 4_683  # n*k <= 6; see the module docstring
 
-_families: dict[tuple[StructureKind, int, int], tuple[tuple[tuple, tuple], ...]] = {}
+_families: dict[
+    tuple[StructureKind, int, int], tuple[tuple[tuple, tuple, tuple], ...]
+] = {}
 
 
 def _joint_family(
     structure: SymbolicStructure, n: int, k: int, caps: Caps
-) -> Iterable[tuple[tuple[tuple, ...], tuple]]:
+) -> Iterable[tuple[tuple[tuple, ...], tuple, tuple]]:
     """Every joint order pattern of n argument k-tuples as its argument
-    list (each tuple realized by its integer ranks) with the patterns of
-    its arguments, in `joint_order_patterns` order.  Neither depends on
-    the term, so a family of at most `RETAINED_FAMILY_SIZE` patterns is
-    built once per process and structure kind; a larger one is built for
-    the call and dropped.  The family-size cap is checked on every call."""
+    list (each tuple realized by its integer ranks), the patterns of its
+    arguments and the row-major indices of its columns in the grid
+    range(n*k)^n, in `joint_order_patterns` order.  None of them depends
+    on the term, so a family of at most `RETAINED_FAMILY_SIZE` patterns
+    is built once per process and structure kind; a larger one is built
+    for the call and dropped.  The family-size cap is checked on every
+    call."""
     count = joint_pattern_count(n * k, caps)
     key = (structure.kind, n, k)
     if key in _families:
@@ -289,11 +301,25 @@ def _joint_family(
         for codes in joint_order_patterns(n * k, caps)
     )
     classify = partial(pattern_of, structure)
-    typed = ((args, tuple(map(classify, args))) for args in arg_lists)
+    # `gather` read through the identity gives the grid indices
+    grid = range((n * k) ** n)
+    typed = (
+        (args, tuple(map(classify, args)), gather(grid, n * k, args))
+        for args in arg_lists
+    )
     if count > RETAINED_FAMILY_SIZE:
         return typed
     family = _families[key] = tuple(typed)
     return family
+
+
+def _pair_type(structure: SymbolicStructure) -> Callable[[int, int], Hashable]:
+    """The type of a pair of integers: the sign of their comparison over
+    `dlo`, their equality over `pureset`.  It partitions pairs as
+    `pattern_of` does."""
+    if structure.kind is StructureKind.DLO:
+        return lambda x, y: (x > y) - (x < y)
+    return int.__eq__
 
 
 def is_canonical_symbolic(
@@ -306,22 +332,33 @@ def is_canonical_symbolic(
 
     The joint order patterns of all n*k argument entries are enumerated
     at the single level k = min(`k_max`, `PAIR_LEVEL`), each realized by
-    its integer ranks and typed by patterns.  Those argument lists and
-    types do not depend on the term: `_joint_family` builds them once per
-    process for n*k <= 6, where they take little memory, so a check
-    evaluates and types only the images.  By the pair lemma the verdict
-    covers every k up to `k_max`, which a canonical verdict reports as
-    `checked_up_to`.  Outer increasing-map chains are peeled off first
-    since they preserve output patterns; inner map applications are
-    rejected.
+    its integer ranks and typed by patterns.  Those argument lists, their
+    types and their columns' places in the grid range(n*k)^n do not
+    depend on the term: `_joint_family` builds them once per process for
+    n*k <= 6.  The term itself is read once, as its rank table on that
+    grid, so an image pair is typed by one comparison of two table
+    entries.  Below `PAIR_LEVEL` nothing can split, and after the
+    family-size guard the answer is canonical with nothing enumerated.
+    By the pair lemma the verdict covers every k up to `k_max`, which a
+    canonical verdict reports as `checked_up_to`.  Outer increasing-map
+    chains are peeled off first since they preserve output patterns;
+    inner map applications are rejected.
     """
     _require_matching(term, structure)
     core = require_pattern_determined(term)
     k_max = default_k_max(structure) if k_max is None else k_max
     n = max(term_arity(core), 1)
     k = min(k_max, PAIR_LEVEL)
+    if k < PAIR_LEVEL:
+        joint_pattern_count(n * k, caps)
+        return CanonicalVerdict(True, k_max)
     family = _joint_family(structure, n, k, caps)
-    split = _first_split(family, partial(pattern_of, structure), _column_images(core))
+    ranks = _rank_table(core, n * k, n)
+    pair_type = _pair_type(structure)
+    typed = (
+        (args, key, pair_type(ranks[a], ranks[b])) for args, key, (a, b) in family
+    )
+    split = _first_split(typed)
     if split is not None:
         return CanonicalVerdict(False, k, CanonicalCounterexample(k, *split))
     return CanonicalVerdict(True, k_max)
@@ -364,9 +401,16 @@ def type_table(
     caps: Caps,
 ) -> Table:
     """The action of `body` on the types of `space`, read off at the type
-    representatives; meaningful only for a body canonical at `space.k`."""
+    representatives; meaningful only for a body canonical at `space.k`.
+    A table is read at the representatives' columns.  An order term is
+    read through its rank table on range(`space.k`)^arity, which holds
+    every column of the pattern representatives and is no larger than
+    the type table guarded here."""
     guard_power(space.size, arity, caps.tuple_cap, "type table size")
-    image = _column_images(body)
+    if isinstance(body, Table):
+        image = partial(gather, body.outputs, body.size)
+    else:
+        image = partial(gather, _rank_table(body, space.k, arity), space.k)
     outputs = tuple(
         space.classify(image([space.representative(t) for t in type_args]))
         for type_args in itertools.product(range(space.size), repeat=arity)

@@ -38,7 +38,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .clones import CatalogEntry, FiniteClone, Table
-from .config import Caps, guard
+from .config import Caps, guard, guard_power
 from .errors import InconsistentData, ParseError
 from .syntax import natural, records
 from .terms import App, Term, Var, collapse, fold, max_variable, parse_term
@@ -248,7 +248,7 @@ def _compile(
     """Both sides of every equation compiled against the signature order,
     after refusing a row space over `tuple_cap`."""
     n = system.ambient_arity
-    guard(base_size**n, caps.tuple_cap, "equation row space")
+    guard_power(base_size, n, caps.tuple_cap, "equation row space")
     positions = {name: i for i, (name, _) in enumerate(system.signature)}
     return [
         tuple(_compile_side(t, n, base_size, positions) for t in (eq.lhs, eq.rhs))

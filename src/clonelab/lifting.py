@@ -45,7 +45,7 @@ from typing import Mapping, Sequence
 
 from .canonical import Operation, XiImage, type_table, xi_infty
 from .clones import CatalogEntry, FiniteClone, generate
-from .config import Caps, DEFAULT_CAPS, guard
+from .config import Caps, DEFAULT_CAPS, guard_power
 from .equations import (
     EquationSystem,
     ProjHomReport,
@@ -132,7 +132,7 @@ def enumerate_argument_matrix(
         raise InconsistentData("argument matrix needs at least one point")
     if n < 1:
         raise InconsistentData("argument matrix needs at least one row")
-    guard(len(pts) ** n, DEFAULT_CAPS.tuple_cap, "argument matrix width")
+    guard_power(len(pts), n, DEFAULT_CAPS.tuple_cap, "argument matrix width")
     return list(zip(*itertools.product(pts, repeat=n)))
 
 
@@ -373,7 +373,7 @@ def lift(
     out = []
     for j in range(stages + 1):
         pts = instance.universe(j)
-        guard(len(pts) ** n, caps.tuple_cap, "argument matrix width")
+        guard_power(len(pts), n, caps.tuple_cap, "argument matrix width")
         args = list(itertools.product(pts, repeat=n))
         columns = len(args)
         evaluations = [

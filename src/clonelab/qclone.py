@@ -69,7 +69,7 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable, Mapping, Sequence
 
-from .config import Caps, DEFAULT_CAPS, guard
+from .config import Caps, DEFAULT_CAPS, guard, guard_power
 from .errors import InconsistentData, ParseError
 from .plmap import (
     Piece,
@@ -509,8 +509,8 @@ def uniqueness_witnesses(
     a = f.threshold
     graph = _embedding_above(a)
     g = QFunction(1, 1, Fraction(0), translation(a + 1), graph)
+    guard_power(grid_side, f.arity, caps.tuple_cap, "verification grid size")
     witnesses = tuple(g for _ in range(f.arity))
-    guard(grid_side**f.arity, caps.tuple_cap, "verification grid size")
     half = grid_side // 2
     axis = [Fraction(k - half) for k in range(grid_side)]
     # every witness is g, so each grid point pushes to a product of g's

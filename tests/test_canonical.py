@@ -382,6 +382,27 @@ def test_pair_level_agrees_with_the_exhaustive_check(structure, term, wrap):
     assert verdict.counterexample == oracle.counterexample
 
 
+_THREE_LEAVES = st.sampled_from([Coord(1), Coord(2), Coord(3)])
+_THREE_DEPTH_ONE = _THREE_LEAVES | _binary_nodes(_THREE_LEAVES)
+_THREE_DEPTH_TWO = _THREE_DEPTH_ONE | _binary_nodes(_THREE_DEPTH_ONE)
+
+
+@pytest.mark.parametrize("structure", [DLO, PURE_SET], ids=["dlo", "pureset"])
+@settings(max_examples=25, deadline=None)
+@given(_THREE_DEPTH_TWO, st.booleans(), st.sampled_from([1, 2]))
+def test_the_rank_table_check_agrees_with_the_exhaustive_check(
+    structure, term, wrap, k_max
+):
+    # ternary terms, and the levels below and at the pair level
+    if wrap:
+        term = MapApply("shift", translation(F(7, 2)), term)
+    verdict = is_canonical_symbolic(term, structure, k_max)
+    oracle = is_canonical_every_k(term, structure, k_max)
+    assert verdict.canonical == oracle.canonical
+    assert verdict.checked_up_to == oracle.checked_up_to
+    assert verdict.counterexample == oracle.counterexample
+
+
 def test_outer_map_chains_do_not_change_the_verdict():
     shift = translation(F(7, 2))
     wrapped = MapApply("shift", shift, Lex(Coord(1), Coord(2)))
@@ -454,6 +475,46 @@ def test_a_kept_family_still_answers_to_the_pattern_cap():
         74,
     )
     assert is_canonical_symbolic(term, DLO, caps=Caps(pattern_cap=75)).canonical
+
+
+def _count_evaluations(monkeypatch):
+    """The list of points that `canonical` evaluates a term at."""
+    points = []
+    evaluate = canonical.eval_term
+
+    def counted(term, args):
+        points.append(args)
+        return evaluate(term, args)
+
+    monkeypatch.setattr(canonical, "eval_term", counted)
+    return points
+
+
+@pytest.mark.parametrize("structure", [DLO, PURE_SET], ids=["dlo", "pureset"])
+def test_a_binary_check_evaluates_each_grid_point_once(monkeypatch, structure):
+    points = _count_evaluations(monkeypatch)
+    term = Lex(Coord(1), Lex(Coord(2), Coord(1)))
+    assert is_canonical_symbolic(term, structure).canonical
+    # the grid range(4)^2, where 75 joint patterns have 150 columns
+    assert len(points) <= 16
+    assert len(set(points)) == len(points)
+
+
+def test_below_the_pair_level_nothing_is_evaluated(monkeypatch):
+    points = _count_evaluations(monkeypatch)
+    term = Min((Coord(1), Coord(2)))
+    verdict = is_canonical_symbolic(term, DLO, k_max=1)
+    assert (verdict.canonical, verdict.checked_up_to) == (True, 1)
+    assert points == []
+    # 3 weak orders of 2 points: the family-size guard still runs
+    with pytest.raises(CapExceeded) as err:
+        is_canonical_symbolic(term, DLO, k_max=1, caps=Caps(pattern_cap=2))
+    assert (err.value.what, err.value.needed, err.value.cap) == (
+        "joint pattern family size",
+        3,
+        2,
+    )
+    assert points == []
 
 
 # -- type tables ---------------------------------------------------------------

@@ -150,6 +150,36 @@ def test_huge_sizes_are_refused_without_computing_them(files, capsys, command, o
     assert err == f"cap exceeded: {message}\n"
 
 
+HUGE_EQS = "sig f 2\neq f(x1,x10000000000) = x1\n"
+
+
+@pytest.mark.parametrize(
+    "command, ops, extra, base",
+    [
+        ("sat", MIN_OPS, [], 2),
+        ("sat-mod", MIN_OPS, [], 2),
+        # the type clone of lex over dlo has the 3 level-2 types as points
+        ("lift", LEX_OPS, ["dlo", "--assign", "f=lex"], 3),
+    ],
+    ids=["sat", "sat-mod", "lift"],
+)
+def test_a_huge_variable_index_is_refused_without_its_row_space(
+    files, capsys, command, ops, extra, base
+):
+    # x10000000000 makes the equations' row space base^10000000000; the
+    # power itself ran until memory was exhausted
+    eqs, ops = files("huge.eqs", HUGE_EQS), files("f.ops", ops)
+    argv = [ops, eqs, *extra] if command == "lift" else [eqs, ops]
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == (
+        f"cap exceeded: equation row space needs {base}^10000000000, cap is 1000000\n"
+    )
+
+
 def test_canonical_kmax_four_is_decided_on_pairs(files, capsys):
     # the same text the every-k check printed after a minute
     path = files("mixed.ops", LEX_OPS + "op mn 2\nterm min(x1, x2)\n")

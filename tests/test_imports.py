@@ -291,6 +291,18 @@ def test_only_generation_builds_unchecked_tables():
     assert users == {"clones._generate_arity"}
 
 
+def test_canonicity_evaluates_terms_only_in_the_rank_table():
+    # a check reads a term once, on its grid; an evaluation per pattern
+    # or per column elsewhere in `canonical` would bring that cost back
+    path = PACKAGE / "canonical.py"
+    owners = {
+        owner
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id == "eval_term"
+    }
+    assert owners == {"_rank_table"}
+
+
 def test_one_gate_builds_every_type_table():
     # `type_image` and `xi_infty` both go through one builder, so neither
     # can check canonicity at a level of its own

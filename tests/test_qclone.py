@@ -629,6 +629,22 @@ def test_uniqueness_needs_parameters():
         uniqueness_witnesses(comp)
 
 
+def test_uniqueness_refuses_a_huge_grid_before_building_witnesses():
+    # 10^(10^10) grid points: neither the power nor the 10^10 witnesses
+    # are built before the cap refuses
+    f = make_member(10**10, 1, F(0), identity(), {})
+    with pytest.raises(CapExceeded) as err:
+        uniqueness_witnesses(f)
+    assert (err.value.what, err.value.needed, err.value.cap) == (
+        "verification grid size",
+        None,
+        1_000_000,
+    )
+    assert str(err.value) == (
+        "verification grid size needs 10^10000000000, cap is 1000000"
+    )
+
+
 def test_qclone_checks_refuse_vacuous_sizes():
     f = plain_member()
     for side in (0, -3):

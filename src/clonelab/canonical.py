@@ -83,12 +83,12 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Iterable, Sequence
 
-from .clones import Table, gather, selector
+from .clones import Table, gather, guard_arity, selector
 from .config import Caps, DEFAULT_CAPS, guard_power
 from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
     OrderTerm,
-    eval_term,
+    compile_term,
     rank,
     require_pattern_determined,
     term_arity,
@@ -189,8 +189,7 @@ def _rank_table(term: OrderTerm, side: int, n: int) -> tuple[int, ...]:
     by its rank among the grid's values.  Ranking is an order isomorphism
     of a finite value set, so ranks have the patterns of the values; the
     table is read like a table's outputs, by `gather`."""
-    grid = itertools.product(range(side), repeat=n)
-    keys = [eval_term(term, point) for point in grid]
+    keys = list(map(compile_term(term), itertools.product(range(side), repeat=n)))
     ranks = rank(keys)
     return tuple(map(ranks.__getitem__, keys))
 
@@ -268,6 +267,7 @@ def is_canonical_finite(
     Otherwise the exhaustive check finds the least splitting k up to
     `k_max` and its first counterexample, or answers canonical."""
     _require_matching(table, structure)
+    guard_arity(table, caps)
     k_max = default_k_max(structure) if k_max is None else k_max
     if _moves_are_undone(table, structure):
         return CanonicalVerdict(True, k_max)

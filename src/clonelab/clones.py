@@ -33,7 +33,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .config import Caps, DEFAULT_CAPS
+from .config import Caps, DEFAULT_CAPS, guard
 from .errors import CapExceeded, InconsistentData
 from .terms import App, Term, Var
 
@@ -101,13 +101,23 @@ def gather(
 
 
 def selector(size: int, arity: int, index: int) -> Table:
-    """The arity-ary selector of the index-th coordinate (1-based)."""
+    """The arity-ary selector of the index-th coordinate (1-based).  In
+    row-major order each value fills a block of size^(arity-index) rows,
+    and the run of blocks repeats size^(index-1) times, so no row is
+    built as an argument tuple."""
     if not 1 <= index <= arity:
         raise InconsistentData(f"selector index {index} out of range for arity {arity}")
-    outputs = []
-    for args in itertools.product(range(size), repeat=arity):
-        outputs.append(args[index - 1])
-    return Table(size, arity, tuple(outputs))
+    block = size ** (arity - index)
+    outputs = tuple(v for v in range(size) for _ in range(block)) * size ** (index - 1)
+    return Table(size, arity, outputs)
+
+
+def guard_arity(table: Table, caps: Caps) -> None:
+    """Refuse a table whose arity is over `tuple_cap`, before any work
+    linear in its arity.  A table on one point has one output whatever
+    its arity, so its outputs do not bound the argument tuples and
+    argument columns that reading it builds."""
+    guard(table.arity, caps.tuple_cap, "argument tuple length")
 
 
 @dataclass(frozen=True)
@@ -171,6 +181,7 @@ def generate(
         names.add(name)
         if table.size != base_size:
             raise InconsistentData(f"generator {name!r} has base size {table.size}")
+        guard_arity(table, caps)
     catalogs: dict[int, tuple[CatalogEntry, ...]] = {}
     collisions: dict[int, tuple[tuple[Term, Term], ...]] = {}
     saturated: dict[int, bool] = {}

@@ -20,9 +20,10 @@ class Caps:
                      by `guard` or `guard_power` as "tuple space size",
                      "argument space size", "type table size", "equation
                      row space", "assignment search space", "argument
-                     matrix width" and "verification grid size", and
+                     matrix width" and "verification grid size",
                      largest number of unordered pairs compared, as
-                     "consistency pairs"
+                     "consistency pairs", and largest arity of a table
+                     read, as "argument tuple length"
     k_cap          : largest tuple length for type spaces
     arity_cap      : largest operation arity kept in clone catalogs
     depth_cap      : composition depth for clone generation

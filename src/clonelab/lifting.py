@@ -14,14 +14,17 @@ the generator bodies into the assigned catalog terms, producing one
 order term per symbol; a generator is read one way, by
 ``_generator_reading``, for a forced assignment and in
 ``analyze_transfer`` alike.  ``lift`` then walks the chain of argument
-sets ``A_j = {0, ..., j}`` of ints, evaluates both sides of every equation
-on all argument columns into the sort keys of their values, and ranks
-all keys of the stage once into integers in key order.  Patterns, codes
-and the column check work on those ranks; each equation gets a pair of
-order-preserving maps, exact `Fraction` maps interpolated through its
-ranks, whose composites agree exactly, column by column.  A stage at
-which no such pair exists is a genuine obstruction and is reported as
-an :class:`~clonelab.errors.EqualizerFailure` rather than papered over.
+sets ``A_j = {0, ..., j}`` of ints.  It compiles both sides of every
+equation once and evaluates each argument column once per lift, at the
+first stage that contains it, into the sort keys of its values; a stage
+ranks all its keys into integers in key order by merging its new keys
+into the previous stage's order.  Patterns, codes and the column check
+work on those ranks; each equation gets a pair of order-preserving
+maps, exact maps interpolated through its ranks, whose composites agree
+exactly, column by column, as the check confirms in integers.  A stage
+at which no such pair exists is a genuine obstruction and is reported
+as an :class:`~clonelab.errors.EqualizerFailure` rather than papered
+over, before any column of a later stage is evaluated.
 
 No other choice of stage points could answer differently.  Both
 structures are homogeneous, so any j+1 distinct rationals are an
@@ -55,7 +58,7 @@ from .equations import (
     satisfiable_in_projections,
 )
 from .errors import EqualizerFailure, InconsistentData, UnsatisfiableSystem
-from .orderterms import Coord, OrderTerm, eval_term, rank, substitute
+from .orderterms import Coord, OrderTerm, compile_term, substitute
 from .plmap import PLMap, _exact, from_point_pairs
 from .structures import DLO, StructureKind, SymbolicStructure, pattern_of
 from .terms import App, Term, Var, fold
@@ -125,7 +128,7 @@ def enumerate_argument_matrix(
     ``n = 2`` the rows are ``(0,0,1,1)`` and ``(0,1,0,1)``.  The points
     are kept as given, ints or `Fraction`s.  `lift` builds its own
     columns; this matrix, capped at the default ``tuple_cap``, serves
-    the benchmark's replay of a lift and the test oracles.
+    the benchmark's replay of a lift and the tests.
     """
     pts = tuple(points)
     if not pts:
@@ -350,15 +353,21 @@ def lift(
 ) -> tuple[WitnessTuple, ...]:
     """Equalizing maps for every stage ``A_0, ..., A_stages``.
 
-    Per stage, both sides of every equation are evaluated on all int
-    argument columns into sort keys, all keys of the stage are ranked
-    once into integers in key order, and each equation receives a pair
-    of exact maps agreeing on the common pattern codes of its
-    ranks.  The resulting equalities are verified exactly, once per
-    distinct pair of ranks, before the stage is returned.  A missing
-    equalizer raises :class:`~clonelab.errors.EqualizerFailure` naming
-    the stage, the equation, and a column pair the two sides order
-    differently.
+    Both sides of every equation are compiled once, and each argument
+    column is evaluated once per lift, into the sort keys of its values,
+    at the first stage that contains it: the argument sets are nested,
+    so a stage's columns are the previous stage's plus those that use
+    its new point.  Each distinct key is hashed once, when it is
+    numbered.  A stage merges its new key numbers into the previous
+    stage's key order, so every key of the stage is ranked into an
+    integer in key order without hashing it again.  Each equation
+    receives a pair of exact maps agreeing on the common pattern codes
+    of its ranks.  The resulting equalities are verified exactly, in
+    integers, once per distinct pair of ranks, before the stage is
+    returned.  A missing equalizer raises
+    :class:`~clonelab.errors.EqualizerFailure` naming the stage, the
+    equation, and a column pair the two sides order differently, before
+    any column of a later stage is evaluated.
     """
     if stages < 0:
         raise InconsistentData("need at least stage 0")
@@ -367,24 +376,37 @@ def lift(
     bodies = dict(instance.order_terms)
     n = instance.system.ambient_arity
     sides = [
-        (_as_order_term(eq.lhs, bodies), _as_order_term(eq.rhs, bodies))
+        compile_term(_as_order_term(side, bodies))
         for eq in instance.system.equations
+        for side in (eq.lhs, eq.rhs)
     ]
+    # every column evaluated so far, and every distinct key, numbered in
+    # the order first met; per side, the key number of each column
+    position: dict[tuple[int, ...], int] = {}
+    interned: dict[tuple, int] = {}
+    ids_of: list[list[int]] = [[] for _ in sides]
+    ordered: list[int] = []  # every key number so far, in key order
     out = []
     for j in range(stages + 1):
         pts = instance.universe(j)
         guard_power(len(pts), n, caps.tuple_cap, "argument matrix width")
-        args = list(itertools.product(pts, repeat=n))
-        columns = len(args)
-        evaluations = [
-            ([eval_term(lt, a) for a in args], [eval_term(rt, a) for a in args])
-            for lt, rt in sides
+        seen, known = len(position), len(interned)
+        columns = [
+            position.setdefault(args, len(position))
+            for args in itertools.product(pts, repeat=n)
         ]
-        ranks = rank(v for lv, rv in evaluations for v in lv + rv)
+        new = list(position)[seen:]
+        for evaluate, ids in zip(sides, ids_of):
+            ids.extend(interned.setdefault(key, len(interned)) for key in map(evaluate, new))
+        # the old numbers are one sorted run, so the sort merges the new ones in
+        ordered += range(known, len(interned))
+        ordered.sort(key=list(interned).__getitem__)
+        rank_of = [0] * len(ordered)
+        for r, i in enumerate(ordered):
+            rank_of[i] = r
+        ranked = [[rank_of[ids[c]] for c in columns] for ids in ids_of]
         pairs = []
-        for eq, (lv, rv) in zip(instance.system.equations, evaluations):
-            left = [ranks[v] for v in lv]
-            right = [ranks[v] for v in rv]
+        for eq, left, right in zip(instance.system.equations, ranked[::2], ranked[1::2]):
             found = find_equalizers(left, right, instance.structure)
             if found is None:
                 c1, c2 = _mismatched_columns(left, right, instance.structure)
@@ -395,18 +417,28 @@ def lift(
                     j=j,
                     equation=str(eq),
                 )
-            w_l, w_r = found
-            first_column: dict[tuple[int, int], int] = {}
-            for c, ranked in enumerate(zip(left, right)):
-                first_column.setdefault(ranked, c)
-            for (a, b), c in first_column.items():
-                if w_l.apply(a) != w_r.apply(b):
-                    raise InconsistentData(
-                        f"equalizer pair for {eq} fails on column {c}"
-                    )
-            pairs.append((w_l, w_r))
-        out.append(WitnessTuple(universe=pts, pairs=tuple(pairs), columns=columns))
+            c = _unequalized_column(*found, left, right)
+            if c is not None:
+                raise InconsistentData(f"equalizer pair for {eq} fails on column {c}")
+            pairs.append(found)
+        out.append(WitnessTuple(universe=pts, pairs=tuple(pairs), columns=len(columns)))
     return tuple(out)
+
+
+def _unequalized_column(
+    w_l: Witness, w_r: Witness, left: Sequence[int], right: Sequence[int]
+) -> int | None:
+    """The first column whose ranks the pair does not map to one value,
+    or None; each distinct pair of ranks is checked once, and increasing
+    maps are compared in integers, as `PLMap.ratio` pairs."""
+    if isinstance(w_l, PLMap):
+        image_l, image_r = (lambda x: w_l.ratio(x, 1)), (lambda x: w_r.ratio(x, 1))
+    else:
+        image_l, image_r = w_l.apply, w_r.apply
+    for a, b in dict.fromkeys(zip(left, right)):
+        if image_l(a) != image_r(b):
+            return list(zip(left, right)).index((a, b))
+    return None
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,11 @@ tails), chains of equal depth compare by their tails, innermost first,
 and a smaller base wins over any depth.  Any finite set of comparisons
 made this way is realized by an honest order-embedding of Q^2 into Q
 (extend the finitely many constraints by back-and-forth), and increasing
-maps act on lex(u, v) by acting on u, hence on the base.  Arguments may
-be ints or `Fraction`s, which compare and hash alike; ints are faster.
+maps act on lex(u, v) by acting on u, hence on the base.  A term is
+compiled once (`compile_term`) into a function of its argument tuple,
+so evaluating it at many points walks no term tree; `eval_term` is the
+compiled term applied once.  Arguments may be ints or `Fraction`s, which
+compare and hash alike; ints are faster.
 Whole evaluation sets are ranked in key order into integers (`rank`) or
 rationals (`materialize`), so downstream consumers see ordinary exact
 numbers whose order agrees with the value order.  The value algebra of
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import InconsistentData, ParseError, UnsupportedTerm
 from .plmap import PLMap
@@ -118,20 +121,43 @@ def term_arity(term: OrderTerm) -> int:
     return term_arity(term.arg)  # type: ignore[union-attr]
 
 
-def eval_term(term: OrderTerm, args: Sequence[Fraction]) -> tuple:
-    """The sort key of the term's value at the rational arguments `args`
-    (module docstring)."""
+def compile_term(term: OrderTerm) -> Callable[[Sequence[Fraction]], tuple]:
+    """The term as a function from its argument tuple to the sort key of
+    its value (module docstring), built once, so that evaluating it at
+    many points walks no term tree."""
     if isinstance(term, Coord):
-        return (args[term.index - 1], 0)
-    if isinstance(term, Min):
-        return min(eval_term(t, args) for t in term.items)
-    if isinstance(term, Max):
-        return max(eval_term(t, args) for t in term.items)
+        i = term.index - 1
+        return lambda args: (args[i], 0)
+    if isinstance(term, (Min, Max)):
+        pick = min if isinstance(term, Min) else max
+        items = tuple(compile_term(t) for t in term.items)
+        return lambda args: pick([item(args) for item in items])
     if isinstance(term, Lex):
-        head = eval_term(term.head, args)
-        return (head[0], head[1] + 1, *head[2:], eval_term(term.tail, args))
-    key = eval_term(term.arg, args)
-    return (term.map.apply(key[0]), *key[1:])
+        tail = compile_term(term.tail)
+        if isinstance(term.head, Coord):
+            # the common case, a coordinate head, builds one tuple
+            i = term.head.index - 1
+            return lambda args: (args[i], 1, tail(args))
+        head = compile_term(term.head)
+
+        def lex(args):
+            key = head(args)
+            return (key[0], key[1] + 1, *key[2:], tail(args))
+
+        return lex
+    inner, apply = compile_term(term.arg), term.map.apply
+
+    def mapped(args):
+        key = inner(args)
+        return (apply(key[0]), *key[1:])
+
+    return mapped
+
+
+def eval_term(term: OrderTerm, args: Sequence[Fraction]) -> tuple:
+    """The sort key of the term's value at the rational arguments `args`:
+    the compiled term applied once."""
+    return compile_term(term)(args)
 
 
 def eval_rational(term: OrderTerm, point: Sequence[Fraction]) -> tuple:

@@ -43,22 +43,29 @@ class Piece:
     mat: Mat
 
     def __post_init__(self):
-        vals = [_exact(v) for v in self.mat]
-        scale = lcm(*(v.denominator for v in vals))
-        a, b, c, d = (v.numerator * (scale // v.denominator) for v in vals)
+        a, b, c, d = self.mat
+        if not type(a) is type(b) is type(c) is type(d) is int:
+            vals = [_exact(v) for v in self.mat]
+            scale = lcm(*(v.denominator for v in vals))
+            a, b, c, d = (v.numerator * (scale // v.denominator) for v in vals)
         if c == d == 0:
             raise InconsistentData("degenerate piece matrix: c = d = 0")
         g = gcd(a, b, c, d)
         if c < 0 or c == 0 and d < 0:
             g = -g
         object.__setattr__(self, "mat", (a // g, b // g, c // g, d // g))
-        if self.lo is not None:
-            object.__setattr__(self, "lo", Fraction(_exact(self.lo)))
-        if self.hi is not None:
-            object.__setattr__(self, "hi", Fraction(_exact(self.hi)))
+        lo, hi = self.lo, self.hi
+        if lo is not None and type(lo) is not Fraction:
+            lo = Fraction(_exact(lo))
+            object.__setattr__(self, "lo", lo)
+        if hi is not None and type(hi) is not Fraction:
+            hi = Fraction(_exact(hi))
+            object.__setattr__(self, "hi", hi)
         if a * d - b * c <= 0:
             raise InconsistentData("piece matrix must have positive determinant")
-        if self.lo is not None and self.hi is not None and not self.lo < self.hi:
+        if lo is not None and hi is not None and (
+            hi.numerator * lo.denominator <= lo.numerator * hi.denominator
+        ):
             raise InconsistentData("piece interval is empty")
         if c != 0:
             pole = Fraction(-d, c)
@@ -108,9 +115,10 @@ class Piece:
 
 @dataclass(frozen=True)
 class PLMap:
-    """The map made of ``pieces``; construction stores their breakpoints
-    as numerator/denominator pairs for the piece lookup, outside the
-    fields that equality compares."""
+    """The map made of ``pieces``; construction checks that adjacent
+    pieces meet, comparing their values at each breakpoint as `ratio`
+    pairs, and stores the breakpoints as numerator/denominator pairs for
+    the piece lookup, outside the fields that equality compares."""
 
     pieces: tuple[Piece, ...]
 
@@ -120,17 +128,18 @@ class PLMap:
             raise InconsistentData("a PLMap needs at least one piece")
         if ps[0].lo is not None or ps[-1].hi is not None:
             raise InconsistentData("pieces must cover the whole line")
+        breaks = []
         for left, right in zip(ps, ps[1:]):
             if left.hi is None or right.lo is None or left.hi != right.lo:
                 raise InconsistentData("pieces must be adjacent")
-            if left.value(left.hi) != right.value(right.lo):
+            point = left.hi.numerator, left.hi.denominator
+            if left.ratio(*point) != right.ratio(*point):
                 raise InconsistentData(
                     f"pieces disagree at breakpoint {left.hi}: "
                     f"{left.value(left.hi)} vs {right.value(right.lo)}"
                 )
-        object.__setattr__(
-            self, "_breaks", tuple((p.hi.numerator, p.hi.denominator) for p in ps[:-1])
-        )
+            breaks.append(point)
+        object.__setattr__(self, "_breaks", tuple(breaks))
 
     # -- evaluation ----------------------------------------------------
 
@@ -278,7 +287,13 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
     (dy, ya*dx - dy*xa, 0, dx) from its first two points, without a
     division.
     """
-    cleaned = sorted(set((_exact(x), _exact(y)) for x, y in pairs))
+    distinct = set()
+    for x, y in pairs:
+        if not type(x) is type(y) is int:  # ints pass the gate without a call
+            _exact(x)
+            _exact(y)
+        distinct.add((x, y))
+    cleaned = sorted(distinct)
     for (x1, y1), (x2, y2) in zip(cleaned, cleaned[1:]):
         if x1 == x2:
             raise InconsistentData(f"point {x1} maps to both {y1} and {y2}")

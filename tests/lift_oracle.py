@@ -1,15 +1,18 @@
 """The lift stage loop the slow way, the test oracle for `lifting.lift`.
 
-`lift_stages` is the stage loop as first written: every column is
-evaluated into a tree of pairs by `pair_oracle.eval_pair`, which
-converts each argument to a `Fraction`; the values of a stage are ranked
-to `Fraction`s by a sort that compares them with `compare_values`;
-`find_equalizers` builds one `Piece` per segment of each map and merges
-the collinear ones with `plmap._merge`; and every column is checked on
-its own.  The library evaluates int points into sort keys, ranks them
-into integers in key order, builds only the pieces it keeps and checks
-each distinct pair of ranks once; both must give the same witnesses and
-the same failures.
+`lift_stages` is the stage loop as first written: every stage builds
+all its columns with `itertools.product` and evaluates each of them
+into a tree of pairs by `pair_oracle.eval_pair`, which converts each
+argument to a `Fraction`; the values of a stage are ranked to
+`Fraction`s by a sort that compares them with `compare_values`; the
+pattern codes are counted here from their definition; `find_equalizers`
+builds one `Piece` per segment of each map and merges the collinear
+ones with `plmap._merge`; and every column is checked on its own, in
+`Fraction`s.  The library compiles each side once, evaluates each
+column once per lift into sort keys, ranks them into integers by
+merging each stage's new keys into the last stage's order, builds only
+the pieces it keeps and checks each distinct pair of ranks once in
+integers; both must give the same witnesses and the same failures.
 """
 
 from __future__ import annotations
@@ -19,20 +22,24 @@ from fractions import Fraction
 from typing import Sequence
 
 from clonelab.errors import EqualizerFailure, InconsistentData
-from clonelab.lifting import (
-    LiftInstance,
-    PointInjection,
-    WitnessTuple,
-    enumerate_argument_matrix,
-)
+from clonelab.lifting import LiftInstance, PointInjection, WitnessTuple
 from clonelab.orderterms import Coord, substitute
 from clonelab.plmap import PLMap, Piece, _merge, identity
-from clonelab.structures import StructureKind, SymbolicStructure, pattern_of
+from clonelab.structures import StructureKind, SymbolicStructure
 from clonelab.terms import fold
 from pair_oracle import eval_pair, materialize
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def pattern_of(structure: SymbolicStructure, values) -> tuple[int, ...]:
+    """Each value's code: over the order, the number of distinct values
+    below it; over the bare set, the number of distinct values seen
+    before its first occurrence."""
+    if structure.kind is StructureKind.DLO:
+        return tuple(len({w for w in values if w < v}) for v in values)
+    return tuple(len(set(values[: values.index(v)])) for v in values)
 
 
 def from_point_pairs(pairs) -> PLMap:
@@ -103,7 +110,7 @@ def lift_stages(instance: LiftInstance, stages: int) -> tuple[WitnessTuple, ...]
     out = []
     for j in range(stages + 1):
         pts = instance.universe(j)
-        args = list(zip(*enumerate_argument_matrix(pts, n)))
+        args = list(itertools.product(pts, repeat=n))
         columns = len(args)
         evaluations = [
             ([eval_pair(lt, a) for a in args], [eval_pair(rt, a) for a in args])

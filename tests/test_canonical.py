@@ -480,13 +480,18 @@ def test_a_kept_family_still_answers_to_the_pattern_cap():
 def _count_evaluations(monkeypatch):
     """The list of points that `canonical` evaluates a term at."""
     points = []
-    evaluate = canonical.eval_term
+    compile_term = canonical.compile_term
 
-    def counted(term, args):
-        points.append(args)
-        return evaluate(term, args)
+    def counted(term):
+        evaluate = compile_term(term)
 
-    monkeypatch.setattr(canonical, "eval_term", counted)
+        def recorded(args):
+            points.append(args)
+            return evaluate(args)
+
+        return recorded
+
+    monkeypatch.setattr(canonical, "compile_term", counted)
     return points
 
 

@@ -180,6 +180,30 @@ def test_a_huge_variable_index_is_refused_without_its_row_space(
     )
 
 
+ONE_POINT_OPS = "op f 10000000000\ntable 0\n"
+COMMUTATIVE_EQS = "sig f 2\neq f(x1,x2) = f(x2,x1)\n"
+
+
+@pytest.mark.parametrize("command", ["canonical", "type-image", "proj-hom", "sat", "sat-mod"])
+def test_a_one_point_table_of_huge_arity_is_refused(files, capsys, command):
+    # one output fits every arity on one point; the selectors built each
+    # row as a tuple of 10^10 points, and generation 10^10 columns, until
+    # memory ran out
+    ops = files("onepoint.ops", ONE_POINT_OPS)
+    if command in ("canonical", "type-image"):
+        argv = [ops, files("one.struct", "domain 1\n")]
+    elif command == "proj-hom":
+        argv = [ops]
+    else:
+        argv = [files("comm.eqs", COMMUTATIVE_EQS), ops]
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == "cap exceeded: argument tuple length needs 10000000000, cap is 1000000\n"
+
+
 def test_canonical_kmax_four_is_decided_on_pairs(files, capsys):
     # the same text the every-k check printed after a minute
     path = files("mixed.ops", LEX_OPS + "op mn 2\nterm min(x1, x2)\n")

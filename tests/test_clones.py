@@ -34,10 +34,10 @@ MAX2 = table_from(max, 2, 2)
 
 
 def test_selector_laws():
-    for arity in (1, 2, 3):
+    for size, arity in itertools.product((1, 2, 3), (1, 2, 3)):
         for i in range(1, arity + 1):
-            sel = selector(3, arity, i)
-            for args in itertools.product(range(3), repeat=arity):
+            sel = selector(size, arity, i)
+            for args in itertools.product(range(size), repeat=arity):
                 assert sel.apply(args) == args[i - 1]
 
 

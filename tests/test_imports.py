@@ -212,7 +212,7 @@ def test_oracles_do_not_evaluate_through_the_library():
     # checks the library against itself, and so does one that closes its
     # reference clone with `clones.generate`; `factor_oracle` only reads
     # the clones it is handed, so it may generate them
-    banned = {"eval_term", "eval_rational", "rank", "materialize"}
+    banned = {"eval_term", "compile_term", "eval_rational", "rank", "materialize"}
     generating = {"generate", "_generate_arity"}
     found = []
     holders = []
@@ -291,16 +291,26 @@ def test_only_generation_builds_unchecked_tables():
     assert users == {"clones._generate_arity"}
 
 
+def _evaluating_owners(module):
+    """The top-level definitions of a module that name an evaluator."""
+    path = PACKAGE / f"{module}.py"
+    return {
+        owner
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Name) and node.id in ("eval_term", "compile_term")
+    }
+
+
 def test_canonicity_evaluates_terms_only_in_the_rank_table():
     # a check reads a term once, on its grid; an evaluation per pattern
     # or per column elsewhere in `canonical` would bring that cost back
-    path = PACKAGE / "canonical.py"
-    owners = {
-        owner
-        for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path)))
-        if isinstance(node, ast.Name) and node.id == "eval_term"
-    }
-    assert owners == {"_rank_table"}
+    assert _evaluating_owners("canonical") == {"_rank_table"}
+
+
+def test_a_lift_evaluates_terms_only_in_its_stage_loop():
+    # `lift` compiles each side once and evaluates each column once; an
+    # evaluation anywhere else in `lifting` would evaluate a column again
+    assert _evaluating_owners("lifting") == {"lift"}
 
 
 def test_one_gate_builds_every_type_table():

@@ -16,6 +16,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from clonelab import lifting
 from clonelab.canonical import Operation
 from clonelab.clones import Table, generate
 from clonelab.config import Caps
@@ -50,6 +51,7 @@ from clonelab.orderterms import (
     MapApply,
     Max,
     Min,
+    compile_term,
     eval_rational,
     materialize,
     parse_order_term,
@@ -265,6 +267,49 @@ def test_commutativity_fails_at_the_two_point_stage():
     assert err.value.j == 1
     assert err.value.equation == "f(x1,x2) = f(x2,x1)"
     assert "stage 1" in str(err.value)
+
+
+def _recording_evaluators(monkeypatch):
+    """Make `lift` compile each side into an evaluator that records the
+    argument columns it is called at; one list per side, in order."""
+    calls = []
+
+    def recording(term):
+        evaluate, seen = compile_term(term), []
+        calls.append(seen)
+
+        def recorded(args):
+            seen.append(args)
+            return evaluate(args)
+
+        return recorded
+
+    monkeypatch.setattr(lifting, "compile_term", recording)
+    return calls
+
+
+def test_a_lift_evaluates_each_column_once(monkeypatch):
+    # stages 0 to 3 have 1 + 8 + 27 + 64 = 100 columns, 64 of them distinct
+    op = Operation("f", 2, Lex(Coord(2), Coord(1)))
+    instance = build_instance(DLO, [op], associativity(), caps=SMALL, assign={"f": "f"})
+    calls = _recording_evaluators(monkeypatch)
+    witnesses = lift(instance, 3, caps=SMALL)
+    assert sum(w.columns for w in witnesses) == 100
+    assert [len(seen) for seen in calls] == [64, 64]
+    assert all(len(set(seen)) == 64 for seen in calls)
+
+
+def test_a_failed_stage_evaluates_no_column_of_the_next(monkeypatch):
+    instance = build_instance(
+        DLO, [lex_op()], commutativity(), caps=SMALL, assign={"f": "lex"},
+        recheck=False,
+    )
+    calls = _recording_evaluators(monkeypatch)
+    with pytest.raises(EqualizerFailure) as err:
+        lift(instance, 3, caps=SMALL, recheck=False)
+    assert err.value.j == 1
+    # stage 1 has the four columns over {0, 1}; every column of stage 2 holds a 2
+    assert [sorted(seen) for seen in calls] == [list(itertools.product((0, 1), repeat=2))] * 2
 
 
 def test_a_failed_stage_renders_with_its_stage_named_once():

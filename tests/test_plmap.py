@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from clonelab import plmap
 from clonelab.errors import InconsistentData, ParseError
@@ -184,6 +184,51 @@ def test_from_point_pairs_refuses_what_the_merged_segments_refuse(pairs):
         assert str(err.value) == str(exc)
     else:
         assert from_point_pairs(pairs) == expected
+
+
+@st.composite
+def increasing_point_sets(draw):
+    """Strictly increasing pairs, all ints or all `Fraction`s."""
+    values = st.integers(-30, 30) if draw(st.booleans()) else rationals
+    xs = sorted(draw(st.sets(values, max_size=8)))
+    ys = sorted(draw(st.sets(values, min_size=len(xs), max_size=len(xs))))
+    return list(zip(xs, ys))
+
+
+@given(increasing_point_sets())
+def test_an_interpolation_reads_in_integers_as_in_fractions(pairs):
+    m = from_point_pairs(pairs)
+    expected = lift_oracle.from_point_pairs(pairs)
+    assert m == expected and repr(m) == repr(expected)
+    for x, y in pairs:
+        assert m.ratio(x.numerator, x.denominator) == (y.numerator, y.denominator)
+    for x in [*(x for x, _ in pairs), *m.breakpoints()]:
+        value = map_value(m, F(x))
+        assert m.ratio(x.numerator, x.denominator) == (value.numerator, value.denominator)
+        assert m.apply(x) == value
+        if type(x) is int:
+            assert m.ratio(x, 1) == (value.numerator, value.denominator)
+
+
+@given(st.integers(-20, 20), st.integers(1, 5), st.integers(-5, 5), st.booleans())
+def test_a_jump_at_a_breakpoint_is_refused_in_integers(b, slope, jump, fractions):
+    # the right piece starts at b + jump where the left one ends at b
+    cast = F if fractions else int
+    left = Piece(None, cast(b), (cast(1), cast(0), cast(0), cast(1)))
+    right = Piece(cast(b), None, (cast(slope), cast((1 - slope) * b + jump), cast(0), cast(1)))
+    if jump:
+        with pytest.raises(InconsistentData, match=f"disagree at breakpoint {b}: {b} vs {b + jump}"):
+            PLMap((left, right))
+    else:
+        assert PLMap((left, right)).apply(b) == b
+
+
+@given(st.tuples(*[st.integers(-9, 9)] * 4))
+def test_an_int_matrix_without_positive_determinant_is_refused(mat):
+    a, b, c, d = mat
+    assume(a * d - b * c <= 0)
+    with pytest.raises(InconsistentData):
+        Piece(None, None, mat)
 
 
 def test_from_point_pairs_builds_only_the_pieces_it_keeps(monkeypatch):

@@ -29,20 +29,12 @@ generator in `FiniteStructure.generators` and coordinate, one gather of
 the table and one search for an automorphism extending the induced map
 on im(f).  The group is never listed.
 
-When that test fails, and over a symbolic structure always, one loop
-decides: it runs through argument lists (one k-tuple per argument), each
-with its per-argument types and the type of its column images, groups
-them by the former, and reports the first two lists of one group whose
-images differ in type.  The kinds differ in what is enumerated, at which
-k and how the images are typed.  Over a finite structure it is every
-argument list over the domain, typed by orbits, for each k up to
-`k_max`, which finds the least level that splits: finite structures are
-not homogeneous in general; the images are gathered from the table and
-typed by orbits.  Over a symbolic structure it is every joint order
-pattern of the n*k argument entries, realized by its integer ranks and
-typed by patterns; this is exact precisely because the order-term basis
-is pattern-determined, so inner applications of named maps are rejected
-(see `orderterms.require_pattern_determined`).
+When that test fails, an exhaustive loop decides: for each k up to
+`k_max` it runs through every argument list over the domain (one k-tuple
+per argument), groups the lists by their per-argument orbits, and
+reports the first two lists of one group whose images differ in orbit.
+That finds the least level that splits: finite structures are not
+homogeneous in general.
 
 Over the symbolic structures one level decides every k: the pair level
 `PAIR_LEVEL` = 2.  `dlo` and `pureset` are homogeneous in a binary
@@ -56,24 +48,42 @@ Pinsker, *Canonical functions: a proof via topological dynamics*;
 Bodirsky, *Complexity of Infinite-Domain Constraint Satisfaction*,
 2021).  A 1-tuple has a single type over either structure, so level 1
 never splits, and the first split at any k <= `k_max` is the first
-split at min(`k_max`, 2).  The every-k loop survives as the test oracle
-for this lemma (`tests/canonical_oracle.py`).
+split at min(`k_max`, 2).  The every-k loop over joint order patterns
+survives as the test oracle for this lemma (`tests/canonical_oracle.py`).
 
-The symbolic check's argument lists, their per-argument types and the
-places of their columns in the grid range(n*k)^n depend only on the
-structure kind, the arity n and k, never on the term.  So
-`_joint_family` builds them once per process.  Only families of at most
-`RETAINED_FAMILY_SIZE` = 4,683 joint patterns are kept: n*k <= 6, every
-term of arity at most 3 at k = 2.  The next family, 545,835 patterns
-for a 4-ary term, would keep hundreds of megabytes for the rest of the
-process, so it is built per check and dropped, as before.  The
-`pattern_cap` guard runs on every check, kept family or not.  A check
-reads the term once: it evaluates the term at each of the (2n)^n grid
-points (16 for a binary term, where the family has 150 columns) and
-ranks the values into an integer table.  Ranking is an order
-isomorphism of a finite value set, so an image pair has the type of its
-two ranks, which one comparison decides: their sign over `dlo`, their
-equality over `pureset`.
+At the pair level a term is decided as a table is, by moving one
+coordinate at a time.  The type of an image pair (f(a), f(b)) is a
+function of the joint order pattern of the 2n entries of a and b, n the
+arity of the map-free core (outer increasing maps keep output patterns;
+inner ones are rejected by `orderterms.require_pattern_determined`).
+The core is evaluated at each point of the grid {0, 2, ..., 4n-4}^n and
+at each grid point with one coordinate raised by 1, (n+1)(2n-1)^n
+points (27 for a binary term), coded together as integers by
+`pattern_of`.  The bump of coordinate i at a grid value v raises x_i by
+1 where x_i = v: an increasing map of that coordinate alone, as other
+grid values are 2 away.  Over `pureset` the reflection x_i -> 4n-4-x_i
+of a coordinate is a move too.  A move is undone when the images of the
+moved grid have the pattern of the images of the grid.  A move keeps
+every per-argument type, so a canonical term undoes it.  Conversely,
+let every move be undone:
+
+- Joint patterns with one per-argument type are connected by steps: the
+  entries of one coordinate in one block (both where a_i = b_i) leave it
+  for the gap just above, or return.  Moving one coordinate along a
+  segment between two generic realizations crosses one block at a time,
+  and leaving a block downward is the block-mates leaving it upward one
+  coordinate at a time, the earlier ones returning to the later block.
+- A pattern whose moving entries share their block has at most 2n-1
+  blocks, so a grid pair realizes it with that block at some v, and the
+  bump of that coordinate at v is the step.
+- Each pattern of 2n blocks is a bump of one of 2n-1 blocks: for n >= 2
+  two adjacent blocks belong to different coordinates.  (For n = 1 the
+  grid is one point, and every unary term is increasing, so canonical.)
+
+Over `pureset` the reflections join the order types of one equality
+type.  So the images' type is a function of the per-argument types.  A
+failing move gives the counterexample: two grid points and their moved
+images, at k = 2.  Nothing is kept between checks.
 """
 
 from __future__ import annotations
@@ -81,7 +91,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .clones import Table, gather, guard_arity, selector
 from .config import Caps, DEFAULT_CAPS, guard_power
@@ -89,7 +99,6 @@ from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
     OrderTerm,
     compile_term,
-    rank,
     require_pattern_determined,
     term_arity,
 )
@@ -102,8 +111,6 @@ from .structures import (
     StructureKind,
     SymbolicStructure,
     extensions,
-    joint_order_patterns,
-    joint_pattern_count,
     orbits,
     pattern_of,
     type_space,
@@ -184,29 +191,14 @@ def _require_matching(body: Table | OrderTerm, structure: Structure) -> None:
         raise InconsistentData("order terms need a symbolic structure")
 
 
-def _rank_table(term: OrderTerm, side: int, n: int) -> tuple[int, ...]:
-    """The term on the grid range(side)^n, row-major, each value replaced
-    by its rank among the grid's values.  Ranking is an order isomorphism
-    of a finite value set, so ranks have the patterns of the values; the
-    table is read like a table's outputs, by `gather`."""
-    keys = list(map(compile_term(term), itertools.product(range(side), repeat=n)))
-    ranks = rank(keys)
-    return tuple(map(ranks.__getitem__, keys))
-
-
-def _first_split(
-    typed: Iterable[tuple[tuple[tuple, ...], tuple, Hashable]],
-) -> tuple[tuple, tuple] | None:
-    """The first two argument lists with equal per-argument types whose
-    images differ in type, or None when the images' type is a function
-    of the argument types.  `typed` gives each argument list with its
-    per-argument types and the type of its images."""
-    groups: dict[tuple, tuple[tuple, Hashable]] = {}
-    for args, key, image_type in typed:
-        first_args, first_type = groups.setdefault(key, (args, image_type))
-        if image_type != first_type:
-            return first_args, args
-    return None
+def _rank_table(
+    structure: SymbolicStructure, term: OrderTerm, points: Iterable[tuple[int, ...]]
+) -> tuple[int, ...]:
+    """The term at each point, each value replaced by its `pattern_of`
+    code among all the points' values (its rank over `dlo`, its block
+    over `pureset`), which keeps the values' patterns; on a row-major
+    grid the table is read like a table's outputs, by `gather`."""
+    return pattern_of(structure, list(map(compile_term(term), points)))
 
 
 def _moves_are_undone(table: Table, structure: FiniteStructure) -> bool:
@@ -228,29 +220,30 @@ def _enumerated_verdict(
     table: Table, structure: FiniteStructure, k_max: int, caps: Caps
 ) -> CanonicalVerdict:
     """The exhaustive check: for k = 1, 2, … up to `k_max`, every list of
-    argument tuples over the domain, typed by orbits.  It reports the least
-    k with a split, its first counterexample and the least automorphisms
-    that witness the equal argument types, or canonical when no k splits."""
+    argument tuples over the domain, grouped by the orbits of its
+    arguments.  It reports the least k with a split, its first two
+    argument lists of one group whose images differ in orbit and the
+    least automorphisms that witness the equal argument types, or
+    canonical when no k splits."""
     n = table.arity
     image = partial(gather, table.outputs, table.size)
     for k in range(1, k_max + 1):
         guard_power(structure.domain_size, k * n, caps.tuple_cap, "argument space size")
         space = orbits(structure, k, caps)
         tuples = itertools.product(range(structure.domain_size), repeat=k)
-        typed = (
-            (args, tuple(map(space.classify, args)), space.classify(image(args)))
-            for args in itertools.product(tuples, repeat=n)
-        )
-        split = _first_split(typed)
-        if split is not None:
-            first_args, args = split
-            witnesses = tuple(
-                Permutation(next(extensions(structure, zip(a, b))))
-                for a, b in zip(first_args, args)
-            )
-            return CanonicalVerdict(
-                False, k, CanonicalCounterexample(k, first_args, args, witnesses)
-            )
+        groups: dict[tuple, tuple[tuple, int]] = {}
+        for args in itertools.product(tuples, repeat=n):
+            key = tuple(map(space.classify, args))
+            image_type = space.classify(image(args))
+            first_args, first_type = groups.setdefault(key, (args, image_type))
+            if image_type != first_type:
+                witnesses = tuple(
+                    Permutation(next(extensions(structure, zip(a, b))))
+                    for a, b in zip(first_args, args)
+                )
+                return CanonicalVerdict(
+                    False, k, CanonicalCounterexample(k, first_args, args, witnesses)
+                )
     return CanonicalVerdict(True, k_max)
 
 
@@ -267,59 +260,61 @@ def is_canonical_finite(
     Otherwise the exhaustive check finds the least splitting k up to
     `k_max` and its first counterexample, or answers canonical."""
     _require_matching(table, structure)
-    guard_arity(table, caps)
+    guard_arity(table.arity, caps)
     k_max = default_k_max(structure) if k_max is None else k_max
     if _moves_are_undone(table, structure):
         return CanonicalVerdict(True, k_max)
     return _enumerated_verdict(table, structure, k_max, caps)
 
 
-RETAINED_FAMILY_SIZE = 4_683  # n*k <= 6; see the module docstring
+def _moves(
+    structure: SymbolicStructure, grid: list[tuple[int, ...]], ranks: Sequence[int]
+) -> Iterator[tuple[list[int], Callable[[tuple[int, ...]], tuple[int, ...]]]]:
+    """Each bump, and over `pureset` each reflection (module docstring):
+    the ranks at the moved grid points, in grid order, and the map that
+    moves a point.  `ranks` holds the grid in row-major order, then the
+    grid raised by 1 in coordinate 1, then in coordinate 2, and so on."""
+    size, top = len(grid), grid[-1][0]
+    base = ranks[:size]
+    for i in range(len(grid[0])):
+        raised = ranks[(i + 1) * size : (i + 2) * size]
+        column = [p[i] for p in grid]
+        for v in range(0, top + 1, 2):
+            moved = [r if x == v else b for b, r, x in zip(base, raised, column)]
+            yield moved, lambda p, i=i, v=v: p if p[i] != v else p[:i] + (v + 1,) + p[i + 1 :]
+        if structure.kind is StructureKind.PURE_SET:
+            reflect = lambda p, i=i: p[:i] + (top - p[i],) + p[i + 1 :]
+            at = dict(zip(grid, base))
+            yield [at[reflect(p)] for p in grid], reflect
 
-_families: dict[
-    tuple[StructureKind, int, int], tuple[tuple[tuple, tuple, tuple], ...]
-] = {}
 
-
-def _joint_family(
-    structure: SymbolicStructure, n: int, k: int, caps: Caps
-) -> Iterable[tuple[tuple[tuple, ...], tuple, tuple]]:
-    """Every joint order pattern of n argument k-tuples as its argument
-    list (each tuple realized by its integer ranks), the patterns of its
-    arguments and the row-major indices of its columns in the grid
-    range(n*k)^n, in `joint_order_patterns` order.  None of them depends
-    on the term, so a family of at most `RETAINED_FAMILY_SIZE` patterns
-    is built once per process and structure kind; a larger one is built
-    for the call and dropped.  The family-size cap is checked on every
-    call."""
-    count = joint_pattern_count(n * k, caps)
-    key = (structure.kind, n, k)
-    if key in _families:
-        return _families[key]
-    arg_lists = (
-        tuple(codes[i * k : (i + 1) * k] for i in range(n))
-        for codes in joint_order_patterns(n * k, caps)
+def _split(
+    structure: SymbolicStructure,
+    grid: list[tuple[int, ...]],
+    base: Sequence[int],
+    moved: Sequence[int],
+    move: Callable[[tuple[int, ...]], tuple[int, ...]],
+) -> CanonicalCounterexample:
+    """Two grid points whose images' ranks differ in type from those of
+    their moved images, as a counterexample.  Such a pair is adjacent in
+    the grid sorted by (`base`, `moved`) or by (`moved`, `base`), or else
+    equal ranks would stay equal both ways, and increasing ones
+    increasing."""
+    indices = range(len(grid))
+    orders = (
+        [j for _, _, j in sorted(zip(first, second, indices))]
+        for first, second in ((base, moved), (moved, base))
     )
-    classify = partial(pattern_of, structure)
-    # `gather` read through the identity gives the grid indices
-    grid = range((n * k) ** n)
-    typed = (
-        (args, tuple(map(classify, args)), gather(grid, n * k, args))
-        for args in arg_lists
+    a, b = next(
+        (a, b)
+        for order in orders
+        for a, b in zip(order, order[1:])
+        if pattern_of(structure, (base[a], base[b]))
+        != pattern_of(structure, (moved[a], moved[b]))
     )
-    if count > RETAINED_FAMILY_SIZE:
-        return typed
-    family = _families[key] = tuple(typed)
-    return family
-
-
-def _pair_type(structure: SymbolicStructure) -> Callable[[int, int], Hashable]:
-    """The type of a pair of integers: the sign of their comparison over
-    `dlo`, their equality over `pureset`.  It partitions pairs as
-    `pattern_of` does."""
-    if structure.kind is StructureKind.DLO:
-        return lambda x, y: (x > y) - (x < y)
-    return int.__eq__
+    return CanonicalCounterexample(
+        PAIR_LEVEL, tuple(zip(grid[a], grid[b])), tuple(zip(move(grid[a]), move(grid[b])))
+    )
 
 
 def is_canonical_symbolic(
@@ -330,37 +325,34 @@ def is_canonical_symbolic(
 ) -> CanonicalVerdict:
     """Exact canonicity decision for a pattern-determined order term.
 
-    The joint order patterns of all n*k argument entries are enumerated
-    at the single level k = min(`k_max`, `PAIR_LEVEL`), each realized by
-    its integer ranks and typed by patterns.  Those argument lists, their
-    types and their columns' places in the grid range(n*k)^n do not
-    depend on the term: `_joint_family` builds them once per process for
-    n*k <= 6.  The term itself is read once, as its rank table on that
-    grid, so an image pair is typed by one comparison of two table
-    entries.  Below `PAIR_LEVEL` nothing can split, and after the
-    family-size guard the answer is canonical with nothing enumerated.
-    By the pair lemma the verdict covers every k up to `k_max`, which a
-    canonical verdict reports as `checked_up_to`.  Outer increasing-map
-    chains are peeled off first since they preserve output patterns;
-    inner map applications are rejected.
+    Outer increasing-map chains are peeled off, since they keep output
+    patterns, and inner map applications are rejected.  The core is read
+    once, as its rank table on the grid and the raised grid, and it is
+    canonical iff every move is undone (module docstring); the first
+    move that is not gives the counterexample at k = 2.  The grid of
+    (2n-1)^n points is guarded against `tuple_cap` first.  Below
+    `PAIR_LEVEL` nothing can split, so the answer is canonical with
+    nothing evaluated.  By the pair lemma a canonical verdict covers
+    every k up to `k_max`, its `checked_up_to`.
     """
     _require_matching(term, structure)
     core = require_pattern_determined(term)
     k_max = default_k_max(structure) if k_max is None else k_max
     n = max(term_arity(core), 1)
-    k = min(k_max, PAIR_LEVEL)
-    if k < PAIR_LEVEL:
-        joint_pattern_count(n * k, caps)
+    guard_power(2 * n - 1, n, caps.tuple_cap, "canonicity grid size")
+    if k_max < PAIR_LEVEL:
         return CanonicalVerdict(True, k_max)
-    family = _joint_family(structure, n, k, caps)
-    ranks = _rank_table(core, n * k, n)
-    pair_type = _pair_type(structure)
-    typed = (
-        (args, key, pair_type(ranks[a], ranks[b])) for args, key, (a, b) in family
-    )
-    split = _first_split(typed)
-    if split is not None:
-        return CanonicalVerdict(False, k, CanonicalCounterexample(k, *split))
+    values, raised = range(0, 4 * n - 3, 2), range(1, 4 * n - 2, 2)
+    grid = list(itertools.product(values, repeat=n))
+    # the grid, then the grid raised by 1 in coordinate 1, 2, ..., n
+    axes = ([values] * i + [raised] + [values] * (n - 1 - i) for i in range(n))
+    points = itertools.chain(grid, *(itertools.product(*axis) for axis in axes))
+    ranks = _rank_table(structure, core, points)
+    base = ranks[: len(grid)]
+    pattern = pattern_of(structure, base)
+    for moved, move in _moves(structure, grid, ranks):
+        if pattern_of(structure, moved) != pattern:
+            return CanonicalVerdict(False, PAIR_LEVEL, _split(structure, grid, base, moved, move))
     return CanonicalVerdict(True, k_max)
 
 
@@ -405,12 +397,15 @@ def type_table(
     A table is read at the representatives' columns.  An order term is
     read through its rank table on range(`space.k`)^arity, which holds
     every column of the pattern representatives and is no larger than
-    the type table guarded here."""
+    the type table guarded here.  The arity is guarded too: at k = 1
+    the one row's argument tuple has that length."""
     guard_power(space.size, arity, caps.tuple_cap, "type table size")
+    guard_arity(arity, caps)
     if isinstance(body, Table):
         image = partial(gather, body.outputs, body.size)
     else:
-        image = partial(gather, _rank_table(body, space.k, arity), space.k)
+        grid = itertools.product(range(space.k), repeat=arity)
+        image = partial(gather, _rank_table(space.structure, body, grid), space.k)
     outputs = tuple(
         space.classify(image([space.representative(t) for t in type_args]))
         for type_args in itertools.product(range(space.size), repeat=arity)

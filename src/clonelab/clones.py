@@ -112,12 +112,12 @@ def selector(size: int, arity: int, index: int) -> Table:
     return Table(size, arity, outputs)
 
 
-def guard_arity(table: Table, caps: Caps) -> None:
-    """Refuse a table whose arity is over `tuple_cap`, before any work
-    linear in its arity.  A table on one point has one output whatever
-    its arity, so its outputs do not bound the argument tuples and
-    argument columns that reading it builds."""
-    guard(table.arity, caps.tuple_cap, "argument tuple length")
+def guard_arity(arity: int, caps: Caps) -> None:
+    """Refuse an operation whose arity is over `tuple_cap`, before any
+    work linear in its arity.  A table on one point, or an order term
+    read at a level with one type, has one row whatever its arity, so
+    its size does not bound the argument tuples that reading it builds."""
+    guard(arity, caps.tuple_cap, "argument tuple length")
 
 
 @dataclass(frozen=True)
@@ -181,7 +181,7 @@ def generate(
         names.add(name)
         if table.size != base_size:
             raise InconsistentData(f"generator {name!r} has base size {table.size}")
-        guard_arity(table, caps)
+        guard_arity(table.arity, caps)
     catalogs: dict[int, tuple[CatalogEntry, ...]] = {}
     collisions: dict[int, tuple[tuple[Term, Term], ...]] = {}
     saturated: dict[int, bool] = {}

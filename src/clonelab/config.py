@@ -18,20 +18,21 @@ class Caps:
 
     tuple_cap      : largest product enumerated point by point, checked
                      by `guard` or `guard_power` as "tuple space size",
-                     "argument space size", "type table size", "equation
-                     row space", "assignment search space", "argument
-                     matrix width" and "verification grid size",
-                     largest number of unordered pairs compared, as
-                     "consistency pairs", and largest arity of a table
-                     read, as "argument tuple length"
+                     "argument space size", "type table size",
+                     "canonicity grid size", "equation row space",
+                     "assignment search space", "argument matrix width"
+                     and "verification grid size", largest number of
+                     unordered pairs compared, as "consistency pairs",
+                     and largest arity of a table or of an order term
+                     read into a type table, as "argument tuple length"
     k_cap          : largest tuple length for type spaces
     arity_cap      : largest operation arity kept in clone catalogs
     depth_cap      : composition depth for clone generation
     catalog_cap    : tables retained per arity in a clone catalog
-    pattern_cap    : largest pattern family the canonicity checker and
-                     the symbolic type spaces will enumerate, checked by
-                     `guard_weak_orders` as "joint pattern family size"
-                     and "pattern family size"
+    pattern_cap    : largest pattern family the symbolic type spaces
+                     will enumerate, checked by `guard_weak_orders` as
+                     "pattern family size" ("joint pattern family size"
+                     in `structures.joint_order_patterns`)
     """
 
     tuple_cap: int = 1_000_000

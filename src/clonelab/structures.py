@@ -372,20 +372,10 @@ def type_space(structure: Structure, k: int, caps: Caps = DEFAULT_CAPS) -> TypeS
     return enumerate_patterns(structure, k, caps)
 
 
-def joint_pattern_count(length: int, caps: Caps) -> int:
-    """The number of joint order patterns of the given length, refused
-    with CapExceeded when it is over `pattern_cap`."""
-    return guard_weak_orders(length, caps.pattern_cap, "joint pattern family size")
-
-
-def joint_order_patterns(
-    length: int, caps: Caps = DEFAULT_CAPS
-) -> list[tuple[int, ...]]:
-    """Sorted rank vectors of the given length.
-
-    Used to enumerate the joint order configurations of several tuples
-    laid side by side, so the length is a product n*k rather than a
-    tuple length; only the family-size cap applies.
-    """
-    joint_pattern_count(length, caps)
+def joint_order_patterns(length: int, caps: Caps) -> list[tuple[int, ...]]:
+    """Sorted rank vectors of the given length, refused over
+    `pattern_cap`.  No package code calls it: it stays only because
+    `bench/tracing.py` wraps it by name, and without the name the traced
+    benchmark run would stop with an AttributeError."""
+    guard_weak_orders(length, caps.pattern_cap, "joint pattern family size")
     return sorted(_weak_orders(length))

@@ -17,12 +17,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import corpus
-from canonical_oracle import is_canonical_every_k
+from canonical_oracle import is_canonical_every_k, weak_orders
 from factor_oracle import check_factor_isomorphism, check_table_correspondence
+from pair_oracle import eval_pair, materialize
 from clonelab import canonical, structures
 from clonelab.canonical import (
     Operation,
     _enumerated_verdict,
+    _moves,
     _moves_are_undone,
     critical_level,
     default_k_max,
@@ -355,6 +357,22 @@ def test_coordinate_projections_are_canonical():
     assert is_canonical_symbolic(Coord(1), PURE_SET).canonical
 
 
+def _replays(term, structure, cx):
+    """A symbolic counterexample re-checked outside the library: its
+    argument lists agree in type argument by argument, and the images
+    that `pair_oracle.eval_pair` gives them differ in type."""
+    assert cx.k == 2 and cx.automorphisms is None
+    for a, b in zip(cx.args_a, cx.args_b):
+        assert pattern_of(structure, a) == pattern_of(structure, b)
+    images = [
+        [eval_pair(term, [a[j] for a in args]) for j in range(cx.k)]
+        for args in (cx.args_a, cx.args_b)
+    ]
+    ranks = materialize(v for image in images for v in image)
+    types = [pattern_of(structure, [ranks[v] for v in image]) for image in images]
+    assert types[0] != types[1]
+
+
 _LEAVES = st.sampled_from([Coord(1), Coord(2)])
 
 
@@ -372,14 +390,15 @@ _DEPTH_TWO = _DEPTH_ONE | _binary_nodes(_DEPTH_ONE)
 @given(_DEPTH_TWO, st.booleans())
 def test_pair_level_agrees_with_the_exhaustive_check(structure, term, wrap):
     # both structures are homogeneous in a binary language, so a split
-    # at k = 3 implies one at k <= 2, found first in the same order
+    # at k = 3 implies one at k <= 2
     if wrap:
         term = MapApply("shift", translation(F(7, 2)), term)
     verdict = is_canonical_symbolic(term, structure)
     oracle = is_canonical_every_k(term, structure, 3)
     assert verdict.canonical == oracle.canonical
     assert verdict.checked_up_to == oracle.checked_up_to
-    assert verdict.counterexample == oracle.counterexample
+    if not verdict.canonical:
+        _replays(term, structure, verdict.counterexample)
 
 
 _THREE_LEAVES = st.sampled_from([Coord(1), Coord(2), Coord(3)])
@@ -400,7 +419,8 @@ def test_the_rank_table_check_agrees_with_the_exhaustive_check(
     oracle = is_canonical_every_k(term, structure, k_max)
     assert verdict.canonical == oracle.canonical
     assert verdict.checked_up_to == oracle.checked_up_to
-    assert verdict.counterexample == oracle.counterexample
+    if not verdict.canonical:
+        _replays(term, structure, verdict.counterexample)
 
 
 def test_outer_map_chains_do_not_change_the_verdict():
@@ -417,64 +437,6 @@ def test_inner_map_applications_are_rejected():
     with pytest.raises(UnsupportedTerm):
         is_canonical_symbolic(inner, DLO)
 
-
-
-def _count_family_builds(monkeypatch):
-    """An empty family store, and the list of lengths that
-    `joint_order_patterns` is called with from `canonical`."""
-    monkeypatch.setattr(canonical, "_families", {})
-    calls = []
-    build = canonical.joint_order_patterns
-
-    def counted(length, caps):
-        calls.append(length)
-        return build(length, caps)
-
-    monkeypatch.setattr(canonical, "joint_order_patterns", counted)
-    return calls
-
-
-def test_one_family_serves_every_binary_term(monkeypatch):
-    calls = _count_family_builds(monkeypatch)
-    assert is_canonical_symbolic(Lex(Coord(1), Coord(2)), DLO).canonical
-    assert not is_canonical_symbolic(Min((Coord(1), Coord(2))), DLO).canonical
-    assert is_canonical_symbolic(Lex(Coord(2), Coord(1)), DLO).canonical
-    assert calls == [4]
-    # the per-argument types differ over the pure set: a family of its own
-    assert is_canonical_symbolic(Lex(Coord(1), Coord(2)), PURE_SET).canonical
-    assert calls == [4, 4]
-    assert set(canonical._families) == {
-        (DLO.kind, 2, 2),
-        (PURE_SET.kind, 2, 2),
-    }
-
-
-def test_a_family_over_the_retention_bound_is_built_per_check(monkeypatch):
-    calls = _count_family_builds(monkeypatch)
-    monkeypatch.setattr(canonical, "RETAINED_FAMILY_SIZE", 74)
-    for _ in range(2):
-        assert is_canonical_symbolic(Lex(Coord(1), Coord(2)), DLO).canonical
-    assert calls == [4, 4]
-    assert canonical._families == {}
-    # a unary term's family, 3 patterns at k = 2, is still kept
-    for _ in range(2):
-        assert is_canonical_symbolic(Coord(1), DLO).canonical
-    assert calls == [4, 4, 2]
-
-
-def test_a_kept_family_still_answers_to_the_pattern_cap():
-    # 75 joint patterns for a binary term at k = 2
-    term = Lex(Coord(1), Coord(2))
-    assert is_canonical_symbolic(term, DLO).canonical
-    assert (DLO.kind, 2, 2) in canonical._families
-    with pytest.raises(CapExceeded) as err:
-        is_canonical_symbolic(term, DLO, caps=Caps(pattern_cap=74))
-    assert (err.value.what, err.value.needed, err.value.cap) == (
-        "joint pattern family size",
-        75,
-        74,
-    )
-    assert is_canonical_symbolic(term, DLO, caps=Caps(pattern_cap=75)).canonical
 
 
 def _count_evaluations(monkeypatch):
@@ -500,9 +462,8 @@ def test_a_binary_check_evaluates_each_grid_point_once(monkeypatch, structure):
     points = _count_evaluations(monkeypatch)
     term = Lex(Coord(1), Lex(Coord(2), Coord(1)))
     assert is_canonical_symbolic(term, structure).canonical
-    # the grid range(4)^2, where 75 joint patterns have 150 columns
-    assert len(points) <= 16
-    assert len(set(points)) == len(points)
+    # the grid {0, 2, 4}^2 and its 18 points with one coordinate raised by 1
+    assert len(points) == len(set(points)) == 27
 
 
 def test_below_the_pair_level_nothing_is_evaluated(monkeypatch):
@@ -511,14 +472,76 @@ def test_below_the_pair_level_nothing_is_evaluated(monkeypatch):
     verdict = is_canonical_symbolic(term, DLO, k_max=1)
     assert (verdict.canonical, verdict.checked_up_to) == (True, 1)
     assert points == []
-    # 3 weak orders of 2 points: the family-size guard still runs
+    # the grid of 3^2 points: its guard still runs
     with pytest.raises(CapExceeded) as err:
-        is_canonical_symbolic(term, DLO, k_max=1, caps=Caps(pattern_cap=2))
+        is_canonical_symbolic(term, DLO, k_max=1, caps=Caps(tuple_cap=8))
     assert (err.value.what, err.value.needed, err.value.cap) == (
-        "joint pattern family size",
-        3,
-        2,
+        "canonicity grid size",
+        9,
+        8,
     )
+    assert points == []
+
+
+def _joint_type(structure, a, b):
+    """The per-argument types of the argument lists of pairs (a_i, b_i)."""
+    return tuple(pattern_of(structure, pair) for pair in zip(a, b))
+
+
+@pytest.mark.parametrize("structure", [DLO, PURE_SET], ids=["dlo", "pureset"])
+def test_moves_on_the_grid_connect_each_per_argument_type(structure):
+    # the reduction behind the check, for binary terms: joining the joint
+    # pattern of two grid points with that of their images under each
+    # move leaves one class per per-argument type, and meets every joint
+    # order pattern of the 4 entries.  With the points' own indices as
+    # ranks, each move's ranks name its moved points.
+    values, raised = range(0, 5, 2), range(1, 6, 2)
+    grid = list(itertools.product(values, repeat=2))
+    points = [*grid, *itertools.product(raised, values), *itertools.product(values, raised)]
+    moves = []
+    for moved, move in _moves(structure, grid, range(len(points))):
+        assert [points[t] for t in moved] == list(map(move, grid))
+        moves.append(move)
+    assert len(moves) == (6 if structure is DLO else 8)
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    for a, b in itertools.product(grid, repeat=2):
+        for move in moves:
+            moved_a, moved_b = move(a), move(b)
+            assert _joint_type(structure, a, b) == _joint_type(structure, moved_a, moved_b)
+            parent[find(ranks(a + b))] = find(ranks(moved_a + moved_b))
+    classes = {}
+    for codes in weak_orders(4):
+        assert codes in parent
+        classes.setdefault(find(codes), set()).add(
+            _joint_type(structure, codes[:2], codes[2:])
+        )
+    assert all(len(types) == 1 for types in classes.values())
+    assert len(classes) == (9 if structure is DLO else 4)
+
+
+@pytest.mark.parametrize("structure", [DLO, PURE_SET], ids=["dlo", "pureset"])
+def test_four_ary_terms_are_decided_and_six_ary_ones_refused(monkeypatch, structure):
+    # 5 * 7^4 = 12,005 points for a 4-ary term, where the joint patterns
+    # of its 8 entries were 545,835; a 6-ary term's grid is 11^6 points
+    lex4 = Lex(Coord(1), Lex(Coord(2), Lex(Coord(3), Coord(4))))
+    min4 = Min((Coord(1), Lex(Coord(2), Lex(Coord(3), Coord(4)))))
+    start = time.monotonic()
+    assert is_canonical_symbolic(lex4, structure).canonical
+    verdict = is_canonical_symbolic(min4, structure)
+    assert time.monotonic() - start < 2
+    assert not verdict.canonical
+    _replays(min4, structure, verdict.counterexample)
+    lex6 = Lex(Coord(1), Lex(Coord(2), Lex(Coord(3), Lex(Coord(4), Lex(Coord(5), Coord(6))))))
+    points = _count_evaluations(monkeypatch)
+    with pytest.raises(CapExceeded) as err:
+        is_canonical_symbolic(lex6, structure)
+    assert (err.value.what, err.value.needed) == ("canonicity grid size", 11**6)
     assert points == []
 
 

@@ -125,12 +125,11 @@ def test_canonical_answers_ternary_terms(files, capsys, structure):
 @pytest.mark.parametrize(
     "command, ops, message",
     [
-        # the weak orders of 2000 points: counting them took minutes
+        # the canonicity grid of 1999^1000 points, refused by its exponent
         (
             "canonical",
             "op f 1000\nterm lex(x1, x1000)\n",
-            "joint pattern family size needs more than 7087261 "
-            "(the weak orders of 2000 points), cap is 600000",
+            "canonicity grid size needs 1999^1000, cap is 1000000",
         ),
         # 3^10000000000 type table rows: the power never finished
         (
@@ -139,7 +138,7 @@ def test_canonical_answers_ternary_terms(files, capsys, structure):
             "type table size needs 3^10000000000, cap is 1000000",
         ),
     ],
-    ids=["weak-orders", "type-table"],
+    ids=["canonicity-grid", "type-table"],
 )
 def test_huge_sizes_are_refused_without_computing_them(files, capsys, command, ops, message):
     start = time.perf_counter()
@@ -204,6 +203,28 @@ def test_a_one_point_table_of_huge_arity_is_refused(files, capsys, command):
     assert err == "cap exceeded: argument tuple length needs 10000000000, cap is 1000000\n"
 
 
+HUGE_TERM_OPS = "op f 10000000000\nterm x1\n"
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("type-image", ["dlo", "--k", "1"]),
+        ("analyze", ["pureset", "--arity-cap", "2", "--depth-cap", "1"]),
+    ],
+    ids=["type-image", "analyze"],
+)
+def test_an_order_term_of_huge_declared_arity_is_refused(files, capsys, command, extra):
+    # level 1 has one type, so the type table has one row, whose argument
+    # tuple has 10^10 entries: building it ran out of memory
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, files("x1.ops", HUGE_TERM_OPS), *extra)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert err == "cap exceeded: argument tuple length needs 10000000000, cap is 1000000\n"
+
+
 def test_canonical_kmax_four_is_decided_on_pairs(files, capsys):
     # the same text the every-k check printed after a minute
     path = files("mixed.ops", LEX_OPS + "op mn 2\nterm min(x1, x2)\n")
@@ -218,7 +239,7 @@ def test_canonical_kmax_four_is_decided_on_pairs(files, capsys):
         "\n"
         "lex: canonical at every level up to k=4\n"
         "mn: not canonical at k=2\n"
-        "  args (0,1) (0,0) and (0,1) (1,1)\n"
+        "  args (4,0) (0,2) and (4,1) (0,2)\n"
         "  agree in type argument by argument; the images differ\n"
     )
 

@@ -241,9 +241,9 @@ def test_oracles_do_not_evaluate_through_the_library():
 
 
 def test_the_canonicity_oracle_builds_its_own_patterns():
-    # the library keeps the typed joint-pattern families across checks;
-    # the every-k oracle enumerates and types its patterns itself, so a
-    # wrong family cannot agree with the oracle by being shared
+    # the every-k oracle enumerates its joint patterns itself and takes
+    # only the pattern of a tuple from `structures`, so no enumeration or
+    # move of the library can agree with the oracle by being shared
     path = Path(__file__).parent / "canonical_oracle.py"
     tree = ast.parse(path.read_text(), str(path))
     imported = set()
@@ -256,7 +256,36 @@ def test_the_canonicity_oracle_builds_its_own_patterns():
         "clonelab.canonical.CanonicalCounterexample",
         "clonelab.canonical.CanonicalVerdict",
     }
-    assert not set(_code_names(tree)) & {"_joint_family", "_families"}
+    assert {name for name in imported if name.startswith("clonelab.structures")} == {
+        "clonelab.structures.SymbolicStructure",
+        "clonelab.structures.pattern_of",
+    }
+    assert not set(_code_names(tree)) & {"joint_order_patterns", "_weak_orders", "_moves"}
+
+
+def test_canonicity_keeps_nothing_between_checks():
+    # a check builds what it reads and drops it: no module-level
+    # container in `canonical` that code could fill, and no memoizing
+    # decorator, so a process-wide cache cannot return unnoticed
+    tree = ast.parse((PACKAGE / "canonical.py").read_text())
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    makers = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque", "bytearray"}
+    mutable = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+            value = node.value
+            called = isinstance(value, ast.Call) and set(_code_names(value.func)) & makers
+            if isinstance(value, containers) or called:
+                mutable.append(ast.unparse(node))
+    decorated = [
+        ast.unparse(d)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        for d in node.decorator_list
+        if set(_code_names(d)) & {"cache", "lru_cache", "cached_property"}
+    ]
+    assert not mutable and not decorated, (mutable, decorated)
+
 
 def _owned_nodes(tree):
     """Every node of a module, with the name of the top-level definition

@@ -55,6 +55,16 @@ are strictly increasing in this sense is one too.  So every
 at or below the threshold in some coordinate, so evaluation reaches
 the hull there and returns the data value exactly.
 
+Each member compiles once, when it is built, into an integer program:
+a function from a point, one numerator/denominator pair per coordinate
+in lowest terms, to the value as such a pair.  A hull member's program
+compares the point with its threshold and reads its hull or its
+eventual map, and a graph member's reads its map at its coordinate.  A
+composition's is a straight-line program over the distinct sub-members
+read at the point, each run once, with each outer run at the values of
+its inners.  ``evaluate`` and the spot check run that program, and
+build no ``Fraction`` between the arguments and the answer.
+
 Thresholds, maps, and data are exact rationals throughout; every
 verification in this module compares values with ``==``, not with
 tolerances.
@@ -67,8 +77,9 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
+from .clones import guard_arity
 from .config import Caps, DEFAULT_CAPS, guard, guard_power
 from .errors import InconsistentData, ParseError
 from .plmap import (
@@ -169,8 +180,8 @@ class DataHull:
 
 @dataclass(frozen=True)
 class Composition:
-    """Provenance of a composed member; evaluation recurses through it,
-    evaluating each distinct sub-member once per point."""
+    """Provenance of a composed member; the member's program is compiled
+    from it, and reads each distinct sub-member once per point."""
 
     outer: "QFunction"
     inners: tuple["QFunction", ...]
@@ -194,7 +205,10 @@ class QFunction:
     ``eventual(threshold)`` and has every data point at or below the
     threshold in some coordinate.  That is what the module docstring's
     argument needs: every member is a polymorphism of (Q,<) and
-    reproduces its data.
+    reproduces its data.  Construction then compiles the member into its
+    integer program (``_compile_member``), kept as a derived attribute,
+    not a field, so equality and ``repr`` do not see it and ``replace``
+    compiles anew.
     """
 
     arity: int
@@ -236,6 +250,11 @@ class QFunction:
                         f"data point {point} lies entirely above the threshold "
                         f"{self.threshold}"
                     )
+        object.__setattr__(self, "_program", _compile_member(self))
+
+    def __reduce__(self):
+        # the program is a closure and does not pickle: rebuild it
+        return QFunction, (self.arity, self.coordinate, self.threshold, self.eventual, self.below)
 
 
 def _agree_above(m1: PLMap, m2: PLMap, lo: Fraction) -> bool:
@@ -316,49 +335,83 @@ def selector_member(n: int, i: int) -> QFunction:
 # -- evaluation and the homomorphism --------------------------------------
 
 
+def _ratio_of(m: PLMap) -> Callable[[int, int], tuple[int, int]]:
+    # a one-piece map reads its piece directly, with no piece lookup
+    return m.pieces[0].ratio if len(m.pieces) == 1 else m.ratio
+
+
+def _compile_member(
+    f: QFunction,
+) -> Callable[[tuple[tuple[int, int], ...]], tuple[int, int]]:
+    """The member's integer program (module docstring), built once.
+
+    Points and values are numerator/denominator pairs in lowest terms
+    with positive denominators.  A composition's program lists the
+    distinct sub-members read at its point, by identity and in
+    post-order: the inners, and the inners of every composed inner.
+    Each step is a leaf's program, run at the point, or the slots of a
+    composition's inners with its outer's program, run at the values in
+    those slots; the last step is the member itself.
+    """
+    below = f.below
+    i = f.coordinate - 1
+    if isinstance(below, PLMap):
+        ratio = _ratio_of(below)
+        return lambda point: ratio(*point[i])
+    if isinstance(below, DataHull):
+        apply, ratio = below.apply, _ratio_of(f.eventual)
+        tn, td = f.threshold.numerator, f.threshold.denominator
+
+        def hull_member(point):
+            # min(point) > threshold, compared as xn/xd > tn/td
+            for xn, xd in point:
+                if xn * td <= tn * xd:
+                    return apply(point)
+            return ratio(*point[i])
+
+        return hull_member
+    steps: list = []
+    slots: dict[int, int] = {}
+
+    def visit(g: QFunction) -> int:
+        slot = slots.get(id(g))
+        if slot is None:
+            if isinstance(g.below, Composition):
+                args = tuple([visit(h) for h in g.below.inners])
+                steps.append((args, g.below.outer._program))
+            else:
+                steps.append(g._program)
+            slot = slots[id(g)] = len(steps) - 1
+        return slot
+
+    visit(f)
+    program = tuple(steps)
+
+    def composition(point):
+        values = []
+        for step in program:
+            if type(step) is tuple:
+                args, outer = step
+                values.append(outer(tuple([values[k] for k in args])))
+            else:
+                values.append(step(point))
+        return values[-1]
+
+    return composition
+
+
 def evaluate(f: QFunction, u: Sequence[Fraction | int]) -> Fraction:
     """Exact value at a rational point, whose coordinates must be ints
     or Fractions; anything else raises InconsistentData naming it.
 
-    The arguments become numerator/denominator pairs once, here, and
-    the members evaluate in integers, each node's value reduced to
-    lowest terms; a composition recurses through its provenance and
-    evaluates each distinct sub-member once per point.  The answer is
-    the one ``Fraction`` built.
+    The arguments become numerator/denominator pairs once, here, the
+    member's integer program runs once on them, and the answer is the
+    one ``Fraction`` built.
     """
     point = tuple(map(_ratio, u))
     if len(point) != f.arity:
         raise InconsistentData(f"expected {f.arity} arguments, got {len(point)}")
-    return Fraction(*_value(f, point, {}))
-
-
-def _value(
-    f: QFunction, point: tuple[tuple[int, int], ...], seen: dict[int, tuple[int, int]]
-) -> tuple[int, int]:
-    # values and coordinates are numerator/denominator pairs in lowest
-    # terms with positive denominators; `seen` holds the values at this
-    # point of the members already evaluated, by identity; the outer of
-    # a composition is evaluated at the inner values, a new point
-    value = seen.get(id(f))
-    if value is not None:
-        return value
-    below = f.below
-    if isinstance(below, Composition):
-        inner = tuple([_value(g, point, seen) for g in below.inners])
-        value = _value(below.outer, inner, {})
-    elif isinstance(below, PLMap):
-        value = below.ratio(*point[f.coordinate - 1])
-    else:
-        tn, td = f.threshold.numerator, f.threshold.denominator
-        # min(point) > threshold, compared as xn/xd > tn/td
-        for xn, xd in point:
-            if xn * td <= tn * xd:
-                value = below.apply(point)
-                break
-        else:
-            value = f.eventual.ratio(*point[f.coordinate - 1])
-    seen[id(f)] = value
-    return value
+    return Fraction(*f._program(point))
 
 
 def _collapse(f: QFunction) -> int:
@@ -419,19 +472,39 @@ def compose_members(f: QFunction, gs: Sequence[QFunction]) -> QFunction:
 
 
 def spot_check_polymorphism(f: QFunction, pairs: int = 1000, seed: int = 0) -> int:
-    """Randomized strict-monotonicity check; raises on any violation."""
+    """Randomized strict-monotonicity check; raises on any violation.
+
+    Each pair draws a point u and a positive step to v.  Both stay
+    integer pairs in lowest terms, as the hull's exact hits are keyed,
+    the member's program runs on each, and the two values compare by
+    cross-multiplying; ``Fraction``s are built only to name a failing
+    pair.
+    """
     if pairs < 0:
         raise InconsistentData(f"pair count {pairs} is negative")
     rng = random.Random(seed)
+    n, program = f.arity, f._program
     for _ in range(pairs):
         # u and the step from u to v as integer pairs, v summed in integers
-        lows = [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(f.arity)]
-        steps = [(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(f.arity)]
-        u = [Fraction(xn, xd) for xn, xd in lows]
-        v = [Fraction(xn * sd + sn * xd, xd * sd) for (xn, xd), (sn, sd) in zip(lows, steps)]
-        if not evaluate(f, u) < evaluate(f, v):
-            raise InconsistentData(f"not increasing between {u} and {v}")
+        lows = [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(n)]
+        steps = [(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(n)]
+        u = tuple([_lowest(xn, xd) for xn, xd in lows])
+        v = tuple(
+            [_lowest(xn * sd + sn * xd, xd * sd) for (xn, xd), (sn, sd) in zip(lows, steps)]
+        )
+        (an, ad), (bn, bd) = program(u), program(v)
+        if an * bd >= bn * ad:
+            raise InconsistentData(
+                f"not increasing between {[Fraction(*x) for x in u]} "
+                f"and {[Fraction(*x) for x in v]}"
+            )
     return pairs
+
+
+def _lowest(num: int, den: int) -> tuple[int, int]:
+    # num/den, for den > 0, as a pair in lowest terms
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 # -- rebuilding restrictions ----------------------------------------------
@@ -661,6 +734,7 @@ def parse_member(text: str) -> QFunction:
         first_line.setdefault(head, lineno)
         if head == "arity":
             arity = natural(rest[0], lineno, "a member arity of at least 1", 1)
+            guard_arity(arity, DEFAULT_CAPS)
         elif head == "eventual":
             coordinate = natural(rest[0], lineno, "an eventual coordinate of at least 1", 1)
             threshold = parse_fraction(rest[1], lineno)

@@ -8,12 +8,15 @@ in `Fraction`s scaled so that c == 1, or d == 1 when c == 0: the form
 that `serialize` prints, where a `Piece` stores the primitive integer
 multiple.
 `nested_value` evaluates a member by recursing through its provenance,
-each occurrence of a sub-member on its own, in `Fraction`s throughout.  The library evaluates in integers: it turns
-each argument into a numerator/denominator pair once, looks pieces up
-by cross-multiplying with the breakpoints, indexes the hull, reduces
-every node's value to lowest terms, evaluates each distinct sub-member
-once per point and builds one `Fraction` for the answer; both must give
-the same values.
+each occurrence of a sub-member on its own, in `Fraction`s throughout.
+The library instead compiles each member once, when it is built, into
+an integer program: it reads points and values as numerator/denominator
+pairs in lowest terms, looks pieces up by cross-multiplying with the
+breakpoints, indexes the hull, and runs a composition as a straight-line
+program over its distinct sub-members, each once per point.  `evaluate`
+runs that program on the arguments turned into pairs and builds one
+`Fraction` for the answer, and the spot check runs it on integer pairs
+directly; both must give the oracle's values.
 """
 
 from __future__ import annotations

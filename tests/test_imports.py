@@ -7,8 +7,10 @@ every command-line option is read by the command that takes it.  No
 code path lists a whole automorphism group, no test oracle evaluates
 order terms or generates its reference clone through the library, and
 the critical level, the canonicity gate and each printed answer have
-one home each, and the unchecked table constructor one caller.  Every source parses at the Python floor that
-`pyproject.toml` promises.  The checks read the sources with `ast`."""
+one home each, and the unchecked table constructor one caller.  A
+member evaluates only through the program it compiles to.  Every
+source parses at the Python floor that `pyproject.toml` promises.  The
+checks read the sources with `ast`."""
 
 from __future__ import annotations
 
@@ -210,9 +212,12 @@ def test_no_code_path_lists_the_automorphism_group():
 def test_oracles_do_not_evaluate_through_the_library():
     # an oracle that evaluates order terms with `clonelab.orderterms`
     # checks the library against itself, and so does one that closes its
-    # reference clone with `clones.generate`; `factor_oracle` only reads
-    # the clones it is handed, so it may generate them
-    banned = {"eval_term", "compile_term", "eval_rational", "rank", "materialize"}
+    # reference clone with `clones.generate`, and so does a member
+    # oracle that compiles members with `qclone`; `factor_oracle` only
+    # reads the clones it is handed, so it may generate them
+    banned = {
+        "eval_term", "compile_term", "eval_rational", "rank", "materialize", "_compile_member"
+    }
     generating = {"generate", "_generate_arity"}
     found = []
     holders = []
@@ -229,6 +234,7 @@ def test_oracles_do_not_evaluate_through_the_library():
                 "clonelab",
                 "clonelab.orderterms",
                 "clonelab.clones",
+                "clonelab.qclone",
             ):
                 found.extend(
                     f"{path.name} imports {alias.name}"
@@ -237,6 +243,13 @@ def test_oracles_do_not_evaluate_through_the_library():
                 )
     assert holders == ["table_oracle.py"]
     assert not found, found
+    # nor may an oracle run a member's compiled program
+    programs = [
+        path.name
+        for path in sorted(Path(__file__).parent.glob("*_oracle.py"))
+        if "_program" in _code_names(ast.parse(path.read_text(), str(path)))
+    ]
+    assert not programs, programs
 
 
 
@@ -340,6 +353,24 @@ def test_a_lift_evaluates_terms_only_in_its_stage_loop():
     # `lift` compiles each side once and evaluates each column once; an
     # evaluation anywhere else in `lifting` would evaluate a column again
     assert _evaluating_owners("lifting") == {"lift"}
+
+
+def test_a_member_evaluates_only_through_its_compiled_program():
+    # `_compile_member` is the one evaluator of members: it alone reads a
+    # composition's provenance for values (`_collapse` reads it for the
+    # eventual coordinate), only construction compiles, and only the
+    # builder, `evaluate` and the spot check run a program
+    tree = ast.parse((PACKAGE / "qclone.py").read_text())
+    assert not [n for n in ast.walk(tree) if getattr(n, "name", None) == "_value"]
+    readers: dict[str, set] = {}
+    for owner, node in _owned_nodes(tree):
+        if isinstance(node, ast.Attribute):
+            readers.setdefault(node.attr, set()).add(owner)
+        elif isinstance(node, ast.Name) and node.id == "_compile_member":
+            readers.setdefault(node.id, set()).add(owner)
+    assert readers["inners"] | readers["outer"] == {"_compile_member", "_collapse"}
+    assert readers["_compile_member"] == {"QFunction"}
+    assert readers["_program"] == {"_compile_member", "evaluate", "spot_check_polymorphism"}
 
 
 def test_one_gate_builds_every_type_table():

@@ -7,10 +7,14 @@ dominated pairs; everything else is exact rational equality.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
+import time
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +204,124 @@ def test_polymorphism_spot_checks_pass():
     ]
     for f in members:
         assert spot_check_polymorphism(f, 300, seed=5) == 300
+
+
+def replay_spot_check(f, pairs, seed, value=nested_value):
+    """The sampled check as first written, in `Fraction`s, with values
+    from the oracle: per pair, u, v and whether value(u) < value(v)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(pairs):
+        lows = [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(f.arity)]
+        steps = [(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(f.arity)]
+        u = [F(xn, xd) for xn, xd in lows]
+        v = [F(xn * sd + sn * xd, xd * sd) for (xn, xd), (sn, sd) in zip(lows, steps)]
+        out.append((u, v, value(f, u) < value(f, v)))
+    return out
+
+
+def _check_outcome(f, pairs, seed):
+    try:
+        return spot_check_polymorphism(f, pairs, seed)
+    except InconsistentData as err:
+        return str(err)
+
+
+def _replayed_outcome(replay, pairs):
+    for u, v, increasing in replay[:pairs]:
+        if not increasing:
+            return f"not increasing between {u} and {v}"
+    return pairs
+
+
+# hulls made decreasing, or constant, wherever they are read: each as
+# the change to the library's integer value and to the oracle's value
+BROKEN_HULLS = {
+    "flipped": (lambda num, den: (-num, den), lambda value: -value),
+    "constant": (lambda num, den: (0, 1), lambda value: F(0)),
+}
+
+
+def _break_hulls(monkeypatch, kind="flipped"):
+    apply, (change, _) = DataHull.apply, BROKEN_HULLS[kind]
+    monkeypatch.setattr(DataHull, "apply", lambda hull, point: change(*apply(hull, point)))
+
+
+def _broken_value(kind):
+    # the oracle's value of a hull member built with broken hulls
+    change = BROKEN_HULLS[kind][1]
+
+    def value(f, u):
+        oracle = nested_value(f, u)
+        return change(oracle) if min(u) <= f.threshold else oracle
+
+    return value
+
+
+def test_a_non_monotone_member_fails_the_check_by_name(monkeypatch):
+    # a member built after its hull is made decreasing passes the first
+    # two pairs of seed 0 and fails the third
+    _break_hulls(monkeypatch)
+    f = incomparable_member()
+    assert spot_check_polymorphism(f, 2, seed=0) == 2
+    message = (
+        "not increasing between [Fraction(-12, 1), Fraction(36, 1)] "
+        "and [Fraction(-16, 3), Fraction(42, 1)]"
+    )
+    for pairs in (3, 40):
+        with pytest.raises(InconsistentData) as err:
+            spot_check_polymorphism(f, pairs, seed=0)
+        assert str(err.value) == message
+
+
+def test_the_check_reads_points_in_lowest_terms(monkeypatch):
+    # the hull keys its exact hits in lowest terms, so an unreduced
+    # point would miss a hit and read the interpolation instead
+    read = []
+    apply = DataHull.apply
+
+    def recording(hull, point):
+        read.append(point)
+        return apply(hull, point)
+
+    monkeypatch.setattr(DataHull, "apply", recording)
+    spot_check_polymorphism(incomparable_member(), 200, seed=3)
+    assert len(read) > 100
+    assert all(gcd(num, den) == 1 and den > 0 for point in read for num, den in point)
+
+
+def test_the_check_reads_the_pairs_of_the_fraction_check(monkeypatch):
+    # every prefix of the library's check passes or fails as the replay
+    # in Fractions does, and a failure names the replay's first bad pair
+    members = [
+        incomparable_member(),
+        parse_member(MOBIUS_MEMBER),
+        compose_members(incomparable_member(), [plain_member(2, 2), incomparable_member()]),
+        selector_member(3, 2),
+    ]
+    for f in members:
+        for seed in (0, 9):
+            replay = replay_spot_check(f, 12, seed)
+            assert all(increasing for _, _, increasing in replay)
+            for pairs in range(len(replay) + 1):
+                assert _check_outcome(f, pairs, seed) == pairs
+    for kind in BROKEN_HULLS:
+        with monkeypatch.context() as patch:
+            _break_hulls(patch, kind)
+            broken = [
+                incomparable_member(),
+                make_member(3, 2, F(-20), translation(1), {(F(-30), F(-21), F(0)): F(-40)}),
+            ]
+            mixed = 0
+            for f in broken:
+                for seed in range(12):
+                    replay = replay_spot_check(f, 12, seed, _broken_value(kind))
+                    mixed += len({increasing for _, _, increasing in replay}) == 2
+                    for pairs in range(len(replay) + 1):
+                        outcome = _replayed_outcome(replay, pairs)
+                        assert _check_outcome(f, pairs, seed) == outcome
+        # the broken members pass some pairs and fail others
+        assert mixed > 0, kind
 
 
 RATIONAL = st.builds(F, st.integers(-12, 12), st.integers(1, 4))
@@ -432,6 +554,101 @@ def test_a_repeated_inner_is_evaluated_once_per_point(monkeypatch):
     point = ((-1, 1), (1, 2))
     inner_value = apply(a.below, point)
     assert applied == [point, (inner_value, inner_value)]
+
+
+def mobius_bump(a: int, length: int, k: F) -> PLMap:
+    """The identity off [a, a + length); on it t -> t / (k - (k - 1) t)
+    of t = (x - a) / length, which fixes both ends.  For k > 0 it
+    increases, with its pole right of the piece for k > 1 and left of it,
+    where the integer denominators are negative, for k < 1."""
+    m = length
+    mat = (m - a * (k - 1), a * k * m + a * a * (k - 1) - a * m, 1 - k, k * m + (k - 1) * a)
+    one = (1, 0, 0, 1)
+    return PLMap((Piece(None, a, one), Piece(a, a + m, mat), Piece(a + m, None, one)))
+
+
+def _eventual_map(draw):
+    shift = translation(draw.draw(st.integers(-4, 4)))
+    if not draw.draw(st.booleans()):
+        return shift
+    a, length = draw.draw(st.integers(-4, 4)), draw.draw(st.integers(1, 5))
+    k = draw.draw(st.sampled_from([F(1, 3), F(1, 2), F(2), F(3)]))
+    return shift.compose(mobius_bump(a, length, k))
+
+
+def _hull_member(draw, n):
+    threshold = draw.draw(RATIONAL)
+    alpha = _eventual_map(draw)
+    points = draw.draw(st.lists(st.tuples(*[RATIONAL] * n), min_size=1, max_size=4))
+    ks = [draw.draw(st.integers(0, n - 1)) for _ in points]
+    points = [p[:k] + (min(p[k], threshold),) + p[k + 1 :] for p, k in zip(points, ks)]
+    # a positive multiple of the sum increases along weak domination
+    c = draw.draw(st.integers(1, 3))
+    raw = {p: c * sum(p) for p in points}
+    offset = alpha.apply(threshold) - 1 - max(raw.values()) - draw.draw(STEP)
+    data = {p: r + offset for p, r in raw.items()}
+    return make_member(n, draw.draw(st.integers(1, n)), threshold, alpha, data)
+
+
+def _leaf(draw, n):
+    kind = draw.draw(st.sampled_from(["hull", "graph", "selector"]))
+    if kind == "hull":
+        return _hull_member(draw, n)
+    if kind == "graph":
+        # a graph member whose graph is its eventual map
+        alpha = _eventual_map(draw)
+        return QFunction(n, draw.draw(st.integers(1, n)), draw.draw(RATIONAL), alpha, alpha)
+    return selector_member(n, draw.draw(st.integers(1, n)))
+
+
+def _edge_points(f):
+    """Points on f's threshold, on its eventual map's breakpoints past
+    it, and f's exact data hits."""
+    n, t, i = f.arity, f.threshold, f.coordinate - 1
+    points = [(t,) * n, tuple(t if j == i else t + 1 for j in range(n))]
+    points.append(tuple(t + 1 if j == i else t for j in range(n)))
+    for b in f.eventual.breakpoints():
+        points.append(tuple(b if j == i else max(b, t) + 1 for j in range(n)))
+        points.append((b,) * n)
+    if isinstance(f.below, DataHull):
+        points.extend(p for p, _ in f.below.data)
+    return points
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_shared_sub_members_evaluate_as_the_oracle_does(draw):
+    # s is an inner of both levels and the outer of the second
+    n = draw.draw(st.integers(2, 3))
+    s = _hull_member(draw, n)
+    leaves = [s, *(_leaf(draw, n) for _ in range(3))]
+
+    def inners(first=None):
+        picks = [draw.draw(st.sampled_from(leaves)) for _ in range(n)]
+        spots = draw.draw(st.permutations(range(n)))
+        picks[spots[0]] = s
+        if first is not None:
+            picks[spots[1]] = first
+        return picks
+
+    first = compose_members(draw.draw(st.sampled_from(leaves)), inners())
+    chain = compose_members(s, inners(first))
+    members = [*leaves, first, chain]
+    points = [p for f in members for p in _edge_points(f)]
+    points += draw.draw(st.lists(st.tuples(*[RATIONAL] * n), min_size=1, max_size=4))
+    for f in members:
+        for u in points:
+            assert evaluate(f, u) == nested_value(f, u), (f, u)
+
+
+def test_a_member_pickles_and_copies_with_its_program():
+    a = incomparable_member()
+    chain = compose_members(a, [a, compose_members(a, [a, plain_member(2, 2)])])
+    for f in (a, chain, selector_member(2, 2)):
+        for again in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+            assert again == f
+            for u in [(F(0), F(1)), (F(-3), F(1, 2)), (F(9), F(10))]:
+                assert evaluate(again, u) == evaluate(f, u)
 
 
 def test_composing_with_selectors_changes_nothing_pointwise():
@@ -814,6 +1031,15 @@ def test_member_parse_errors(text):
         lines = [line.split()[0] for line in text.splitlines()]
         retired = 1 + min(lines.index(d) for d in ("alpha", "map") if d in lines)
         assert err.value.line <= retired
+
+
+def test_a_member_file_of_huge_arity_is_refused_at_once():
+    # the arity line is guarded before any work linear in the arity
+    text = "arity 10000000000\neventual 1 0\npiece -inf inf affine 1 0\n"
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="argument tuple length needs 10000000000, cap is"):
+        parse_member(text)
+    assert time.monotonic() - start < 1
 
 
 def test_member_piece_errors_name_their_file_line():

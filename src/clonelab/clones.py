@@ -12,10 +12,19 @@ homomorphism search.
 On a base of at most 256 points a catalog is keyed by its tables'
 outputs as bytes, one byte per row, and each round packs every entry it
 reads into one integer.  A generator whose table has at most 256 entries
-then composes with one integer sum and one `bytes.translate`.  A wider
-generator, such as a ternary table on 7 points, reads its table row by
-row with `gather`, as `Table.compose` does; on a base over 256 points
-every generator does, and the catalog is keyed by output tuples.
+then composes a whole row of argument tuples at once: for each prefix of
+its first k-1 argument ids the last argument runs over the round, so the
+prefix's weighted packs, repeated once per lane, plus the concatenation
+of the round's packs are one integer, and one `bytes.translate` gives
+every composition in the row, one slice each.  A wider generator, such
+as a ternary table on 7 points, reads its table row by row with
+`gather`, as `Table.compose` does; on a base over 256 points every
+generator does, and the catalog is keyed by output tuples.
+
+The same packing reads a finished catalog across all its entries:
+`FiniteClone.catalog_rows` holds, for each row, one integer whose byte e
+is entry e's output there, so that the clone search can test a height-1
+equation on the whole catalog at once.
 
 A catalog entry is a valid `Table` by construction: its outputs are a
 selector's, or a checked generator table read at one in-range index per
@@ -31,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .config import Caps, DEFAULT_CAPS, guard
@@ -144,6 +154,25 @@ class FiniteClone:
             )
         return self.catalogs[arity]
 
+    def catalog_rows(self, arity: int) -> tuple[int, ...] | None:
+        """The arity's catalog read row by row: for each row of
+        {0..base_size-1}^arity in row-major order, one integer whose byte
+        e, little-endian, is entry e's output on that row.  None on a base
+        over 256 points, whose outputs do not fit a byte.  Read on first
+        use and kept with the clone."""
+        if arity not in self._rows:
+            rows = None
+            if self.base_size <= 256:
+                stride = self.base_size**arity
+                blob = b"".join(bytes(e.table.outputs) for e in self.catalog(arity))
+                rows = tuple(int.from_bytes(blob[r::stride], "little") for r in range(stride))
+            self._rows[arity] = rows
+        return self._rows[arity]
+
+    @cached_property
+    def _rows(self) -> dict[int, tuple[int, ...] | None]:
+        return {}  # catalog_rows by arity, for this clone alone
+
     def lookup_by_table(self, table: Table) -> CatalogEntry | None:
         for entry in self.catalogs.get(table.arity, ()):
             if entry.table == table:
@@ -220,35 +249,57 @@ def _generate_arity(generators, base_size, arity, caps):
         else:
             add(outputs, Var(i), 0)
     frontier_start = 0
+    slices: list[slice] = []
     for depth in range(1, caps.depth_cap + 1):
         round_start = len(entries)
         keys = list(index)  # the round reads the entries it starts with
-        packs = [int.from_bytes(k, "big") for k in keys] if packed else None
+        if packed:
+            packs = [int.from_bytes(k, "big") for k in keys]
+            # for each id the last argument can start at: the round's packs
+            # from there on, one lane of `rows` bytes each, and a 1 in the
+            # last byte of every lane
+            lanes = {
+                start: (
+                    int.from_bytes(b"".join(keys[start:]), "big"),
+                    int.from_bytes((bytes(rows - 1) + b"\1") * (round_start - start), "big"),
+                )
+                for start in {0, frontier_start}
+            }
+        # lane n of a batch: the outputs of the n-th tuple it composes
+        slices += [slice(n * rows, (n + 1) * rows) for n in range(len(slices), round_start)]
         for name, gtable in generators:
             k = gtable.arity
-            if packed and len(gtable.outputs) <= 256:
+            batched = packed and len(gtable.outputs) <= 256
+            if batched:
                 # byte r of the weighted sum is row r's index into gtable
                 lut = bytes(gtable.outputs).ljust(256, b"\0")
-                columns = [[p * gtable.size ** (k - 1 - j) for p in packs] for j in range(k)]
-            else:  # too wide to translate through: gather row by row
-                lut = None
-                columns = [keys] * k
-            ids = itertools.product(range(round_start), repeat=k)
-            for arg_ids, parts in zip(ids, itertools.product(*columns)):
-                if depth > 1 and max(arg_ids) < frontier_start:
-                    continue  # tried in an earlier round
-                term = App(name, tuple(map(terms.__getitem__, arg_ids)))
-                if lut is None:
-                    outputs = key(gather(gtable.outputs, gtable.size, parts))
-                else:
-                    outputs = sum(parts).to_bytes(rows, "big").translate(lut)
-                pos = index.get(outputs)
-                if pos is not None:
-                    pairs.append((terms[pos], term))
-                    continue
-                if len(entries) >= caps.catalog_cap:
-                    return entries, pairs, False  # cut at the catalog cap
-                add(outputs, term, depth)
+                # each prefix position's packs, weighted by its place
+                weighted = [[p * gtable.size ** (k - 1 - j) for p in packs] for j in range(k - 1)]
+            for prefix in itertools.product(range(round_start), repeat=k - 1):
+                # the last argument runs over the round; a tuple whose ids
+                # all lie before the frontier was tried in an earlier round
+                start = 0 if prefix and max(prefix) >= frontier_start else frontier_start
+                head = tuple(map(terms.__getitem__, prefix))
+                if batched:
+                    column, ones = lanes[start]
+                    offset = sum(map(list.__getitem__, weighted, prefix))
+                    batch = (offset * ones + column).to_bytes(rows * (round_start - start), "big")
+                    composed = map(batch.translate(lut).__getitem__, slices)
+                else:  # too wide to translate through: gather row by row
+                    args = [keys[i] for i in prefix]
+                    composed = (
+                        key(gather(gtable.outputs, gtable.size, [*args, keys[last]]))
+                        for last in range(start, round_start)
+                    )
+                for last, outputs in zip(range(start, round_start), composed):
+                    term = App(name, (*head, terms[last]))
+                    pos = index.get(outputs)
+                    if pos is not None:
+                        pairs.append((terms[pos], term))
+                        continue
+                    if len(entries) >= caps.catalog_cap:
+                        return entries, pairs, False  # cut at the catalog cap
+                    add(outputs, term, depth)
         if len(entries) == round_start:
             return entries, pairs, True  # saturated: a full round added nothing
         frontier_start = round_start
@@ -265,8 +316,9 @@ def _unchecked_table(size: int, arity: int, outputs: tuple[int, ...]) -> Table:
     inner outputs.  Every inner output is below `size`, so every index
     is below size^k, the length of `g.outputs`: a packed sum never reads
     the zero padding of the translate table, and no byte carries into
-    the next row.  So there are size^arity outputs, each an output of
-    `g`, whose checked `Table` keeps it in 0..size-1."""
+    the next row or the next lane of a batch.  So there are size^arity
+    outputs, each an output of `g`, whose checked `Table` keeps it in
+    0..size-1."""
     table = object.__new__(Table)
     object.__setattr__(table, "size", size)
     object.__setattr__(table, "arity", arity)

@@ -21,6 +21,14 @@ dict built; a symbol applied to variables alone is one `itemgetter` over
 its outputs.  Every hit, modulo hits included, is re-verified pointwise
 before it is returned.
 
+Before the loop, height-1 equations rule out entries across a whole
+catalog.  An equation whose sides are each a variable or one symbol on
+variables alone compares fixed rows of that symbol's table, so on a base
+of at most 256 points it is tested on every entry at once, one integer
+per row with one byte per entry (`FiniteClone.catalog_rows`).  Each
+catalog keeps the entries that pass the equations on its symbol alone,
+and the loop runs over those, in the same product order.
+
 The projective-homomorphism search runs the first notion against the
 equations a clone generation discovered (its collisions): an assignment
 of selectors consistent with every collision, or a small set of
@@ -30,6 +38,7 @@ serves it and `satisfiable_in_projections`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -199,24 +208,35 @@ def satisfiable_in_projections(system: EquationSystem) -> ProjectionReport:
 Modifier = tuple[str, Table] | None
 # a side's values on every row, from the output tuples in signature order
 Side = Callable[[Sequence[tuple[int, ...]]], tuple[int, ...]]
+# a side that reads one catalog row per point: (the symbol's signature
+# position, the row each point reads) for a symbol on variables alone,
+# (None, each point's value) for a variable
+Reads = tuple[int | None, tuple[int, ...]]
 
 
 def _compile_side(
-    term: Term, arity: int, base_size: int, positions: Mapping[str, int]
-) -> Side:
-    """A term's values on the rows of {0..base_size-1}^arity, in row-major
-    order, as a gather plan: a variable is a fixed column, and a symbol
-    reads its outputs at the row-wise indices its arguments spell.  The
-    indices contributed by variable arguments are fixed once, so a symbol
-    applied to variables alone is one `itemgetter` over its outputs."""
-    points = list(itertools.product(range(base_size), repeat=arity))
+    term: Term,
+    columns: Sequence[tuple[int, ...]],
+    base_size: int,
+    positions: Mapping[str, int],
+) -> tuple[Side, Reads | None]:
+    """A term's values on the rows of {0..base_size-1}^n, in row-major
+    order, as a gather plan: a variable is a fixed column (`columns`
+    holds x1..xn's), and a symbol reads its outputs at the row-wise
+    indices its arguments spell.  The indices contributed by variable
+    arguments are fixed once, so a symbol applied to variables alone is
+    one `itemgetter` over its outputs.  Returned with the side's `Reads`
+    when it is a variable or a symbol on variables alone, else None."""
+    points = len(columns[0])
+    reads = None
 
     def var(index: int) -> tuple[int, ...]:
-        return tuple(p[index - 1] for p in points)
+        return columns[index - 1]
 
     def app(symbol: str, parts: list) -> Side:
+        nonlocal reads
         pos = positions[symbol]
-        fixed = [0] * len(points)
+        fixed = [0] * points
         nested = []
         for j, part in enumerate(parts):
             weight = base_size ** (len(parts) - 1 - j)
@@ -224,8 +244,10 @@ def _compile_side(
                 fixed = [i + weight * v for i, v in zip(fixed, part)]
             else:
                 nested.append((weight, part))
+        # the fold applies the root last, so this ends as the root's reads
+        reads = None if nested else (pos, tuple(fixed))
         # on one row an itemgetter gives a bare value, not a 1-tuple
-        if not nested and len(points) > 1:
+        if not nested and points > 1:
             read = operator.itemgetter(*fixed)
             return lambda outputs: read(outputs[pos])
         fixed = tuple(fixed)
@@ -239,21 +261,27 @@ def _compile_side(
         return gather
 
     plan = fold(term, var, app)
-    return plan if callable(plan) else lambda outputs: plan
+    if callable(plan):
+        return plan, reads
+    return (lambda outputs: plan), (None, plan)
 
 
 def _compile(
     system: EquationSystem, base_size: int, caps: Caps
-) -> list[tuple[Side, Side]]:
+) -> tuple[list[tuple[Side, Side]], list[tuple[Reads | None, Reads | None]]]:
     """Both sides of every equation compiled against the signature order,
-    after refusing a row space over `tuple_cap`."""
+    and their reads, after refusing a row space over `tuple_cap`."""
     n = system.ambient_arity
     guard_power(base_size, n, caps.tuple_cap, "equation row space")
     positions = {name: i for i, (name, _) in enumerate(system.signature)}
-    return [
-        tuple(_compile_side(t, n, base_size, positions) for t in (eq.lhs, eq.rhs))
+    columns = list(zip(*itertools.product(range(base_size), repeat=n)))
+    compiled = [
+        [_compile_side(t, columns, base_size, positions) for t in (eq.lhs, eq.rhs)]
         for eq in system.equations
     ]
+    sides = [(left[0], right[0]) for left, right in compiled]
+    reads = [(left[1], right[1]) for left, right in compiled]
+    return sides, reads
 
 
 def _post(modifier: tuple[str, Table], values: tuple[int, ...]) -> tuple[int, ...]:
@@ -292,7 +320,7 @@ def first_broken(
     whose side tables do not agree, None when all agree.  A row space
     over `caps.tuple_cap` is refused before any table is read."""
     outputs = [tables[name].outputs for name, _ in system.signature]
-    return _first_broken(_compile(system, base_size, caps), outputs, (None,))[0]
+    return _first_broken(_compile(system, base_size, caps)[0], outputs, (None,))[0]
 
 
 def _eval_pointwise(
@@ -329,6 +357,9 @@ def _verify_pointwise(
 class CloneSearchReport:
     found: bool
     assignment: tuple[tuple[str, CatalogEntry], ...] | None
+    # assignments in product order of the catalogs up to and including the
+    # hit, or all of them on a miss; those ruled out in bulk by their
+    # height-1 equations count as checked
     checked: int
     # whether a negative answer is definitive: every catalog the symbols
     # draw from is saturated
@@ -337,36 +368,95 @@ class CloneSearchReport:
     modifiers: tuple[tuple[str, str], ...] | None = None
 
 
+# translate table: a zero byte to 1, every other byte to 0
+_ZERO_LANES = b"\1" + bytes(255)
+
+
+def _survivors(
+    rows: tuple[int, ...],
+    count: int,
+    base_size: int,
+    reads: Sequence[tuple[Reads, Reads]],
+    outside: Sequence[Modifier],
+) -> list[int]:
+    """The ids of the `count` catalog entries that satisfy every equation
+    in `reads` modulo the outside family, for the whole catalog at once.
+    Lane e of a row is entry e's output there, and a variable's value
+    stands in every lane, so the two sides of an equation agree on entry
+    e at a point exactly where `left ^ right` is zero in lane e."""
+    ones = int.from_bytes(b"\1" * count, "little")
+    posted = []  # per modifier: the rows and each value's lanes, post-composed
+    for modifier in outside:
+        if modifier is None:
+            posted.append((rows, [v * ones for v in range(base_size)]))
+            continue
+        lut = bytes(modifier[1].outputs).ljust(256, b"\0")
+        posted.append((
+            [int.from_bytes(r.to_bytes(count, "little").translate(lut), "little") for r in rows],
+            [v * ones for v in modifier[1].outputs],
+        ))
+    alive = ones
+    for (left, lreads), (right, rreads) in reads:
+        held = 0  # lanes where some pair of modifiers makes the sides agree
+        for a, b in itertools.product(posted, repeat=2):
+            lhs, rhs = a[left is None], b[right is None]
+            differ = functools.reduce(
+                operator.or_,
+                map(operator.xor, map(lhs.__getitem__, lreads), map(rhs.__getitem__, rreads)),
+            )
+            zero = differ.to_bytes(count, "little").translate(_ZERO_LANES)
+            held |= int.from_bytes(zero, "little")
+        alive &= held
+    return list(itertools.compress(range(count), alive.to_bytes(count, "little")))
+
+
 def _search(
     system: EquationSystem, clone: FiniteClone, outside: Sequence[Modifier]
 ) -> CloneSearchReport:
-    """The one catalog-assignment loop behind both clone searches."""
+    """The one catalog-assignment loop behind both clone searches.
+
+    First each symbol's catalog is read row by row across all its entries
+    (`FiniteClone.catalog_rows`), and the entries that break a height-1
+    equation on that symbol alone -- each side a variable or the symbol
+    on variables alone, not both variables -- are ruled out at once.  The
+    loop then runs over the survivors in product order and checks every
+    equation; a hit is re-verified pointwise.  A base over 256 points has
+    no rows, and there every entry stays."""
     catalogs = [clone.catalog(arity) for _, arity in system.signature]
     guard(
         math.prod(len(c) for c in catalogs) * len(outside) ** 2,
         clone.caps.tuple_cap,
         "assignment search space",
     )
-    sides = _compile(system, clone.base_size, clone.caps)
+    sides, reads = _compile(system, clone.base_size, clone.caps)
     names = [name for name, _ in system.signature]
     exhaustive = all(clone.saturated[arity] for _, arity in system.signature)
-    columns = [[entry.table.outputs for entry in c] for c in catalogs]
-    checked = 0
-    for outputs in itertools.product(*columns):
-        checked += 1
+    kept = []
+    for c, (catalog, (_, arity)) in enumerate(zip(catalogs, system.signature)):
+        own = [(l, r) for l, r in reads if l and r and {l[0], r[0]} - {None} == {c}]
+        rows = clone.catalog_rows(arity) if own else None
+        kept.append(
+            range(len(catalog))
+            if rows is None
+            else _survivors(rows, len(catalog), clone.base_size, own, outside)
+        )
+    columns = [[c[i].table.outputs for i in ids] for c, ids in zip(catalogs, kept)]
+    for picks, outputs in zip(itertools.product(*kept), itertools.product(*columns)):
         bad, agreements = _first_broken(sides, outputs, outside)
         if bad is None:
-            # outputs are unique within a catalog
-            entries = [c[col.index(o)] for c, col, o in zip(catalogs, columns, outputs)]
+            entries = [c[i] for c, i in zip(catalogs, picks)]
             tables = {name: entry.table for name, entry in zip(names, entries)}
             _verify_pointwise(system, tables, clone.base_size, agreements)
             modifiers = None
             if None not in outside:
                 modifiers = tuple((a[0], b[0]) for a, b in agreements)
+            checked = 0  # the hit's place in the product order
+            for c, i in zip(catalogs, picks):
+                checked = checked * len(c) + i
             return CloneSearchReport(
-                True, tuple(zip(names, entries)), checked, exhaustive, modifiers
+                True, tuple(zip(names, entries)), checked + 1, exhaustive, modifiers
             )
-    return CloneSearchReport(False, None, checked, exhaustive)
+    return CloneSearchReport(False, None, math.prod(map(len, catalogs)), exhaustive)
 
 
 def satisfiable_in_clone(

@@ -198,7 +198,9 @@ class QFunction:
     whole function (a graph member).
 
     Construction, ``dataclasses.replace`` included, enforces that the
-    arity is at least 1, that the coordinate lies in 1..arity, that
+    arity is at least 1 and refuses one over the default ``tuple_cap``
+    with ``CapExceeded`` before any work linear in it, that the
+    coordinate lies in 1..arity, that
     ``eventual`` is an increasing bijection of Q, that a graph member's
     map agrees with ``eventual`` above the threshold, and that a hull
     member's hull has the member's arity, has the ceiling
@@ -220,6 +222,7 @@ class QFunction:
     def __post_init__(self):
         if self.arity < 1:
             raise InconsistentData("arity must be at least 1")
+        guard_arity(self.arity, DEFAULT_CAPS)
         if not 1 <= self.coordinate <= self.arity:
             raise InconsistentData(
                 f"coordinate {self.coordinate} outside 1..{self.arity}"

@@ -162,6 +162,11 @@ def random_clones():
         generators = [(f"g{i}", random_table(rng, base, k)) for i, k in enumerate(arities)]
         caps = Caps(arity_cap=3, depth_cap=2, catalog_cap=rng.choice([5, 40, 1000]))
         yield generators, base, caps
+    # the cap three entries past the depth-1 catalog: depth 2 composes a
+    # whole row of last arguments per prefix, and the cut falls inside it
+    generators = [("f", random_table(rng, 3, 2)), ("g", random_table(rng, 3, 2))]
+    first = generate(generators, 3, Caps(arity_cap=2, depth_cap=1))
+    yield generators, 3, Caps(arity_cap=2, depth_cap=2, catalog_cap=len(first.catalog(2)) + 3)
 
 
 def wide_clones():
@@ -185,6 +190,23 @@ def test_generation_matches_the_tuple_oracle():
         assert_same_clone(clone, reference_generate(generators, base, caps))
         capped += any(len(c) == caps.catalog_cap for c in clone.catalogs.values())
     assert capped > 0  # some catalogs were cut at the catalog cap
+
+
+def test_the_catalog_cap_cuts_inside_a_composed_row():
+    *_, (generators, base, caps) = random_clones()
+    first = generate(generators, base, Caps(arity_cap=2, depth_cap=1)).catalog(2)
+    clone = generate(generators, base, caps)
+    assert_same_clone(clone, reference_generate(generators, base, caps))
+    # cut at the cap, three entries into depth 2, one prefix's row of
+    # compositions short of its end
+    catalog = clone.catalog(2)
+    assert len(catalog) == len(first) + 3 == caps.catalog_cap
+    assert [e.depth for e in catalog[-4:]] == [1, 2, 2, 2]
+    assert not clone.saturated[2]
+    # the last entry's last argument is not the round's last entry, so
+    # its prefix's row went on past the cut
+    last = [e.term for e in first].index(catalog[-1].term.args[-1])
+    assert last < len(first) - 1
 
 
 def test_generators_too_wide_to_pack_match_the_tuple_oracle():

@@ -11,11 +11,13 @@ every side's table by composition.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from clonelab import equations
 from clonelab.clones import Table, generate, selector
 from clonelab.config import Caps
 from clonelab.equations import (
@@ -250,7 +252,18 @@ def test_compiled_side_matches_the_composed_table(case):
     positions = {name: i for i, (name, _) in enumerate(SIG3)}
     outputs = tuple(tables[name].outputs for name, _ in SIG3)
     expected = eval_term_table(term, tables, arity, base).outputs
-    assert _compile_side(term, arity, base, positions)(outputs) == expected
+    columns = list(zip(*itertools.product(range(base), repeat=arity)))
+    side, reads = _compile_side(term, columns, base, positions)
+    assert side(outputs) == expected
+    # a variable, or a symbol on variables alone, also names what each
+    # point reads: its value, or the row of the symbol's table
+    flat = isinstance(term, Var) or all(isinstance(a, Var) for a in term.args)
+    assert (reads is not None) == flat
+    if reads is not None:
+        symbol, points = reads
+        values = points if symbol is None else [outputs[symbol][r] for r in points]
+        assert tuple(values) == expected
+        assert symbol == (None if isinstance(term, Var) else positions[term.symbol])
 
 
 CONDITIONS = {
@@ -304,6 +317,136 @@ def test_clone_search_matches_the_table_oracle():
                     system, tables, base
                 )
     assert 0 < found < 40 * len(systems)
+
+
+SYSTEMS = {
+    **CONDITIONS,
+    "variables": "sig f 2\neq f(x1,x2) = f(x2,x1)\neq x1 = x2\n",
+    "nested": "sig f 2\neq f(x1,x2) = f(x2,x1)\neq f(x1,f(x1,x2)) = f(x1,x2)\n",
+    "two-symbol": (
+        "sig f 2\nsig g 3\neq f(x1,x2) = f(x2,x1)\neq g(x1,x1,x1) = x1\n"
+        "eq g(x1,x1,x2) = g(x2,x1,x1)\neq f(x1,x2) = g(x1,x2,x2)\n"
+    ),
+}
+
+
+def random_generators(rng, base, arities):
+    return [
+        (f"g{i}", Table(base, k, tuple(rng.randrange(base) for _ in range(base**k))))
+        for i, k in enumerate(arities)
+    ]
+
+
+def last_entry_clone(rng):
+    """A base-3 clone cut at the catalog cap right after its first
+    commutative binary entry, so the symmetric search hits its last."""
+    system = parse_system(CONDITIONS["symmetric"])
+    while True:
+        generators = random_generators(rng, 3, (2,))
+        report = reference_search(system, generate(generators, 3, Caps(arity_cap=2, depth_cap=2)))
+        if report.found and report.checked > 2:
+            caps = Caps(arity_cap=2, depth_cap=2, catalog_cap=report.checked)
+            return generate(generators, 3, caps)
+
+
+def masked_cases():
+    """(clone, names of the systems to search in it)."""
+    rng = random.Random(20261020)
+    arity3 = ["majority", "maltsev", "weak-nu", "nested"]
+    every = [*SYSTEMS]
+    # base 3, arity-3 catalogs at depth 2
+    yield generate(random_generators(rng, 3, (2,)), 3, Caps(arity_cap=3, depth_cap=2)), arity3
+    yield last_entry_clone(rng), ["symmetric"]
+    # a median and a Maltsev operation among the depth-1 entries, after
+    # a random binary's: hits in mid-catalog
+    median = Table(3, 3, tuple(sorted(p)[1] for p in itertools.product(range(3), repeat=3)))
+    maltsev = Table(3, 3, tuple((x - y + z) % 3 for x, y, z in itertools.product(range(3), repeat=3)))
+    generators = [*random_generators(rng, 3, (2,)), ("m", median), ("p", maltsev)]
+    yield generate(generators, 3, Caps(arity_cap=3, depth_cap=1)), arity3
+    # catalogs cut at the catalog cap
+    yield generate(random_generators(rng, 3, (2, 2)), 3, Caps(arity_cap=3, depth_cap=2, catalog_cap=40)), every
+    for _ in range(3):
+        clone = generate(random_generators(rng, 2, (2,)), 2, Caps(arity_cap=3, depth_cap=2))
+        yield clone, every
+    # one point, where every system holds, `x1 = x2` included
+    yield generate(random_generators(rng, 1, (2,)), 1, Caps(arity_cap=3, depth_cap=2)), every
+    # a ternary generator too wide to translate through
+    wide = generate(random_generators(rng, 7, (3,)), 7, Caps(arity_cap=2, depth_cap=1))
+    yield wide, ["symmetric", "variables", "nested"]
+
+
+UNARY_SYSTEMS = [
+    "sig u 1\neq u(x1) = x1\n",
+    "sig u 1\nsig v 1\neq u(u(x1)) = v(x1)\neq v(x1) = u(v(x1))\n",
+]
+
+
+def search_families(rng, base):
+    """The plain search and the three outside families of the oracle
+    test: the last one has no identity, so its hits need modifiers."""
+    perm = list(range(base))
+    while perm == list(range(base)) and base > 1:
+        rng.shuffle(perm)
+    identity = ("id", Table(base, 1, tuple(range(base))))
+    swap = ("swap", Table(base, 1, tuple(perm)))
+    squash = ("squash", Table(base, 1, tuple(rng.randrange(base) for _ in range(base))))
+    return [(None,), [identity, swap], [identity], [swap, squash]]
+
+
+def test_masked_search_matches_the_table_oracle(monkeypatch):
+    # entries ruled out in bulk by their height-1 equations still count
+    # in `checked`, and the hit, its modifiers and its count are the ones
+    # the oracle's full product finds
+    pruned = []
+    survivors = equations._survivors
+
+    def recorded(rows, count, *rest):
+        kept = survivors(rows, count, *rest)
+        pruned.append(len(kept) < count)
+        return kept
+
+    monkeypatch.setattr(equations, "_survivors", recorded)
+    rng = random.Random(33)
+    cases = [(clone, [parse_system(SYSTEMS[name]) for name in names]) for clone, names in masked_cases()]
+    # a base over 256 points has no catalog rows, and nothing is masked
+    shift = ("s", Table(257, 1, tuple((v + 1) % 257 for v in range(257))))
+    big = generate([shift], 257, Caps(arity_cap=1, depth_cap=3))
+    cases.append((big, [parse_system(text) for text in UNARY_SYSTEMS]))
+    last_hits = found = 0
+    for clone, systems in cases:
+        for system in systems:
+            for family in search_families(rng, clone.base_size):
+                if family == (None,):
+                    report = satisfiable_in_clone(system, clone)
+                else:
+                    report = satisfiable_modulo_outside(system, clone, family)
+                assert report == reference_search(system, clone, family)
+                found += report.found
+                last_hits += report.found and report.checked == math.prod(
+                    len(clone.catalog(arity)) for _, arity in system.signature
+                )
+        rows = clone.catalog_rows(1)
+        assert (rows is None) == (clone.base_size > 256)
+    assert last_hits and found
+    assert any(pruned) and not all(pruned)
+
+
+def test_each_symbol_is_masked_by_its_own_equations(monkeypatch):
+    # in a two-symbol system, each catalog is cut down by the equations on
+    # its symbol alone; the linking equation is left to the loop
+    masked = []
+    survivors = equations._survivors
+
+    def recorded(rows, count, base_size, reads, outside):
+        masked.append((count, len(reads)))
+        return survivors(rows, count, base_size, reads, outside)
+
+    monkeypatch.setattr(equations, "_survivors", recorded)
+    rng = random.Random(5)
+    system = parse_system(SYSTEMS["two-symbol"])
+    clone = generate(random_generators(rng, 2, (2,)), 2, Caps(arity_cap=3, depth_cap=2))
+    assert satisfiable_in_clone(system, clone) == reference_search(system, clone)
+    assert masked == [(len(clone.catalog(2)), 1), (len(clone.catalog(3)), 2)]
 
 
 def first_unequal(system, tables, base):

@@ -7,8 +7,10 @@ every command-line option is read by the command that takes it.  No
 code path lists a whole automorphism group, no test oracle evaluates
 order terms or generates its reference clone through the library, and
 the critical level, the canonicity gate and each printed answer have
-one home each, and the unchecked table constructor one caller.  A
-member evaluates only through the program it compiles to.  Every
+one home each, and the unchecked table constructor one caller.  One
+loop checks clone-search assignments, and one definition reads a
+catalog row by row, for that search alone.  A member evaluates only
+through the program it compiles to.  Every
 source parses at the Python floor that `pyproject.toml` promises.  The
 checks read the sources with `ast`."""
 
@@ -243,11 +245,13 @@ def test_oracles_do_not_evaluate_through_the_library():
                 )
     assert holders == ["table_oracle.py"]
     assert not found, found
-    # nor may an oracle run a member's compiled program
+    # nor may an oracle run a member's compiled program, or read a
+    # catalog row by row as the clone search does
+    unshared = {"_program", "catalog_rows"}
     programs = [
         path.name
         for path in sorted(Path(__file__).parent.glob("*_oracle.py"))
-        if "_program" in _code_names(ast.parse(path.read_text(), str(path)))
+        if unshared & set(_code_names(ast.parse(path.read_text(), str(path))))
     ]
     assert not programs, programs
 
@@ -331,6 +335,32 @@ def test_only_generation_builds_unchecked_tables():
         if "_unchecked_table" in (getattr(node, "id", None), getattr(node, "attr", None))
     }
     assert users == {"clones._generate_arity"}
+
+
+def test_one_search_loop_checks_assignments():
+    # `_search` is the one assignment loop and `first_broken` checks one
+    # assignment; no other code path compares equation sides on tables
+    callers = {
+        f"{path.stem}.{owner}"
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
+        for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and "_first_broken" in _code_names(node.func)
+    }
+    assert callers == {"equations._search", "equations.first_broken"}
+
+
+def test_catalogs_are_read_row_by_row_in_one_place():
+    # one definition builds a catalog's rows, and only the clone search
+    # reads them, to rule out entries before its loop
+    definitions, readers = [], set()
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCH.glob("*.py"))]:
+        for scope, node in _by_scope(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, DEFINITIONS) and node.name == "catalog_rows":
+                definitions.append(path.stem + scope)
+            elif isinstance(node, ast.Attribute) and node.attr == "catalog_rows":
+                readers.add(path.stem + scope)
+    assert definitions == ["clones.FiniteClone.catalog_rows"]
+    assert readers == {"equations._search"}
 
 
 def _evaluating_owners(module):

@@ -847,9 +847,10 @@ def test_uniqueness_needs_parameters():
 
 
 def test_uniqueness_refuses_a_huge_grid_before_building_witnesses():
-    # 10^(10^10) grid points: neither the power nor the 10^10 witnesses
-    # are built before the cap refuses
-    f = make_member(10**10, 1, F(0), identity(), {})
+    # 10^(10^6) grid points at the largest arity a member may have:
+    # neither the power nor the 10^6 witnesses are built before the cap
+    # refuses
+    f = make_member(10**6, 1, F(0), identity(), {})
     with pytest.raises(CapExceeded) as err:
         uniqueness_witnesses(f)
     assert (err.value.what, err.value.needed, err.value.cap) == (
@@ -858,7 +859,7 @@ def test_uniqueness_refuses_a_huge_grid_before_building_witnesses():
         1_000_000,
     )
     assert str(err.value) == (
-        "verification grid size needs 10^10000000000, cap is 1000000"
+        "verification grid size needs 10^1000000, cap is 1000000"
     )
 
 
@@ -1039,6 +1040,21 @@ def test_a_member_file_of_huge_arity_is_refused_at_once():
     start = time.monotonic()
     with pytest.raises(CapExceeded, match="argument tuple length needs 10000000000, cap is"):
         parse_member(text)
+    assert time.monotonic() - start < 1
+
+
+def test_a_member_of_huge_arity_is_refused_at_once():
+    # a member built in code is guarded as a parsed one is: `xi` of a
+    # 10^10-ary member would build a 10^10-entry sample point
+    huge = 10**10
+    start = time.monotonic()
+    with pytest.raises(CapExceeded, match="argument tuple length needs 10000000000, cap is"):
+        make_member(huge, 1, Fraction(0), identity(), {})
+    with pytest.raises(CapExceeded, match="argument tuple length needs 10000000000, cap is"):
+        QFunction(huge, 1, Fraction(0), identity(), identity())
+    member = selector_member(2, 1)
+    with pytest.raises(CapExceeded, match="argument tuple length needs 10000000000, cap is"):
+        replace(member, arity=huge)
     assert time.monotonic() - start < 1
 
 

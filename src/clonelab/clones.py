@@ -21,15 +21,20 @@ as a ternary table on 7 points, reads its table row by row with
 `gather`, as `Table.compose` does; on a base over 256 points every
 generator does, and the catalog is keyed by output tuples.
 
-The same packing reads a finished catalog across all its entries:
-`FiniteClone.catalog_rows` holds, for each row, one integer whose byte e
-is entry e's output there, so that the clone search can test a height-1
-equation on the whole catalog at once.
+A finished catalog is a `Catalog`: the keys, terms and depths that
+generation kept, in catalog order.  It reads as a tuple of
+`CatalogEntry`s, and it is the one place that turns a key into an entry,
+each time a reader asks for one; generation builds none.  So a search
+that misses builds no entry, and readers that need only outputs take
+the keys.  The same packing reads a catalog across all its entries:
+`FiniteClone.catalog_rows` joins the kept keys and holds, for each row,
+one integer whose byte e is entry e's output there, so that the clone
+search can test a height-1 equation on the whole catalog at once.
 
 A catalog entry is a valid `Table` by construction: its outputs are a
 selector's, or a checked generator table read at one in-range index per
-row (`_unchecked_table` gives the argument).  So generation builds
-entries without `Table`'s checks; tables from anywhere else keep them.
+row (`_unchecked_table` gives the argument).  So entries are built
+without `Table`'s checks; tables from anywhere else keep them.
 
 Caps bound arity, composition depth, and catalog size; each arity
 records whether its catalog is saturated (a full round added nothing)
@@ -39,6 +44,7 @@ or was cut short.
 from __future__ import annotations
 
 import itertools
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -137,16 +143,56 @@ class CatalogEntry:
     depth: int
 
 
+def _key(base_size: int) -> type:
+    """How a catalog on the base keys its entries: by outputs packed one
+    byte per row on at most 256 points, by output tuples above."""
+    return bytes if base_size <= 256 else tuple
+
+
+class Catalog(abc.Sequence):
+    """One arity's catalog as generation kept it: each entry's key (its
+    outputs, as `_key` packs them), term and depth, in catalog order.  It
+    reads as the tuple of its `CatalogEntry`s (an index builds one, a
+    slice a tuple of them) and equals that tuple.  An entry is a frozen
+    value, so it is built again on each read rather than kept twice."""
+
+    __slots__ = ("size", "arity", "keys", "terms", "depths")
+
+    def __init__(self, size: int, arity: int, keys: tuple, terms: tuple, depths: tuple):
+        self.size, self.arity = size, arity
+        self.keys, self.terms, self.depths = keys, terms, depths
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self._entry, self.keys[i], self.terms[i], self.depths[i]))
+        return self._entry(self.keys[i], self.terms[i], self.depths[i])
+
+    def __iter__(self):
+        return map(self._entry, self.keys, self.terms, self.depths)
+
+    def __eq__(self, other):
+        if isinstance(other, (Catalog, tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def _entry(self, key, term: Term, depth: int) -> CatalogEntry:
+        table = _unchecked_table(self.size, self.arity, tuple(key))
+        return CatalogEntry(table, term, depth)
+
+
 @dataclass(frozen=True)
 class FiniteClone:
     base_size: int
     generators: tuple[tuple[str, Table], ...]
     caps: Caps
-    catalogs: dict[int, tuple[CatalogEntry, ...]] = field(compare=False)
+    catalogs: dict[int, Catalog] = field(compare=False)
     collisions: dict[int, tuple[tuple[Term, Term], ...]] = field(compare=False)
     saturated: dict[int, bool] = field(compare=False)
 
-    def catalog(self, arity: int) -> tuple[CatalogEntry, ...]:
+    def catalog(self, arity: int) -> Catalog:
         if arity not in self.catalogs:
             cap = self.caps.arity_cap
             raise CapExceeded(
@@ -158,13 +204,13 @@ class FiniteClone:
         """The arity's catalog read row by row: for each row of
         {0..base_size-1}^arity in row-major order, one integer whose byte
         e, little-endian, is entry e's output on that row.  None on a base
-        over 256 points, whose outputs do not fit a byte.  Read on first
-        use and kept with the clone."""
+        over 256 points, whose outputs do not fit a byte.  Joined from the
+        catalog's keys on first use and kept with the clone."""
         if arity not in self._rows:
             rows = None
-            if self.base_size <= 256:
+            if _key(self.base_size) is bytes:
                 stride = self.base_size**arity
-                blob = b"".join(bytes(e.table.outputs) for e in self.catalog(arity))
+                blob = b"".join(self.catalog(arity).keys)
                 rows = tuple(int.from_bytes(blob[r::stride], "little") for r in range(stride))
             self._rows[arity] = rows
         return self._rows[arity]
@@ -174,10 +220,16 @@ class FiniteClone:
         return {}  # catalog_rows by arity, for this clone alone
 
     def lookup_by_table(self, table: Table) -> CatalogEntry | None:
-        for entry in self.catalogs.get(table.arity, ()):
-            if entry.table == table:
-                return entry
-        return None
+        """The catalog entry whose table this is, if any; the only entry
+        built is the one returned.  A table of another size has outputs of
+        another length, or past one byte, so no key matches them."""
+        catalog = self.catalogs.get(table.arity)
+        if catalog is None:
+            return None
+        try:
+            return catalog[catalog.keys.index(_key(self.base_size)(table.outputs))]
+        except ValueError:  # no such key, or an output past one byte
+            return None
 
     def generator_table(self, name: str) -> Table:
         for gname, table in self.generators:
@@ -211,12 +263,11 @@ def generate(
         if table.size != base_size:
             raise InconsistentData(f"generator {name!r} has base size {table.size}")
         guard_arity(table.arity, caps)
-    catalogs: dict[int, tuple[CatalogEntry, ...]] = {}
+    catalogs: dict[int, Catalog] = {}
     collisions: dict[int, tuple[tuple[Term, Term], ...]] = {}
     saturated: dict[int, bool] = {}
     for arity in range(1, caps.arity_cap + 1):
-        entries, pairs, full = _generate_arity(generators, base_size, arity, caps)
-        catalogs[arity] = tuple(entries)
+        catalogs[arity], pairs, full = _generate_arity(generators, base_size, arity, caps)
         collisions[arity] = tuple(pairs)
         saturated[arity] = full
     return FiniteClone(
@@ -226,20 +277,17 @@ def generate(
 
 def _generate_arity(generators, base_size, arity, caps):
     rows = base_size**arity
-    packed = base_size <= 256  # outputs fit one byte each: keys are bytes
-    key = bytes if packed else tuple
+    key = _key(base_size)
+    packed = key is bytes
     # selectors seed the catalog; on degenerate bases some coincide as
     # tables, and those identifications are collisions like any other
-    entries: list[CatalogEntry] = []
     terms: list[Term] = []
+    depths: list[int] = []
     index: dict[bytes | tuple[int, ...], int] = {}  # keys in catalog order
     pairs: list[tuple[Term, Term]] = []
 
-    def add(outputs, term, depth):
-        index[outputs] = len(entries)
-        table = _unchecked_table(base_size, arity, tuple(outputs))
-        entries.append(CatalogEntry(table, term, depth))
-        terms.append(term)
+    def done(full: bool) -> tuple[Catalog, list[tuple[Term, Term]], bool]:
+        return Catalog(base_size, arity, tuple(index), tuple(terms), tuple(depths)), pairs, full
 
     for i in range(1, arity + 1):
         outputs = key(selector(base_size, arity, i).outputs)
@@ -247,11 +295,13 @@ def _generate_arity(generators, base_size, arity, caps):
         if pos is not None:
             pairs.append((terms[pos], Var(i)))
         else:
-            add(outputs, Var(i), 0)
+            index[outputs] = len(terms)
+            terms.append(Var(i))
+            depths.append(0)
     frontier_start = 0
     slices: list[slice] = []
     for depth in range(1, caps.depth_cap + 1):
-        round_start = len(entries)
+        round_start = len(terms)
         keys = list(index)  # the round reads the entries it starts with
         if packed:
             packs = [int.from_bytes(k, "big") for k in keys]
@@ -297,28 +347,30 @@ def _generate_arity(generators, base_size, arity, caps):
                     if pos is not None:
                         pairs.append((terms[pos], term))
                         continue
-                    if len(entries) >= caps.catalog_cap:
-                        return entries, pairs, False  # cut at the catalog cap
-                    add(outputs, term, depth)
-        if len(entries) == round_start:
-            return entries, pairs, True  # saturated: a full round added nothing
+                    if len(terms) >= caps.catalog_cap:
+                        return done(False)  # cut at the catalog cap
+                    index[outputs] = len(terms)
+                    terms.append(term)
+                    depths.append(depth)
+        if len(terms) == round_start:
+            return done(True)  # saturated: a full round added nothing
         frontier_start = round_start
     # depth cap reached while still finding new tables
-    return entries, pairs, False
+    return done(False)
 
 
 def _unchecked_table(size: int, arity: int, outputs: tuple[int, ...]) -> Table:
     """A catalog entry's `Table`, built without `Table.__post_init__`.
 
-    Only `_generate_arity` calls this, where the checks hold by
-    construction.  An entry's outputs are a checked selector's, or one
-    per row of a generator table `g` read at the index of each row's
-    inner outputs.  Every inner output is below `size`, so every index
-    is below size^k, the length of `g.outputs`: a packed sum never reads
-    the zero padding of the translate table, and no byte carries into
-    the next row or the next lane of a batch.  So there are size^arity
-    outputs, each an output of `g`, whose checked `Table` keeps it in
-    0..size-1."""
+    Only `Catalog._entry` calls this, on a key `_generate_arity` kept,
+    where the checks hold by construction.  An entry's outputs are a
+    checked selector's, or one per row of a generator table `g` read at
+    the index of each row's inner outputs.  Every inner output is below
+    `size`, so every index is below size^k, the length of `g.outputs`: a
+    packed sum never reads the zero padding of the translate table, and
+    no byte carries into the next row or the next lane of a batch.  So
+    there are size^arity outputs, each an output of `g`, whose checked
+    `Table` keeps it in 0..size-1."""
     table = object.__new__(Table)
     object.__setattr__(table, "size", size)
     object.__setattr__(table, "arity", arity)

@@ -16,10 +16,10 @@ through the catalog assignments for both, and the plain search compares
 each equation's side values directly.  Each side is compiled once per
 search into a gather plan over the rows of the variable space that reads
 each symbol at its signature position, so an assignment is checked on
-the output tuples the product of the catalogs yields, with no table or
-dict built; a symbol applied to variables alone is one `itemgetter` over
-its outputs.  Every hit, modulo hits included, is re-verified pointwise
-before it is returned.
+the catalog keys (each entry's outputs) the product of the catalogs
+yields, with no table, entry or dict built; a symbol applied to
+variables alone is one `itemgetter` over its outputs.  Every hit,
+modulo hits included, is re-verified pointwise before it is returned.
 
 Before the loop, height-1 equations rule out entries across a whole
 catalog.  An equation whose sides are each a variable or one symbol on
@@ -419,9 +419,10 @@ def _search(
     (`FiniteClone.catalog_rows`), and the entries that break a height-1
     equation on that symbol alone -- each side a variable or the symbol
     on variables alone, not both variables -- are ruled out at once.  The
-    loop then runs over the survivors in product order and checks every
-    equation; a hit is re-verified pointwise.  A base over 256 points has
-    no rows, and there every entry stays."""
+    loop then runs over the survivors' catalog keys in product order and
+    checks every equation; only a hit's entries are built, and a hit is
+    re-verified pointwise.  A base over 256 points has no rows, and there
+    every entry stays."""
     catalogs = [clone.catalog(arity) for _, arity in system.signature]
     guard(
         math.prod(len(c) for c in catalogs) * len(outside) ** 2,
@@ -440,7 +441,7 @@ def _search(
             if rows is None
             else _survivors(rows, len(catalog), clone.base_size, own, outside)
         )
-    columns = [[c[i].table.outputs for i in ids] for c, ids in zip(catalogs, kept)]
+    columns = [list(map(c.keys.__getitem__, ids)) for c, ids in zip(catalogs, kept)]
     for picks, outputs in zip(itertools.product(*kept), itertools.product(*columns)):
         bad, agreements = _first_broken(sides, outputs, outside)
         if bad is None:

@@ -6,6 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from clonelab.config import Caps
+from clonelab.equations import (
+    parse_equation_system,
+    satisfiable_in_clone,
+    satisfiable_modulo_outside,
+)
 from clonelab.errors import CapExceeded, InconsistentData
 from clonelab.clones import (
     CatalogEntry,
@@ -122,11 +127,29 @@ def test_catalog_cap_clears_saturation():
     assert len(clone.catalog(3)) == 4
 
 
-def test_lookup_by_table():
+def test_lookup_by_table(monkeypatch):
     clone = generate([("min", MIN2)], 2, Caps(arity_cap=2, depth_cap=2))
+    built = []
+    init = CatalogEntry.__init__
+
+    def counted_entry(entry, *args):
+        built.append(args)
+        init(entry, *args)
+
+    monkeypatch.setattr(CatalogEntry, "__init__", counted_entry)
     entry = clone.lookup_by_table(MIN2)
     assert entry is not None and entry.term == App("min", (Var(1), Var(2)))
+    assert len(built) == 1  # the entry returned, and no other
     assert clone.lookup_by_table(MAX2) is None
+    # tables of another size: outputs of another length, or past one byte
+    assert clone.lookup_by_table(table_from(min, 3, 2)) is None
+    assert clone.lookup_by_table(Table(257, 1, tuple(range(257)))) is None
+    assert len(built) == 1
+    # tuple keys over 256 points
+    shift = Table(257, 1, tuple((v + 1) % 257 for v in range(257)))
+    wide = generate([("s", shift)], 257, Caps(arity_cap=1, depth_cap=1))
+    assert wide.lookup_by_table(shift).term == App("s", (Var(1),))
+    assert wide.lookup_by_table(Table(257, 1, tuple(range(257)))).term == Var(1)
     with pytest.raises(CapExceeded) as err:
         clone.catalog(5)
     assert str(err.value) == "no catalog for arity 5 (cap 2)"
@@ -146,6 +169,26 @@ def assert_same_clone(clone, reference):
     assert clone.catalogs == reference.catalogs  # tables, terms and depths
     assert clone.collisions == reference.collisions  # in order
     assert clone.saturated == reference.saturated
+
+
+def assert_reads_as_the_tuple(catalog, entries):
+    # a catalog keeps keys, terms and depths; read back, it is the tuple
+    # of entries the oracle built, by length, index, slice and iteration
+    assert type(entries) is tuple
+    assert len(catalog) == len(entries)
+    assert list(catalog) == list(entries)
+    for i in (0, len(entries) - 1, -1, -len(entries)):
+        assert catalog[i] == entries[i]
+    with pytest.raises(IndexError):
+        catalog[len(entries)]
+    with pytest.raises(IndexError):
+        catalog[-len(entries) - 1]
+    for window in (slice(None), slice(1, None), slice(None, -1), slice(-3, None), slice(None, None, 2)):
+        assert type(catalog[window]) is tuple
+        assert catalog[window] == entries[window]
+    assert catalog[:10] + catalog[-10:] == entries[:10] + entries[-10:]
+    assert catalog == entries and entries == catalog
+    assert catalog != entries[:-1] and catalog != list(entries)
 
 
 def random_table(rng, size, arity):
@@ -187,7 +230,10 @@ def test_generation_matches_the_tuple_oracle():
     capped = 0
     for generators, base, caps in random_clones():
         clone = generate(generators, base, caps)
-        assert_same_clone(clone, reference_generate(generators, base, caps))
+        reference = reference_generate(generators, base, caps)
+        assert_same_clone(clone, reference)
+        for arity, catalog in clone.catalogs.items():
+            assert_reads_as_the_tuple(catalog, reference.catalogs[arity])
         capped += any(len(c) == caps.catalog_cap for c in clone.catalogs.values())
     assert capped > 0  # some catalogs were cut at the catalog cap
 
@@ -212,7 +258,11 @@ def test_the_catalog_cap_cuts_inside_a_composed_row():
 def test_generators_too_wide_to_pack_match_the_tuple_oracle():
     for generators, base, caps in wide_clones():
         clone = generate(generators, base, caps)
-        assert_same_clone(clone, reference_generate(generators, base, caps))
+        reference = reference_generate(generators, base, caps)
+        assert_same_clone(clone, reference)
+        # the gather path on 7 points, and tuple keys on 257
+        for arity, catalog in clone.catalogs.items():
+            assert_reads_as_the_tuple(catalog, reference.catalogs[arity])
 
 
 def test_every_catalog_table_is_a_valid_table():
@@ -230,22 +280,41 @@ def test_every_catalog_table_is_a_valid_table():
 
 def test_generation_checks_no_catalog_entry(monkeypatch):
     # a count, not a timing: `Table`'s checks run on the selectors alone,
-    # never once per catalog entry
+    # never once per catalog entry; and generation builds no entry at all,
+    # a search that misses none, and a hit one per symbol
     rng = random.Random(3)
     generators = [("f", random_table(rng, 3, 2)), ("g", random_table(rng, 3, 2))]
     caps = Caps(arity_cap=3, depth_cap=2)
     selectors = [selector(3, a, i) for a in (1, 2, 3) for i in range(1, a + 1)]
-    checked = []
-    post_init = Table.__post_init__
+    checked, built = [], []
+    post_init, init = Table.__post_init__, CatalogEntry.__init__
 
     def counted(table):
         checked.append(table)
         post_init(table)
 
+    def counted_entry(entry, *args):
+        built.append(args)
+        init(entry, *args)
+
     monkeypatch.setattr(Table, "__post_init__", counted)
+    monkeypatch.setattr(CatalogEntry, "__init__", counted_entry)
     clone = generate(generators, 3, caps)
     assert checked == selectors
     assert sum(map(len, clone.catalogs.values())) > 100
+    assert built == []
+    # `x1 = x2` rules out nothing in bulk, so the loop reads every pair
+    miss = parse_equation_system("sig f 3\nsig g 2\neq f(x1,x2,x1) = g(x2,x1)\neq x1 = x2\n")
+    report = satisfiable_in_clone(miss, clone)
+    assert not report.found and report.checked == len(clone.catalog(3)) * len(clone.catalog(2))
+    outside = [("id", Table(3, 1, (0, 1, 2))), ("swap", Table(3, 1, (1, 0, 2)))]
+    assert not satisfiable_modulo_outside(miss, clone, outside).found
+    assert built == []
+    hit = parse_equation_system("sig f 3\nsig g 2\neq f(x1,x2,x1) = g(x2,x1)\n")
+    report = satisfiable_in_clone(hit, clone)
+    assert report.found and report.checked > 1
+    assert built == [(e.table, e.term, e.depth) for _, e in report.assignment]
+    assert len(built) == 2
 
 
 def test_a_huge_arity_is_refused_without_computing_the_power():

@@ -7,7 +7,9 @@ every command-line option is read by the command that takes it.  No
 code path lists a whole automorphism group, no test oracle evaluates
 order terms or generates its reference clone through the library, and
 the critical level, the canonicity gate and each printed answer have
-one home each, and the unchecked table constructor one caller.  One
+one home each, and the unchecked table constructor one caller, the
+catalog's reader, which with one lifting helper alone builds catalog
+entries.  One
 loop checks clone-search assignments, and one definition reads a
 catalog row by row, for that search alone.  A member evaluates only
 through the program it compiles to.  Every
@@ -326,15 +328,28 @@ def test_the_critical_level_has_one_definition():
 
 
 def test_only_generation_builds_unchecked_tables():
-    # a catalog entry is a valid table by construction; every other table
-    # comes from outside `_generate_arity` and goes through `Table`'s checks
+    # a catalog entry is a valid table by construction, built from a key
+    # `_generate_arity` kept by the catalog's one reader; every other table
+    # goes through `Table`'s checks
     users = {
-        f"{path.stem}.{owner}"
+        path.stem + scope
         for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
-        for owner, node in _owned_nodes(ast.parse(path.read_text(), str(path)))
+        for scope, node in _by_scope(ast.parse(path.read_text(), str(path)))
         if "_unchecked_table" in (getattr(node, "id", None), getattr(node, "attr", None))
     }
-    assert users == {"clones._generate_arity"}
+    assert users == {"clones.Catalog._entry"}
+
+
+def test_catalog_entries_are_built_only_when_read():
+    # generation keeps keys, terms and depths; an entry is built by the
+    # catalog's reader, or for a generator its type clone lacks
+    builders = {
+        path.stem + scope
+        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
+        for scope, node in _by_scope(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and "CatalogEntry" in _code_names(node.func)
+    }
+    assert builders == {"clones.Catalog._entry", "lifting._generator_reading"}
 
 
 def test_one_search_loop_checks_assignments():

@@ -4,10 +4,21 @@ Operations are stored as row-major output tables.  A clone is generated
 from named operations by breadth-first composition: per arity the
 catalog starts from the selectors and repeatedly applies each generator
 to already-catalogued operations, deduplicating by table and remembering
-the first composition term that produced each table.  Two distinct
-terms that produce the same table ("collisions") are kept; they are the
-equations the clone is known to satisfy and drive the projective
-homomorphism search.
+the first composition that produced each table.  Two distinct
+compositions that produce the same table ("collisions") are kept; they
+are the equations the clone is known to satisfy and drive the
+projective homomorphism search.
+
+Generation builds no terms.  It keeps each composition as integers, its
+recipe: the generator's position and the catalog ids of its arguments,
+or a selector's index.  A collision is one fixed-stride record in an
+`array` of machine ints: the id of the entry that first gave the table,
+then the later composition's recipe, padded to the widest generator.
+`_term` is the one place that turns a recipe into a term, when a
+catalog entry or a collision is read; an entry's arguments come before
+it, so `Catalog.build_terms` builds a term upwards from the selectors,
+without recursing once per composition level.  The selector scan reads the
+records as they are (`Collisions.apart`).
 
 On a base of at most 256 points a catalog is keyed by its tables'
 outputs as bytes, one byte per row, and each round packs every entry it
@@ -21,12 +32,14 @@ as a ternary table on 7 points, reads its table row by row with
 `gather`, as `Table.compose` does; on a base over 256 points every
 generator does, and the catalog is keyed by output tuples.
 
-A finished catalog is a `Catalog`: the keys, terms and depths that
+A finished catalog is a `Catalog`: the keys, recipes and depths that
 generation kept, in catalog order.  It reads as a tuple of
 `CatalogEntry`s, and it is the one place that turns a key into an entry,
 each time a reader asks for one; generation builds none.  So a search
 that misses builds no entry, and readers that need only outputs take
-the keys.  The same packing reads a catalog across all its entries:
+the keys.  An arity's collisions are a `Collisions`, which reads as the
+tuple of its (first term, later term) pairs in the same way.  The same
+packing reads a catalog across all its entries:
 `FiniteClone.catalog_rows` joins the kept keys and holds, for each row,
 one integer whose byte e is entry e's output there, so that the clone
 search can test a height-1 equation on the whole catalog at once.
@@ -44,10 +57,11 @@ or was cut short.
 from __future__ import annotations
 
 import itertools
+from array import array
 from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .config import Caps, DEFAULT_CAPS, guard
 from .errors import CapExceeded, InconsistentData
@@ -149,38 +163,137 @@ def _key(base_size: int) -> type:
     return bytes if base_size <= 256 else tuple
 
 
-class Catalog(abc.Sequence):
+# A recipe says how generation made a table: a generator's position in
+# the generator list and the catalog ids of its arguments, or SELECTOR
+# and a selector's index.
+SELECTOR = -1
+
+
+def _term(symbols: Sequence[tuple[str, int]], recipe: Sequence[int], terms) -> Term:
+    """The term a recipe spells, its argument ids read in `terms`.  A
+    collision record pads its recipe to a fixed width; the generator's
+    arity, in `symbols` with its name, says where the arguments end."""
+    op = recipe[0]
+    if op == SELECTOR:
+        return Var(recipe[1])
+    name, arity = symbols[op]
+    return App(name, tuple(map(terms.__getitem__, recipe[1 : 1 + arity])))
+
+
+class _Kept(abc.Sequence):
+    """What generation kept of one arity, read as a tuple: `_read(ids)`
+    builds the items at the ids, in order, only when they are read.  An
+    index builds one item, a slice a tuple of them, and the sequence
+    equals the tuple of its items."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        ids = range(len(self))[i]  # an IndexError past either end
+        if isinstance(i, slice):
+            return tuple(self._read(ids))
+        return next(self._read((ids,)))
+
+    def __iter__(self):
+        return self._read(range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (type(self), tuple)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+
+class Catalog(_Kept):
     """One arity's catalog as generation kept it: each entry's key (its
-    outputs, as `_key` packs them), term and depth, in catalog order.  It
-    reads as the tuple of its `CatalogEntry`s (an index builds one, a
-    slice a tuple of them) and equals that tuple.  An entry is a frozen
-    value, so it is built again on each read rather than kept twice."""
+    outputs, as `_key` packs them), recipe and depth, in catalog order,
+    over the generators named in `symbols` (name and arity, in generator
+    order).  It reads as the tuple of its `CatalogEntry`s.  An entry is a
+    frozen value, so it is built again on each read rather than kept
+    twice."""
 
-    __slots__ = ("size", "arity", "keys", "terms", "depths")
+    __slots__ = ("size", "arity", "symbols", "keys", "recipes", "depths")
 
-    def __init__(self, size: int, arity: int, keys: tuple, terms: tuple, depths: tuple):
-        self.size, self.arity = size, arity
-        self.keys, self.terms, self.depths = keys, terms, depths
+    def __init__(self, size, arity, symbols, keys: tuple, recipes: tuple, depths: tuple):
+        self.size, self.arity, self.symbols = size, arity, symbols
+        self.keys, self.recipes, self.depths = keys, recipes, depths
 
     def __len__(self) -> int:
         return len(self.keys)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self._entry, self.keys[i], self.terms[i], self.depths[i]))
-        return self._entry(self.keys[i], self.terms[i], self.depths[i])
+    def _read(self, ids) -> Iterator[CatalogEntry]:
+        return map(self._entry, ids, map(self.build_terms(ids).__getitem__, ids))
 
-    def __iter__(self):
-        return map(self._entry, self.keys, self.terms, self.depths)
+    def _entry(self, i: int, term: Term) -> CatalogEntry:
+        table = _unchecked_table(self.size, self.arity, tuple(self.keys[i]))
+        return CatalogEntry(table, term, self.depths[i])
 
-    def __eq__(self, other):
-        if isinstance(other, (Catalog, tuple)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
+    def composed_of(self, recipe: Sequence[int]) -> Sequence[int]:
+        """The ids of the entries a recipe composes (none for a selector)."""
+        op = recipe[0]
+        return () if op == SELECTOR else recipe[1 : 1 + self.symbols[op][1]]
 
-    def _entry(self, key, term: Term, depth: int) -> CatalogEntry:
-        table = _unchecked_table(self.size, self.arity, tuple(key))
-        return CatalogEntry(table, term, depth)
+    def build_terms(self, ids) -> dict[int, Term]:
+        """The terms of the entries `ids` and of every entry they are
+        composed from.  An entry's arguments come before it in the
+        catalog, so the terms are built upwards from the selectors, each
+        from terms already built, and a term thousands of compositions
+        deep needs no recursion."""
+        needed = set(ids)
+        stack = list(needed)
+        while stack:
+            for a in self.composed_of(self.recipes[stack.pop()]):
+                if a not in needed:
+                    needed.add(a)
+                    stack.append(a)
+        terms: dict[int, Term] = {}
+        for i in sorted(needed):
+            terms[i] = _term(self.symbols, self.recipes[i], terms)
+        return terms
+
+    def collapse(self, i: int, picks: Sequence[int]) -> int:
+        """The variable entry i collapses to when generator g reads as the
+        selector of its picks[g]-th argument: follow that argument's
+        recipe until it is a selector's."""
+        recipes = self.recipes
+        recipe = recipes[i]
+        while (op := recipe[0]) != SELECTOR:
+            recipe = recipes[recipe[picks[op]]]
+        return recipe[1]
+
+
+class Collisions(_Kept):
+    """One arity's collisions as generation kept them, in one `array` of
+    machine ints: per collision a record of `stride` ints, the id of the
+    entry that first gave the table, then the later composition's recipe
+    padded with zeros to the widest generator.  It reads as the tuple of
+    its (first term, later term) pairs."""
+
+    __slots__ = ("catalog", "records", "stride")
+
+    def __init__(self, catalog: Catalog, records: array):
+        self.catalog, self.records = catalog, records
+        self.stride = 2 + max((k for _, k in catalog.symbols), default=1)
+
+    def __len__(self) -> int:
+        return len(self.records) // self.stride
+
+    def _read(self, ids) -> Iterator[tuple[Term, Term]]:
+        catalog, s = self.catalog, self.stride
+        rows = [self.records[j * s : (j + 1) * s] for j in ids]
+        terms = catalog.build_terms(
+            {a for row in rows for a in (row[0], *catalog.composed_of(row[1:]))}
+        )
+        return ((terms[row[0]], _term(catalog.symbols, row[1:], terms)) for row in rows)
+
+    def apart(self, j: int, picks: Sequence[int]) -> bool:
+        """Whether collision j's two sides collapse to different variables
+        when generator g reads as the selector of its picks[g]-th argument
+        (`Catalog.collapse`), read on the record without building it."""
+        records, collapse = self.records, self.catalog.collapse
+        o = j * self.stride
+        op = records[o + 1]
+        later = records[o + 2] if op == SELECTOR else collapse(records[o + 1 + picks[op]], picks)
+        return collapse(records[o], picks) != later
 
 
 @dataclass(frozen=True)
@@ -189,7 +302,7 @@ class FiniteClone:
     generators: tuple[tuple[str, Table], ...]
     caps: Caps
     catalogs: dict[int, Catalog] = field(compare=False)
-    collisions: dict[int, tuple[tuple[Term, Term], ...]] = field(compare=False)
+    collisions: dict[int, Collisions] = field(compare=False)
     saturated: dict[int, bool] = field(compare=False)
 
     def catalog(self, arity: int) -> Catalog:
@@ -264,12 +377,12 @@ def generate(
             raise InconsistentData(f"generator {name!r} has base size {table.size}")
         guard_arity(table.arity, caps)
     catalogs: dict[int, Catalog] = {}
-    collisions: dict[int, tuple[tuple[Term, Term], ...]] = {}
+    collisions: dict[int, Collisions] = {}
     saturated: dict[int, bool] = {}
     for arity in range(1, caps.arity_cap + 1):
-        catalogs[arity], pairs, full = _generate_arity(generators, base_size, arity, caps)
-        collisions[arity] = tuple(pairs)
-        saturated[arity] = full
+        catalogs[arity], collisions[arity], saturated[arity] = _generate_arity(
+            generators, base_size, arity, caps
+        )
     return FiniteClone(
         base_size, tuple(generators), caps, catalogs, collisions, saturated
     )
@@ -279,29 +392,32 @@ def _generate_arity(generators, base_size, arity, caps):
     rows = base_size**arity
     key = _key(base_size)
     packed = key is bytes
+    symbols = tuple((name, table.arity) for name, table in generators)
+    width = max((k for _, k in symbols), default=1)
     # selectors seed the catalog; on degenerate bases some coincide as
     # tables, and those identifications are collisions like any other
-    terms: list[Term] = []
+    recipes: list[tuple[int, ...]] = []
     depths: list[int] = []
     index: dict[bytes | tuple[int, ...], int] = {}  # keys in catalog order
-    pairs: list[tuple[Term, Term]] = []
+    collided = array("i")  # the collision records, see `Collisions`
 
-    def done(full: bool) -> tuple[Catalog, list[tuple[Term, Term]], bool]:
-        return Catalog(base_size, arity, tuple(index), tuple(terms), tuple(depths)), pairs, full
+    def done(full: bool) -> tuple[Catalog, Collisions, bool]:
+        catalog = Catalog(base_size, arity, symbols, tuple(index), tuple(recipes), tuple(depths))
+        return catalog, Collisions(catalog, collided), full
 
     for i in range(1, arity + 1):
         outputs = key(selector(base_size, arity, i).outputs)
         pos = index.get(outputs)
         if pos is not None:
-            pairs.append((terms[pos], Var(i)))
+            collided.fromlist([pos, SELECTOR, i, *(0,) * (width - 1)])
         else:
-            index[outputs] = len(terms)
-            terms.append(Var(i))
+            index[outputs] = len(recipes)
+            recipes.append((SELECTOR, i))
             depths.append(0)
     frontier_start = 0
     slices: list[slice] = []
     for depth in range(1, caps.depth_cap + 1):
-        round_start = len(terms)
+        round_start = len(recipes)
         keys = list(index)  # the round reads the entries it starts with
         if packed:
             packs = [int.from_bytes(k, "big") for k in keys]
@@ -317,8 +433,9 @@ def _generate_arity(generators, base_size, arity, caps):
             }
         # lane n of a batch: the outputs of the n-th tuple it composes
         slices += [slice(n * rows, (n + 1) * rows) for n in range(len(slices), round_start)]
-        for name, gtable in generators:
+        for g, (_, gtable) in enumerate(generators):
             k = gtable.arity
+            padding = (0,) * (width - k)
             batched = packed and len(gtable.outputs) <= 256
             if batched:
                 # byte r of the weighted sum is row r's index into gtable
@@ -329,7 +446,6 @@ def _generate_arity(generators, base_size, arity, caps):
                 # the last argument runs over the round; a tuple whose ids
                 # all lie before the frontier was tried in an earlier round
                 start = 0 if prefix and max(prefix) >= frontier_start else frontier_start
-                head = tuple(map(terms.__getitem__, prefix))
                 if batched:
                     column, ones = lanes[start]
                     offset = sum(map(list.__getitem__, weighted, prefix))
@@ -341,18 +457,22 @@ def _generate_arity(generators, base_size, arity, caps):
                         key(gather(gtable.outputs, gtable.size, [*args, keys[last]]))
                         for last in range(start, round_start)
                     )
+                # the row's collision records: a list takes them faster
+                # than the `array` does, and moving them per row keeps it short
+                found: list[int] = []
                 for last, outputs in zip(range(start, round_start), composed):
-                    term = App(name, (*head, terms[last]))
                     pos = index.get(outputs)
                     if pos is not None:
-                        pairs.append((terms[pos], term))
+                        found += pos, g, *prefix, last, *padding
                         continue
-                    if len(terms) >= caps.catalog_cap:
+                    if len(recipes) >= caps.catalog_cap:
+                        collided.fromlist(found)
                         return done(False)  # cut at the catalog cap
-                    index[outputs] = len(terms)
-                    terms.append(term)
+                    index[outputs] = len(recipes)
+                    recipes.append((g, *prefix, last))
                     depths.append(depth)
-        if len(terms) == round_start:
+                collided.fromlist(found)
+        if len(recipes) == round_start:
             return done(True)  # saturated: a full round added nothing
         frontier_start = round_start
     # depth cap reached while still finding new tables

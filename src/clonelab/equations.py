@@ -32,8 +32,13 @@ and the loop runs over those, in the same product order.
 The projective-homomorphism search runs the first notion against the
 equations a clone generation discovered (its collisions): an assignment
 of selectors consistent with every collision, or a small set of
-collisions that together rule out all assignments.  One selector scan
-serves it and `satisfiable_in_projections`.
+collisions that together rule out all assignments.  It reads the
+collision records that generation kept, not terms: under an assignment
+a side collapses by following, from composition to composition, the
+argument its generator is read at, until a selector gives the variable.
+Terms are built only for a refutation's witnesses.  One selector scan,
+`_selector_scan`, runs through the assignments for this search and for
+`satisfiable_in_projections`, each reading its own equations.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .clones import CatalogEntry, FiniteClone, Table
 from .config import Caps, guard, guard_power
@@ -53,6 +58,7 @@ from .syntax import natural, records
 from .terms import App, Term, Var, collapse, fold, max_variable, parse_term
 
 Sigma = tuple[tuple[str, int], ...]
+Broken = TypeVar("Broken")  # how a selector scan names an equation
 
 
 def format_sigma(sigma: Sigma) -> str:
@@ -174,29 +180,37 @@ class ProjectionReport:
 
 
 def _selector_scan(
-    signature: Sequence[tuple[str, int]], pairs: Sequence[tuple[Term, Term]]
-) -> tuple[Sigma | None, list[tuple[Sigma, int]]]:
-    """Selector assignments in order until one collapses both sides of
-    every pair alike: that assignment (None if none does), and each
-    assignment before it with the index of the first pair it breaks."""
+    signature: Sequence[tuple[str, int]], first_broken: Callable[[Sigma], Broken | None]
+) -> tuple[Sigma | None, list[tuple[Sigma, Broken]]]:
+    """Selector assignments in order until one breaks no equation: that
+    assignment (None if none does), and each assignment before it with
+    the first equation it breaks, as `first_broken` names it (None when
+    the assignment breaks none)."""
     failures = []
     for sigma in projection_assignments(signature):
-        mapping = dict(sigma)
-        for i, (s, t) in enumerate(pairs):
-            if collapse(s, mapping) != collapse(t, mapping):
-                failures.append((sigma, i))
-                break
-        else:
+        bad = first_broken(sigma)
+        if bad is None:
             return sigma, failures
+        failures.append((sigma, bad))
     return None, failures
 
 
 def satisfiable_in_projections(system: EquationSystem) -> ProjectionReport:
     """First selector assignment satisfying every equation, or a failure
     table covering all assignments."""
-    sigma, failures = _selector_scan(
-        system.signature, [(eq.lhs, eq.rhs) for eq in system.equations]
-    )
+
+    def first_broken(sigma: Sigma) -> int | None:
+        mapping = dict(sigma)
+        return next(
+            (
+                i
+                for i, eq in enumerate(system.equations)
+                if collapse(eq.lhs, mapping) != collapse(eq.rhs, mapping)
+            ),
+            None,
+        )
+
+    sigma, failures = _selector_scan(system.signature, first_broken)
     if sigma is not None:
         return ProjectionReport(True, sigma, ())
     return ProjectionReport(False, None, tuple(failures))
@@ -544,6 +558,11 @@ def has_projective_homomorphism(clone: FiniteClone) -> ProjHomReport:
     """Search for a selector reading of the generators consistent with
     every equation discovered while generating the clone.
 
+    The equations are the collisions, read in arity order on their
+    records: under an assignment, each side collapses by following the
+    assigned argument of each composition until it reaches a selector.
+    Terms are built only for a refutation's witnesses.
+
     A refutation is exact.  A positive answer is exact only when every
     catalog saturated; otherwise deeper compositions could still add
     obstructions.  When a generator's arity exceeds the arity cap its
@@ -552,27 +571,37 @@ def has_projective_homomorphism(clone: FiniteClone) -> ProjHomReport:
     signature = [(name, table.arity) for name, table in clone.generators]
     if any(arity > clone.caps.arity_cap for _, arity in signature):
         return ProjHomReport("undecided", None, tuple(signature), (), (), False, 0)
-    collisions = [
-        pair for arity in sorted(clone.collisions) for pair in clone.collisions[arity]
-    ]
+    # a collision is named by (its arity's place in arity order, its index)
+    blocks = [clone.collisions[arity] for arity in sorted(clone.collisions)]
     exhaustive = all(clone.saturated[a] for a in clone.saturated)
-    surviving, failures = _selector_scan(signature, collisions)
-    if surviving is not None:
-        return ProjHomReport(
-            "found", surviving, tuple(signature), (), (), exhaustive, len(collisions)
+
+    def first_broken(sigma: Sigma) -> tuple[int, int] | None:
+        picks = [i for _, i in sigma]
+        return next(
+            (
+                (b, j)
+                for b, block in enumerate(blocks)
+                for j in range(len(block))
+                if block.apart(j, picks)
+            ),
+            None,
         )
-    # greedy cover: prefer collisions that break many assignments at once
-    mappings = [dict(sigma) for sigma, _ in failures]
-    full_kill: dict[int, set[int]] = {}
-    for ci in sorted({bad for _, bad in failures}):
-        s, t = collisions[ci]
-        full_kill[ci] = {
-            si for si, m in enumerate(mappings) if collapse(s, m) != collapse(t, m)
-        }
+
+    surviving, failures = _selector_scan(signature, first_broken)
+    checked = sum(map(len, blocks))
+    if surviving is not None:
+        return ProjHomReport("found", surviving, tuple(signature), (), (), exhaustive, checked)
+    # greedy cover: prefer collisions that break many assignments at once,
+    # and the earliest among those
+    readings = [[i for _, i in sigma] for sigma, _ in failures]
+    full_kill = {
+        (b, j): {si for si, picks in enumerate(readings) if blocks[b].apart(j, picks)}
+        for b, j in sorted({bad for _, bad in failures})
+    }
     remaining = set(range(len(failures)))
-    chosen: list[int] = []
+    chosen: list[tuple[int, int]] = []
     while remaining:
-        best = max(full_kill, key=lambda ci: (len(full_kill[ci] & remaining), -ci))
+        best = min(full_kill, key=lambda ci: (-len(full_kill[ci] & remaining), ci))
         chosen.append(best)
         remaining -= full_kill[best]
     chosen.sort()
@@ -584,8 +613,8 @@ def has_projective_homomorphism(clone: FiniteClone) -> ProjHomReport:
         "refuted",
         None,
         tuple(signature),
-        tuple(collisions[ci] for ci in chosen),
+        tuple(blocks[b][j] for b, j in chosen),
         tuple(coverage),
         exhaustive,
-        len(collisions),
+        checked,
     )

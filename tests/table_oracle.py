@@ -10,9 +10,17 @@ equation.  The library compiles each side into a gather plan instead;
 both must give the same report.
 
 `reference_generate` is the breadth-first closure with output tuples as
-catalog keys, each composition read off the generator row by row.  The
-library keys its catalogs by packed bytes instead; both must give the
-same catalogs, collisions and saturation flags.
+catalog keys, each composition read off the generator row by row, and
+every entry and collision kept as terms.  The library keys its catalogs
+by packed bytes and keeps integer recipes and collision records
+instead; both must give the same catalogs, collisions and saturation
+flags.
+
+`reference_projective_homomorphism` is the selector scan on those terms:
+each collision's sides collapsed by `terms.collapse` under every
+selector assignment, then a greedy cover of the failing assignments.
+The library follows the records instead; both must give the same
+report.
 """
 
 from __future__ import annotations
@@ -22,8 +30,8 @@ from typing import Mapping, Sequence
 
 from clonelab.clones import CatalogEntry, FiniteClone, Table, selector
 from clonelab.config import Caps
-from clonelab.equations import CloneSearchReport, EquationSystem
-from clonelab.terms import App, Term, Var
+from clonelab.equations import CloneSearchReport, EquationSystem, ProjHomReport
+from clonelab.terms import App, Term, Var, collapse
 
 
 def eval_term_table(
@@ -136,3 +144,60 @@ def _reference_arity(generators, base_size, arity, caps):
             return entries, pairs, True
         frontier_start = round_start
     return entries, pairs, False
+
+
+def reference_projective_homomorphism(clone: FiniteClone) -> ProjHomReport:
+    """The report `has_projective_homomorphism` should give for the
+    generators and caps of `clone`, a clone `reference_generate` made:
+    its term collisions, collapsed by `terms.collapse`."""
+    signature = tuple((name, table.arity) for name, table in clone.generators)
+    if any(arity > clone.caps.arity_cap for _, arity in signature):
+        return ProjHomReport("undecided", None, signature, (), (), False, 0)
+    collisions = [
+        pair for arity in sorted(clone.collisions) for pair in clone.collisions[arity]
+    ]
+    exhaustive = all(clone.saturated.values())
+    names = [name for name, _ in signature]
+    failures = []  # (assignment, index of the first collision it breaks)
+    for choice in itertools.product(*(range(1, a + 1) for _, a in signature)):
+        sigma = tuple(zip(names, choice))
+        mapping = dict(sigma)
+        bad = next(
+            (
+                i
+                for i, (s, t) in enumerate(collisions)
+                if collapse(s, mapping) != collapse(t, mapping)
+            ),
+            None,
+        )
+        if bad is None:
+            return ProjHomReport(
+                "found", sigma, signature, (), (), exhaustive, len(collisions)
+            )
+        failures.append((sigma, bad))
+    # greedy cover: the collision breaking most uncovered assignments,
+    # the first one on a tie
+    breaks = {
+        ci: {
+            si
+            for si, (sigma, _) in enumerate(failures)
+            if collapse(collisions[ci][0], dict(sigma))
+            != collapse(collisions[ci][1], dict(sigma))
+        }
+        for ci in sorted({bad for _, bad in failures})
+    }
+    remaining = set(range(len(failures)))
+    chosen = []
+    while remaining:
+        best = max(breaks, key=lambda ci: (len(breaks[ci] & remaining), -ci))
+        chosen.append(best)
+        remaining -= breaks[best]
+    chosen.sort()
+    coverage = tuple(
+        (sigma, next(i for i, ci in enumerate(chosen) if si in breaks[ci]))
+        for si, (sigma, _) in enumerate(failures)
+    )
+    witness = tuple(collisions[ci] for ci in chosen)
+    return ProjHomReport(
+        "refuted", None, signature, witness, coverage, exhaustive, len(collisions)
+    )

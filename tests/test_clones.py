@@ -171,24 +171,27 @@ def assert_same_clone(clone, reference):
     assert clone.saturated == reference.saturated
 
 
-def assert_reads_as_the_tuple(catalog, entries):
-    # a catalog keeps keys, terms and depths; read back, it is the tuple
-    # of entries the oracle built, by length, index, slice and iteration
-    assert type(entries) is tuple
-    assert len(catalog) == len(entries)
-    assert list(catalog) == list(entries)
-    for i in (0, len(entries) - 1, -1, -len(entries)):
-        assert catalog[i] == entries[i]
+def assert_reads_as_the_tuple(kept, items):
+    # a catalog keeps keys, recipes and depths, and a collision list packed
+    # records; read back, each is the tuple of entries or of term pairs the
+    # oracle built, by length, index, slice, iteration, `in` and `==`
+    assert type(items) is tuple
+    assert len(kept) == len(items)
+    assert list(kept) == list(items)
+    for i in {0, len(items) - 1, -1, -len(items)} if items else ():
+        assert kept[i] == items[i]
     with pytest.raises(IndexError):
-        catalog[len(entries)]
+        kept[len(items)]
     with pytest.raises(IndexError):
-        catalog[-len(entries) - 1]
+        kept[-len(items) - 1]
     for window in (slice(None), slice(1, None), slice(None, -1), slice(-3, None), slice(None, None, 2)):
-        assert type(catalog[window]) is tuple
-        assert catalog[window] == entries[window]
-    assert catalog[:10] + catalog[-10:] == entries[:10] + entries[-10:]
-    assert catalog == entries and entries == catalog
-    assert catalog != entries[:-1] and catalog != list(entries)
+        assert type(kept[window]) is tuple
+        assert kept[window] == items[window]
+    assert kept[:10] + kept[-10:] == items[:10] + items[-10:]
+    assert all(item in kept for item in items[:3] + items[-3:])
+    assert kept == items and items == kept
+    assert kept != items[:-1] or not items
+    assert kept != list(items)
 
 
 def random_table(rng, size, arity):
@@ -234,6 +237,7 @@ def test_generation_matches_the_tuple_oracle():
         assert_same_clone(clone, reference)
         for arity, catalog in clone.catalogs.items():
             assert_reads_as_the_tuple(catalog, reference.catalogs[arity])
+            assert_reads_as_the_tuple(clone.collisions[arity], reference.collisions[arity])
         capped += any(len(c) == caps.catalog_cap for c in clone.catalogs.values())
     assert capped > 0  # some catalogs were cut at the catalog cap
 
@@ -263,6 +267,7 @@ def test_generators_too_wide_to_pack_match_the_tuple_oracle():
         # the gather path on 7 points, and tuple keys on 257
         for arity, catalog in clone.catalogs.items():
             assert_reads_as_the_tuple(catalog, reference.catalogs[arity])
+            assert_reads_as_the_tuple(clone.collisions[arity], reference.collisions[arity])
 
 
 def test_every_catalog_table_is_a_valid_table():
@@ -335,3 +340,26 @@ def test_a_huge_size_is_refused_by_its_bit_length():
         Table(10**5000, 10**7, (0, 1, 2))
     with pytest.raises(InconsistentData, match="table needs 9 outputs, got 8"):
         Table(3, 2, (0,) * 8)
+
+
+def test_an_entry_thousands_of_compositions_deep_reads():
+    # a cyclic permutation group of order 27,720 on 41 points: every round
+    # adds one power of the generator, so the deepest entry is 1,500
+    # applications of it; its term is built without recursing per level
+    cycles, start = [], 0
+    for length in (5, 7, 8, 9, 11):
+        cycles.append(range(start, start + length))
+        start += length
+    image = list(range(41))
+    for cycle in cycles:
+        for i, point in enumerate(cycle):
+            image[point] = cycle[(i + 1) % len(cycle)]
+    clone = generate([("p", Table(41, 1, tuple(image)))], 41, Caps(arity_cap=1, depth_cap=1500))
+    catalog = clone.catalog(1)
+    assert len(catalog) == 1501 and not clone.saturated[1]
+    deepest = catalog[-1]
+    assert deepest.depth == 1500 and isinstance(deepest.term, App)
+    term, depth = deepest.term, 0
+    while isinstance(term, App):
+        term, depth = term.args[0], depth + 1
+    assert (term, depth) == (Var(1), 1500)

@@ -17,7 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clonelab import equations
+from clonelab import clones, equations
 from clonelab.clones import Table, generate, selector
 from clonelab.config import Caps
 from clonelab.equations import (
@@ -36,7 +36,12 @@ from clonelab.equations import (
 from clonelab.errors import CapExceeded, InconsistentData, ParseError
 from clonelab.terms import App, Term, Var, collapse
 
-from table_oracle import eval_term_table, reference_search
+from table_oracle import (
+    eval_term_table,
+    reference_generate,
+    reference_projective_homomorphism,
+    reference_search,
+)
 
 MIN2 = Table(2, 2, (0, 0, 0, 1))
 
@@ -590,3 +595,32 @@ def test_oversized_generators_leave_the_question_open():
     report = has_projective_homomorphism(clone)
     assert report.status == "undecided"
     assert report.sigma is None
+
+
+def test_the_selector_scan_on_records_matches_the_term_oracle(monkeypatch):
+    # the scan follows collision records; the oracle collapses the term
+    # collisions of the reference clone, which keeps no records
+    built = []
+    term = clones._term
+    monkeypatch.setattr(clones, "_term", lambda *args: built.append(args) or term(*args))
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(120):
+        base = rng.choice([1, 2, 3])
+        # one unary beside a binary pads the unary's records; two binaries
+        # do not; on one point the selectors coincide as selector records
+        arities = rng.choice([(1, 2), (2, 1), (2, 2), (1,), (2,), (1, 3)])
+        generators = [
+            (f"g{i}", Table(base, k, tuple(rng.randrange(base) for _ in range(base**k))))
+            for i, k in enumerate(arities)
+        ]
+        caps = Caps(arity_cap=3, depth_cap=2, catalog_cap=rng.choice([5, 40, 1000]))
+        clone = generate(generators, base, caps)
+        built.clear()
+        report = has_projective_homomorphism(clone)
+        reference = reference_projective_homomorphism(reference_generate(generators, base, caps))
+        assert report == reference
+        if report.status == "found":
+            assert built == []  # no term, since there is no witness
+        seen.add((report.status, base == 1, report.exhaustive))
+    assert {("found", False, True), ("refuted", True, True), ("refuted", False, False)} <= seen

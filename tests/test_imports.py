@@ -247,9 +247,10 @@ def test_oracles_do_not_evaluate_through_the_library():
                 )
     assert holders == ["table_oracle.py"]
     assert not found, found
-    # nor may an oracle run a member's compiled program, or read a
-    # catalog row by row as the clone search does
-    unshared = {"_program", "catalog_rows"}
+    # nor may an oracle run a member's compiled program, read a catalog
+    # row by row as the clone search does, or read the recipes and
+    # collision records that the selector scan follows
+    unshared = {"_program", "catalog_rows", "recipes", "records", "apart"}
     programs = [
         path.name
         for path in sorted(Path(__file__).parent.glob("*_oracle.py"))
@@ -341,7 +342,7 @@ def test_only_generation_builds_unchecked_tables():
 
 
 def test_catalog_entries_are_built_only_when_read():
-    # generation keeps keys, terms and depths; an entry is built by the
+    # generation keeps keys, recipes and depths; an entry is built by the
     # catalog's reader, or for a generator its type clone lacks
     builders = {
         path.stem + scope
@@ -350,6 +351,23 @@ def test_catalog_entries_are_built_only_when_read():
         if isinstance(node, ast.Call) and "CatalogEntry" in _code_names(node.func)
     }
     assert builders == {"clones.Catalog._entry", "lifting._generator_reading"}
+
+
+def test_generation_builds_no_terms():
+    # generation keeps integer recipes and collision records, and one
+    # function turns a recipe into a term, when a catalog or a collision
+    # is read
+    tree = ast.parse((PACKAGE / "clones.py").read_text())
+    builders = {
+        "clones" + scope
+        for scope, node in _by_scope(tree)
+        if isinstance(node, ast.Name) and node.id in ("App", "Var")
+    }
+    assert builders == {"clones._term"}
+    generation = next(
+        node for node in tree.body if getattr(node, "name", None) == "_generate_arity"
+    )
+    assert not {"App", "Var", "Term", "_term"} & set(_code_names(generation))
 
 
 def test_one_search_loop_checks_assignments():

@@ -31,6 +31,7 @@ from .config import DEFAULT_CAPS, Caps
 from .equations import (
     CloneSearchReport,
     EquationSystem,
+    catalog_caps,
     format_sigma,
     has_projective_homomorphism,
     parse_equation_system,
@@ -288,7 +289,7 @@ def _cmd_type_image(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]
 
 def _cmd_sat(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     system = parse_equation_system(_read(ns.equations))
-    clone = _clone(ns.tables, caps)
+    clone = _clone(ns.tables, catalog_caps(system, caps))
     report = satisfiable_in_clone(system, clone)
     lines = [
         f"system: {len(system.equations)} equation(s) over {_signature(system)}",
@@ -337,7 +338,7 @@ def _cmd_sat1(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
 
 def _cmd_sat_mod(ns: argparse.Namespace, caps: Caps) -> tuple[list[str], int]:
     system = parse_equation_system(_read(ns.equations))
-    clone = _clone(ns.tables, caps)
+    clone = _clone(ns.tables, catalog_caps(system, caps))
     outside = [("id", Table(clone.base_size, 1, tuple(range(clone.base_size))))]
     if ns.family is not None:
         extra, base = _named_tables(

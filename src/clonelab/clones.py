@@ -44,11 +44,6 @@ packing reads a catalog across all its entries:
 one integer whose byte e is entry e's output there, so that the clone
 search can test a height-1 equation on the whole catalog at once.
 
-A catalog entry is a valid `Table` by construction: its outputs are a
-selector's, or a checked generator table read at one in-range index per
-row (`_unchecked_table` gives the argument).  So entries are built
-without `Table`'s checks; tables from anywhere else keep them.
-
 Caps bound arity, composition depth, and catalog size; each arity
 records whether its catalog is saturated (a full round added nothing)
 or was cut short.
@@ -224,7 +219,7 @@ class Catalog(_Kept):
         return map(self._entry, ids, map(self.build_terms(ids).__getitem__, ids))
 
     def _entry(self, i: int, term: Term) -> CatalogEntry:
-        table = _unchecked_table(self.size, self.arity, tuple(self.keys[i]))
+        table = Table(self.size, self.arity, tuple(self.keys[i]))
         return CatalogEntry(table, term, self.depths[i])
 
     def composed_of(self, recipe: Sequence[int]) -> Sequence[int]:
@@ -477,22 +472,3 @@ def _generate_arity(generators, base_size, arity, caps):
         frontier_start = round_start
     # depth cap reached while still finding new tables
     return done(False)
-
-
-def _unchecked_table(size: int, arity: int, outputs: tuple[int, ...]) -> Table:
-    """A catalog entry's `Table`, built without `Table.__post_init__`.
-
-    Only `Catalog._entry` calls this, on a key `_generate_arity` kept,
-    where the checks hold by construction.  An entry's outputs are a
-    checked selector's, or one per row of a generator table `g` read at
-    the index of each row's inner outputs.  Every inner output is below
-    `size`, so every index is below size^k, the length of `g.outputs`: a
-    packed sum never reads the zero padding of the translate table, and
-    no byte carries into the next row or the next lane of a batch.  So
-    there are size^arity outputs, each an output of `g`, whose checked
-    `Table` keeps it in 0..size-1."""
-    table = object.__new__(Table)
-    object.__setattr__(table, "size", size)
-    object.__setattr__(table, "arity", arity)
-    object.__setattr__(table, "outputs", outputs)
-    return table

@@ -47,7 +47,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
@@ -109,6 +109,14 @@ class EquationSystem:
             max(max_variable(eq.lhs), max_variable(eq.rhs)) for eq in self.equations
         ]
         return max(widths, default=1)
+
+
+def catalog_caps(system: EquationSystem, caps: Caps) -> Caps:
+    """`caps` with `arity_cap` lowered to the system's widest symbol: a
+    search for the system reads only the catalogs of its symbols'
+    arities, and no catalog depends on a wider one."""
+    widest = max((arity for _, arity in system.signature), default=1)
+    return replace(caps, arity_cap=min(caps.arity_cap, widest))
 
 
 def pad_to_common_arity(system: EquationSystem) -> EquationSystem:

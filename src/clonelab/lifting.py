@@ -42,7 +42,7 @@ and reports whether a single pattern owns a tail of the chain.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -52,6 +52,7 @@ from .config import Caps, DEFAULT_CAPS, guard_power
 from .equations import (
     EquationSystem,
     ProjHomReport,
+    catalog_caps,
     first_broken,
     has_projective_homomorphism,
     satisfiable_in_clone,
@@ -253,11 +254,7 @@ def build_instance(
             f"forced assignment names {stray[0]!r}, not a symbol of the system"
         )
     gen_ops = tuple(generators)
-    # only the catalogs of the symbols' arities are read, and no catalog
-    # depends on a wider one
-    widest = max((arity for _, arity in system.signature), default=1)
-    narrow = replace(caps, arity_cap=min(caps.arity_cap, widest))
-    xi, clone = _type_clone(structure, gen_ops, narrow)
+    xi, clone = _type_clone(structure, gen_ops, catalog_caps(system, caps))
     if assign is None:
         search = satisfiable_in_clone(system, clone)
         if not search.found:
@@ -367,14 +364,18 @@ def lift(
     returned.  A missing equalizer raises
     :class:`~clonelab.errors.EqualizerFailure` naming the stage, the
     equation, and a column pair the two sides order differently, before
-    any column of a later stage is evaluated.
+    any column of a later stage is evaluated.  A widest stage over
+    ``caps.tuple_cap`` columns raises
+    :class:`~clonelab.errors.CapExceeded` before stage 0 is evaluated.
     """
     if stages < 0:
         raise InconsistentData("need at least stage 0")
     if recheck:
         _check_satisfaction(instance.system, instance.assignment, instance.type_clone)
-    bodies = dict(instance.order_terms)
     n = instance.system.ambient_arity
+    # the stages grow, so the last is the widest
+    guard_power(stages + 1, n, caps.tuple_cap, "argument matrix width")
+    bodies = dict(instance.order_terms)
     sides = [
         compile_term(_as_order_term(side, bodies))
         for eq in instance.system.equations
@@ -389,7 +390,6 @@ def lift(
     out = []
     for j in range(stages + 1):
         pts = instance.universe(j)
-        guard_power(len(pts), n, caps.tuple_cap, "argument matrix width")
         seen, known = len(position), len(interned)
         columns = [
             position.setdefault(args, len(position))

@@ -372,6 +372,29 @@ def test_sat_refuses_an_oversized_row_space(files, capsys):
     assert "cap exceeded: equation row space needs 1048576, cap is 1000000" in err
 
 
+G3_OPS = "op g 2\ntable 1 2 0 2 0 1 0 1 2\n"
+MAJORITY = "sig m 3\neq m(x1,x1,x2) = x1\neq m(x1,x2,x1) = x1\neq m(x2,x1,x1) = x1\n"
+
+
+@pytest.mark.parametrize(
+    "command, system, code, catalogs",
+    [
+        ("sat", COMM, 0, "1:yes 2:yes"),
+        ("sat-mod", COMM, 0, "1:yes 2:yes"),
+        ("sat", MAJORITY, 1, "1:yes 2:yes 3:yes"),
+    ],
+    ids=["sat", "sat-mod", "sat-majority"],
+)
+def test_sat_builds_catalogs_only_up_to_the_widest_symbol(
+    files, capsys, command, system, code, catalogs
+):
+    # at the default caps this base-3 clone's catalogs of arities 4 to 6
+    # take seconds to build, and no search for these systems reads them
+    found, out, _ = run(capsys, command, files("s.eqs", system), files("g.ops", G3_OPS))
+    assert found == code
+    assert f"catalogs: {catalogs}" in out.splitlines()
+
+
 def test_sat1_rejects_the_six_ary_system(files, capsys):
     code, out, _ = run(capsys, "sat1", files("siggers.eqs", SIGGERS))
     assert code == 1

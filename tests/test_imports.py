@@ -7,8 +7,8 @@ every command-line option is read by the command that takes it.  No
 code path lists a whole automorphism group, no test oracle evaluates
 order terms or generates its reference clone through the library, and
 the critical level, the canonicity gate and each printed answer have
-one home each, and the unchecked table constructor one caller, the
-catalog's reader, which with one lifting helper alone builds catalog
+one home each, no value is built past its constructor's checks, and
+the catalog's reader with one lifting helper alone builds catalog
 entries.  One
 loop checks clone-search assignments, and one definition reads a
 catalog row by row, for that search alone.  A member evaluates only
@@ -328,17 +328,22 @@ def test_the_critical_level_has_one_definition():
     assert readers == {"canonical.critical_level"}
 
 
-def test_only_generation_builds_unchecked_tables():
-    # a catalog entry is a valid table by construction, built from a key
-    # `_generate_arity` kept by the catalog's one reader; every other table
-    # goes through `Table`'s checks
-    users = {
-        path.stem + scope
-        for path in [*sorted(PACKAGE.glob("*.py")), *sorted(BENCH.glob("*.py"))]
-        for scope, node in _by_scope(ast.parse(path.read_text(), str(path)))
-        if "_unchecked_table" in (getattr(node, "id", None), getattr(node, "attr", None))
-    }
-    assert users == {"clones.Catalog._entry"}
+def test_no_value_skips_its_checks():
+    # `object.__new__` builds an instance without running its
+    # `__init__`, so a frozen value such as a `Table` would skip the checks
+    # of its `__post_init__`; every value of the package is built through
+    # its constructor
+    skips = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "object"
+    ]
+    assert skips == []
 
 
 def test_catalog_entries_are_built_only_when_read():

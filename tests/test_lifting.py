@@ -338,17 +338,20 @@ def test_forced_assignments_refuse_an_oversized_row_space():
     assert err.value.what == "equation row space"
 
 
-def test_lift_refuses_a_stage_wider_than_tuple_cap():
+def test_lift_refuses_a_stage_wider_than_tuple_cap(monkeypatch):
     caps = Caps(tuple_cap=40, arity_cap=3, depth_cap=2)
     instance = build_instance(
         DLO, [lex_op()], associativity(), caps=caps, assign={"f": "lex"}
     )
     assert [w.columns for w in lift(instance, 2, caps=caps)] == [1, 8, 27]
+    # the widest stage is refused before the first is evaluated
+    calls = _recording_evaluators(monkeypatch)
     with pytest.raises(CapExceeded) as err:
         lift(instance, 3, caps=caps)
     assert (err.value.what, err.value.needed, err.value.cap) == (
         "argument matrix width", 64, 40
     )
+    assert sum(len(seen) for seen in calls) == 0
 
 
 def test_empty_system_lifts_vacuously():

@@ -63,7 +63,7 @@ from .structures import (
     parse_structure,
     type_space,
 )
-from .syntax import natural, records
+from .syntax import natural, records, symbol_name
 
 
 # -- input files -----------------------------------------------------------
@@ -121,7 +121,7 @@ def parse_operations(text: str) -> list[Operation]:
             finish()
             if len(rest) != 2:
                 raise ParseError("expected `op <name> <arity>`", number)
-            name = rest[0]
+            name = symbol_name(rest[0], number)
             arity = natural(rest[1], number, "`op <name> <arity>` with arity >= 1", 1)
             if name in seen:
                 raise ParseError(f"duplicate operation name {name!r}", number)

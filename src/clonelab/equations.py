@@ -17,9 +17,11 @@ each equation's side values directly.  Each side is compiled once per
 search into a gather plan over the rows of the variable space that reads
 each symbol at its signature position, so an assignment is checked on
 the catalog keys (each entry's outputs) the product of the catalogs
-yields, with no table, entry or dict built; a symbol applied to
-variables alone is one `itemgetter` over its outputs.  Every hit,
-modulo hits included, is re-verified pointwise before it is returned.
+yields, with no table, entry or dict built; the rows a symbol reads for
+its variable arguments are one linear form of their columns, so a symbol
+applied to variables alone is one `itemgetter` over its outputs.  Every
+hit, modulo hits included, is replayed before it is returned, apart from
+the plan: node by node over every point, through `Table.apply`.
 
 Before the loop, height-1 equations rule out entries across a whole
 catalog.  An equation whose sides are each a variable or one symbol on
@@ -48,14 +50,13 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 from .clones import CatalogEntry, FiniteClone, Table
 from .config import Caps, guard, guard_power
 from .errors import InconsistentData, ParseError
-from .syntax import natural, records
-from .terms import App, Term, Var, collapse, fold, max_variable, parse_term
+from .syntax import natural, records, symbol_name
+from .terms import Term, Var, collapse, fold, parse_term
 
 Sigma = tuple[tuple[str, int], ...]
 Broken = TypeVar("Broken")  # how a selector scan names an equation
@@ -78,37 +79,51 @@ class Equation:
 @dataclass(frozen=True)
 class EquationSystem:
     """Equations over a signature.  Every term is read as an operation in
-    the variables x1..xn, n = `ambient_arity`.  A wider n would only add
-    dummy variables, which change no answer."""
+    the variables x1..xn, n = `ambient_arity` (1 without equations), which
+    the one walk that checks every symbol and arity sets at construction.
+    A wider n would only add dummy variables, which change no answer."""
 
     signature: tuple[tuple[str, int], ...]
     equations: tuple[Equation, ...]
 
     def __post_init__(self):
-        names = [name for name, _ in self.signature]
-        if len(set(names)) != len(names):
+        sig = dict(self.signature)
+        if len(sig) != len(self.signature):
             raise InconsistentData("duplicate symbol in signature")
         for name, arity in self.signature:
             if arity < 1:
                 raise InconsistentData(f"symbol {name!r} has arity {arity}, below 1")
-        sig = dict(self.signature)
-        for eq in self.equations:
-            _check_term(eq.lhs, sig)
-            _check_term(eq.rhs, sig)
+        width = 1
+        # one pre-order walk over every side, left to right: a variable
+        # is read where it stands, an application waits on the stack
+        stack = [side for eq in reversed(self.equations) for side in (eq.rhs, eq.lhs)]
+        while stack:
+            term = stack.pop()
+            if isinstance(term, Var):
+                if term.index > width:
+                    width = term.index
+                continue
+            arity = sig.get(term.symbol)
+            if arity is None:
+                raise InconsistentData(f"undeclared symbol {term.symbol!r}")
+            if len(term.args) != arity:
+                raise InconsistentData(
+                    f"symbol {term.symbol!r} used with {len(term.args)} arguments, "
+                    f"declared with {arity}"
+                )
+            for arg in reversed(term.args):
+                if isinstance(arg, Var):
+                    if arg.index > width:
+                        width = arg.index
+                else:
+                    stack.append(arg)
+        object.__setattr__(self, "ambient_arity", width)
 
     def arity_of(self, name: str) -> int:
         for n, a in self.signature:
             if n == name:
                 return a
         raise InconsistentData(f"undeclared symbol {name!r}")
-
-    @cached_property
-    def ambient_arity(self) -> int:
-        """The largest variable index, or 1 for a system without variables."""
-        widths = [
-            max(max_variable(eq.lhs), max_variable(eq.rhs)) for eq in self.equations
-        ]
-        return max(widths, default=1)
 
 
 def catalog_caps(system: EquationSystem, caps: Caps) -> Caps:
@@ -124,21 +139,6 @@ def pad_to_common_arity(system: EquationSystem) -> EquationSystem:
     return system
 
 
-def _check_term(term: Term, signature: Mapping[str, int]) -> None:
-    if isinstance(term, Var):
-        return
-    assert isinstance(term, App)
-    if term.symbol not in signature:
-        raise InconsistentData(f"undeclared symbol {term.symbol!r}")
-    if len(term.args) != signature[term.symbol]:
-        raise InconsistentData(
-            f"symbol {term.symbol!r} used with {len(term.args)} arguments, "
-            f"declared with {signature[term.symbol]}"
-        )
-    for a in term.args:
-        _check_term(a, signature)
-
-
 def parse_equation_system(text: str) -> EquationSystem:
     """Read `sig f 2` declarations followed by `eq <term> = <term>` lines."""
     signature: dict[str, int] = {}
@@ -147,7 +147,7 @@ def parse_equation_system(text: str) -> EquationSystem:
         if head == "sig":
             if len(rest) != 2:
                 raise ParseError("expected `sig <name> <arity>`", number)
-            name = rest[0]
+            name = symbol_name(rest[0], number)
             arity = natural(rest[1], number, "a symbol arity of at least 1", 1)
             if name in signature:
                 raise ParseError(f"symbol {name!r} declared twice", number)
@@ -245,34 +245,34 @@ def _compile_side(
     """A term's values on the rows of {0..base_size-1}^n, in row-major
     order, as a gather plan: a variable is a fixed column (`columns`
     holds x1..xn's), and a symbol reads its outputs at the row-wise
-    indices its arguments spell.  The indices contributed by variable
-    arguments are fixed once, so a symbol applied to variables alone is
-    one `itemgetter` over its outputs.  Returned with the side's `Reads`
-    when it is a variable or a symbol on variables alone, else None."""
-    points = len(columns[0])
+    indices its arguments spell.  Those of its variable arguments are one
+    linear form, each variable's column weighted by the places it fills,
+    so a symbol applied to variables alone is one `itemgetter` over its
+    outputs.  Returned with the side's `Reads` when it is a variable or a
+    symbol on variables alone, else None."""
     reads = None
-
-    def var(index: int) -> tuple[int, ...]:
-        return columns[index - 1]
 
     def app(symbol: str, parts: list) -> Side:
         nonlocal reads
         pos = positions[symbol]
-        fixed = [0] * points
+        weights: dict[int, int] = {}  # variable index -> its weight
         nested = []
-        for j, part in enumerate(parts):
-            weight = base_size ** (len(parts) - 1 - j)
-            if isinstance(part, tuple):
-                fixed = [i + weight * v for i, v in zip(fixed, part)]
+        weight = base_size ** len(parts)
+        for part in parts:
+            weight //= base_size
+            if isinstance(part, int):
+                weights[part] = weights.get(part, 0) + weight
             else:
                 nested.append((weight, part))
+        fixed = [0] * len(columns[0])
+        for index, weight in weights.items():
+            fixed = [i + weight * v for i, v in zip(fixed, columns[index - 1])]
         # the fold applies the root last, so this ends as the root's reads
         reads = None if nested else (pos, tuple(fixed))
         # on one row an itemgetter gives a bare value, not a 1-tuple
-        if not nested and points > 1:
+        if not nested and len(fixed) > 1:
             read = operator.itemgetter(*fixed)
             return lambda outputs: read(outputs[pos])
-        fixed = tuple(fixed)
 
         def gather(outputs):
             index = fixed
@@ -282,10 +282,11 @@ def _compile_side(
 
         return gather
 
-    plan = fold(term, var, app)
+    plan = fold(term, int, app)
     if callable(plan):
         return plan, reads
-    return (lambda outputs: plan), (None, plan)
+    values = columns[plan - 1]
+    return (lambda outputs: values), (None, values)
 
 
 def _compile(
@@ -345,34 +346,31 @@ def first_broken(
     return _first_broken(_compile(system, base_size, caps)[0], outputs, (None,))[0]
 
 
-def _eval_pointwise(
-    term: Term, tables: Mapping[str, Table], args: Sequence[int]
-) -> int:
-    if isinstance(term, Var):
-        return args[term.index - 1]
-    assert isinstance(term, App)
-    inner = tuple(_eval_pointwise(a, tables, args) for a in term.args)
-    return tables[term.symbol].apply(inner)
-
-
 def _verify_pointwise(
     system: EquationSystem,
     tables: Mapping[str, Table],
     base_size: int,
     agreements: Sequence[tuple[Modifier, Modifier]],
 ) -> None:
-    """Replay a hit point by point, without composing tables."""
-    n = system.ambient_arity
+    """Replay a hit without composing tables or reading a gather plan:
+    each side node by node over every point, a symbol by `Table.apply`."""
+    points = list(itertools.product(range(base_size), repeat=system.ambient_arity))
+
+    def var(index: int) -> list[int]:
+        return [point[index - 1] for point in points]
+
+    def app(symbol: str, parts: list[list[int]]) -> list[int]:
+        return list(map(tables[symbol].apply, zip(*parts)))
+
+    def values(term: Term, modifier: Modifier) -> list[int]:
+        result = fold(term, var, app)
+        if modifier is None:
+            return result
+        return [modifier[1].apply((v,)) for v in result]
+
     for eq, (left, right) in zip(system.equations, agreements):
-        for point in itertools.product(range(base_size), repeat=n):
-            lhs = _eval_pointwise(eq.lhs, tables, point)
-            rhs = _eval_pointwise(eq.rhs, tables, point)
-            if (left[1].apply((lhs,)) if left else lhs) != (
-                right[1].apply((rhs,)) if right else rhs
-            ):
-                raise InconsistentData(
-                    "table evaluation and pointwise evaluation disagree"
-                )
+        if values(eq.lhs, left) != values(eq.rhs, right):
+            raise InconsistentData("table evaluation and pointwise evaluation disagree")
 
 
 @dataclass(frozen=True)

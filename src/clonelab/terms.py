@@ -35,12 +35,6 @@ class App(Term):
         return f"{self.symbol}(" + ",".join(str(a) for a in self.args) + ")"
 
 
-def max_variable(term: Term) -> int:
-    if isinstance(term, Var):
-        return term.index
-    return max(max_variable(a) for a in term.args)  # type: ignore[union-attr]
-
-
 def collapse(term: Term, sigma: Mapping[str, int]) -> int:
     """Variable index the term collapses to when every symbol f is read
     as the selector of its sigma(f)-th argument."""
@@ -50,10 +44,25 @@ def collapse(term: Term, sigma: Mapping[str, int]) -> int:
 
 
 def fold(term: Term, var: Callable, app: Callable):
-    """Bottom-up evaluation: var(index) on leaves, app(symbol, values) inside."""
+    """Bottom-up evaluation: var(index) on leaves, app(symbol, values)
+    inside, in post-order, on a stack of open applications (any depth)."""
     if isinstance(term, Var):
         return var(term.index)
-    return app(term.symbol, [fold(a, var, app) for a in term.args])
+    stack = [(term.symbol, iter(term.args), [])]  # type: ignore[union-attr]
+    while True:
+        symbol, args, values = stack[-1]
+        for arg in args:
+            if isinstance(arg, Var):
+                values.append(var(arg.index))
+            else:
+                stack.append((arg.symbol, iter(arg.args), []))  # type: ignore[union-attr]
+                break
+        else:
+            stack.pop()
+            value = app(symbol, values)
+            if not stack:
+                return value
+            stack[-1][2].append(value)
 
 
 def parse_term(
@@ -62,13 +71,12 @@ def parse_term(
     """Parse `f(x1,g(x2,x1))` checking symbol arities against `signature`."""
 
     def app(symbol: str, args: Sequence[Term]) -> Term:
-        if symbol not in signature:
+        arity = signature.get(symbol)
+        if arity is None:
             raise ParseError(f"undeclared symbol {symbol!r}", line)
-        if len(args) != signature[symbol]:
+        if len(args) != arity:
             raise ParseError(
-                f"symbol {symbol!r} has arity {signature[symbol]}, "
-                f"got {len(args)} arguments",
-                line,
+                f"symbol {symbol!r} has arity {arity}, got {len(args)} arguments", line
             )
         return App(symbol, tuple(args))
 

@@ -799,12 +799,31 @@ def test_usage_errors_exit_two(files, capsys):
     named_id = files("id.ops", "op id 1\ntable 1 0\n")
     comm = files("comm.eqs", COMM)
     assert run(capsys, "sat-mod", comm, mins, "--family", named_id)[0] == 2
+    # a term of any depth parses and checks without recursion
     nested = "f(" * 1200 + "x1" + ")" * 1200
-    assert run(capsys, "sat1", files("deep.eqs", f"sig f 1\neq {nested} = x1\n"))[0] == 2
+    deep_eqs = files("deep.eqs", f"sig f 1\neq {nested} = x1\n")
+    code, out, _ = run(capsys, "sat1", deep_eqs)
+    assert code == 0
+    assert out.endswith("\nsatisfiable in projections: f->1\n")
     nested = "lex(x1, " * 1200 + "x1" + ")" * 1200
     deep = files("deep.ops", f"op f 2\nterm {nested}\n")
     assert run(capsys, "canonical", deep, "dlo")[0] == 2
     assert run(capsys, "qdemo", "--n", "2", "--samples", "16642")[0] == 2
+
+
+def test_a_symbol_name_reads_back_in_a_term(files, capsys):
+    # a declared name that is a variable, or not one word, could not be
+    # read back from a witness that names it
+    for name in ("x2", "f("):
+        eqs = files("named.eqs", f"# a name\nsig {name} 2\neq f(x1,x2) = x1\n")
+        ops = files("named.ops", f"\nop {name} 2\ntable 0 1 1 0\n")
+        for command, path in (("sat1", eqs), ("proj-hom", ops)):
+            assert run(capsys, command, path) == (
+                2,
+                "",
+                f"error: line 2: expected a symbol name (a word that is not x<n>), "
+                f"got {name!r}\n",
+            )
 
 
 def test_a_deep_lex_chain_is_decided(files, capsys):

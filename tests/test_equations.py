@@ -5,7 +5,8 @@ The projection search is cross-checked against an independent reading:
 selectors form a clone, so collapsing symbols to argument indices must
 agree with an honest catalog search over a selector-only clone.  The
 clone search is cross-checked against `table_oracle`, which builds
-every side's table by composition.
+every side's table by composition, and the term parser against
+`parse_oracle`, the recursive parser it replaced.
 """
 
 from __future__ import annotations
@@ -13,17 +14,19 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clonelab import clones, equations
+from clonelab import clones, equations, orderterms, terms
 from clonelab.clones import Table, generate, selector
 from clonelab.config import Caps
 from clonelab.equations import (
     Equation,
     EquationSystem,
     _compile_side,
+    _verify_pointwise,
     first_broken,
     has_projective_homomorphism,
     pad_to_common_arity,
@@ -34,7 +37,10 @@ from clonelab.equations import (
     satisfiable_modulo_outside,
 )
 from clonelab.errors import CapExceeded, InconsistentData, ParseError
-from clonelab.terms import App, Term, Var, collapse
+from clonelab.orderterms import parse_order_term
+from clonelab.terms import App, Term, Var, collapse, parse_term
+
+import parse_oracle
 
 from table_oracle import (
     eval_term_table,
@@ -88,6 +94,8 @@ def test_parse_and_print_roundtrip():
         ("sig f ²\n", 1),
         ("sig f 2\neq f(x1,x²) = x1\n", 2),
         ("sig f 2\neq f(x1,x١) = x1\n", 2),
+        ("sig f 2\nsig x2 1\n", 2),
+        ("sig f( 1\n", 1),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line):
@@ -269,6 +277,64 @@ def test_compiled_side_matches_the_composed_table(case):
         values = points if symbol is None else [outputs[symbol][r] for r in points]
         assert tuple(values) == expected
         assert symbol == (None if isinstance(term, Var) else positions[term.symbol])
+
+
+# -- the term parser against its recursive oracle ----------------------------------
+
+# `inc` is no order-term symbol, so its applications are refused
+order_texts = st.recursive(
+    st.integers(1, 3).map(lambda i: f"x{i}"),
+    lambda sub: st.tuples(
+        st.sampled_from(("min", "max", "lex", "inc")), st.lists(sub, min_size=1, max_size=3)
+    ).map(lambda call: f"{call[0]}({','.join(call[1])})"),
+    max_leaves=8,
+)
+# tokens a mutation may put in: bad indices and characters, bare words
+STRAY = ("x0", "x01", "x", "x²", "x١", "f", "k", "(", ")", ",", "=", "$")
+
+
+@st.composite
+def parser_inputs(draw):
+    """A printed term (over SIG3) or order term with random whitespace
+    between its tokens, perhaps after one token was dropped, repeated,
+    swapped with the next or replaced by a stray token."""
+    order = draw(st.booleans())
+    text = draw(order_texts) if order else str(draw(terms_to_depth(3, 3)))
+    tokens = parse_oracle.TOKEN.findall(text)
+    i = draw(st.integers(0, len(tokens) - 1))
+    mutation = draw(st.sampled_from(("none", "drop", "repeat", "swap", "replace")))
+    if mutation == "drop":
+        del tokens[i]
+    elif mutation == "repeat":
+        tokens.insert(i, tokens[i])
+    elif mutation == "swap":
+        tokens[i : i + 2] = tokens[i : i + 2][::-1]
+    elif mutation == "replace":
+        tokens[i] = draw(st.sampled_from(STRAY))
+    space = st.sampled_from(("", " ", "  ", "\t", " \t"))
+    return order, "".join(draw(space) + t for t in tokens) + draw(space)
+
+
+def read_or_refuse(parse, text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return ParseError, str(err), err.line
+
+
+@settings(max_examples=1000, deadline=None)
+@given(parser_inputs())
+def test_the_parser_reads_as_its_recursive_oracle(case):
+    # equal terms, or the same refusal with the same message and line,
+    # through both callers of `parse_prefix`
+    order, text = case
+    if order:
+        module, parse = orderterms, lambda t: parse_order_term(t, None, 7)
+    else:
+        module, parse = terms, lambda t: parse_term(t, dict(SIG3), 7)
+    with mock.patch.object(module, "parse_prefix", parse_oracle.parse_prefix):
+        expected = read_or_refuse(parse, text)
+    assert read_or_refuse(parse, text) == expected
 
 
 CONDITIONS = {
@@ -466,6 +532,27 @@ def first_unequal(system, tables, base):
         ),
         None,
     )
+
+
+def test_the_pointwise_replay_refuses_a_wrong_hit():
+    # the replay evaluates every side on its own, so it refuses tables
+    # that break a nested equation and modifiers that leave two sides apart
+    semilattice = parse_system(CONDITIONS["semilattice"])
+    plain = [(None, None)] * 3
+    minimum = Table(3, 2, (0, 0, 0, 0, 1, 1, 0, 1, 2))
+    _verify_pointwise(semilattice, {"s": minimum}, 3, plain)
+    # commutative and idempotent, but s(0,s(1,2)) = 0 and s(s(0,1),2) = 2
+    rock = Table(3, 2, (0, 0, 2, 0, 1, 1, 2, 1, 2))
+    with pytest.raises(InconsistentData, match="pointwise evaluation disagree"):
+        _verify_pointwise(semilattice, {"s": rock}, 3, plain)
+    symmetric = parse_system(CONDITIONS["symmetric"])
+    first = {"f": Table(2, 2, (0, 0, 1, 1))}
+    identity = ("id", Table(2, 1, (0, 1)))
+    zero = ("zero", Table(2, 1, (0, 0)))
+    _verify_pointwise(symmetric, first, 2, [(zero, zero)])
+    for agreement in ((identity, identity), (identity, zero), (zero, identity)):
+        with pytest.raises(InconsistentData, match="pointwise evaluation disagree"):
+            _verify_pointwise(symmetric, first, 2, [agreement])
 
 
 # -- caps on the search -------------------------------------------------------------

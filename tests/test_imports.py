@@ -12,7 +12,10 @@ the catalog's reader with one lifting helper alone builds catalog
 entries.  One
 loop checks clone-search assignments, and one definition reads a
 catalog row by row, for that search alone.  A member evaluates only
-through the program it compiles to.  Every
+through the program it compiles to.  Neither a canonicity check nor the
+reading of a term or an equation system keeps anything between calls:
+`canonical`, `syntax`, `terms` and `equations` hold no module-level
+container and no memoizing decorator.  Every
 source parses at the Python floor that `pyproject.toml` promises.  The
 checks read the sources with `ast`."""
 
@@ -284,26 +287,30 @@ def test_the_canonicity_oracle_builds_its_own_patterns():
 
 
 def test_canonicity_keeps_nothing_between_checks():
-    # a check builds what it reads and drops it: no module-level
-    # container in `canonical` that code could fill, and no memoizing
-    # decorator, so a process-wide cache cannot return unnoticed
-    tree = ast.parse((PACKAGE / "canonical.py").read_text())
+    # a canonicity check, and the reading of an equation system or a
+    # term, builds what it reads and drops it: no module-level container
+    # in `canonical`, `syntax`, `terms` or `equations` that code could
+    # fill, and no memoizing decorator, so a process-wide cache cannot
+    # return unnoticed
     containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
     makers = {"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque", "bytearray"}
     mutable = []
-    for node in tree.body:
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
-            value = node.value
-            called = isinstance(value, ast.Call) and set(_code_names(value.func)) & makers
-            if isinstance(value, containers) or called:
-                mutable.append(ast.unparse(node))
-    decorated = [
-        ast.unparse(d)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        for d in node.decorator_list
-        if set(_code_names(d)) & {"cache", "lru_cache", "cached_property"}
-    ]
+    decorated = []
+    for name in ("canonical.py", "syntax.py", "terms.py", "equations.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)) and node.value:
+                value = node.value
+                called = isinstance(value, ast.Call) and set(_code_names(value.func)) & makers
+                if isinstance(value, containers) or called:
+                    mutable.append(f"{name}: {ast.unparse(node)}")
+        decorated.extend(
+            f"{name}: {ast.unparse(d)}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            for d in node.decorator_list
+            if set(_code_names(d)) & {"cache", "lru_cache", "cached_property"}
+        )
     assert not mutable and not decorated, (mutable, decorated)
 
 

@@ -17,24 +17,20 @@ level 1 does not determine level 2, while level 2 determines level 3
 (`tests/test_canonical.py`, the factor checks).
 
 Deciding canonicity is exact, never sampled.  Over a finite structure
-the automorphism group decides a canonical table outright.  The table f
-is canonical at every level iff each (α_1, …, α_n) in Aut^n is undone
-by one β in Aut, f(α_1x_1, …, α_nx_n) = βf(x) pointwise: such a β moves
-the column images of any argument list onto those of the moved list,
-and conversely the argument list whose k = |D|^n columns enumerate D^n
-forces one β for every point.  The tuples that are undone form a
-subgroup of Aut^n, since they are closed under composition, so it is
-enough that moving one coordinate by a generator of Aut is undone: per
-generator in `FiniteStructure.generators` and coordinate, one gather of
-the table and one search for an automorphism extending the induced map
-on im(f).  The group is never listed.
-
-When that test fails, an exhaustive loop decides: for each k up to
-`k_max` it runs through every argument list over the domain (one k-tuple
-per argument), groups the lists by their per-argument orbits, and
-reports the first two lists of one group whose images differ in orbit.
-That finds the least level that splits: finite structures are not
-homogeneous in general.
+let U_k be the α in Aut^n with f(αc) and f(c) in one orbit of k-tuples
+for every list c of k columns; f is canonical at level k iff U_k is all
+of Aut^n.  U_k is closed under composition, f(αα'c) ~ f(α'c) ~ f(c), so
+it is a subgroup, and it is enough that U_k holds each move of one
+argument by a generator in `FiniteStructure.generators`.  One gather of
+the table gives a move m its distinct image pairs P_m = {(f(x), f(m·x))}.
+If they extend to an automorphism, m is in every U_k.  Otherwise m
+splits at level k iff some min(k, |P_m|) pairs of P_m have image tuples
+in different k-orbits, since columns that repeat a pair reduce to their
+distinct pairs and a split stays a split when it grows; at level |P_m|,
+all of P_m splits.  So the least splitting level is the least k at which
+a k-subset of some P_m splits, and the group is never listed.  Finite
+structures are not homogeneous in general, so that level is not bounded
+by the relation arities.
 
 Over the symbolic structures one level decides every k: the pair level
 `PAIR_LEVEL` = 2.  `dlo` and `pureset` are homogeneous in a binary
@@ -91,10 +87,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
+from math import comb
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .clones import Table, gather, guard_arity, selector
-from .config import Caps, DEFAULT_CAPS, guard_power
+from .config import Caps, DEFAULT_CAPS, guard, guard_power
 from .errors import InconsistentData, NonCanonicalOperation
 from .orderterms import (
     OrderTerm,
@@ -175,9 +172,9 @@ def critical_level(structure: Structure) -> int:
 
 def default_k_max(structure: Structure) -> int:
     """The default bound of `is_canonical`: max(`critical_level`, 3).  It
-    bounds only the search for a split: a canonical verdict covers every
-    k, by the finite generator test or the symbolic pair lemma of the
-    module docstring."""
+    bounds only the search for a split.  A canonical verdict covers every
+    k when the pair lemma or undone generator moves decide it, else only
+    up to `k_max`: sum mod 10 on 10 bare points passes k = 1, splits at 2."""
     return max(critical_level(structure), 3)
 
 
@@ -201,50 +198,21 @@ def _rank_table(
     return pattern_of(structure, list(map(compile_term(term), points)))
 
 
-def _moves_are_undone(table: Table, structure: FiniteStructure) -> bool:
-    """Whether every move of one argument by a generator of Aut is undone
-    on the output: paired row by row with f, f after the move must be an
-    injective map on im(f) that some automorphism extends."""
+def _failing_moves(table: Table, structure: FiniteStructure) -> list[tuple]:
+    """Each move of one argument by a generator that is not undone, as
+    (the argument, the generator, the image pairs row by row, the distinct
+    pairs in order of first row): its pairs extend to no automorphism."""
     size, n, outputs = table.size, table.arity, table.outputs
     columns = [selector(size, n, i).outputs for i in range(1, n + 1)]
+    failing = []
     for g in structure.generators:
         for i, column in enumerate(columns):
             inner = [*columns[:i], tuple(map(g.__getitem__, column)), *columns[i + 1 :]]
-            moved = gather(outputs, size, inner)
-            if next(extensions(structure, zip(outputs, moved)), None) is None:
-                return False
-    return True
-
-
-def _enumerated_verdict(
-    table: Table, structure: FiniteStructure, k_max: int, caps: Caps
-) -> CanonicalVerdict:
-    """The exhaustive check: for k = 1, 2, … up to `k_max`, every list of
-    argument tuples over the domain, grouped by the orbits of its
-    arguments.  It reports the least k with a split, its first two
-    argument lists of one group whose images differ in orbit and the
-    least automorphisms that witness the equal argument types, or
-    canonical when no k splits."""
-    n = table.arity
-    image = partial(gather, table.outputs, table.size)
-    for k in range(1, k_max + 1):
-        guard_power(structure.domain_size, k * n, caps.tuple_cap, "argument space size")
-        space = orbits(structure, k, caps)
-        tuples = itertools.product(range(structure.domain_size), repeat=k)
-        groups: dict[tuple, tuple[tuple, int]] = {}
-        for args in itertools.product(tuples, repeat=n):
-            key = tuple(map(space.classify, args))
-            image_type = space.classify(image(args))
-            first_args, first_type = groups.setdefault(key, (args, image_type))
-            if image_type != first_type:
-                witnesses = tuple(
-                    Permutation(next(extensions(structure, zip(a, b))))
-                    for a, b in zip(first_args, args)
-                )
-                return CanonicalVerdict(
-                    False, k, CanonicalCounterexample(k, first_args, args, witnesses)
-                )
-    return CanonicalVerdict(True, k_max)
+            images = list(zip(outputs, gather(outputs, size, inner)))
+            pairs = list(dict.fromkeys(images))
+            if next(extensions(structure, pairs), None) is None:
+                failing.append((i, g, images, pairs))
+    return failing
 
 
 def is_canonical_finite(
@@ -255,16 +223,32 @@ def is_canonical_finite(
 ) -> CanonicalVerdict:
     """Canonicity over a finite structure, at every k up to `k_max`.
 
-    Canonical with no enumeration and no cap when every move of one
-    coordinate by a generator of Aut is undone (module docstring).
-    Otherwise the exhaustive check finds the least splitting k up to
-    `k_max` and its first counterexample, or answers canonical."""
+    Canonical at every level when every generator move is undone, else
+    the least k up to `k_max` at which a k-subset of a failing move's
+    pairs splits (module docstring), guarded against `tuple_cap` by the
+    most subsets of one move.  The first such subset's rows are the
+    argument lists; the moved argument's witness is the generator, and
+    every other one the identity."""
     _require_matching(table, structure)
     guard_arity(table.arity, caps)
     k_max = default_k_max(structure) if k_max is None else k_max
-    if _moves_are_undone(table, structure):
-        return CanonicalVerdict(True, k_max)
-    return _enumerated_verdict(table, structure, k_max, caps)
+    size, n = table.size, table.arity
+    moves = _failing_moves(table, structure)
+    for k in range(1, k_max + 1) if moves else ():
+        guard(max(comb(len(m[3]), k) for m in moves), caps.tuple_cap, "image pair subsets")
+        space = orbits(structure, k, caps)
+        for i, g, images, pairs in moves:
+            for subset in itertools.combinations(pairs, k):
+                a, b = zip(*subset)
+                if space.classify(a) == space.classify(b):
+                    continue
+                rows = [images.index(pair) for pair in subset]
+                args = tuple(tuple(r // size ** (n - 1 - j) % size for r in rows) for j in range(n))
+                moved = (*args[:i], tuple(map(g.__getitem__, args[i])), *args[i + 1 :])
+                witnesses = tuple(Permutation(g if j == i else tuple(range(size))) for j in range(n))
+                cx = CanonicalCounterexample(k, args, moved, witnesses)
+                return CanonicalVerdict(False, k, cx)
+    return CanonicalVerdict(True, k_max)
 
 
 def _moves(

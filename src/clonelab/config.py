@@ -18,13 +18,14 @@ class Caps:
 
     tuple_cap      : largest product enumerated point by point, checked
                      by `guard` or `guard_power` as "tuple space size",
-                     "argument space size", "type table size",
-                     "canonicity grid size", "equation row space",
-                     "assignment search space", "argument matrix width"
-                     and "verification grid size", largest number of
-                     unordered pairs compared, as "consistency pairs",
-                     and largest arity of a table or of an order term
-                     read into a type table, as "argument tuple length"
+                     "type table size", "canonicity grid size",
+                     "equation row space", "assignment search space",
+                     "argument matrix width" and "verification grid
+                     size", largest number of unordered pairs compared,
+                     as "consistency pairs", or of one generator move's
+                     k-subsets of image pairs, as "image pair subsets",
+                     and largest arity of a table or an order term read
+                     into a type table, as "argument tuple length"
     k_cap          : largest tuple length for type spaces
     arity_cap      : largest operation arity kept in clone catalogs
     depth_cap      : composition depth for clone generation

@@ -248,22 +248,25 @@ def _compile_side(
     indices its arguments spell.  Those of its variable arguments are one
     linear form, each variable's column weighted by the places it fills,
     so a symbol applied to variables alone is one `itemgetter` over its
-    outputs.  Returned with the side's `Reads` when it is a variable or a
+    outputs.  Symbols are steps in post-order, run in one loop at any
+    depth, each reading its nested arguments from the values of earlier
+    steps.  Returned with the side's `Reads` when it is a variable or a
     symbol on variables alone, else None."""
     reads = None
+    steps: list[Callable[..., tuple[int, ...]]] = []  # (outputs, earlier values)
 
-    def app(symbol: str, parts: list) -> Side:
+    def app(symbol: str, parts: list) -> tuple[int]:
         nonlocal reads
         pos = positions[symbol]
         weights: dict[int, int] = {}  # variable index -> its weight
-        nested = []
+        nested = []  # (weight, step); a symbol folds to (its step,), a variable to its index
         weight = base_size ** len(parts)
         for part in parts:
             weight //= base_size
             if isinstance(part, int):
                 weights[part] = weights.get(part, 0) + weight
             else:
-                nested.append((weight, part))
+                nested.append((weight, part[0]))
         fixed = [0] * len(columns[0])
         for index, weight in weights.items():
             fixed = [i + weight * v for i, v in zip(fixed, columns[index - 1])]
@@ -272,21 +275,32 @@ def _compile_side(
         # on one row an itemgetter gives a bare value, not a 1-tuple
         if not nested and len(fixed) > 1:
             read = operator.itemgetter(*fixed)
-            return lambda outputs: read(outputs[pos])
+            steps.append(lambda outputs, values=None: read(outputs[pos]))
+        else:
 
-        def gather(outputs):
-            index = fixed
-            for weight, child in nested:
-                index = [i + weight * v for i, v in zip(index, child(outputs))]
-            return tuple(map(outputs[pos].__getitem__, index))
+            def gather(outputs, values=None):
+                index = fixed
+                for weight, step in nested:
+                    index = [i + weight * v for i, v in zip(index, values[step])]
+                return tuple(map(outputs[pos].__getitem__, index))
 
-        return gather
+            steps.append(gather)
+        return (len(steps) - 1,)
 
     plan = fold(term, int, app)
-    if callable(plan):
-        return plan, reads
-    values = columns[plan - 1]
-    return (lambda outputs: values), (None, values)
+    if isinstance(plan, int):
+        values = columns[plan - 1]
+        return (lambda outputs: values), (None, values)
+    if len(steps) == 1:
+        return steps[0], reads
+
+    def run(outputs):
+        values: list[tuple[int, ...]] = []
+        for step in steps:
+            values.append(step(outputs, values))
+        return values[-1]
+
+    return run, reads
 
 
 def _compile(

@@ -19,13 +19,13 @@ from hypothesis import given, settings, strategies as st
 import corpus
 from canonical_oracle import is_canonical_every_k, weak_orders
 from factor_oracle import check_factor_isomorphism, check_table_correspondence
+from finite_oracle import brute_automorphisms, enumerated_verdict
 from pair_oracle import eval_pair, materialize
 from clonelab import canonical, structures
 from clonelab.canonical import (
     Operation,
-    _enumerated_verdict,
+    _failing_moves,
     _moves,
-    _moves_are_undone,
     critical_level,
     default_k_max,
     is_canonical,
@@ -71,18 +71,6 @@ def ranks(values):
     """Rank vector of a value list: the order pattern it realizes."""
     order = sorted(set(values))
     return tuple(order.index(v) for v in values)
-
-
-def brute_automorphisms(structure):
-    found = []
-    for p in itertools.permutations(range(structure.domain_size)):
-        if all(
-            tuple(p[v] for v in t) in rel.tuples
-            for rel in structure.relations
-            for t in rel.tuples
-        ):
-            found.append(p)
-    return found
 
 
 def same_orbit(auts, s, t):
@@ -146,6 +134,18 @@ def test_product_mod3_rejected_with_checkable_witness():
     assert not same_orbit(auts, image_a, image_b)
 
 
+def test_the_split_guard_counts_pair_subsets_not_argument_lists():
+    # each failing move of product mod 3 has 7 distinct image pairs, so
+    # level 2 compares 21 subsets of them, where all argument lists at
+    # level 2 would be 3^4 = 81
+    caps = Caps(tuple_cap=40)
+    verdict = is_canonical_finite(PROD_MOD3, corpus.directed_cycle(3), caps=caps)
+    assert (verdict.canonical, verdict.checked_up_to) == (False, 2)
+    assert_counterexample_holds(PROD_MOD3, corpus.directed_cycle(3), verdict)
+    with pytest.raises(CapExceeded, match="image pair subsets needs 21, cap is 20"):
+        is_canonical_finite(PROD_MOD3, corpus.directed_cycle(3), caps=Caps(tuple_cap=20))
+
+
 def test_rigid_structure_makes_everything_canonical():
     # a linear order has no automorphisms besides the identity, so tuple
     # types separate all tuples and any operation is canonical
@@ -191,17 +191,46 @@ REDUCTION_CASES = [
 ]
 
 
+def assert_counterexample_holds(table, structure, verdict, same_type=None):
+    """A counterexample re-checked without the library: each witness
+    moves args_a onto args_b, all but one are the identity and that one
+    is a generator, and the images differ in type.  `same_type` decides
+    when two tuples share an orbit, by default over every automorphism."""
+    if same_type is None:
+        auts = brute_automorphisms(structure)
+        same_type = lambda s, t: same_orbit(auts, s, t)
+    ce = verdict.counterexample
+    assert ce.k == verdict.checked_up_to
+    for p, a, b in zip(ce.automorphisms, ce.args_a, ce.args_b, strict=True):
+        assert p.apply(a) == b
+    moved = [p.images for p in ce.automorphisms if p.images != tuple(range(table.size))]
+    assert len(moved) == 1 and moved[0] in structure.generators
+    image_a = tuple(table.apply(column) for column in zip(*ce.args_a))
+    image_b = tuple(table.apply(column) for column in zip(*ce.args_b))
+    assert len(image_a) == ce.k
+    assert not same_type(image_a, image_b)
+
+
 def test_generator_moves_decide_what_all_of_aut_n_decides():
     # every binary table on two elements and every unary one on three,
     # over a directed cycle, a relation-free set and a marked point
     canonical = 0
     for structure, table in REDUCTION_CASES:
         undone = undone_by_brute_force(table, structure)
-        assert _moves_are_undone(table, structure) == undone
+        assert (not _failing_moves(table, structure)) == undone
         # the reduction: all of Aut^n undone iff canonical at k = |D|^n
         level = table.size**table.arity
         assert definition_says_canonical(table, structure, level) == undone
         canonical += undone
+        # the failing moves give the least splitting level of the oracle
+        for k_max in range(1, 5):
+            verdict = is_canonical_finite(table, structure, k_max)
+            expected = enumerated_verdict(table, structure, k_max)
+            assert verdict.canonical == expected.canonical
+            assert verdict.checked_up_to == expected.checked_up_to
+            if not verdict.canonical:
+                assert verdict.counterexample.k == expected.counterexample.k
+                assert_counterexample_holds(table, structure, verdict)
     assert 0 < canonical < len(REDUCTION_CASES)
 
 
@@ -251,8 +280,12 @@ def test_finite_verdict_equals_the_enumeration_alone(case, k_max):
     table, structure = case
     verdict = is_canonical_finite(table, structure, k_max)
     k = default_k_max(structure) if k_max is None else k_max
-    enumerated = _enumerated_verdict(table, structure, k, DEFAULT_CAPS)
-    assert verdict == enumerated
+    enumerated = enumerated_verdict(table, structure, k)
+    assert verdict.canonical == enumerated.canonical
+    assert verdict.checked_up_to == enumerated.checked_up_to
+    if not verdict.canonical:
+        assert verdict.counterexample.k == enumerated.counterexample.k
+        assert_counterexample_holds(table, structure, verdict)
 
 
 def test_large_relation_free_set_is_decided_by_generators():
@@ -268,20 +301,19 @@ def test_large_relation_free_set_is_decided_by_generators():
 
 
 def test_non_canonical_table_on_a_large_set_carries_witnesses():
-    # sum mod 10 on the relation-free 10-element set: the witnesses are the
-    # lexicographically least automorphisms, found without listing 10! of them
+    # sum mod 10 on the relation-free 10-element set: level 1 has one
+    # orbit, and the witnesses are found without listing 10! automorphisms;
+    # two tuples share an orbit there iff they share an equality pattern
     table = Table(10, 2, tuple((a + b) % 10 for a in range(10) for b in range(10)))
+    structure = corpus.empty_structure(10)
     start = time.monotonic()
-    verdict = is_canonical_finite(table, corpus.empty_structure(10))
+    verdict = is_canonical_finite(table, structure)
     assert time.monotonic() - start < 2
-    ce = verdict.counterexample
-    assert (ce.k, ce.args_a, ce.args_b) == (2, ((0, 1), (0, 1)), ((0, 1), (0, 9)))
-    assert [p.images for p in ce.automorphisms] == [
-        tuple(range(10)),
-        (0, 9, 1, 2, 3, 4, 5, 6, 7, 8),
-    ]
-    for p, a, b in zip(ce.automorphisms, ce.args_a, ce.args_b):
-        assert p.apply(a) == b
+    assert (verdict.canonical, verdict.checked_up_to) == (False, 2)
+    equality = lambda t: pattern_of(PURE_SET, t)
+    assert_counterexample_holds(
+        table, structure, verdict, lambda s, t: equality(s) == equality(t)
+    )
 
 
 def test_generating_set_is_built_once_per_structure(monkeypatch):

@@ -286,6 +286,26 @@ def test_the_canonicity_oracle_builds_its_own_patterns():
     assert not set(_code_names(tree)) & {"joint_order_patterns", "_weak_orders", "_moves"}
 
 
+def test_the_finite_canonicity_oracle_lists_its_own_automorphisms():
+    # the finite oracle finds orbits and witnesses among every permutation
+    # that keeps the relations, so no orbit space, generating set or
+    # extension search of the library can agree with it by being shared
+    path = Path(__file__).parent / "finite_oracle.py"
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert {name for name in imported if name.startswith("clonelab.canonical")} == {
+        "clonelab.canonical.CanonicalCounterexample",
+        "clonelab.canonical.CanonicalVerdict",
+    }
+    names = set(_code_names(tree)) | {name.rsplit(".", 1)[-1] for name in imported}
+    assert not names & {"orbits", "extensions", "generators"}
+
+
 def test_canonicity_keeps_nothing_between_checks():
     # a canonicity check, and the reading of an equation system or a
     # term, builds what it reads and drops it: no module-level container

@@ -61,9 +61,13 @@ in lowest terms, to the value as such a pair.  A hull member's program
 compares the point with its threshold and reads its hull or its
 eventual map, and a graph member's reads its map at its coordinate.  A
 composition's is a straight-line program over the distinct sub-members
-read at the point, each run once, with each outer run at the values of
-its inners.  ``evaluate`` and the spot check run that program, and
-build no ``Fraction`` between the arguments and the answer.
+read at the point, each run once: first every leaf (a hull or graph
+member) at the point, then every composed sub-member, each outer at the
+values of its inners.  ``evaluate``, the spot check and the uniqueness
+grid run that program, and build no ``Fraction`` between the arguments
+and the answer; the spot check and the grid build one only to name a
+failing point.  A hull is built in integers too: every coordinate, every
+value and the ceiling over one common denominator.
 
 Thresholds, maps, and data are exact rationals throughout; every
 verification in this module compares values with ``==``, not with
@@ -76,7 +80,8 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
+from operator import itemgetter, le, lt
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .clones import guard_arity
@@ -110,12 +115,24 @@ class DataHull:
     hull strictly increasing and bounded by the ceiling; ``weak_conflict``
     is the first weakly dominated pair whose value does not increase.
 
+    Construction keeps the caller's ``Fraction``s, makes ``Fraction``s of
+    plain ints, and scales every coordinate, every value and the ceiling
+    to one common denominator; the sort, the repeated-point check,
+    ``_check_consistency``, the floor, the gap and epsilon then compare
+    and subtract the integer numerators.
+
     ``apply`` works in integers: it takes the point as one
     numerator/denominator pair per coordinate and returns the value as
-    a pair in lowest terms.  Construction indexes the data for it: a
-    dict of the exact hits keyed by their points in that form, and the
-    entries ranked by descending value, so the dominance scan stops at
-    the first dominated entry.
+    a pair in lowest terms.  Construction indexes the data for it: the
+    lower corner, per coordinate the least data coordinate; a dict of
+    the exact hits keyed by their points in that form; and the entries
+    ranked by descending value, so the dominance scan stops at the
+    first dominated entry.  A point below the lower corner in some
+    coordinate dominates no data point, so ``apply`` reads the floor
+    there without the lookup or the scan.  The floor, the values and
+    epsilon share one denominator, so the tie-breaker adds in one step
+    and reduces with one ``gcd``.  Without data the corner is empty and
+    nothing is built per coordinate.
     """
 
     data: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
@@ -126,54 +143,77 @@ class DataHull:
         n = self.arity
         if n < 1:
             raise InconsistentData("arity must be at least 1")
-        data = tuple(sorted(_normalize_data(self.data, n)))
-        for (p, _), (q, _) in zip(data, data[1:]):
-            if p == q:
-                raise InconsistentData(f"data point {p} repeated")
-        object.__setattr__(self, "weak_conflict", _check_consistency(data))
-        ceiling = Fraction(_exact(self.ceiling))
-        values = sorted({v for _, v in data})
-        floor = values[0] - 1 if values else ceiling - 2
+        ceiling = _fraction(self.ceiling)
+        data = _normalize_data(self.data, n)
+        # every coordinate, value and the ceiling over one common
+        # denominator, so the checks below compare ints
+        scale = lcm(ceiling.denominator, *(x.denominator for p, v in data for x in (*p, v)))
+
+        def scaled(x: Fraction) -> int:
+            return x.numerator * (scale // x.denominator)
+
+        keys = [(tuple(map(scaled, p)), scaled(v)) for p, v in data]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        data = tuple([data[k] for k in order])
+        keys = [keys[k] for k in order]
+        for k in range(1, len(keys)):
+            if keys[k - 1][0] == keys[k][0]:
+                raise InconsistentData(f"data point {data[k][0]} repeated")
+        object.__setattr__(self, "weak_conflict", _check_consistency(data, keys))
+        top = scaled(ceiling)
+        values = sorted({v for _, v in keys})
+        floor = values[0] - scale if values else top - 2 * scale
         head = values[-1] if values else floor
-        if head >= ceiling:
-            raise InconsistentData(f"data value {head} at or above the ceiling {ceiling}")
-        min_gap = min((b - a for a, b in zip(values, values[1:])), default=Fraction(1))
-        epsilon = min(min_gap, Fraction(1), ceiling - head) / (4 * n)
+        if head >= top:
+            raise InconsistentData(
+                f"data value {Fraction(head, scale)} at or above the ceiling {ceiling}"
+            )
+        min_gap = min((b - a for a, b in zip(values, values[1:])), default=scale)
+        # epsilon = spread / (4n * scale); apply reads the floor and the
+        # values over that denominator too
+        spread, t = min(min_gap, scale, top - head), 4 * n
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "ceiling", ceiling)
         # derived attributes, not fields: equality and repr see only
         # the fields
-        object.__setattr__(self, "floor", floor)
-        object.__setattr__(self, "epsilon", epsilon)
-        ranked = sorted(data, key=lambda entry: entry[1], reverse=True)
+        object.__setattr__(self, "floor", Fraction(floor, scale))
+        object.__setattr__(self, "epsilon", Fraction(spread, t * scale))
         object.__setattr__(self, "_exact", {tuple(map(_ratio, p)): _ratio(v) for p, v in data})
-        object.__setattr__(
-            self, "_ranked", tuple((_ratio(v), tuple(map(_ratio, p))) for p, v in ranked)
-        )
-        object.__setattr__(self, "_floor", _ratio(floor))
-        object.__setattr__(self, "_epsilon", _ratio(epsilon))
+        ranked = sorted(keys, key=itemgetter(1), reverse=True)
+        object.__setattr__(self, "_ranked", tuple([(v * t, p) for p, v in ranked]))
+        # the least data coordinate of each coordinate; () without data
+        object.__setattr__(self, "_corner", tuple(map(min, zip(*[p for p, _ in keys]))))
+        object.__setattr__(self, "_scale", scale)
+        object.__setattr__(self, "_floor", floor * t)
+        object.__setattr__(self, "_spread", spread)
+        object.__setattr__(self, "_denominator", t * scale)
 
     def apply(self, point: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-        hit = self._exact.get(point)
-        if hit is not None:
-            return hit
-        bn, bd = self._floor
-        for value, p in self._ranked:
-            # p <= point coordinatewise, compared as pn/pd <= xn/xd
-            for (pn, pd), (xn, xd) in zip(p, point):
-                if pn * xd > xn * pd:
-                    break
-            else:
-                bn, bd = value
+        scale, base = self._scale, self._floor
+        # a point below the lower corner in some coordinate dominates no
+        # data point and reads the floor; c/scale > xn/xd cross-multiplied
+        for c, (xn, xd) in zip(self._corner, point):
+            if xn * scale < c * xd:
                 break
+        else:
+            hit = self._exact.get(point)
+            if hit is not None:
+                return hit
+            for value, p in self._ranked:
+                # p <= point coordinatewise
+                for pj, (xn, xd) in zip(p, point):
+                    if pj * xd > xn * scale:
+                        break
+                else:
+                    base = value
+                    break
         # tie-breaker n + sum of squash(x), squash(p/q) = p/(q + |p|) in
         # lowest terms, summed over the integers
         num, den = len(point), 1
         for xn, xd in point:
             d = xd + abs(xn)
             num, den = num * d + xn * den, den * d
-        en, ed = self._epsilon
-        num, den = bn * ed * den + en * num * bd, bd * ed * den
+        num, den = base * den + self._spread * num, self._denominator * den
         g = gcd(num, den)
         return num // g, den // g
 
@@ -227,7 +267,7 @@ class QFunction:
             raise InconsistentData(
                 f"coordinate {self.coordinate} outside 1..{self.arity}"
             )
-        object.__setattr__(self, "threshold", Fraction(_exact(self.threshold)))
+        object.__setattr__(self, "threshold", _fraction(self.threshold))
         if not self.eventual.is_automorphism:
             raise InconsistentData("the eventual map must be a bijection of Q")
         if isinstance(self.below, PLMap) and not _agree_above(
@@ -272,6 +312,11 @@ def _agree_above(m1: PLMap, m2: PLMap, lo: Fraction) -> bool:
 # -- construction --------------------------------------------------------
 
 
+def _fraction(x) -> Fraction:
+    # an exact value as a Fraction, reusing one that already is
+    return x if type(x) is Fraction else Fraction(_exact(x))
+
+
 def _normalize_data(
     data: Iterable[tuple[Sequence[Fraction], Fraction]], n: int
 ) -> list[tuple[tuple[Fraction, ...], Fraction]]:
@@ -279,27 +324,29 @@ def _normalize_data(
     for point, value in data:
         if len(point) != n:
             raise InconsistentData(f"data point {point} is not {n}-ary")
-        out.append((tuple(Fraction(_exact(x)) for x in point), Fraction(_exact(value))))
+        out.append((tuple([_fraction(x) for x in point]), _fraction(value)))
     return out
 
 
 def _check_consistency(
-    data: Sequence[tuple[tuple[Fraction, ...], Fraction]]
+    data: Sequence[tuple[tuple[Fraction, ...], Fraction]],
+    keys: Sequence[tuple[tuple[int, ...], int]],
 ) -> tuple | None:
     """The order condition finite data must satisfy to extend, in one pass.
 
     ``data`` holds distinct points in sorted order, so a point can only
-    be dominated by a later one.  A pointwise-strict domination whose
-    value does not increase raises — the condition forced on any
-    restriction of a polymorphism.  The first weak such domination is
-    returned, or None.
+    be dominated by a later one; ``keys`` holds the same entries scaled
+    to integers over one positive denominator, and the comparisons read
+    them.  A pointwise-strict domination whose value does not increase
+    raises — the condition forced on any restriction of a polymorphism.
+    The first weak such domination is returned, or None.
     """
     weak = None
-    for (p, pv), (q, qv) in itertools.combinations(data, 2):
-        if pv >= qv and all(pj <= qj for pj, qj in zip(p, q)):
-            if all(pj < qj for pj, qj in zip(p, q)):
-                raise _inconsistent(((p, pv), (q, qv)))
-            weak = weak or ((p, pv), (q, qv))
+    for (j, (p, pv)), (k, (q, qv)) in itertools.combinations(enumerate(keys), 2):
+        if pv >= qv and all(map(le, p, q)):
+            if all(map(lt, p, q)):
+                raise _inconsistent((data[j], data[k]))
+            weak = weak or (data[j], data[k])
     return weak
 
 
@@ -373,31 +420,30 @@ def _compile_member(
             return ratio(*point[i])
 
         return hull_member
-    steps: list = []
-    slots: dict[int, int] = {}
+    order: list[QFunction] = []
+    seen: set[int] = set()
 
-    def visit(g: QFunction) -> int:
-        slot = slots.get(id(g))
-        if slot is None:
+    def visit(g: QFunction) -> None:
+        if id(g) not in seen:
+            seen.add(id(g))
             if isinstance(g.below, Composition):
-                args = tuple([visit(h) for h in g.below.inners])
-                steps.append((args, g.below.outer._program))
-            else:
-                steps.append(g._program)
-            slot = slots[id(g)] = len(steps) - 1
-        return slot
+                for h in g.below.inners:
+                    visit(h)
+            order.append(g)
 
     visit(f)
-    program = tuple(steps)
+    leaves = [g for g in order if not isinstance(g.below, Composition)]
+    composed = [g for g in order if isinstance(g.below, Composition)]
+    slots = {id(g): k for k, g in enumerate(leaves + composed)}
+    leaf_programs = tuple([g._program for g in leaves])
+    steps = tuple(
+        [(tuple([slots[id(h)] for h in g.below.inners]), g.below.outer._program) for g in composed]
+    )
 
     def composition(point):
-        values = []
-        for step in program:
-            if type(step) is tuple:
-                args, outer = step
-                values.append(outer(tuple([values[k] for k in args])))
-            else:
-                values.append(step(point))
+        values = [leaf(point) for leaf in leaf_programs]
+        for args, outer in steps:
+            values.append(outer(tuple([values[k] for k in args])))
         return values[-1]
 
     return composition
@@ -474,27 +520,47 @@ def compose_members(f: QFunction, gs: Sequence[QFunction]) -> QFunction:
     )
 
 
+# each spot-check draw as (lo, width, bits): randint(lo, lo + width - 1)
+# as CPython draws it, lo plus the first getrandbits(bits) below width
+_LOW = ((-60, 121, 7), (1, 6, 3))
+_STEP = ((1, 30, 5), (1, 6, 3))
+
+
 def spot_check_polymorphism(f: QFunction, pairs: int = 1000, seed: int = 0) -> int:
     """Randomized strict-monotonicity check; raises on any violation.
 
-    Each pair draws a point u and a positive step to v.  Both stay
-    integer pairs in lowest terms, as the hull's exact hits are keyed,
-    the member's program runs on each, and the two values compare by
-    cross-multiplying; ``Fraction``s are built only to name a failing
-    pair.
+    Each pair draws a point u, per coordinate randint(-60, 60) over
+    randint(1, 6), and then a positive step to v, per coordinate
+    randint(1, 30) over randint(1, 6), from ``random.Random(seed)``.
+    The draws are ``randint``'s own: lo plus the first
+    ``getrandbits(width.bit_length())`` below the width, in one loop
+    over a per-pair plan.  Both points stay integer pairs in lowest
+    terms, as the hull's exact hits are keyed, the member's program runs
+    on each, and the two values compare by cross-multiplying;
+    ``Fraction``s are built only to name a failing pair.
     """
     if pairs < 0:
         raise InconsistentData(f"pair count {pairs} is negative")
-    rng = random.Random(seed)
+    getrandbits = random.Random(seed).getrandbits
     n, program = f.arity, f._program
+    plan = _LOW * n + _STEP * n
     for _ in range(pairs):
-        # u and the step from u to v as integer pairs, v summed in integers
-        lows = [(rng.randint(-60, 60), rng.randint(1, 6)) for _ in range(n)]
-        steps = [(rng.randint(1, 30), rng.randint(1, 6)) for _ in range(n)]
-        u = tuple([_lowest(xn, xd) for xn, xd in lows])
-        v = tuple(
-            [_lowest(xn * sd + sn * xd, xd * sd) for (xn, xd), (sn, sd) in zip(lows, steps)]
-        )
+        draws = []
+        for lo, width, bits in plan:
+            r = getrandbits(bits)
+            while r >= width:
+                r = getrandbits(bits)
+            draws.append(lo + r)
+        # u and the step from u to v, v summed in integers
+        u, v = [], []
+        for k in range(0, 2 * n, 2):
+            xn, xd, sn, sd = draws[k], draws[k + 1], draws[2 * n + k], draws[2 * n + k + 1]
+            g = gcd(xn, xd)
+            u.append((xn // g, xd // g))
+            yn, yd = xn * sd + sn * xd, xd * sd
+            g = gcd(yn, yd)
+            v.append((yn // g, yd // g))
+        u, v = tuple(u), tuple(v)
         (an, ad), (bn, bd) = program(u), program(v)
         if an * bd >= bn * ad:
             raise InconsistentData(
@@ -502,12 +568,6 @@ def spot_check_polymorphism(f: QFunction, pairs: int = 1000, seed: int = 0) -> i
                 f"and {[Fraction(*x) for x in v]}"
             )
     return pairs
-
-
-def _lowest(num: int, den: int) -> tuple[int, int]:
-    # num/den, for den > 0, as a pair in lowest terms
-    g = gcd(num, den)
-    return num // g, den // g
 
 
 # -- rebuilding restrictions ----------------------------------------------
@@ -576,7 +636,11 @@ def uniqueness_witnesses(
     function of the eventual coordinate alone.
 
     The range bound is read off the pieces of the witness map exactly;
-    the grid evaluation then confirms the composite pointwise.
+    the grid evaluation then confirms the composite pointwise.  The grid
+    runs in integers: the member's program on the pushed points, as
+    numerator/denominator pairs in lowest terms, against the eventual
+    map's ``ratio`` of the pushed coordinate; ``Fraction``s are built
+    only to name a failing grid point.
     """
     if isinstance(f.below, Composition):
         raise InconsistentData("uniqueness witnesses want a member with parameters")
@@ -588,18 +652,17 @@ def uniqueness_witnesses(
     guard_power(grid_side, f.arity, caps.tuple_cap, "verification grid size")
     witnesses = tuple(g for _ in range(f.arity))
     half = grid_side // 2
-    axis = [Fraction(k - half) for k in range(grid_side)]
     # every witness is g, so each grid point pushes to a product of g's
     # values on the axis, and the composite must give alpha of the
-    # pushed eventual coordinate
-    pushed = [evaluate(g, (x,)) for x in axis]
-    images = [f.eventual.apply(y) for y in pushed]
-    checked = 0
-    for ks in itertools.product(range(grid_side), repeat=f.arity):
-        if evaluate(f, [pushed[k] for k in ks]) != images[ks[f.coordinate - 1]]:
-            x = tuple(axis[k] for k in ks)
+    # pushed eventual coordinate; all as integer pairs in lowest terms
+    pushed = [g._program(((k - half, 1),)) for k in range(grid_side)]
+    ratio, program, i = _ratio_of(f.eventual), f._program, f.coordinate - 1
+    image = {y: ratio(*y) for y in pushed}
+    for point in itertools.product(pushed, repeat=f.arity):
+        if program(point) != image[point[i]]:
+            x = tuple(Fraction(pushed.index(y) - half) for y in point)
             raise InconsistentData(f"composite not a function of x{f.coordinate} at {x}")
-        checked += 1
+    checked = grid_side**f.arity
     report = UniquenessReport(
         threshold=a,
         range_inf=graph.range_inf(),

@@ -1,8 +1,21 @@
-"""Member values the slow way, the test oracle for `qclone.evaluate`.
+"""Hull construction and member values the slow way, the test oracle
+for `qclone.DataHull` and `qclone.evaluate`.
 
+`reference_hull` is the hull's constructor as first written, in
+`Fraction`s: it makes every coordinate and value a `Fraction`, sorts the
+data by point, refuses a repeated point, a strictly dominated pair whose
+value does not increase and a value at or above the ceiling, finds the
+first weakly dominated such pair, and derives the floor and ε.  The
+library's constructor scales every coordinate, value and the ceiling to
+one common denominator and does all of that on the integer numerators;
+it must give the same data order, floor, ε, weak conflict and error
+message.
 `hull_apply` is the data hull evaluated as first written: a linear scan
 for an exact hit, a scan of every entry for the largest dominated value,
-and a tie-breaker summed in `Fraction`s.  `map_value` applies a `PLMap`
+and a tie-breaker summed in `Fraction`s, where the library first tests
+the point against the hull's lower corner (the least data coordinate of
+each coordinate), reads the floor below it, and sums in integers.
+`map_value` applies a `PLMap`
 by a linear scan of its pieces and `reference_form`, the piece matrix
 in `Fraction`s scaled so that c == 1, or d == 1 when c == 0: the form
 that `serialize` prints, where a `Piece` stores the primitive integer
@@ -13,19 +26,53 @@ The library instead compiles each member once, when it is built, into
 an integer program: it reads points and values as numerator/denominator
 pairs in lowest terms, looks pieces up by cross-multiplying with the
 breakpoints, indexes the hull, and runs a composition as a straight-line
-program over its distinct sub-members, each once per point.  `evaluate`
-runs that program on the arguments turned into pairs and builds one
-`Fraction` for the answer, and the spot check runs it on integer pairs
-directly; both must give the oracle's values.
+program over its distinct sub-members, leaves first, each once per
+point.  `evaluate` runs that program on the arguments turned into pairs
+and builds one `Fraction` for the answer, and the spot check and the
+uniqueness grid run it on integer pairs directly; all must give the
+oracle's values.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import Sequence
 
+from clonelab.errors import InconsistentData
 from clonelab.plmap import PLMap
 from clonelab.qclone import Composition, DataHull, QFunction
+
+
+def reference_hull(data, arity: int, ceiling) -> tuple:
+    """The data in order, the floor, epsilon and the first weak conflict
+    of `DataHull(data, arity, ceiling)`, or its InconsistentData."""
+    if arity < 1:
+        raise InconsistentData("arity must be at least 1")
+    normal = []
+    for point, value in data:
+        if len(point) != arity:
+            raise InconsistentData(f"data point {point} is not {arity}-ary")
+        normal.append((tuple(Fraction(x) for x in point), Fraction(value)))
+    normal.sort()
+    for (p, _), (q, _) in zip(normal, normal[1:]):
+        if p == q:
+            raise InconsistentData(f"data point {p} repeated")
+    weak = None
+    for (p, pv), (q, qv) in itertools.combinations(normal, 2):
+        if pv >= qv and all(pj <= qj for pj, qj in zip(p, q)):
+            if all(pj < qj for pj, qj in zip(p, q)):
+                raise InconsistentData(f"inconsistent data: {p} -> {pv}, {q} -> {qv}")
+            weak = weak or ((p, pv), (q, qv))
+    ceiling = Fraction(ceiling)
+    values = sorted({v for _, v in normal})
+    floor = values[0] - 1 if values else ceiling - 2
+    head = values[-1] if values else floor
+    if head >= ceiling:
+        raise InconsistentData(f"data value {head} at or above the ceiling {ceiling}")
+    min_gap = min((b - a for a, b in zip(values, values[1:])), default=Fraction(1))
+    epsilon = min(min_gap, Fraction(1), ceiling - head) / (4 * arity)
+    return tuple(normal), floor, epsilon, weak
 
 
 def _squash(x: Fraction) -> Fraction:

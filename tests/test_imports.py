@@ -454,7 +454,8 @@ def test_a_member_evaluates_only_through_its_compiled_program():
     # `_compile_member` is the one evaluator of members: it alone reads a
     # composition's provenance for values (`_collapse` reads it for the
     # eventual coordinate), only construction compiles, and only the
-    # builder, `evaluate` and the spot check run a program
+    # builder, `evaluate`, the spot check and the uniqueness grid run a
+    # program
     tree = ast.parse((PACKAGE / "qclone.py").read_text())
     assert not [n for n in ast.walk(tree) if getattr(n, "name", None) == "_value"]
     readers: dict[str, set] = {}
@@ -465,7 +466,12 @@ def test_a_member_evaluates_only_through_its_compiled_program():
             readers.setdefault(node.id, set()).add(owner)
     assert readers["inners"] | readers["outer"] == {"_compile_member", "_collapse"}
     assert readers["_compile_member"] == {"QFunction"}
-    assert readers["_program"] == {"_compile_member", "evaluate", "spot_check_polymorphism"}
+    assert readers["_program"] == {
+        "_compile_member",
+        "evaluate",
+        "spot_check_polymorphism",
+        "uniqueness_witnesses",
+    }
 
 
 def test_one_gate_builds_every_type_table():

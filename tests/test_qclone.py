@@ -19,7 +19,6 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from clonelab import qclone
 from clonelab.config import Caps
 from clonelab.errors import CapExceeded, InconsistentData, ParseError
 from clonelab.plmap import PLMap, Piece, from_point_pairs, identity, translation
@@ -40,7 +39,7 @@ from clonelab.qclone import (
     uniqueness_witnesses,
     xi,
 )
-from hull_oracle import hull_apply, map_value, nested_value
+from hull_oracle import hull_apply, map_value, nested_value, reference_hull
 
 F = Fraction
 
@@ -218,6 +217,27 @@ def replay_spot_check(f, pairs, seed, value=nested_value):
         v = [F(xn * sd + sn * xd, xd * sd) for (xn, xd), (sn, sd) in zip(lows, steps)]
         out.append((u, v, value(f, u) < value(f, v)))
     return out
+
+
+def test_the_check_draws_what_randint_draws():
+    # a stand-in program records the points the check reads, and returns
+    # increasing values so that every pair passes
+    for n in range(1, 5):
+        f = plain_member(n)
+        for seed in range(50):
+            read = []
+
+            def recording(point):
+                read.append(point)
+                return len(read), 1
+
+            object.__setattr__(f, "_program", recording)
+            assert spot_check_polymorphism(f, 20, seed) == 20
+            replay = replay_spot_check(f, 20, seed, value=lambda g, u: True)
+            expected = [
+                tuple((x.numerator, x.denominator) for x in w) for u, v, _ in replay for w in (u, v)
+            ]
+            assert read == expected, (n, seed)
 
 
 def _check_outcome(f, pairs, seed):
@@ -740,6 +760,52 @@ def test_hull_epsilon_is_the_all_pairs_minimum_gap():
         assert DataHull(tuple(data.items()), n, ceiling).epsilon == expected
 
 
+# small coordinates and values, plain ints among them, so that repeated
+# points, strict and weak conflicts and values at the ceiling are common
+EXACT = st.one_of(st.integers(-2, 2), st.builds(F, st.integers(-4, 4), st.integers(1, 3)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_the_integer_constructor_agrees_with_the_fraction_one(draw):
+    n = draw.draw(st.integers(1, 3))
+    # repeated points in some lists only, so that the other checks run
+    unique = draw.draw(st.booleans())
+    data = draw.draw(
+        st.lists(
+            st.tuples(st.tuples(*[EXACT] * n), EXACT),
+            max_size=6,
+            unique_by=(lambda entry: tuple(map(F, entry[0]))) if unique else None,
+        )
+    )
+    if data and draw.draw(st.booleans()):
+        # a point weakly above a data point, equal to it in the first
+        # coordinate, whose value does not increase
+        p, v = draw.draw(st.sampled_from(data))
+        q = (p[0], *(x + draw.draw(STEP) for x in p[1:]))
+        data.append((q, v - draw.draw(st.sampled_from([0, 1]))))
+    values = [v for _, v in data]
+    ceiling = draw.draw(
+        st.one_of(
+            st.sampled_from(values) if values else EXACT,
+            st.builds(lambda step: max(values, default=0) + step, STEP),
+            EXACT,
+        )
+    )
+    try:
+        ordered, floor, epsilon, weak = reference_hull(tuple(data), n, ceiling)
+    except InconsistentData as err:
+        with pytest.raises(InconsistentData) as got:
+            DataHull(tuple(data), n, ceiling)
+        assert str(got.value) == str(err)
+        return
+    hull = DataHull(tuple(data), n, ceiling)
+    # the repr also pins each coordinate's type: ints become Fractions
+    assert repr(hull.data) == repr(ordered)
+    assert (hull.floor, hull.epsilon, hull.weak_conflict) == (floor, epsilon, weak)
+    assert repr(hull.weak_conflict) == repr(weak)
+
+
 def _random_hull(rng: random.Random) -> DataHull:
     n = rng.randint(1, 3)
     data = _strictly_consistent(
@@ -771,6 +837,13 @@ def test_hull_matches_the_oracle():
             tuple(F(rng.randint(-30, 30), rng.randint(1, 4)) for _ in range(n))
             for _ in range(8)
         ]
+        # on the lower corner (the least data coordinate) in one
+        # coordinate and at the data maxima in the rest, where the point
+        # dominates a data point, and one step below the corner there
+        columns = list(zip(*(p for p, _ in hull.data)))
+        for k, column in enumerate(columns):
+            for x in (min(column), min(column) - F(1, 60)):
+                points.append(tuple(x if j == k else max(c) for j, c in enumerate(columns)))
         for point in points:
             # the integer hull returns its value in lowest terms
             expected = hull_apply(hull, point)
@@ -825,16 +898,16 @@ def test_uniqueness_composite_ignores_the_other_coordinate():
         )
 
 
-def test_a_uniqueness_failure_names_the_grid_point(monkeypatch):
+def test_a_uniqueness_failure_names_the_grid_point():
     f = plain_member(2, 1)
-    real = qclone.evaluate
+    real = f._program
 
-    def broken(g, u):
+    def broken(point):
         # off by one wherever the pushed x2 is g(1) = 2
-        value = real(g, u)
-        return value + 1 if len(u) == 2 and u[1] == 2 else value
+        num, den = real(point)
+        return (num + den, den) if point[1] == (2, 1) else (num, den)
 
-    monkeypatch.setattr(qclone, "evaluate", broken)
+    object.__setattr__(f, "_program", broken)
     # the first such grid point is (-2, 1), pushed to (1/3, 2)
     with pytest.raises(InconsistentData, match=r"x1 at \(Fraction\(-2, 1\), Fraction\(1, 1\)\)$"):
         uniqueness_witnesses(f, grid_side=4)

@@ -8,15 +8,21 @@ case.  Adjacent pieces agree at shared endpoints, so the whole map is
 strictly increasing.  Maps with unbounded range in both directions are
 automorphisms of (Q, <); bounded ones are proper self-embeddings.
 
-A piece stores its matrix as four coprime ints, endpoints are
-`fractions.Fraction`s, arguments are `Fraction`s or `int`s, and
-everything is exact.  Evaluation runs in integers: ``ratio`` takes x as
-a numerator/denominator pair and returns the value as one in lowest
-terms, and ``apply`` wraps that in a single `Fraction`.
+A piece stores its matrix as four coprime ints and its endpoints as
+`fractions.Fraction`s; arguments are `Fraction`s or `int`s, and
+everything is exact.  The arithmetic runs in integers, on
+numerator/denominator pairs: ``ratio`` takes x as a pair and returns the
+value as one in lowest terms, ``preimage`` solves for x the same way,
+the constructors scale their values to one common denominator, and
+``compose`` finds its cuts and matrices on pairs.  A `Fraction` is built
+only where the API hands one out: one per kept endpoint, and the
+values of ``apply``, ``invert_value``, ``breakpoints`` and the range
+limits.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -35,7 +41,8 @@ class Piece:
     Construction takes any exact matrix and stores its primitive integer
     multiple: four coprime ints with c > 0, or c == 0 and d > 0.  Two
     matrices give the same map exactly when they are proportional, so
-    equal maps give equal pieces.
+    equal maps give equal pieces.  Int endpoints become `Fraction`s, and
+    the interval and pole checks cross-multiply.
     """
 
     lo: Fraction | None
@@ -50,10 +57,8 @@ class Piece:
             a, b, c, d = (v.numerator * (scale // v.denominator) for v in vals)
         if c == d == 0:
             raise InconsistentData("degenerate piece matrix: c = d = 0")
-        g = gcd(a, b, c, d)
-        if c < 0 or c == 0 and d < 0:
-            g = -g
-        object.__setattr__(self, "mat", (a // g, b // g, c // g, d // g))
+        a, b, c, d = mat = _primitive(a, b, c, d)
+        object.__setattr__(self, "mat", mat)
         lo, hi = self.lo, self.hi
         if lo is not None and type(lo) is not Fraction:
             lo = Fraction(_exact(lo))
@@ -67,12 +72,12 @@ class Piece:
             hi.numerator * lo.denominator <= lo.numerator * hi.denominator
         ):
             raise InconsistentData("piece interval is empty")
-        if c != 0:
-            pole = Fraction(-d, c)
-            if (self.lo is None or pole >= self.lo) and (
-                self.hi is None or pole <= self.hi
-            ):
-                raise InconsistentData("piece has a pole inside its closed interval")
+        # the pole -d/c, for c > 0, is at or above lo when -d*lo_d >= lo_n*c
+        # and at or below hi when -d*hi_d <= hi_n*c
+        if c != 0 and (lo is None or -d * lo.denominator >= lo.numerator * c) and (
+            hi is None or -d * hi.denominator <= hi.numerator * c
+        ):
+            raise InconsistentData("piece has a pole inside its closed interval")
 
     @property
     def is_affine(self) -> bool:
@@ -88,36 +93,32 @@ class Piece:
             g = -g
         return num // g, den // g
 
-    def value(self, x: Fraction | int) -> Fraction:
-        return Fraction(*self.ratio(*_ratio(x)))
+    def preimage(self, yn: int, yd: int) -> tuple[int, int] | None:
+        """The x at which the piece's formula takes the value yn/yd, for
+        yd > 0, in lowest terms with a positive denominator, inside the
+        piece or not; None when y is the formula's asymptote.  No such x
+        is a pole: c*x + d there is yd times the determinant over
+        a*yd - c*yn."""
+        a, b, c, d = self.mat
+        num, den = d * yn - b * yd, a * yd - c * yn
+        if den == 0:
+            return None
+        g = gcd(num, den)
+        if den < 0:
+            g = -g
+        return num // g, den // g
 
     def invert(self, y: Fraction | int) -> Fraction | None:
-        """Solve value(x) == y; None when y is the piece's asymptote."""
-        yn, yd = _ratio(y)
-        a, b, c, d = self.mat
-        den = a * yd - c * yn
-        return None if den == 0 else Fraction(d * yn - b * yd, den)
-
-    def limit_low(self) -> Fraction | None:
-        """Infimum of values on the piece; None means -infinity."""
-        if self.lo is not None:
-            return self.value(self.lo)
-        a, _, c, _ = self.mat
-        return None if c == 0 else Fraction(a, c)
-
-    def limit_high(self) -> Fraction | None:
-        """Supremum of values on the piece; None means +infinity."""
-        if self.hi is not None:
-            return self.value(self.hi)
-        a, _, c, _ = self.mat
-        return None if c == 0 else Fraction(a, c)
+        """``preimage`` of an exact y, as a `Fraction`."""
+        x = self.preimage(*_ratio(y))
+        return None if x is None else Fraction(*x)
 
 
 @dataclass(frozen=True)
 class PLMap:
     """The map made of ``pieces``; construction checks that adjacent
-    pieces meet, comparing their values at each breakpoint as `ratio`
-    pairs, and stores the breakpoints as numerator/denominator pairs for
+    pieces meet, cross-multiplying their values at each breakpoint, and
+    stores the breakpoints as numerator/denominator pairs for
     the piece lookup, outside the fields that equality compares."""
 
     pieces: tuple[Piece, ...]
@@ -130,13 +131,20 @@ class PLMap:
             raise InconsistentData("pieces must cover the whole line")
         breaks = []
         for left, right in zip(ps, ps[1:]):
-            if left.hi is None or right.lo is None or left.hi != right.lo:
+            hi, lo = left.hi, right.lo
+            # the builders share one Fraction between neighbours
+            if hi is None or lo is None or (hi is not lo and hi != lo):
                 raise InconsistentData("pieces must be adjacent")
-            point = left.hi.numerator, left.hi.denominator
-            if left.ratio(*point) != right.ratio(*point):
+            point = xn, xd = hi.numerator, hi.denominator
+            a1, b1, c1, d1 = left.mat
+            a2, b2, c2, d2 = right.mat
+            # no denominator is zero: no piece has a pole on its closed interval
+            if (a1 * xn + b1 * xd) * (c2 * xn + d2 * xd) != (a2 * xn + b2 * xd) * (
+                c1 * xn + d1 * xd
+            ):
                 raise InconsistentData(
                     f"pieces disagree at breakpoint {left.hi}: "
-                    f"{left.value(left.hi)} vs {right.value(right.lo)}"
+                    f"{Fraction(*left.ratio(*point))} vs {Fraction(*right.ratio(*point))}"
                 )
             breaks.append(point)
         object.__setattr__(self, "_breaks", tuple(breaks))
@@ -171,54 +179,100 @@ class PLMap:
     def apply(self, x: Fraction | int) -> Fraction:
         return Fraction(*self.ratio(*_ratio(x)))
 
-    def invert_value(self, y: Fraction | int) -> Fraction | None:
-        """Preimage of y, or None when y is outside the range."""
+    def preimage(self, yn: int, yd: int) -> tuple[int, int] | None:
+        """The x with ratio(x) == yn/yd, for yd > 0, as a pair in lowest
+        terms, or None when y is outside the range: the ``preimage`` of
+        the one piece whose interval holds it, compared by
+        cross-multiplying."""
         for piece in self.pieces:
-            x = piece.invert(y)
-            if x is None:
-                continue
-            if (piece.lo is None or x >= piece.lo) and (piece.hi is None or x < piece.hi):
-                if piece.value(x) == y:
+            x = piece.preimage(yn, yd)
+            if x is not None:
+                xn, xd = x
+                lo, hi = piece.lo, piece.hi
+                if (lo is None or lo.numerator * xd <= xn * lo.denominator) and (
+                    hi is None or xn * hi.denominator < hi.numerator * xd
+                ):
                     return x
         return None
+
+    def invert_value(self, y: Fraction | int) -> Fraction | None:
+        """Preimage of y, or None when y is outside the range; solved on
+        pairs by ``preimage``, and one `Fraction` built for the answer."""
+        x = self.preimage(*_ratio(y))
+        return None if x is None else Fraction(*x)
 
     # -- range shape ---------------------------------------------------
 
     def range_inf(self) -> Fraction | None:
-        """Greatest lower bound of the range (never attained); None is -infinity."""
-        return self.pieces[0].limit_low()
+        """Greatest lower bound of the range (never attained); None is
+        -infinity.  The first piece runs to -infinity, where a Mobius
+        piece tends to a/c."""
+        a, _, c, _ = self.pieces[0].mat
+        return None if c == 0 else Fraction(a, c)
 
     def range_sup(self) -> Fraction | None:
-        return self.pieces[-1].limit_high()
+        a, _, c, _ = self.pieces[-1].mat
+        return None if c == 0 else Fraction(a, c)
 
     @property
     def is_automorphism(self) -> bool:
-        """True when the map is onto Q (unbounded in both directions)."""
-        return self.range_inf() is None and self.range_sup() is None
+        """True when the map is onto Q (unbounded in both directions):
+        both end pieces are affine."""
+        return self.pieces[0].is_affine and self.pieces[-1].is_affine
 
     # -- algebra -------------------------------------------------------
 
     def compose(self, inner: "PLMap") -> "PLMap":
-        """self after inner, as a PLMap."""
-        cuts: set[Fraction] = set(inner.breakpoints())
-        for piece in inner.pieces:
-            low, high = piece.limit_low(), piece.limit_high()
-            for b in self.breakpoints():
-                # b inside the open image (low, high) of the strictly
-                # increasing piece has its one preimage inside the piece
-                if (low is None or low < b) and (high is None or b < high):
-                    cuts.add(piece.invert(b))
-        points = sorted(cuts)
-        bounds: list[Fraction | None] = [None, *points, None]
-        # each interval is read at its left cut, the first just below the
-        # first cut: inside one interval both maps are one piece each
-        samples = [points[0] - 1 if points else 0, *points]
-        pieces = []
-        for x, lo, hi in zip(samples, bounds, bounds[1:]):
-            f = inner.piece_at(x)
-            g = self.piece_at(f.value(x))
-            pieces.append(Piece(lo, hi, _matmul(g.mat, f.mat)))
-        return PLMap(_merge(pieces))
+        """self after inner, as a PLMap, found on numerator/denominator pairs.
+
+        The cuts are the inner breakpoints and, inside each inner piece,
+        the preimages of the outer breakpoints in the piece's open image.
+        The inner map is increasing, so the images of its pieces follow
+        one another and one walk over the inner pieces and the outer
+        breakpoints meets every cut in increasing order, together with
+        the outer piece that holds the image of the interval it starts.
+        Each interval's matrix is the product of its two pieces' in
+        primitive form; a run of intervals with one matrix is one piece,
+        and only a kept cut becomes a `Fraction` (an inner breakpoint
+        reuses the inner piece's ``lo``).
+        """
+        outer, breaks, cuts = self.pieces, self._breaks, inner._breaks
+        count = len(breaks)
+        a, _, c, _ = inner.pieces[0].mat
+        # the open image (low, high) of each inner piece, as pairs with
+        # positive denominators; None is -infinity or +infinity
+        low = None if c == 0 else (a, c)
+        j = 0  # the outer breakpoints below the current cut's image
+        out: list[Piece] = []
+        lo: Fraction | None = None
+        run: Mat | None = None
+        for k, f in enumerate(inner.pieces):
+            if k < len(cuts):
+                high = f.ratio(*cuts[k])
+            else:
+                a, _, c, _ = f.mat
+                high = None if c == 0 else (a, c)
+            if low is not None:
+                ln, ld = low
+                while j < count and breaks[j][0] * ld <= ln * breaks[j][1]:
+                    j += 1
+            starts: list = [(f.lo, j)]
+            while j < count and (high is None or breaks[j][0] * high[1] < high[0] * breaks[j][1]):
+                x = f.preimage(*breaks[j])
+                j += 1
+                starts.append((x, j))
+            for at, index in starts:
+                mat = _primitive(*_matmul(outer[index].mat, f.mat))
+                if mat != run:
+                    if run is not None:
+                        if type(at) is tuple:
+                            at = Fraction(*at)
+                        out.append(Piece(lo, at, run))
+                        lo = at
+                    run = mat
+            low = high
+        out.append(Piece(lo, None, run))
+        return PLMap(tuple(out))
 
     # -- serialization -------------------------------------------------
 
@@ -237,6 +291,14 @@ class PLMap:
         return "\n".join(lines) + "\n"
 
 
+def _primitive(a: int, b: int, c: int, d: int) -> Mat:
+    # the coprime multiple with c > 0, or c == 0 and d > 0
+    g = gcd(a, b, c, d)
+    if c < 0 or c == 0 and d < 0:
+        g = -g
+    return a // g, b // g, c // g, d // g
+
+
 def _matmul(g: Mat, f: Mat) -> Mat:
     a1, b1, c1, d1 = g
     a2, b2, c2, d2 = f
@@ -248,17 +310,6 @@ def _matmul(g: Mat, f: Mat) -> Mat:
     )
 
 
-def _merge(pieces: list[Piece]) -> tuple[Piece, ...]:
-    merged = [pieces[0]]
-    for piece in pieces[1:]:
-        last = merged[-1]
-        if piece.mat == last.mat:
-            merged[-1] = Piece(last.lo, piece.hi, last.mat)
-        else:
-            merged.append(piece)
-    return tuple(merged)
-
-
 # -- constructors ------------------------------------------------------
 
 
@@ -267,9 +318,12 @@ def identity() -> PLMap:
 
 
 def affine(slope: Fraction | int, offset: Fraction | int) -> PLMap:
-    if _exact(slope) <= 0:
+    sn, sd = _ratio(slope)
+    if sn <= 0:
         raise InconsistentData("affine map must have positive slope")
-    return PLMap((Piece(None, None, (slope, offset, 0, 1)),))
+    on, od = _ratio(offset)
+    # x -> slope*x + offset over the denominator sd*od
+    return PLMap((Piece(None, None, (sn * od, on * sd, 0, sd * od)),))
 
 
 def translation(offset: Fraction | int) -> PLMap:
@@ -283,27 +337,41 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
     sorting by the first; equal first coordinates must carry equal second
     coordinates (duplicates are collapsed).  The map has one piece per
     bend: a piece ends only at a point where the slope changes, so
-    collinear points share a piece.  A kept piece takes its matrix
-    (dy, ya*dx - dy*xa, 0, dx) from its first two points, without a
-    division.
+    collinear points share a piece.
+
+    Everything runs on integers.  Pairs of ints are read as they are;
+    otherwise each value is gated once and every coordinate is scaled to
+    one common denominator D, and the dedupe, the sort, the refusals and
+    the bends work on the numerators.  A kept piece takes its matrix
+    (D*dy, ya*dx - dy*xa, 0, D*dx) from the numerators of its first two
+    points, without a division, and each kept endpoint is one `Fraction`,
+    shared by the two pieces that meet there.
     """
-    distinct = set()
-    for x, y in pairs:
-        if not type(x) is type(y) is int:  # ints pass the gate without a call
+    pairs = list(pairs)
+    scale = 1
+    if not all(type(x) is type(y) is int for x, y in pairs):
+        for x, y in pairs:
             _exact(x)
             _exact(y)
-        distinct.add((x, y))
-    cleaned = sorted(distinct)
+        scale = lcm(*(v.denominator for pair in pairs for v in pair))
+        pairs = [
+            (x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+            for x, y in pairs
+        ]
+    cleaned = sorted(set(pairs))
     for (x1, y1), (x2, y2) in zip(cleaned, cleaned[1:]):
         if x1 == x2:
-            raise InconsistentData(f"point {x1} maps to both {y1} and {y2}")
+            raise InconsistentData(
+                f"point {Fraction(x1, scale)} maps to both "
+                f"{Fraction(y1, scale)} and {Fraction(y2, scale)}"
+            )
         if y1 >= y2:
             raise InconsistentData("point pairs are not increasing")
     if not cleaned:
         return identity()
     (x0, y0), (xr, yr) = cleaned[0], cleaned[-1]
     # one point beyond each end makes the tails slope-1 segments
-    points = [(x0 - 1, y0 - 1), *cleaned, (xr + 1, yr + 1)]
+    points = [(x0 - scale, y0 - scale), *cleaned, (xr + scale, yr + scale)]
     last = len(points) - 1
     # a piece ends at each bend, a point where the slope changes
     bends = []
@@ -312,12 +380,13 @@ def from_point_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> PLMap:
         if (yb - ya) * (xc - xb) != (yc - yb) * (xb - xa):
             bends.append(i)
     pieces = []
+    lo = None
     for start, end in zip([0, *bends], [*bends, last]):
         (xa, ya), (xb, yb) = points[start], points[start + 1]
         dx, dy = xb - xa, yb - ya
-        lo = None if start == 0 else xa
-        hi = None if end == last else points[end][0]
-        pieces.append(Piece(lo, hi, (dy, ya * dx - dy * xa, 0, dx)))
+        hi = None if end == last else Fraction(points[end][0], scale)
+        pieces.append(Piece(lo, hi, (scale * dy, ya * dx - dy * xa, 0, scale * dx)))
+        lo = hi
     return PLMap(tuple(pieces))
 
 
@@ -336,16 +405,34 @@ def _ratio(v) -> tuple[int, int]:
 
 # -- parsing -----------------------------------------------------------
 
+# a rational literal: -?D+, -?D+/D+ or -?D+.D+ in ASCII digits
+_LITERAL = re.compile(r"(-?[0-9]+)(?:([/.])([0-9]+))?")
 
-def parse_fraction(text: str, line: int | None = None) -> Fraction:
-    """A rational literal such as `-3/4` or `2.5`, in ASCII digits and
-    without the underscores `Fraction` would accept."""
-    if text.isascii() and "_" not in text:
+
+def _literal(text: str, line: int | None) -> tuple[int, int]:
+    """A rational literal as a numerator and a positive denominator, not
+    always in lowest terms; anything else, a zero denominator included,
+    is a ParseError.  Signs other than a leading `-`, exponents and bare
+    or trailing points are refused before any arithmetic."""
+    match = _LITERAL.fullmatch(text)
+    if match:
+        whole, sep, tail = match.groups()
         try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError):
+            if sep is None:
+                return int(whole), 1
+            if sep == ".":
+                return int(whole + tail), 10 ** len(tail)
+            if tail.strip("0"):
+                return int(whole), int(tail)
+        except ValueError:  # past the interpreter's limit on digits
             pass
     raise ParseError(f"bad rational literal {text!r}", line)
+
+
+def parse_fraction(text: str, line: int | None = None) -> Fraction:
+    """A rational literal such as `-3/4` or `2.5`: `-?D+`, `-?D+/D+`
+    with a nonzero denominator or `-?D+.D+`, in ASCII digits."""
+    return Fraction(*_literal(text, line))
 
 
 def parse_piece_line(parts: Sequence[str], line: int | None = None) -> Piece:
@@ -356,17 +443,19 @@ def parse_piece_line(parts: Sequence[str], line: int | None = None) -> Piece:
     lo = None if parts[0] == "-inf" else parse_fraction(parts[0], line)
     hi = None if parts[1] == "inf" else parse_fraction(parts[1], line)
     kind = parts[2]
-    coeffs = [parse_fraction(t, line) for t in parts[3:]]
+    coeffs = [_literal(t, line) for t in parts[3:]]
     if kind == "affine":
         if len(coeffs) != 2:
             raise ParseError("affine piece needs 2 coefficients", line)
-        mat = (coeffs[0], coeffs[1], 0, 1)
+        coeffs += [(0, 1), (1, 1)]
     elif kind == "mobius":
         if len(coeffs) != 4:
             raise ParseError("mobius piece needs 4 coefficients", line)
-        mat = (coeffs[0], coeffs[1], coeffs[2], coeffs[3])
     else:
         raise ParseError(f"unknown piece kind {kind!r}", line)
+    # the coefficients over one common denominator, as ints
+    scale = lcm(*(den for _, den in coeffs))
+    mat = tuple(num * (scale // den) for num, den in coeffs)
     try:
         return Piece(lo, hi, mat)
     except InconsistentData as exc:

@@ -282,13 +282,16 @@ class QFunction:
                 raise InconsistentData(
                     f"{hull.arity}-ary hull below a {self.arity}-ary member"
                 )
-            ceiling = self.eventual.apply(self.threshold)
-            if hull.ceiling != ceiling:
+            tn, td = self.threshold.numerator, self.threshold.denominator
+            ceiling = self.eventual.ratio(tn, td)
+            if (hull.ceiling.numerator, hull.ceiling.denominator) != ceiling:
                 raise InconsistentData(
-                    f"hull ceiling {hull.ceiling} is not alpha(threshold) = {ceiling}"
+                    f"hull ceiling {hull.ceiling} is not alpha(threshold) = "
+                    f"{Fraction(*ceiling)}"
                 )
             for point, _ in hull.data:
-                if all(x > self.threshold for x in point):
+                # x > threshold, compared as xn*td > tn*xd
+                if all(x.numerator * td > tn * x.denominator for x in point):
                     raise InconsistentData(
                         f"data point {point} lies entirely above the threshold "
                         f"{self.threshold}"
@@ -303,10 +306,15 @@ class QFunction:
 def _agree_above(m1: PLMap, m2: PLMap, lo: Fraction) -> bool:
     # two fractional-linear pieces agree on an interval exactly when their
     # primitive integer matrices are equal; past `lo` both maps are one
-    # piece each between consecutive breakpoints, and `piece_at` reads
-    # each interval at its left end
-    cuts = {b for b in m1.breakpoints() + m2.breakpoints() if b > lo}
-    return all(m1.piece_at(x).mat == m2.piece_at(x).mat for x in (lo, *cuts))
+    # piece each between consecutive breakpoints, and the piece lookup
+    # reads each interval at its left end; breakpoints are compared with
+    # `lo` as pairs, bn/bd > ln/ld as bn*ld > ln*bd
+    ln, ld = lo.numerator, lo.denominator
+    cuts = [(bn, bd) for bn, bd in m1._breaks + m2._breaks if bn * ld > ln * bd]
+    return all(
+        m1.pieces[m1._index(*x)].mat == m2.pieces[m2._index(*x)].mat
+        for x in ((ln, ld), *cuts)
+    )
 
 
 # -- construction --------------------------------------------------------
@@ -506,11 +514,16 @@ def compose_members(f: QFunction, gs: Sequence[QFunction]) -> QFunction:
     n = arities.pop()
     star = inners[f.coordinate - 1]
     # each inner eventual map is a bijection of Q, so it reaches the
-    # outer threshold at exactly one point
-    threshold = max(
-        *(g.threshold for g in inners),
-        *(g.eventual.invert_value(f.threshold) for g in inners),
-    )
+    # outer threshold at exactly one point; the candidates are pairs,
+    # compared by cross-multiplying
+    tn, td = f.threshold.numerator, f.threshold.denominator
+    candidates = [(g.threshold.numerator, g.threshold.denominator) for g in inners]
+    candidates += [g.eventual.preimage(tn, td) for g in inners]
+    top = candidates[0]
+    for x in candidates:
+        if x[0] * top[1] > top[0] * x[1]:
+            top = x
+    threshold = Fraction(*top)
     return QFunction(
         arity=n,
         coordinate=star.coordinate,
@@ -600,8 +613,10 @@ def extend_restriction(
 
 def _embedding_above(a: Fraction) -> PLMap:
     # increasing self-map with range exactly (a, oo): a Moebius squash
-    # below zero, a translation above
-    return PLMap((Piece(None, 0, (-a, a + 1, -1, 1)), Piece(0, None, (1, a + 1, 0, 1))))
+    # below zero, a translation above; both matrices times a's denominator
+    n, d = a.numerator, a.denominator
+    zero = Fraction(0)
+    return PLMap((Piece(None, zero, (-n, n + d, -d, d)), Piece(zero, None, (d, n + d, 0, d))))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ argument to a `Fraction`; the values of a stage are ranked to
 `Fraction`s by a sort that compares them with `compare_values`; the
 pattern codes are counted here from their definition; `find_equalizers`
 builds one `Piece` per segment of each map and merges the collinear
-ones with `plmap._merge`; and every column is checked on its own, in
+ones with `plmap_oracle.merge`; and every column is checked on its own, in
 `Fraction`s.  The library compiles each side once, evaluates each
 column once per lift into sort keys, ranks them into integers by
 merging each stage's new keys into the last stage's order, builds only
@@ -24,10 +24,11 @@ from typing import Sequence
 from clonelab.errors import EqualizerFailure, InconsistentData
 from clonelab.lifting import LiftInstance, PointInjection, WitnessTuple
 from clonelab.orderterms import Coord, substitute
-from clonelab.plmap import PLMap, Piece, _merge, identity
+from clonelab.plmap import PLMap, Piece, identity
 from clonelab.structures import StructureKind, SymbolicStructure
 from clonelab.terms import fold
 from pair_oracle import eval_pair, materialize
+from plmap_oracle import merge
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -60,7 +61,7 @@ def from_point_pairs(pairs) -> PLMap:
         pieces.append(Piece(x1, x2, (slope, y1 - slope * x1, _ZERO, _ONE)))
     xr, yr = cleaned[-1]
     pieces.append(Piece(xr, None, (_ONE, yr - xr, _ZERO, _ONE)))
-    return PLMap(_merge(pieces))
+    return PLMap(merge(pieces))
 
 
 def find_equalizers(left, right, structure: SymbolicStructure):

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from clonelab import plmap
 from clonelab.errors import InconsistentData, ParseError
@@ -12,11 +12,13 @@ from clonelab.plmap import (
     affine,
     from_point_pairs,
     identity,
+    parse_fraction,
     parse_plmap,
     translation,
 )
 from clonelab.qclone import _embedding_above, parse_member
 import lift_oracle
+import plmap_oracle
 from hull_oracle import map_value, reference_form
 
 
@@ -130,10 +132,9 @@ def test_constructors_refuse_inexact_values(build, bad):
         translation(1).apply,
         translation(1).piece_at,
         translation(1).invert_value,
-        translation(1).pieces[0].value,
         translation(1).pieces[0].invert,
     ],
-    ids=["apply", "piece_at", "invert_value", "piece-value", "piece-invert"],
+    ids=["apply", "piece_at", "invert_value", "piece-invert"],
 )
 def test_evaluation_refuses_inexact_points(read, bad):
     with pytest.raises(InconsistentData, match=f"argument {bad!r} is not an int or a Fraction"):
@@ -174,8 +175,20 @@ def test_from_point_pairs_matches_the_merged_segments(pairs):
     assert from_point_pairs(ints) == lift_oracle.from_point_pairs(ints)
 
 
-@given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=6))
+small_values = st.one_of(
+    st.integers(-4, 4), st.fractions(min_value=-4, max_value=4, max_denominator=3)
+)
+
+
+@given(
+    st.one_of(
+        st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=6),
+        st.lists(st.tuples(small_values, small_values), max_size=6),
+    )
+)
 def test_from_point_pairs_refuses_what_the_merged_segments_refuse(pairs):
+    # ints, Fractions and both mixed: a "maps to both" message prints the
+    # values, so it must read the same from the common denominator
     try:
         expected = lift_oracle.from_point_pairs(pairs)
     except InconsistentData as exc:
@@ -183,7 +196,8 @@ def test_from_point_pairs_refuses_what_the_merged_segments_refuse(pairs):
             from_point_pairs(pairs)
         assert str(err.value) == str(exc)
     else:
-        assert from_point_pairs(pairs) == expected
+        m = from_point_pairs(pairs)
+        assert m == expected and repr(m) == repr(expected)
 
 
 @st.composite
@@ -391,6 +405,128 @@ def test_apply_matches_a_scan_of_the_fraction_pieces(m, x):
         assert m.apply(y) == map_value(m, y)
 
 
+@st.composite
+def oracle_maps(draw):
+    """A map as the library's users build them: an interpolation of ints,
+    of `Fraction`s or of both mixed, `_embedding_above`, a Mobius middle
+    between slope-1 tails, or a shift of the bounded squash."""
+    kind = draw(st.sampled_from(["pairs", "embedding", "middle", "squash"]))
+    if kind == "embedding":
+        return _embedding_above(draw(rationals))
+    if kind == "middle":
+        lo, hi, mat = draw(exact_pieces())
+        return PLMap(
+            (
+                Piece(None, lo, (1, reference_value(mat, lo) - lo, 0, 1)),
+                Piece(lo, hi, mat),
+                Piece(hi, None, (1, reference_value(mat, hi) - hi, 0, 1)),
+            )
+        )
+    if kind == "squash":
+        # squash() shifted by s, with range (s - 1, s + 1)
+        s = draw(rationals)
+        return PLMap(
+            (Piece(None, F(0), (1 - s, s, -1, 1)), Piece(F(0), None, (1 + s, s, 1, 1)))
+        )
+    values = draw(
+        st.sampled_from(
+            [st.integers(-30, 30), rationals, st.one_of(st.integers(-30, 30), rationals)]
+        )
+    )
+    xs = sorted(draw(st.sets(values, max_size=6)))
+    ys = sorted(draw(st.sets(values, min_size=len(xs), max_size=len(xs))))
+    return from_point_pairs(zip(xs, ys))
+
+
+@st.composite
+def outer_maps_on_cuts(draw, inner):
+    """An interpolation some of whose breakpoints are images of the inner
+    map's breakpoints, so that those cuts land exactly on them."""
+    images = [inner.apply(b) for b in inner.breakpoints()]
+    xs = set(draw(st.lists(st.sampled_from(images), max_size=3)) if images else [])
+    xs |= draw(st.sets(rationals, max_size=3))
+    ys = draw(st.sets(rationals, min_size=len(xs), max_size=len(xs)))
+    return from_point_pairs(zip(sorted(xs), sorted(ys)))
+
+
+def assert_same_map(m, expected):
+    assert m == expected and repr(m) == repr(expected)
+
+
+@settings(max_examples=300)
+@given(oracle_maps(), oracle_maps())
+def test_compose_matches_the_fraction_oracle(outer, inner):
+    assert_same_map(outer.compose(inner), plmap_oracle.compose(outer, inner))
+
+
+@given(st.data())
+def test_compose_matches_the_oracle_when_cuts_land_on_outer_breakpoints(data):
+    inner = data.draw(oracle_maps())
+    outer = data.draw(outer_maps_on_cuts(inner))
+    assert_same_map(outer.compose(inner), plmap_oracle.compose(outer, inner))
+    assert_same_map(inner.compose(outer), plmap_oracle.compose(inner, outer))
+
+
+@settings(max_examples=200)
+@given(oracle_maps(), rationals)
+def test_invert_value_matches_the_fraction_oracle(m, y):
+    # inside the range, at the images of the breakpoints, at the range
+    # limits (never attained) and just outside them
+    probes = [y, *(m.apply(b) for b in m.breakpoints())]
+    for limit in (m.range_inf(), m.range_sup()):
+        if limit is not None:
+            probes += [limit, limit - F(1, 7), limit + F(1, 7)]
+    for v in probes:
+        x = m.invert_value(v)
+        assert x == plmap_oracle.invert_value(m, v)
+        assert x is None or m.apply(x) == v
+    low, _ = plmap_oracle.limits(m.pieces[0])
+    _, high = plmap_oracle.limits(m.pieces[-1])
+    assert (m.range_inf(), m.range_sup()) == (low, high)
+    assert m.is_automorphism == (low is None and high is None)
+
+
+@given(increasing_point_sets(), increasing_point_sets(), rationals)
+def test_the_builders_make_one_fraction_per_kept_endpoint(pairs, others, a):
+    # every `Fraction` construction counts, those of `Fraction`
+    # arithmetic included
+    inners = [from_point_pairs(others), _embedding_above(a), MOBIUS_MIDDLE, squash()]
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Fraction, "__new__", staticmethod(counted))
+        m = from_point_pairs(pairs)
+        assert len(built) <= len(m.breakpoints())
+        for inner in inners:
+            for outer, first in ((m, inner), (inner, m)):
+                built.clear()
+                h = outer.compose(first)
+                assert len(built) <= len(h.breakpoints())
+        # the identity cut in two: its breakpoint's preimage is a cut that
+        # the merge drops, and the inner breakpoints are reused as they are
+        built.clear()
+        assert SPLIT_IDENTITY.compose(m) == m
+        assert built == []
+
+
+SPLIT_IDENTITY = PLMap(
+    (Piece(None, F(1, 3), (1, 0, 0, 1)), Piece(F(1, 3), None, (1, 0, 0, 1)))
+)
+
+
+@pytest.mark.parametrize("lo, hi", [(1, 2), (0, 1), (F(1, 2), F(3, 2))])
+def test_a_pole_on_either_end_is_refused(lo, hi):
+    # -x/(x - 1) has its pole at 1: on the lower end, the upper end, inside
+    with pytest.raises(InconsistentData, match="pole inside its closed interval"):
+        Piece(lo, hi, (-1, 0, 1, -1))
+    assert Piece(F(-1), F(99, 100), (-1, 0, 1, -1)).mat == (-1, 0, 1, -1)
+
+
 @given(rationals)
 def test_automorphism_invert_roundtrip(y):
     m = from_point_pairs([(F(0), F(-3)), (F(1), F(0)), (F(3), F(1))])
@@ -430,3 +566,44 @@ def test_parse_reports_line_numbers():
         parse_plmap("piece -inf inf wat 1 2\n")
     with pytest.raises(ParseError):
         parse_plmap("")
+
+
+@given(st.from_regex(r"-?[0-9]+(/[0-9]*[1-9][0-9]*|\.[0-9]+)?", fullmatch=True))
+def test_a_rational_literal_reads_as_fraction_reads_it(text):
+    # the grammar -?D+, -?D+/D+ with a nonzero denominator, -?D+.D+; the
+    # text itself never reaches `Fraction`
+    def exact(*args):
+        assert not any(isinstance(arg, str) for arg in args)
+        return Fraction(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(plmap, "Fraction", exact)
+        assert parse_fraction(text) == Fraction(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1e10000000", "1e5", "1E-2", "2.5e3", "+3", ".5", "5.", "-.5", "-", "",
+        "1/0", "-3/00", "1/-2", "--1", "1/2/3", "1.5/2", "1.2.3", "1_000",
+        "\u0663", "\uff13", "0x10", "inf", "nan", " 3", "3 ", "1 / 2",
+        # past the interpreter's limit on digits
+        pytest.param("9" * 5000, id="digits"),
+        pytest.param("1." + "5" * 5000, id="decimals"),
+    ],
+)
+def test_other_rational_forms_are_refused(text, monkeypatch):
+    # refused before any arithmetic: an exponent costs nothing
+    monkeypatch.setattr(plmap, "Fraction", None)
+    with pytest.raises(ParseError, match="bad rational literal") as err:
+        parse_fraction(text, 4)
+    assert err.value.line == 4
+
+
+def test_a_piece_line_refuses_an_exponent_at_its_line():
+    with pytest.raises(ParseError, match="bad rational literal '1e10000000'") as err:
+        parse_plmap("piece -inf inf affine 1 0\n# x\npiece -inf inf affine 1e10000000 0\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError, match="bad rational literal") as err:
+        parse_member("arity 1\neventual 1 0\npiece -inf inf affine 1 0\ndata +1 0\n")
+    assert err.value.line == 4

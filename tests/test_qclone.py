@@ -40,6 +40,7 @@ from clonelab.qclone import (
     xi,
 )
 from hull_oracle import hull_apply, map_value, nested_value, reference_hull
+import plmap_oracle
 
 F = Fraction
 
@@ -633,6 +634,22 @@ def _edge_points(f):
     if isinstance(f.below, DataHull):
         points.extend(p for p, _ in f.below.data)
     return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_composition_takes_the_largest_threshold_or_preimage(draw):
+    # the candidates compared in `Fraction`s, the preimages from the oracle
+    n = draw.draw(st.integers(1, 3))
+    f = _leaf(draw, n)
+    inners = [_leaf(draw, n) for _ in range(n)]
+    composed = compose_members(f, inners)
+    expected = max(
+        *(g.threshold for g in inners),
+        *(plmap_oracle.invert_value(g.eventual, f.threshold) for g in inners),
+    )
+    assert composed.threshold == expected and type(composed.threshold) is Fraction
+    assert composed.eventual == plmap_oracle.compose(f.eventual, inners[f.coordinate - 1].eventual)
 
 
 @settings(max_examples=80, deadline=None)
